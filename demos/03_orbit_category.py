@@ -9,7 +9,7 @@ orders) is the classical table of marks.
 from catrank.exactq import rat_str
 from catrank.fincat import classify
 from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_of_marks
-from catrank.moebius import mu_bar2_chains, omega_bar2
+from catrank.moebius import euler_characteristics, omega_bar2
 from catrank.orbitcat import orbit_category
 
 g = build_group("symmetric:3")
@@ -27,7 +27,7 @@ for c in oc.classes:
 print()
 
 om = omega_bar2(cat)
-mu = mu_bar2_chains(cat)
+mu = euler_characteristics(cat).mu_bar2
 print("omega_bar2 rows:")
 for i in range(om.rows):
     print("  ", [rat_str(v) for v in om.row(i)])

@@ -23,12 +23,7 @@ from .grouptheory import (
     table_of_marks,
 )
 from .leinster import chi_L, coweighting, weighting, zeta_matrix
-from .moebius import (
-    euler_characteristics,
-    mu_bar2_chains,
-    nerve_euler_characteristic,
-    omega_bar2,
-)
+from .moebius import euler_characteristics, nerve_euler_characteristic, omega_bar2
 from .orbitcat import (
     GCWComplex,
     chi_G,
@@ -61,10 +56,8 @@ def _class_name(cls) -> str:
 
 
 def _emit(doc, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc))
+    json.dump(doc, sys.stdout, indent=2 if pretty else None)
+    sys.stdout.write("\n")
 
 
 def _read_source(path: str) -> tuple[bytes, str]:
@@ -135,17 +128,23 @@ def cmd_euler(args) -> int:
         invariants["coweighting"] = dict(_vec(cw.weighting), kernel_dim=cw.kernel_dim)
     else:
         warnings.append("coweighting omitted: the system zeta . k = 1 on the opposite is inconsistent")
-    chi = chi_L(cat)
+    chi = chi_L(cat, w, cw)
     invariants["chi_L"] = rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:
         er = euler_characteristics(cat, max_chain_length=args.max_chain_length)
-        invariants["chi_f"] = _vec(er.chi_f)
-        invariants["chi"] = rat_str(er.chi)
-        invariants["chi_f2"] = _vec(er.chi_f2)
-        invariants["chi2"] = rat_str(er.chi2)
+        if er.truncated:
+            for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2"):
+                warnings.append(f"{name} omitted: chain sums truncated at length "
+                                f"{args.max_chain_length}")
+        else:
+            invariants["chi_f"] = _vec(er.chi_f)
+            invariants["chi"] = rat_str(er.chi)
+            invariants["chi_f2"] = _vec(er.chi_f2)
+            invariants["chi2"] = rat_str(er.chi2)
         invariants["omega_bar2"] = _mat(omega_bar2(cat))
-        invariants["mu_bar2"] = _mat(mu_bar2_chains(cat, max_chain_length=args.max_chain_length))
+        if not er.truncated:
+            invariants["mu_bar2"] = _mat(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
             warnings.append(f"{name} omitted: not an EI category")
@@ -306,7 +305,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
     p.add_argument("--cap", type=int, default=64, help="largest group order accepted")
     p.add_argument("--max-chain-length", type=int, default=None,
-                   help="truncate chain sums (default: number of iso classes)")
+                   help="bound the chain length in euler's chain sums; a cut chain "
+                        "omits the chain invariants (default: no bound)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized subcommands")
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -89,9 +89,6 @@ class QVector:
         body = ", ".join(f"{l}: {rat_str(v)}" for l, v in zip(self.labels, self.entries))
         return f"QVector({body})"
 
-    def to_json(self) -> dict:
-        return {str(l): rat_str(v) for l, v in zip(self.labels, self.entries)}
-
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.entries)
 
@@ -223,13 +220,6 @@ class QMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_str(v) for v in self.row(i)) for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: {body})"
-
-    def to_json(self) -> dict:
-        return {
-            "row_labels": [str(l) for l in self.row_labels],
-            "col_labels": [str(l) for l in self.col_labels],
-            "entries": [[rat_str(v) for v in self.row(i)] for i in range(self.rows)],
-        }
 
 
 class SolutionReport:

@@ -200,11 +200,6 @@ class PredicateReport:
         on = [k for k, v in self.flags().items() if v]
         return f"PredicateReport({', '.join(on) or 'none'})"
 
-    def to_json(self) -> dict:
-        doc: dict[str, Any] = dict(self.flags())
-        doc["witnesses"] = {k: list(v) for k, v in self.witnesses.items()}
-        return doc
-
 
 def classify(cat: FiniteCategory) -> PredicateReport:
     """Exhaustive predicate checks; witnesses record a counterexample per failed flag."""
@@ -739,7 +734,14 @@ def from_json(doc: dict) -> FiniteCategory:
     for key in ("objects", "morphisms", "identities", "composition"):
         if key not in doc:
             raise ValueError(f"missing key: {key}")
+    for key in ("objects", "morphisms", "composition"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a JSON array")
+    if not isinstance(doc["identities"], dict):
+        raise ValueError("identities must be a JSON object")
     objects = list(doc["objects"])
+    if any(isinstance(o, (list, dict)) for o in objects):
+        raise ValueError("object ids must be strings or numbers")
     if len(set(map(str, objects))) != len(objects):
         raise ValueError("duplicate object ids")
     obj_index = {str(o): i for i, o in enumerate(objects)}

@@ -56,9 +56,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table], "names": list(self.names)}
-
 
 def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
     n = len(table)
@@ -416,13 +413,13 @@ def nu_matrix(g: FiniteGroup) -> QMatrix:
     Non-integrality would mean the orbit-category Moebius data is wrong, so it
     is an internal assertion, not an input error.
     """
-    from .moebius import mu_bar2_chains
+    from .moebius import euler_characteristics
     from .orbitcat import orbit_category
 
     oc = orbit_category(g)
     classes = oc.classes
     labels = [c.label for c in classes]
-    mu = mu_bar2_chains(oc.category)
+    mu = euler_characteristics(oc.category).mu_bar2
     object_order = [oc.object_of_class(i) for i in range(len(classes))]
     mu = mu.reorder(object_order, object_order)
     weyl = [c.weyl_order for c in classes]

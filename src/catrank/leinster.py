@@ -52,12 +52,17 @@ def coweighting(cat: FiniteCategory) -> WeightingResult:
     return weighting(opposite(cat))
 
 
-def chi_L(cat: FiniteCategory):
+def chi_L(cat: FiniteCategory, w: WeightingResult | None = None,
+          cw: WeightingResult | None = None):
     """Common sum of a weighting and a coweighting; the string "undefined"
     when either fails to exist.  The value does not depend on which solution
-    the solver picked, which is asserted here two ways."""
-    w = weighting(cat)
-    cw = coweighting(cat)
+    the solver picked, which is asserted here two ways.  A caller that has
+    already solved for the weighting w or the coweighting cw of cat passes
+    it in, so the system is not solved again."""
+    if w is None:
+        w = weighting(cat)
+    if cw is None:
+        cw = coweighting(cat)
     if not w.exists or not cw.exists:
         return "undefined"
     total = w.weighting.sum()

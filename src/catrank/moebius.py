@@ -10,20 +10,19 @@ the quotient, and all the invariants below are signed sums of orbit counts of
 those actions:
 
   - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular.
-  - mu_bar2_chains: sum over chains of +/- |S(c)| / |aut y|; inverse to
-    omega_bar2 whenever the category is free.
-  - euler_characteristics: per-class functorial values (double cosets of S(c),
-    integers) and their rank-weighted counterparts (left orbits / |aut y|),
-    plus the totals.
+  - euler_characteristics: one walk over the chains that yields the per-class
+    functorial values (double orbits of S(c), integers), their rank-weighted
+    counterparts (left orbits / |aut y|), the totals, and mu_bar2 (sum over
+    chains of +/- |S(c)| / |aut y|, inverse to omega_bar2 whenever the
+    category is free).
   - integral_moebius: the integer zeta/Moebius pair for skeletal categories
     with trivial endomorphisms.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactq import QMatrix, QVector
 from .fincat import FiniteCategory, classify, iso_classes
@@ -98,147 +97,6 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     )
 
 
-class Chain:
-    """A strictly increasing tuple of class indices in an IsoPoset."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: Sequence[int]):
-        self.classes = tuple(classes)
-
-    @property
-    def length(self) -> int:
-        return len(self.classes) - 1
-
-    def __repr__(self) -> str:
-        return f"Chain{self.classes}"
-
-
-def enumerate_chains(
-    poset: IsoPoset,
-    start: int,
-    end: int | None = None,
-    max_length: int | None = None,
-) -> Iterator[Chain]:
-    """All strictly increasing chains from start (to end, if given)."""
-    cap = poset.size - 1 if max_length is None else max_length
-
-    def walk(prefix):
-        last = prefix[-1]
-        if end is None or last == end:
-            yield Chain(prefix)
-        if len(prefix) - 1 >= cap:
-            return
-        for j in range(poset.size):
-            if j != last and poset.leq[last][j]:
-                if end is not None and not (j == end or poset.leq[j][end]):
-                    continue
-                yield from walk(prefix + (j,))
-
-    if end is not None and not (start == end or poset.leq[start][end]):
-        return
-    yield from walk((start,))
-
-
-class ChainBiset:
-    """S(c) for a chain c: tuples (f_l, ..., f_1) of morphisms between the
-    class representatives, modulo the interior automorphism actions, with the
-    residual left aut(top) and right aut(bottom) actions."""
-
-    __slots__ = ("poset", "chain", "elements", "_find", "_left", "_right")
-
-    def __init__(self, poset: IsoPoset, chain: Chain):
-        self.poset = poset
-        self.chain = chain
-        cat = poset.cat
-        reps = [poset.reps[c] for c in chain.classes]
-        l = chain.length
-        if l == 0:
-            raw = [(m,) for m in cat.hom(reps[0], reps[0])]
-        else:
-            slots = [cat.hom(reps[i - 1], reps[i]) for i in range(l, 0, -1)]
-            raw = list(itertools.product(*slots))
-
-        parent = {t: t for t in raw}
-
-        def find(t):
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            return t
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # keep the lexicographically least tuple as the root
-                lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                parent[hi] = lo
-
-        for t in raw:
-            for i in range(1, l):
-                hi = l - i - 1  # slot of f_{i+1}
-                lo = l - i      # slot of f_i
-                for a in cat.aut(reps[i]):
-                    ainv = cat.inverse(a)
-                    t2 = list(t)
-                    t2[hi] = cat.compose(t[hi], a)
-                    t2[lo] = cat.compose(ainv, t[lo])
-                    union(t, tuple(t2))
-
-        self._find = {t: find(t) for t in raw}
-        self.elements = tuple(sorted(set(self._find.values())))
-        self._left = tuple(cat.aut(reps[-1]))
-        self._right = tuple(cat.aut(reps[0]))
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def act_left(self, a: int, elem: tuple) -> tuple:
-        cat = self.poset.cat
-        raw = (cat.compose(a, elem[0]),) + elem[1:]
-        return self._find[raw]
-
-    def act_right(self, elem: tuple, b: int) -> tuple:
-        cat = self.poset.cat
-        raw = elem[:-1] + (cat.compose(elem[-1], b),)
-        return self._find[raw]
-
-    def left_orbit_count(self) -> int:
-        return self._orbit_count(use_left=True, use_right=False)
-
-    def double_orbit_count(self) -> int:
-        return self._orbit_count(use_left=True, use_right=True)
-
-    def _orbit_count(self, use_left: bool, use_right: bool) -> int:
-        todo = set(self.elements)
-        count = 0
-        while todo:
-            count += 1
-            seed = todo.pop()
-            frontier = [seed]
-            while frontier:
-                e = frontier.pop()
-                nbrs = []
-                if use_left:
-                    nbrs += [self.act_left(a, e) for a in self._left]
-                if use_right:
-                    nbrs += [self.act_right(e, b) for b in self._right]
-                for n in nbrs:
-                    if n in todo:
-                        todo.remove(n)
-                        frontier.append(n)
-        return count
-
-
-def chain_biset(poset: IsoPoset, chain: Chain) -> ChainBiset:
-    return ChainBiset(poset, chain)
-
-
-def double_coset_count(biset: ChainBiset) -> int:
-    return biset.double_orbit_count()
-
-
 def perm_module_dim(group_order: int, action: Sequence[Sequence[int]]) -> Fraction:
     """Rank of the permutation module of a group action, |T| / |G|.
 
@@ -288,23 +146,6 @@ def omega_bar2(cat: FiniteCategory) -> QMatrix:
     return QMatrix.from_rows(rows, poset.labels, poset.labels)
 
 
-def mu_bar2_chains(cat: FiniteCategory, max_chain_length: int | None = None) -> QMatrix:
-    """Entry at (y-class, x-class): alternating sum of |S(c)| / |aut y| over
-    the chains c from y-class to x-class."""
-    poset = iso_order(cat)
-    k = poset.size
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        ai = poset.aut_order(i)
-        for j in range(k):
-            total = Fraction(0)
-            for chain in enumerate_chains(poset, i, end=j, max_length=max_chain_length):
-                s = ChainBiset(poset, chain).size
-                total += Fraction((-1) ** chain.length * s, ai)
-            rows[i][j] = total
-    return QMatrix.from_rows(rows, poset.labels, poset.labels)
-
-
 def integral_moebius(cat: FiniteCategory) -> tuple[QMatrix, QMatrix]:
     """The integer incidence pair (A, B) for a skeletal category with trivial
     endomorphisms: A counts morphisms, B is the alternating count of
@@ -347,58 +188,135 @@ def integral_moebius(cat: FiniteCategory) -> tuple[QMatrix, QMatrix]:
 
 
 class EulerReport:
-    __slots__ = ("labels", "chi_f", "chi", "chi_f2", "chi2")
+    """Chain sums of an EI category.  When truncated is true the depth bound
+    cut at least one chain, so chi_f, chi, chi_f2, chi2 and mu_bar2 are
+    partial sums, not the invariants."""
 
-    def __init__(self, labels, chi_f: QVector, chi, chi_f2: QVector, chi2):
+    __slots__ = ("labels", "chi_f", "chi", "chi_f2", "chi2", "mu_bar2", "truncated")
+
+    def __init__(self, labels, chi_f: QVector, chi, chi_f2: QVector, chi2,
+                 mu_bar2: QMatrix, truncated: bool):
         self.labels = labels
         self.chi_f = chi_f
         self.chi = chi
         self.chi_f2 = chi_f2
         self.chi2 = chi2
+        self.mu_bar2 = mu_bar2
+        self.truncated = truncated
 
     def __repr__(self) -> str:
-        return f"EulerReport(chi={self.chi}, chi2={self.chi2})"
+        return f"EulerReport(chi={self.chi}, chi2={self.chi2}, truncated={self.truncated})"
 
-    def to_json(self) -> dict:
-        from .exactq import rat_str
 
-        return {
-            "classes": [str(x) for x in self.labels],
-            "chi_functorial": [rat_str(v) for v in self.chi_f.entries],
-            "chi": rat_str(self.chi),
-            "chi_functorial_l2": [rat_str(v) for v in self.chi_f2.entries],
-            "chi_l2": rat_str(self.chi2),
-        }
+def _orbit_count(n: int, tables) -> int:
+    """Orbits of 0..n-1 under the maps tables[a][t]."""
+    seen = bytearray(n)
+    count = 0
+    for t in range(n):
+        if seen[t]:
+            continue
+        count += 1
+        seen[t] = 1
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            for tab in tables:
+                v = tab[u]
+                if not seen[v]:
+                    seen[v] = 1
+                    todo.append(v)
+    return count
+
+
+def _extend(left, right, hom_size, inner, outer):
+    """Tables of hom(top, y) x_{aut top} S from those of S.
+
+    A pair (g, s) stands for hom element g and element s of S, at index
+    g * |S| + s; the aut(top)-orbit of (g, s) is {(g a^-1, a s)}, read off
+    inner[a] (g -> g a^-1) and left[a].  The quotient's left action is
+    aut(y) acting on g (outer), its right action that of aut(bottom) on s."""
+    n = len(left[0])
+    ids = [-1] * (hom_size * n)
+    members = []
+    for g in range(hom_size):
+        for s in range(n):
+            if ids[g * n + s] < 0:
+                t = len(members)
+                members.append((g, s))
+                for ia, la in zip(inner, left):
+                    ids[ia[g] * n + la[s]] = t
+    return ([[ids[o[g] * n + s] for g, s in members] for o in outer],
+            [[ids[g * n + r[s]] for g, s in members] for r in right])
 
 
 def euler_characteristics(cat: FiniteCategory, max_chain_length: int | None = None) -> EulerReport:
     """Functorial and rank-weighted Euler characteristics of a finite EI
-    category, by alternating orbit counts over chains out of each class."""
+    category, and mu_bar2, from one depth-first walk over the chains out of
+    each class.
+
+    A node of the walk is a chain c with its set S(c), stored as index tables
+    of the left aut(top) and right aut(bottom) actions; S((x,)) = aut(x), and
+    S(c + y) = hom(top, y) x_{aut top} S(c).  Each node adds (-1)^length
+    times |S(c)| to mu_bar2 at (bottom, top), times its left-orbit count to
+    chi_f2 of the bottom class and times its double-orbit count to chi_f;
+    mu_bar2 and chi_f2 are divided by |aut bottom|.  Chains longer than
+    max_chain_length are cut, which sets the report's truncated flag."""
     poset = iso_order(cat)
     k = poset.size
-    chi_f = []
-    chi_f2 = []
+    cap = k if max_chain_length is None else max_chain_length
+    comp = cat.compose_table
+    auts = [cat.aut(r) for r in poset.reps]
+    above = [[j for j in range(k) if j != i and poset.leq[i][j]] for i in range(k)]
+    steps = {}
+
+    def step(i, j):
+        if (i, j) not in steps:
+            hom = cat.hom(poset.reps[i], poset.reps[j])
+            at = {h: t for t, h in enumerate(hom)}
+            steps[i, j] = (
+                len(hom),
+                [[at[comp[h, cat.inverse(a)]] for h in hom] for a in auts[i]],
+                [[at[comp[a, h]] for h in hom] for a in auts[j]],
+            )
+        return steps[i, j]
+
+    truncated = False
+    chi_f, chi_f2, mu_rows = [], [], []
     for i in range(k):
-        ai = poset.aut_order(i)
-        acc_f = 0
-        acc_f2 = Fraction(0)
-        for chain in enumerate_chains(poset, i, max_length=max_chain_length):
-            b = ChainBiset(poset, chain)
-            sign = (-1) ** chain.length
-            acc_f += sign * b.double_orbit_count()
-            acc_f2 += Fraction(sign * b.left_orbit_count(), ai)
-        chi_f.append(Fraction(acc_f))
-        chi_f2.append(acc_f2)
+        aut = auts[i]
+        at = {m: t for t, m in enumerate(aut)}
+        nodes = [(i, 0, [[at[comp[a, m]] for m in aut] for a in aut],
+                  [[at[comp[m, b]] for m in aut] for b in aut])]
+        f = f2 = 0
+        row = [0] * k
+        while nodes:
+            top, length, left, right = nodes.pop()
+            size = len(left[0])
+            sign = -1 if length % 2 else 1
+            row[top] += sign * size
+            f2 += sign * _orbit_count(size, left)
+            f += sign * _orbit_count(size, left + right)
+            if length >= cap:
+                truncated = truncated or bool(above[top])
+                continue
+            for j in above[top]:
+                nodes.append((j, length + 1, *_extend(left, right, *step(top, j))))
+        ai = len(aut)
+        chi_f.append(Fraction(f))
+        chi_f2.append(Fraction(f2, ai))
+        mu_rows.append([Fraction(v, ai) for v in row])
     return EulerReport(
         poset.labels,
         QVector(chi_f, poset.labels),
         sum(chi_f, Fraction(0)),
         QVector(chi_f2, poset.labels),
         sum(chi_f2, Fraction(0)),
+        QMatrix.from_rows(mu_rows, poset.labels, poset.labels),
+        truncated,
     )
 
 
-def chi_f2_via_eta(cat: FiniteCategory, max_chain_length: int | None = None) -> QVector:
+def chi_f2_via_eta(cat: FiniteCategory) -> QVector:
     """The rank-weighted functorial values as mu_bar2 applied to the vector
     1/|aut|; agrees with euler_characteristics for free EI categories."""
     rep = classify(cat)
@@ -406,7 +324,7 @@ def chi_f2_via_eta(cat: FiniteCategory, max_chain_length: int | None = None) -> 
         raise ValueError("requires an EI category")
     if not rep.is_free:
         raise ValueError("requires a free EI category")
-    mu = mu_bar2_chains(cat, max_chain_length)
+    mu = euler_characteristics(cat).mu_bar2
     poset = iso_order(cat)
     eta = QVector([Fraction(1, poset.aut_order(i)) for i in range(poset.size)], poset.labels)
     return mu.mul_vec(eta)

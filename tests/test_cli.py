@@ -142,7 +142,34 @@ def test_euler_indiscrete_nerve_cycle(capsys, monkeypatch):
 
 def test_euler_chain_length_truncation(capsys, monkeypatch):
     doc = euler_on(capsys, monkeypatch, "span", "--max-chain-length", "0")
-    assert doc["invariants"]["chi_f"]["entries"] == ["1", "1", "1"]
+    inv = doc["invariants"]
+    for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2"):
+        assert name not in inv
+        assert f"{name} omitted: chain sums truncated at length 0" in doc["warnings"]
+    assert inv["chi_L"] == "1" and "omega_bar2" in inv
+    # the span's longest chain has length 1, so a bound of 1 cuts nothing
+    assert (euler_on(capsys, monkeypatch, "span", "--max-chain-length", "1")
+            == euler_on(capsys, monkeypatch, "span"))
+
+
+# an object id that is a JSON array, with every reference to it spelled as str() spells it
+LIST_OBJECT_DOC = {"objects": [["a"]], "morphisms": [{"id": 0, "dom": "['a']", "cod": "['a']"}],
+                   "identities": {"['a']": 0}, "composition": [[0, 0, 0]]}
+
+
+@pytest.mark.parametrize("patch", [{"objects": 3}, {"morphisms": 5}, {"identities": 5},
+                                   {"composition": 7}, LIST_OBJECT_DOC],
+                         ids=["objects", "morphisms", "identities", "composition", "list-id"])
+def test_malformed_document_fields(tmp_path, capsys, patch):
+    code, text, _ = run(capsys, "examples", "emit", "span")
+    doc = json.loads(text)
+    doc.update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("validate", "euler"):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 1
+        assert json.loads(err)["violations"][0]["kind"] == "malformed"
 
 
 def test_group_marks_c5(capsys):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catrank import corpus
 from catrank.exactq import QMatrix, mat_invert
 from catrank.fincat import (
     FiniteCategory,
+    biset_category,
     classify,
     coproduct,
     delooping,
@@ -20,21 +22,18 @@ from catrank.fincat import (
 )
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 from catrank.moebius import (
-    Chain,
-    ChainBiset,
     chi_f2_via_eta,
-    double_coset_count,
-    enumerate_chains,
     euler_characteristics,
     integral_moebius,
     iso_order,
-    mu_bar2_chains,
     nerve_euler_characteristic,
     omega_bar2,
     perm_module_dim,
 )
+from catrank.orbitcat import orbit_category
 
 import genrandom
+from chain_oracle import Chain, ChainBiset, chain_sums, enumerate_chains
 from test_fincat import retract_pair, indiscrete_pair, divisor_poset
 
 
@@ -143,7 +142,7 @@ class TestChainBiset:
         b = ChainBiset(poset, Chain((0,)))
         assert b.size == 6
         assert b.left_orbit_count() == 1
-        assert double_coset_count(b) == 1
+        assert b.double_orbit_count() == 1
 
     def test_interior_quotient_collapses(self):
         poset = iso_order(collapsed_action_category())
@@ -196,7 +195,7 @@ class TestMatrices:
         assert [om.row(i) for i in range(3)] == [(1, 1, 1), (0, 1, 0), (0, 0, 1)]
 
     def test_mu_span(self):
-        mu = mu_bar2_chains(span_category())
+        mu = euler_characteristics(span_category()).mu_bar2
         assert [mu.row(i) for i in range(3)] == [(1, -1, -1), (0, 1, 0), (0, 0, 1)]
 
     def test_omega_unit_upper_triangular(self):
@@ -220,7 +219,7 @@ class TestMatrices:
         for cat in cats:
             assert classify(cat).is_free
             om = omega_bar2(cat)
-            mu = mu_bar2_chains(cat)
+            mu = euler_characteristics(cat).mu_bar2
             assert om.mul(mu).is_identity()
             assert mu.mul(om).is_identity()
             assert mu == mat_invert(om)
@@ -229,16 +228,19 @@ class TestMatrices:
         cat = collapsed_action_category()
         rep = classify(cat)
         assert rep.is_ei and not rep.is_free
-        mu = mu_bar2_chains(cat)
+        mu = euler_characteristics(cat).mu_bar2
         inv = mat_invert(omega_bar2(cat))
         assert mu != inv
         assert mu.at("x", "z") == 0 and inv.at("x", "z") == Fraction(-1, 2)
 
     def test_max_chain_length_truncates(self):
-        mu0 = mu_bar2_chains(span_category(), max_chain_length=0)
-        assert mu0.is_identity()
-        full = mu_bar2_chains(divisor_poset(12))
-        assert mu_bar2_chains(divisor_poset(12), max_chain_length=5) == full
+        rep0 = euler_characteristics(span_category(), max_chain_length=0)
+        assert rep0.mu_bar2.is_identity() and rep0.truncated
+        full = euler_characteristics(divisor_poset(12))
+        assert not full.truncated
+        capped = euler_characteristics(divisor_poset(12), max_chain_length=5)
+        assert capped.mu_bar2 == full.mu_bar2 and not capped.truncated
+        assert euler_characteristics(divisor_poset(12), max_chain_length=2).truncated
 
 
 class TestIntegralMoebius:
@@ -391,8 +393,47 @@ def test_free_ei_identities_hold_randomly(seed):
     rng = random.Random(seed)
     cat = genrandom.poset_of_groups(rng)
     om = omega_bar2(cat)
-    mu = mu_bar2_chains(cat)
-    assert om.mul(mu).is_identity()
     rep = euler_characteristics(cat)
+    assert om.mul(rep.mu_bar2).is_identity()
     assert chi_f2_via_eta(cat) == rep.chi_f2
     assert rep.chi_f.is_integral()
+
+
+def _oracle_cases():
+    cases = []
+    for name in corpus.names():
+        cat = corpus.build(name)
+        if classify(cat).is_ei:
+            cases += [(name, cat), (f"{name}^op", opposite(cat))]
+    for spec in ("symmetric:3", "dihedral:4", "q8"):
+        cases.append((f"Or({spec})", orbit_category(build_group(spec)).category))
+    rng = random.Random(31)
+    for i in range(12):
+        base = genrandom.random_free_ei_category(rng)
+        cases.append((f"free {i}", base))
+        cases.append((f"inflated {i}", genrandom.random_inflation(rng, base)[0]))
+        cases.append((f"dag {i}", genrandom.random_dag_category(rng)))
+        # bisets with stabilizers are EI but not free; a poset factor puts
+        # their automorphism groups in the interior of longer chains
+        g, h, left, right, _ = genrandom.random_biset(rng)
+        biset = biset_category(g, h, left, right)
+        cases.append((f"biset {i}", biset))
+        cases.append((f"inflated biset {i}", genrandom.random_inflation(rng, biset)[0]))
+        if biset.n_morphisms <= 40:
+            poset = genrandom.random_poset_category(rng, max_nodes=3)
+            cases.append((f"biset x poset {i}", product(biset, poset)))
+    return cases
+
+
+def test_chain_walk_matches_brute_force_oracle():
+    cases = _oracle_cases()
+    assert any(not classify(cat).is_free for _, cat in cases)
+    for name, cat in cases:
+        for length in (None, 0, 1, 2):
+            rep = euler_characteristics(cat, max_chain_length=length)
+            chi_f, chi_f2, mu_rows, truncated = chain_sums(cat, length)
+            assert list(rep.chi_f) == chi_f, (name, length)
+            assert list(rep.chi_f2) == chi_f2, (name, length)
+            mu = rep.mu_bar2
+            assert [list(mu.row(i)) for i in range(mu.rows)] == mu_rows, (name, length)
+            assert rep.truncated == truncated, (name, length)
