@@ -17,7 +17,11 @@ from . import corpus
 from .exactq import mat_invert, rat_str
 from .fincat import canonical_json, classify, from_json, validate
 from .grouptheory import (
+    CapExceeded,
+    DEFAULT_CAP,
     build_group,
+    burnside_check,
+    burnside_image,
     nu_matrix,
     subgroup_classes,
     table_of_marks,
@@ -170,70 +174,60 @@ def _group_report(g, spec) -> dict:
     return {"input": _input_stanza(raw.encode(), raw), "group_order": g.order}
 
 
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
+
+
 def cmd_group(args) -> int:
     try:
-        g = build_group(args.group)
+        g = build_group(args.group, args.cap)
+    except CapExceeded as e:
+        return _error(str(e), 1)
     except ValueError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return 2
+        return _error(str(e), 2)
+    if args.group_cmd == "orbitcat":
+        # raw category document so the output pipes into euler/validate
+        sys.stdout.write(canonical_json(orbit_category(g).category))
+        return 0
     classes = subgroup_classes(g)
     doc = _group_report(g, args.group)
     doc["classes"] = [_class_name(c) for c in classes]
+    moduli = [c.weyl_order for c in classes]
 
     if args.group_cmd == "marks":
-        doc["invariants"] = {"marks": _mat(table_of_marks(g).matrix),
-                             "weyl_orders": [c.weyl_order for c in classes]}
+        doc["invariants"] = {"marks": _mat(table_of_marks(g).matrix), "weyl_orders": moduli}
     elif args.group_cmd == "nu":
-        if g.order > args.cap:
-            print(json.dumps({"error": f"group order {g.order} exceeds cap {args.cap}"}),
-                  file=sys.stderr)
-            return 1
-        doc["invariants"] = {"nu": _mat(nu_matrix(g)),
-                             "moduli": [c.weyl_order for c in classes]}
+        doc["invariants"] = {"nu": _mat(nu_matrix(g)), "moduli": moduli}
     elif args.group_cmd == "burnside":
         try:
             xi = [int(s) for s in args.xi.split(",")]
         except ValueError:
-            print(json.dumps({"error": f"malformed xi: {args.xi!r}"}), file=sys.stderr)
-            return 2
-        if len(xi) != len(classes):
-            print(json.dumps({"error": f"xi needs {len(classes)} entries, got {len(xi)}"}),
-                  file=sys.stderr)
-            return 2
-        if g.order > args.cap:
-            print(json.dumps({"error": f"group order {g.order} exceeds cap {args.cap}"}),
-                  file=sys.stderr)
-            return 1
-        nu = nu_matrix(g)
-        image = [sum(nu.get(i, j) * xi[j] for j in range(len(classes)))
-                 for i in range(len(classes))]
-        verdict = all(v.denominator == 1 and v.numerator % c.weyl_order == 0
-                      for v, c in zip(image, classes))
+            return _error(f"malformed xi: {args.xi!r}", 2)
+        try:
+            image = burnside_image(g, xi)
+        except ValueError as e:
+            return _error(str(e), 2)
         doc["invariants"] = {"burnside": {
             "xi": xi,
             "nu_xi": [rat_str(v) for v in image],
-            "moduli": [c.weyl_order for c in classes],
-            "satisfied": verdict,
+            "moduli": moduli,
+            "satisfied": burnside_check(g, xi),
         }}
-    elif args.group_cmd == "orbitcat":
-        if g.order > args.cap:
-            print(json.dumps({"error": f"group order {g.order} exceeds cap {args.cap}"}),
-                  file=sys.stderr)
-            return 1
-        # raw category document so the output pipes into euler/validate
-        sys.stdout.write(canonical_json(orbit_category(g, cap=args.cap).category))
-        return 0
     _emit(doc, args.pretty)
     return 0
 
 
 def cmd_equivariant(args) -> int:
+    if args.cells < 0:
+        return _error(f"--cells must be nonnegative, got {args.cells}", 2)
     if args.random is not None:
         try:
-            g = build_group(args.random)
+            g = build_group(args.random, args.cap)
+        except CapExceeded as e:
+            return _error(str(e), 1)
         except ValueError as e:
-            print(json.dumps({"error": str(e)}), file=sys.stderr)
-            return 2
+            return _error(str(e), 2)
         rng = random.Random(args.seed)
         classes = subgroup_classes(g)
         census = [{"dim": rng.randrange(0, 4),
@@ -242,12 +236,10 @@ def cmd_equivariant(args) -> int:
         doc_in = {"group": args.random, "cells": census}
         data = json.dumps(doc_in, sort_keys=True).encode()
         name = f"<random seed={args.seed}>"
-        x = gcw_from_json(doc_in)
+        x = gcw_from_json(doc_in, args.cap)
     else:
         if args.path is None:
-            print(json.dumps({"error": "equivariant needs a path or --random <group>"}),
-                  file=sys.stderr)
-            return 2
+            return _error("equivariant needs a path or --random <group>", 2)
         try:
             data, name = _read_source(args.path)
         except OSError as e:
@@ -255,15 +247,13 @@ def cmd_equivariant(args) -> int:
                   file=sys.stderr)
             return 1
         try:
-            x = gcw_from_json(json.loads(data))
+            x = gcw_from_json(json.loads(data), args.cap)
+        except CapExceeded as e:
+            return _error(str(e), 1)
         except ValueError as e:
             print(json.dumps({"violations": [{"kind": "malformed", "detail": str(e)}]}),
                   file=sys.stderr)
             return 1
-    if x.group.order > args.cap:
-        print(json.dumps({"error": f"group order {x.group.order} exceeds cap {args.cap}"}),
-              file=sys.stderr)
-        return 1
     ok, lhs, rhs = verify_omega_relation(x)
     labels = [_class_name(c) for c in x.classes]
     doc = {"input": _input_stanza(data, name), "group_order": x.group.order,
@@ -303,7 +293,9 @@ def _parser() -> argparse.ArgumentParser:
                                 description="Exact Euler characteristics and "
                                             "Moebius inversion for finite categories.")
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    p.add_argument("--cap", type=int, default=64, help="largest group order accepted")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest group order accepted by every group subcommand "
+                        f"(default {DEFAULT_CAP})")
     p.add_argument("--max-chain-length", type=int, default=None,
                    help="bound the chain length in euler's chain sums; a cut chain "
                         "omits the chain invariants (default: no bound)")
@@ -338,7 +330,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="generate a random census for this group instead "
                           "(deterministic for a given --seed)")
     geq.add_argument("--cells", type=int, default=6,
-                     help="cell count for --random (default 6)")
+                     help="cell count for --random, nonnegative (default 6)")
     geq.set_defaults(fn=cmd_equivariant, group_cmd="equivariant")
 
     ex = sub.add_parser("examples", help="list or emit bundled example categories")

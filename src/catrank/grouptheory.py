@@ -6,18 +6,39 @@ Elements are integers 0..n-1 with 0 the identity. Subgroups are frozensets of
 element indices. The canonical order on subgroup classes is ascending |H| with
 ties broken by the lexicographically least sorted conjugate; that order makes
 the marks matrix upper-triangular.
+
+The lattice is built up to conjugacy, one class at a time (Pfeiffer 1997, The
+subgroups of M24, or how to compute the table of marks of a finite group):
+
+- ``closure`` is a breadth-first search from the identity under right
+  multiplication by the generators, O(|H| * |generators|).
+- Every class keeps a short generator tuple; the join of a representative H
+  with a cyclic subgroup <x> closes over H's generators plus x.
+- Only class representatives are joined with the cyclic subgroups. A new
+  subgroup is conjugated by every element once, which gives its conjugates,
+  its normalizer (the stabiliser) and the generators of the representative.
+- ``subgroups`` is the union of the class conjugates, and each mark is
+  |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
+
+Group orders are capped: ``build_group`` raises ``CapExceeded`` (a
+ValueError) above its ``cap``, before any lattice work.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactq import QMatrix
 
-DEFAULT_CAP = 200
+DEFAULT_CAP = 64
+
+
+class CapExceeded(ValueError):
+    """The group is larger than the accepted order."""
 
 
 class FiniteGroup:
@@ -152,7 +173,7 @@ def perm_group(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP) -> F
                     seen.add(q)
                     nxt.append(q)
                     if len(seen) > cap:
-                        raise ValueError(f"closure exceeds cap {cap}")
+                        raise CapExceeded(f"group order exceeds cap {cap}")
         frontier = nxt
     # identity is lexicographically least, so sorting puts it at index 0
     return _group_from_perms(sorted(seen))
@@ -185,6 +206,9 @@ _ALIASES = {
 def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Build a group from a dict spec or the CLI string mini-language.
 
+    Raises CapExceeded when the group's order is above cap, and ValueError
+    when the spec is malformed.
+
     Dict kinds: cyclic / dihedral / symmetric / product / table / perm.
     Strings: "cyclic:N", "dihedral:N", "sym:N", "product:SPEC+SPEC",
     "perm:[[...],[...]]", plus the aliases trivial, klein, a4, q8.
@@ -194,16 +218,22 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"malformed group spec: {spec!r}")
     kind = spec["kind"]
+    # the order is checked before a table is built wherever it is known
     if kind == "cyclic":
-        g = cyclic_group(int(spec["n"]))
+        n = int(spec["n"])
+        _check_cap(n, cap)
+        g = cyclic_group(n)
     elif kind == "dihedral":
-        g = dihedral_group(int(spec["n"]))
+        n = int(spec["n"])
+        _check_cap(2 * n, cap)
+        g = dihedral_group(n)
     elif kind == "symmetric":
         g = symmetric_group(int(spec["n"]))
     elif kind == "product":
         factors = [build_group(f, cap) for f in spec["factors"]]
         if not factors:
             raise ValueError("product needs at least one factor")
+        _check_cap(math.prod(f.order for f in factors), cap)
         g = factors[0]
         for f in factors[1:]:
             g = product_group(g, f)
@@ -213,9 +243,13 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
         g = perm_group(spec["generators"], cap)
     else:
         raise ValueError(f"unknown group kind: {kind!r}")
-    if g.order > cap:
-        raise ValueError(f"group order {g.order} exceeds cap {cap}")
+    _check_cap(g.order, cap)
     return g
+
+
+def _check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds cap {cap}")
 
 
 def _parse_group_string(s: str) -> dict:
@@ -243,42 +277,37 @@ def _parse_group_string(s: str) -> dict:
 
 
 def closure(g: FiniteGroup, elems: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing elems (finite, so closure under * suffices)."""
-    seen = set(elems)
-    seen.add(0)
-    frontier = list(seen)
+    """Smallest subgroup containing elems.
+
+    Breadth-first search from the identity under right multiplication by the
+    given elements: in a finite group the monoid they generate is already a
+    subgroup, so this costs O(|H| * |elems|)."""
+    gens = [x for x in set(elems) if x != 0]
+    table = g.table
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
-        for a in tuple(seen):
-            for b in frontier:
-                for c in (g.table[a][b], g.table[b][a]):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
+        for a in frontier:
+            row = table[a]
+            for b in gens:
+                c = row[b]
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
         frontier = nxt
     return frozenset(seen)
 
 
+def _subgroup_key(s: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(s))
+
+
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, by join-closure starting from the cyclic subgroups."""
-    return list(_subgroups_cached(g))
-
-
-@lru_cache(maxsize=None)
-def _subgroups_cached(g: FiniteGroup) -> tuple[frozenset[int], ...]:
-    cyclics = {closure(g, [x]) for x in range(g.order)}
-    subs: set[frozenset[int]] = {frozenset([0])} | cyclics
-    work = list(subs)
-    while work:
-        h = work.pop()
-        for c in cyclics:
-            if c <= h:
-                continue
-            j = closure(g, h | c)
-            if j not in subs:
-                subs.add(j)
-                work.append(j)
-    return tuple(sorted(subs, key=lambda s: (len(s), tuple(sorted(s)))))
+    """All subgroups, ascending |H| with ties broken by sorted elements: the
+    union of the conjugates of every class from ``subgroup_classes``."""
+    subs = [h for cls in _subgroup_classes_cached(g) for h in cls.conjugates]
+    return sorted(subs, key=lambda s: (len(s), _subgroup_key(s)))
 
 
 def conjugate_subgroup(g: FiniteGroup, h: Iterable[int], x: int) -> frozenset[int]:
@@ -291,17 +320,20 @@ def normalizer(g: FiniteGroup, h: Iterable[int]) -> frozenset[int]:
 
 
 class SubgroupClass:
-    __slots__ = ("representative", "conjugates", "normalizer", "weyl_order")
+    """One conjugacy class of subgroups: its conjugates sorted by their sorted
+    elements, the least of them as representative, a generator tuple and the
+    normalizer of the representative."""
 
-    def __init__(self, g: FiniteGroup, h: frozenset[int]):
-        orbit = {conjugate_subgroup(g, h, x) for x in range(g.order)}
-        self.conjugates: tuple[frozenset[int], ...] = tuple(
-            sorted(orbit, key=lambda s: tuple(sorted(s)))
-        )
-        self.representative: frozenset[int] = self.conjugates[0]
-        self.normalizer: frozenset[int] = normalizer(g, self.representative)
-        assert len(self.normalizer) % len(self.representative) == 0
-        self.weyl_order: int = len(self.normalizer) // len(self.representative)
+    __slots__ = ("representative", "generators", "conjugates", "normalizer", "weyl_order")
+
+    def __init__(self, conjugates: tuple[frozenset[int], ...], generators: tuple[int, ...],
+                 normalizer: frozenset[int]):
+        self.conjugates = conjugates
+        self.representative: frozenset[int] = conjugates[0]
+        self.generators = generators
+        self.normalizer = normalizer
+        assert len(normalizer) % len(self.representative) == 0
+        self.weyl_order: int = len(normalizer) // len(self.representative)
 
     @property
     def label(self) -> tuple[int, ...]:
@@ -311,19 +343,54 @@ class SubgroupClass:
         return f"SubgroupClass(rep={self.label}, weyl={self.weyl_order})"
 
 
+def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -> SubgroupClass:
+    """Conjugates J by every element once; the stabiliser is N_G(J), carried
+    over to the least conjugate together with the generators."""
+    table, inv = g.table, g.inv
+    first: dict[frozenset[int], int] = {}
+    stab = []
+    for y in range(g.order):
+        row, yi = table[y], inv[y]
+        c = frozenset(table[row[e]][yi] for e in j)
+        if c == j:
+            stab.append(y)
+        first.setdefault(c, y)
+    conjugates = tuple(sorted(first, key=_subgroup_key))
+    y = first[conjugates[0]]
+    return SubgroupClass(conjugates, tuple(g.conj(y, x) for x in gens),
+                         frozenset(g.conj(y, n) for n in stab))
+
+
 def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
     return list(_subgroup_classes_cached(g))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _subgroup_classes_cached(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
-    classes: dict[frozenset[int], SubgroupClass] = {}
-    for h in subgroups(g):
-        cls = SubgroupClass(g, h)
-        classes.setdefault(cls.representative, cls)
-    return tuple(
-        sorted(classes.values(), key=lambda c: (len(c.representative), c.label))
-    )
+    """The lattice up to conjugacy, class by class (after Pfeiffer 1997).
+
+    Every subgroup is reached by a chain of joins with cyclic subgroups;
+    conjugating the chain puts each step's left factor on a class
+    representative, so joining only the representatives with the cyclic
+    subgroups finds every class. A join closes over the representative's
+    generators plus one element."""
+    cyclic_gens: dict[frozenset[int], int] = {}
+    for x in range(1, g.order):
+        cyclic_gens.setdefault(closure(g, (x,)), x)
+    classes = [_conjugacy_class(g, frozenset([0]), ())]
+    known = set(classes[0].conjugates)
+    for cls in classes:  # grows while it is walked
+        rep = cls.representative
+        for x in cyclic_gens.values():
+            if x in rep:
+                continue
+            gens = cls.generators + (x,)
+            j = closure(g, gens)
+            if j not in known:
+                new = _conjugacy_class(g, j, gens)
+                known.update(new.conjugates)
+                classes.append(new)
+    return tuple(sorted(classes, key=lambda c: (len(c.representative), c.label)))
 
 
 def left_cosets(g: FiniteGroup, h: frozenset[int], within: frozenset[int] | None = None) -> list[frozenset[int]]:
@@ -394,19 +461,27 @@ class MarksMatrix:
 
 
 def table_of_marks(g: FiniteGroup) -> MarksMatrix:
+    """|(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|: the elements x
+    with x^-1 H x inside K, counted through the conjugates they produce."""
     classes = subgroup_classes(g)
     labels = [c.label for c in classes]
-    rows = [
-        [fixed_point_count(g, ch.representative, ck.representative) for ck in classes]
-        for ch in classes
-    ]
+    rows = []
+    for ch in classes:
+        row = []
+        for ck in classes:
+            k = ck.representative
+            marks, rest = divmod(len(ch.normalizer) * sum(1 for c in ch.conjugates if c <= k),
+                                 len(k))
+            assert rest == 0, f"mark not integral at ({ch.label}, {ck.label})"
+            row.append(marks)
+        rows.append(row)
     return MarksMatrix(QMatrix.from_rows(rows, labels, labels), classes)
 
 
 # ------------------------------------------------------- nu and congruences
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def nu_matrix(g: FiniteGroup) -> QMatrix:
     """Integer matrix D mubar2 D^-1 over subgroup classes, D = diag(|W_G H|).
 
@@ -503,15 +578,19 @@ def nu_matrix_via_chains(g: FiniteGroup) -> QMatrix:
     return QMatrix.from_rows(ent, labels, labels)
 
 
-def burnside_check(g: FiniteGroup, xi: Sequence[int]) -> bool:
-    """True iff nu(xi) vanishes mod |W_G H| at every class (H)."""
+def burnside_image(g: FiniteGroup, xi: Sequence[int]) -> list[Fraction]:
+    """nu(xi), one integer entry per subgroup class."""
     classes = subgroup_classes(g)
     if len(xi) != len(classes):
-        raise ValueError(f"xi must have one entry per subgroup class ({len(classes)})")
+        raise ValueError(f"xi needs {len(classes)} entries, got {len(xi)}")
     nu = nu_matrix(g)
-    for i, cls in enumerate(classes):
-        v = sum(nu.get(i, j) * int(xi[j]) for j in range(len(classes)))
-        assert v.denominator == 1
-        if v.numerator % cls.weyl_order != 0:
-            return False
-    return True
+    image = [sum(nu.get(i, j) * int(xi[j]) for j in range(len(classes)))
+             for i in range(len(classes))]
+    assert all(v.denominator == 1 for v in image)
+    return image
+
+
+def burnside_check(g: FiniteGroup, xi: Sequence[int]) -> bool:
+    """True iff nu(xi) vanishes mod |W_G H| at every class (H)."""
+    return all(v.numerator % cls.weyl_order == 0
+               for v, cls in zip(burnside_image(g, xi), subgroup_classes(g)))

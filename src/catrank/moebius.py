@@ -340,33 +340,35 @@ def nerve_euler_characteristic(cat: FiniteCategory) -> int:
     adj = {x: set() for x in range(cat.n_objects)}
     for m in nonid:
         adj[cat.dom[m]].add(cat.cod[m])
-    color = {}
+    # iterative depth-first search; grey objects are on the current path
+    color = [0] * cat.n_objects
+    for root in range(cat.n_objects):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            x, succ = stack[-1]
+            for y in succ:
+                if color[y] == 1:
+                    raise ValueError("nerve is infinite: nonidentity morphisms form a cycle")
+                if color[y] == 0:
+                    color[y] = 1
+                    stack.append((y, iter(adj[y])))
+                    break
+            else:
+                color[x] = 2
+                stack.pop()
 
-    def cyclic(x):
-        color[x] = 1
-        for y in adj[x]:
-            c = color.get(y, 0)
-            if c == 1 or (c == 0 and cyclic(y)):
-                return True
-        color[x] = 2
-        return False
-
-    for x in range(cat.n_objects):
-        if color.get(x, 0) == 0 and cyclic(x):
-            raise ValueError(
-                "nerve is infinite: nonidentity morphisms form a cycle"
-            )
-
+    # counts[g]: chains of nonidentity morphisms of the current length ending in g
     chi = cat.n_objects
     counts = {m: 1 for m in nonid}
     sign = -1
     while counts:
         chi += sign * sum(counts.values())
-        nxt = {}
-        for g in nonid:
-            total = sum(c for f, c in counts.items() if cat.cod[f] == cat.dom[g])
-            if total:
-                nxt[g] = total
-        counts = nxt
+        into = [0] * cat.n_objects
+        for f, c in counts.items():
+            into[cat.cod[f]] += c
+        counts = {g: into[cat.dom[g]] for g in nonid if into[cat.dom[g]]}
         sign = -sign
     return chi

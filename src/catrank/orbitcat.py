@@ -8,6 +8,7 @@ from functools import lru_cache
 from .exactq import QVector
 from .fincat import FiniteCategory, _build
 from .grouptheory import (
+    DEFAULT_CAP,
     FiniteGroup,
     SubgroupClass,
     build_group,
@@ -39,13 +40,15 @@ class OrbitCategory:
         return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
 
 
-@lru_cache(maxsize=None)
-def orbit_category(g: FiniteGroup, cap: int = 64) -> OrbitCategory:
-    """Build Or(G) with one object per subgroup class.
+@lru_cache(maxsize=8)
+def orbit_category(g: FiniteGroup, cap: int | None = None) -> OrbitCategory:
+    """Build Or(G) with one object per subgroup class; raises ValueError when a
+    cap is given and |G| is above it (``build_group`` already caps the groups
+    it builds).
 
     A coset g0*K qualifies as a map G/H -> G/K iff g0^-1 H g0 is inside K;
     composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
-    if g.order > cap:
+    if cap is not None and g.order > cap:
         raise ValueError(f"orbit category cap exceeded: |G| = {g.order} > {cap}")
     classes = tuple(subgroup_classes(g))
     reps = [c.representative for c in classes]
@@ -119,11 +122,14 @@ class GCWComplex:
         return f"GCWComplex(|G|={self.group.order}, {len(self.cells)} cells)"
 
 
-def gcw_from_json(doc: dict) -> GCWComplex:
-    """Parse {"group": spec, "cells": [{"dim": n, "stabilizer": [elements]}]}."""
+def gcw_from_json(doc: dict, cap: int = DEFAULT_CAP) -> GCWComplex:
+    """Parse {"group": spec, "cells": [{"dim": n, "stabilizer": [elements]}]}.
+
+    Raises CapExceeded, before any subgroup is computed, when the group's
+    order is above cap."""
     if not isinstance(doc, dict) or "group" not in doc or "cells" not in doc:
         raise ValueError("cell complex document needs 'group' and 'cells'")
-    group = build_group(doc["group"])
+    group = build_group(doc["group"], cap)
     cells = []
     for rec in doc["cells"]:
         if not isinstance(rec, dict) or "dim" not in rec or "stabilizer" not in rec:

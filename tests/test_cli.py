@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from catrank import grouptheory
 from catrank.cli import main
 from catrank.fincat import canonical_json, from_json
 
@@ -225,6 +226,69 @@ def test_group_cap_enforced(capsys):
     assert code == 1 and "cap" in err
     code, _, err = run(capsys, "--cap", "4", "group", "nu", "sym:3")
     assert code == 1 and "cap" in err
+
+
+GROUP_SUBCOMMANDS = (("marks", "sym:4"), ("nu", "sym:4"), ("orbitcat", "sym:4"),
+                     ("burnside", "sym:4", "--xi", "1"), ("equivariant", "--random", "sym:4"))
+
+
+@pytest.fixture
+def no_lattice(monkeypatch):
+    def fail(g):
+        raise AssertionError("subgroup lattice computed above the cap")
+
+    monkeypatch.setattr(grouptheory, "_subgroup_classes_cached", fail)
+
+
+@pytest.mark.parametrize("sub", GROUP_SUBCOMMANDS, ids=[s[0] for s in GROUP_SUBCOMMANDS])
+def test_group_cap_checked_before_lattice(capsys, no_lattice, sub):
+    code, out, err = run(capsys, "--cap", "20", "group", *sub)
+    assert code == 1 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+def test_equivariant_file_cap_checked_before_lattice(tmp_path, capsys, no_lattice):
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"group": "sym:4", "cells": [{"dim": 0, "stabilizer": [0]}]}))
+    code, out, err = run(capsys, "--cap", "20", "group", "equivariant", str(path))
+    assert code == 1 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+def test_group_marks_default_cap(capsys):
+    code, _, err = run(capsys, "group", "marks", "symmetric:5")
+    assert code == 1 and "cap 64" in err
+    code, out, _ = run(capsys, "--cap", "120", "group", "marks", "symmetric:5")
+    assert code == 0 and len(json.loads(out)["classes"]) == 19
+
+
+def test_orbit_category_work_above_default_cap(capsys):
+    code, out, err = run(capsys, "--cap", "120", "group", "equivariant",
+                         "--random", "symmetric:5", "--cells", "3")
+    assert code == 0, err
+    assert json.loads(out)["invariants"]["omega_relation"]["holds"] is True
+    code, out, err = run(capsys, "--cap", "120", "group", "nu", "symmetric:5")
+    assert code == 0, err
+    assert len(json.loads(out)["invariants"]["moduli"]) == 19
+
+
+def test_equivariant_negative_cells(capsys):
+    code, out, err = run(capsys, "group", "equivariant", "--random", "cyclic:2",
+                         "--cells", "-3")
+    assert code == 2 and out == "" and "--cells" in json.loads(err)["error"]
+    code, out, _ = run(capsys, "group", "equivariant", "--random", "cyclic:2", "--cells", "0")
+    assert code == 0 and json.loads(out)["census"] == []
+
+
+def test_group_burnside_is_the_library_check(capsys):
+    g = grouptheory.build_group("symmetric:3")
+    for xi in ([6, 3, 2, 1], [6, 3, 2, 2], [0, 0, 0, 0], [3, -3, 0, 0]):
+        code, out, _ = run(capsys, "group", "burnside", "symmetric:3",
+                           "--xi", ",".join(map(str, xi)))
+        assert code == 0
+        rep = json.loads(out)["invariants"]["burnside"]
+        assert rep["nu_xi"] == [str(v) for v in grouptheory.burnside_image(g, xi)]
+        assert rep["satisfied"] is grouptheory.burnside_check(g, xi)
 
 
 def test_equivariant_report(tmp_path, capsys):

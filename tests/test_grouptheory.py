@@ -1,10 +1,13 @@
 """Group builders, subgroup lattices, Weyl groups, marks."""
 
 import itertools
+import random
 
 import pytest
 
+import lattice_oracle
 from catrank.grouptheory import (
+    CapExceeded,
     FiniteGroup,
     build_group,
     cyclic_group,
@@ -12,6 +15,7 @@ from catrank.grouptheory import (
     symmetric_group,
     product_group,
     perm_group,
+    closure,
     subgroups,
     subgroup_classes,
     conjugate_subgroup,
@@ -260,3 +264,87 @@ class TestNuChains:
         for g in (symmetric_group(3), build_group("klein")):
             nu = nu_matrix_via_chains(g)
             assert all(nu.get(i, i) == 1 for i in range(nu.rows))
+
+
+# ------------------------------------------------ lattice against the oracle
+
+ORACLE_GROUPS = (
+    [(f"cyclic:{n}", cyclic_group(n)) for n in range(1, 13)]
+    + [(f"dihedral:{n}", dihedral_group(n)) for n in range(1, 9)]
+    + [(f"sym:{n}", symmetric_group(n)) for n in range(1, 5)]
+    + [(s, build_group(s)) for s in ("a4", "q8", "klein",
+                                     "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2",
+                                     "product:cyclic:2+symmetric:3")]
+)
+
+
+def random_perm_groups(seed=1, draws=16, max_order=24):
+    """Groups generated by one or two random permutations of 4, 5 or 6
+    points. Draws above max_order are dropped: the oracle closes every join
+    over all pairs of elements, which takes seconds per group from order 60."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(draws):
+        deg = rng.choice((4, 5, 6))
+        gens = [rng.sample(range(deg), deg) for _ in range(rng.choice((1, 2)))]
+        try:
+            groups.append(perm_group(gens, cap=max_order))
+        except CapExceeded:
+            pass
+    return groups
+
+
+def test_random_perm_groups_vary():
+    orders = {g.order for g in random_perm_groups()}
+    assert len(orders) >= 4 and max(orders) > 8
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in ORACLE_GROUPS] + random_perm_groups(),
+    ids=[name for name, _ in ORACLE_GROUPS]
+        + [f"perm{i}" for i in range(len(random_perm_groups()))],
+)
+def test_lattice_matches_oracle(g):
+    assert subgroups(g) == lattice_oracle.subgroups(g)
+    classes = subgroup_classes(g)
+    expected = lattice_oracle.classes(g)
+    assert [c.conjugates for c in classes] == [e[0] for e in expected]
+    assert [c.representative for c in classes] == [e[0][0] for e in expected]
+    assert [c.normalizer for c in classes] == [e[1] for e in expected]
+    assert [c.weyl_order for c in classes] == [e[2] for e in expected]
+    for c in classes:
+        assert closure(g, c.generators) == c.representative
+    m = table_of_marks(g).matrix
+    n = len(classes)
+    assert [[m.get(i, j) for j in range(n)] for i in range(n)] == lattice_oracle.marks(g)
+
+
+@pytest.mark.parametrize("g", [symmetric_group(4), dihedral_group(6), build_group("q8")],
+                         ids=["s4", "d6", "q8"])
+def test_closure_matches_oracle(g):
+    rng = random.Random(5)
+    for _ in range(60):
+        elems = rng.sample(range(g.order), rng.randint(0, 3))
+        assert closure(g, elems) == lattice_oracle.closure(g, elems)
+
+
+def test_s5_lattice():
+    g = symmetric_group(5)
+    classes = subgroup_classes(g)
+    assert len(subgroups(g)) == 156
+    assert len(classes) == 19
+    assert sum(len(c.conjugates) for c in classes) == 156
+    m = table_of_marks(g).matrix
+    for i, c in enumerate(classes):
+        assert m.get(i, i) == c.weyl_order
+        assert m.get(0, i) == 120 // len(c.representative)
+
+
+def test_build_group_cap():
+    with pytest.raises(CapExceeded, match="cap 10"):
+        build_group("sym:4", cap=10)
+    with pytest.raises(CapExceeded):  # before a table of 10^12 entries is built
+        build_group("cyclic:1000000", cap=64)
+    with pytest.raises(CapExceeded):
+        build_group("product:dihedral:4+dihedral:4+dihedral:4", cap=64)
+    assert build_group("symmetric:5", cap=120).order == 120

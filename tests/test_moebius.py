@@ -1,6 +1,7 @@
 """Iso-class poset, chain bisets, Moebius matrices, Euler characteristics."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -385,6 +386,65 @@ class TestNerve:
         rep = euler_characteristics(cat)
         assert nerve_euler_characteristic(cat) == rep.chi
         assert rep.chi == rep.chi2
+
+
+def nerve_by_listing_chains(cat):
+    """Alternating count of the chains of composable nonidentity morphisms,
+    listed one by one; None when a chain is longer than an acyclic category
+    allows (then the nonidentity morphisms form a cycle)."""
+    nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
+    chi = cat.n_objects
+    chains = [(m,) for m in nonid]
+    sign = -1
+    while chains:
+        if len(chains[0]) >= cat.n_objects:
+            return None
+        chi += sign * len(chains)
+        chains = [c + (g,) for c in chains for g in nonid if cat.dom[g] == cat.cod[c[-1]]]
+        sign = -sign
+    return chi
+
+
+def _nerve_or_none(cat):
+    try:
+        return nerve_euler_characteristic(cat)
+    except ValueError:
+        return None
+
+
+def test_nerve_matches_listed_chains():
+    cats = [corpus.build(name) for name in corpus.names()]
+    cats += [corpus.build("subsets-q", q=q) for q in (2, 3)]
+    rng = random.Random(17)
+    cats += [genrandom.random_poset_category(rng) for _ in range(20)]
+    cats += [genrandom.random_dag_category(rng) for _ in range(20)]
+    cycles = 0
+    for cat in cats:
+        if not classify(cat).has_trivial_endomorphisms:
+            continue
+        expected = nerve_by_listing_chains(cat)
+        cycles += expected is None
+        assert _nerve_or_none(cat) == expected
+    assert cycles >= 1  # indiscrete-2
+
+
+class _ArrowCycle:
+    """Just what the nerve reads of a category: n objects joined in one
+    directed cycle of n nonidentity arrows (not closed under composition)."""
+
+    def __init__(self, n):
+        self.n_objects = n
+        self.n_morphisms = 2 * n
+        self.dom = list(range(n)) + list(range(n))
+        self.cod = list(range(n)) + [(i + 1) % n for i in range(n)]
+
+    def is_identity(self, m):
+        return m < self.n_objects
+
+
+def test_nerve_cycle_search_is_not_recursive():
+    with pytest.raises(ValueError, match="infinite"):
+        nerve_euler_characteristic(_ArrowCycle(5 * sys.getrecursionlimit()))
 
 
 @settings(max_examples=25, deadline=None)
