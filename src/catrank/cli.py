@@ -20,8 +20,7 @@ from .grouptheory import (
     CapExceeded,
     DEFAULT_CAP,
     build_group,
-    burnside_check,
-    burnside_image,
+    burnside_congruences,
     nu_matrix,
     subgroup_classes,
     table_of_marks,
@@ -205,14 +204,14 @@ def cmd_group(args) -> int:
         except ValueError:
             return _error(f"malformed xi: {args.xi!r}", 2)
         try:
-            image = burnside_image(g, xi)
+            image, satisfied = burnside_congruences(g, xi)
         except ValueError as e:
             return _error(str(e), 2)
         doc["invariants"] = {"burnside": {
             "xi": xi,
             "nu_xi": [rat_str(v) for v in image],
             "moduli": moduli,
-            "satisfied": burnside_check(g, xi),
+            "satisfied": satisfied,
         }}
     _emit(doc, args.pretty)
     return 0

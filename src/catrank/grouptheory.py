@@ -238,6 +238,8 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
         for f in factors[1:]:
             g = product_group(g, f)
     elif kind == "table":
+        if isinstance(spec["table"], list):
+            _check_cap(len(spec["table"]), cap)
         g = FiniteGroup(spec["table"], spec.get("names"))
     elif kind == "perm":
         g = perm_group(spec["generators"], cap)
@@ -346,12 +348,10 @@ class SubgroupClass:
 def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -> SubgroupClass:
     """Conjugates J by every element once; the stabiliser is N_G(J), carried
     over to the least conjugate together with the generators."""
-    table, inv = g.table, g.inv
     first: dict[frozenset[int], int] = {}
     stab = []
     for y in range(g.order):
-        row, yi = table[y], inv[y]
-        c = frozenset(table[row[e]][yi] for e in j)
+        c = conjugate_subgroup(g, j, y)
         if c == j:
             stab.append(y)
         first.setdefault(c, y)
@@ -578,8 +578,9 @@ def nu_matrix_via_chains(g: FiniteGroup) -> QMatrix:
     return QMatrix.from_rows(ent, labels, labels)
 
 
-def burnside_image(g: FiniteGroup, xi: Sequence[int]) -> list[Fraction]:
-    """nu(xi), one integer entry per subgroup class."""
+def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[Fraction], bool]:
+    """nu(xi), one integer entry per subgroup class, and whether it vanishes
+    mod |W_G H| at every class (H)."""
     classes = subgroup_classes(g)
     if len(xi) != len(classes):
         raise ValueError(f"xi needs {len(classes)} entries, got {len(xi)}")
@@ -587,10 +588,9 @@ def burnside_image(g: FiniteGroup, xi: Sequence[int]) -> list[Fraction]:
     image = [sum(nu.get(i, j) * int(xi[j]) for j in range(len(classes)))
              for i in range(len(classes))]
     assert all(v.denominator == 1 for v in image)
-    return image
+    return image, all(v.numerator % cls.weyl_order == 0 for v, cls in zip(image, classes))
 
 
 def burnside_check(g: FiniteGroup, xi: Sequence[int]) -> bool:
     """True iff nu(xi) vanishes mod |W_G H| at every class (H)."""
-    return all(v.numerator % cls.weyl_order == 0
-               for v, cls in zip(burnside_image(g, xi), subgroup_classes(g)))
+    return burnside_congruences(g, xi)[1]

@@ -41,15 +41,12 @@ class OrbitCategory:
 
 
 @lru_cache(maxsize=8)
-def orbit_category(g: FiniteGroup, cap: int | None = None) -> OrbitCategory:
-    """Build Or(G) with one object per subgroup class; raises ValueError when a
-    cap is given and |G| is above it (``build_group`` already caps the groups
-    it builds).
+def orbit_category(g: FiniteGroup) -> OrbitCategory:
+    """Build Or(G) with one object per subgroup class (``build_group`` caps
+    the order of the groups it builds).
 
     A coset g0*K qualifies as a map G/H -> G/K iff g0^-1 H g0 is inside K;
     composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
-    if cap is not None and g.order > cap:
-        raise ValueError(f"orbit category cap exceeded: |G| = {g.order} > {cap}")
     classes = tuple(subgroup_classes(g))
     reps = [c.representative for c in classes]
     objects = [f"G/{i}" for i in range(len(classes))]

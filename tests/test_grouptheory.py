@@ -347,4 +347,6 @@ def test_build_group_cap():
         build_group("cyclic:1000000", cap=64)
     with pytest.raises(CapExceeded):
         build_group("product:dihedral:4+dihedral:4+dihedral:4", cap=64)
+    with pytest.raises(CapExceeded):  # before the table's group axioms are checked
+        build_group({"kind": "table", "table": [[0] * 65] * 65}, cap=64)
     assert build_group("symmetric:5", cap=120).order == 120

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from catrank.exactq import QVector
 from catrank.fincat import aut_group, classify, validate
 from catrank.grouptheory import (
+    CapExceeded,
     build_group,
     nu_matrix,
     nu_matrix_via_chains,
@@ -101,8 +102,9 @@ def test_composition_follows_translation_law():
 
 
 def test_cap_exceeded():
-    with pytest.raises(ValueError, match="cap exceeded"):
-        orbit_category(build_group("symmetric:4"), cap=20)
+    # the cap is applied once, by build_group, before Or(G) can be asked for
+    with pytest.raises(CapExceeded, match="exceeds cap 20"):
+        build_group("symmetric:4", cap=20)
 
 
 def test_mu_inverts_omega_on_orbit_categories():
