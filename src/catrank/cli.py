@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import corpus
-from .exactq import mat_invert, rat_str
+from .exactq import rat_str
 from .fincat import canonical_json, classify, from_json, validate
 from .grouptheory import (
     CapExceeded,
@@ -25,10 +25,9 @@ from .grouptheory import (
     subgroup_classes,
     table_of_marks,
 )
-from .leinster import chi_L, coweighting, weighting, zeta_matrix
+from .leinster import chi_L, coweighting, weighting
 from .moebius import euler_characteristics, nerve_euler_characteristic, omega_bar2
 from .orbitcat import (
-    GCWComplex,
     chi_G,
     fixed_point_euler,
     gcw_from_json,
@@ -84,7 +83,7 @@ def _load_category(path: str):
     stub = {"input": _input_stanza(data, name)}
     try:
         doc = json.loads(data)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting deeper than the stack
         return stub, None, [{"kind": "not_json", "detail": str(e)}]
     try:
         cat = from_json(doc)
@@ -183,7 +182,7 @@ def cmd_group(args) -> int:
         g = build_group(args.group, args.cap)
     except CapExceeded as e:
         return _error(str(e), 1)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         return _error(str(e), 2)
     if args.group_cmd == "orbitcat":
         # raw category document so the output pipes into euler/validate
@@ -225,7 +224,7 @@ def cmd_equivariant(args) -> int:
             g = build_group(args.random, args.cap)
         except CapExceeded as e:
             return _error(str(e), 1)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             return _error(str(e), 2)
         rng = random.Random(args.seed)
         classes = subgroup_classes(g)
@@ -249,7 +248,7 @@ def cmd_equivariant(args) -> int:
             x = gcw_from_json(json.loads(data), args.cap)
         except CapExceeded as e:
             return _error(str(e), 1)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             print(json.dumps({"violations": [{"kind": "malformed", "detail": str(e)}]}),
                   file=sys.stderr)
             return 1

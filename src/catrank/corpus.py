@@ -24,7 +24,7 @@ def parallel_pair() -> FiniteCategory:
         assert gd[2] == "id"
         return fd
 
-    return _build(["x", "y"], morphs, identity_of, compose)
+    return _build(["x", "y"], morphs, identity_of, compose)[0]
 
 
 def subsets(q: int = 1) -> FiniteCategory:
@@ -66,7 +66,7 @@ def retract_pair() -> FiniteCategory:
             w = "" if fd[0] == 0 else "!"
         return (fd[0], gd[1], w)
 
-    return _build(["x", "y"], morphs, identity_of, compose)
+    return _build(["x", "y"], morphs, identity_of, compose)[0]
 
 
 def no_weighting() -> FiniteCategory:
@@ -97,7 +97,7 @@ def no_weighting() -> FiniteCategory:
             return (i, i, "id")
         return (i, k, f"f{i + 1}{k + 1}")
 
-    return _build(objs, morphs, identity_of, compose)
+    return _build(objs, morphs, identity_of, compose)[0]
 
 
 def indiscrete_pair() -> FiniteCategory:
@@ -111,7 +111,7 @@ def indiscrete_pair() -> FiniteCategory:
     def compose(gd, fd):
         return (fd[0], gd[1], "id" if fd[0] == gd[1] else ("s" if fd[0] == 0 else "t"))
 
-    return _build(["0", "1"], morphs, identity_of, compose)
+    return _build(["0", "1"], morphs, identity_of, compose)[0]
 
 
 def _biset_regular_c2() -> FiniteCategory:

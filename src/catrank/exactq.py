@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Fraction
-
 RatLike = Union[int, Fraction]
 
 
@@ -184,10 +182,6 @@ class QMatrix:
             for i in range(self.rows)
         ]
         return QVector(out, self.row_labels)
-
-    def transpose(self) -> "QMatrix":
-        ent = [self.get(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return QMatrix(self.cols, self.rows, ent, self.col_labels, self.row_labels)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(

@@ -7,6 +7,12 @@ round-trips), per-morphism dom/cod object indices, an identity morphism per
 object, and a composition dict keyed by (g, f) for exactly the composable
 pairs (cod f = dom g). Morphism ids are dense 0..m-1 and constructors always
 put the identities first, in object order, so golden outputs stay stable.
+
+``_build`` assembles every constructed category's composition table. It
+buckets the morphisms by codomain once and composes only the composable
+pairs, in (g, f) id order. Full subcategories and fibers are restrictions
+through it: (new dom, new cod, old id) descriptors composed in the parent.
+``opposite`` re-keys an existing table and ``from_json`` reads one.
 """
 
 from __future__ import annotations
@@ -146,13 +152,13 @@ def validate(cat: FiniteCategory) -> list[dict]:
         e = cat.identity[x]
         if cat.dom[e] != x or cat.cod[e] != x:
             out.append({"kind": "identity_endpoints", "object": cat.objects[x], "morphism": e})
-    composable = {(g, f) for f in range(m) for g in range(m) if cat.cod[f] == cat.dom[g]}
-    for key in cat.compose_table:
-        if key not in composable:
-            out.append({"kind": "extra_composite", "pair": list(key)})
-    for key in sorted(composable):
-        if key not in cat.compose_table:
-            out.append({"kind": "missing_composite", "pair": list(key)})
+    for g, f in cat.compose_table:
+        if cat.cod[f] != cat.dom[g]:
+            out.append({"kind": "extra_composite", "pair": [g, f]})
+    missing = [(g, f) for f in range(m) for g in cat.morphisms_from(cat.cod[f])
+               if (g, f) not in cat.compose_table]
+    for key in sorted(missing):
+        out.append({"kind": "missing_composite", "pair": list(key)})
     if out:
         # endpoint or coverage problems make the remaining checks unreliable
         return out
@@ -395,23 +401,50 @@ def validate_functor(p: FunctorData) -> list[dict]:
 
 
 def _build(objects, morphs, identity_of, compose):
-    """Assemble a category from morphism descriptors, identities first.
+    """Assemble a category from morphism descriptors, identities first; the
+    one place a composition table is built.
 
-    morphs: list of opaque descriptors with (dom_idx, cod_idx); identity_of:
-    descriptor for each object; compose: callable on descriptors.
+    morphs: list of hashable descriptors whose first two entries are
+    (dom_idx, cod_idx); identity_of: descriptor for each object index;
+    compose: callable on a composable (g, f) descriptor pair. Returns the
+    category and its descriptors in morphism id order. Morphisms are bucketed
+    by codomain once, so compose runs only on composable pairs, visited in
+    (g, f) id order.
     """
     ids = [identity_of(i) for i in range(len(objects))]
-    rest = [d for d in morphs if d not in ids]
-    ordered = ids + rest
+    id_set = set(ids)
+    ordered = ids + [d for d in morphs if d not in id_set]
     index = {d: i for i, d in enumerate(ordered)}
-    dom = [d[0] for d in ordered]
-    cod = [d[1] for d in ordered]
+    into: dict[int, list[tuple[int, Any]]] = {}
+    for fi, fd in enumerate(ordered):
+        into.setdefault(fd[1], []).append((fi, fd))
     table = {}
     for gi, gd in enumerate(ordered):
-        for fi, fd in enumerate(ordered):
-            if fd[1] == gd[0]:
-                table[(gi, fi)] = index[compose(gd, fd)]
-    return FiniteCategory(objects, dom, cod, [index[d] for d in ids], table)
+        for fi, fd in into.get(gd[0], ()):
+            table[(gi, fi)] = index[compose(gd, fd)]
+    cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
+                         [index[d] for d in ids], table)
+    return cat, ordered
+
+
+def _restrict(cat: FiniteCategory, objs: Sequence[int], keep: Callable[[int], bool]):
+    """The subcategory on the object indices objs and the morphisms m between
+    them with keep(m) (identities always), composed in cat; returns it with
+    the (new dom, new cod, old id) descriptors from ``_build``."""
+    new_obj = {i: k for k, i in enumerate(objs)}
+    morphs = [
+        (new_obj[cat.dom[m]], new_obj[cat.cod[m]], m)
+        for m in range(cat.n_morphisms)
+        if cat.dom[m] in new_obj and cat.cod[m] in new_obj and keep(m)
+    ]
+
+    def identity_of(k):
+        return (k, k, cat.identity[objs[k]])
+
+    def compose(gd, fd):
+        return (fd[0], gd[1], cat.compose_table[(gd[2], fd[2])])
+
+    return _build([cat.objects[i] for i in objs], morphs, identity_of, compose)
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:
@@ -422,28 +455,9 @@ def opposite(cat: FiniteCategory) -> FiniteCategory:
 
 def full_subcategory(cat: FiniteCategory, objs: Sequence) -> tuple[FiniteCategory, FunctorData]:
     """Full subcategory on the given objects plus the inclusion functor."""
-    keep = [cat.obj_index(o) for o in objs]
-    keep_set = set(keep)
-    old_ids = [cat.identity[i] for i in keep]
-    old_rest = [
-        m
-        for m in range(cat.n_morphisms)
-        if cat.dom[m] in keep_set and cat.cod[m] in keep_set and m not in set(old_ids)
-    ]
-    ordered = old_ids + old_rest
-    new_of_old = {old: new for new, old in enumerate(ordered)}
-    obj_new = {i: k for k, i in enumerate(keep)}
-    dom = [obj_new[cat.dom[m]] for m in ordered]
-    cod = [obj_new[cat.cod[m]] for m in ordered]
-    table = {}
-    for gi, g_old in enumerate(ordered):
-        for fi, f_old in enumerate(ordered):
-            if cod[fi] == dom[gi]:
-                table[(gi, fi)] = new_of_old[cat.compose_table[(g_old, f_old)]]
-    sub = FiniteCategory([cat.objects[i] for i in keep], dom, cod,
-                         list(range(len(keep))), table)
-    inc = FunctorData(sub, cat, {cat.objects[i]: cat.objects[i] for i in keep},
-                      {new: old for old, new in new_of_old.items()})
+    sub, ordered = _restrict(cat, [cat.obj_index(o) for o in objs], lambda m: True)
+    inc = FunctorData(sub, cat, {o: o for o in sub.objects},
+                      {new: d[2] for new, d in enumerate(ordered)})
     return sub, inc
 
 
@@ -476,7 +490,7 @@ def product(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         m2 = c2.compose_table[(gd[3], fd[3])]
         return (fd[0], gd[1], m1, m2)
 
-    return _build(objects, pairs, identity_of, compose)
+    return _build(objects, pairs, identity_of, compose)[0]
 
 
 def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
@@ -500,13 +514,16 @@ def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         m = side.compose_table[(gd[3], fd[3])]
         return left(m) if gd[2] == 0 else right(m)
 
-    return _build(objects, morphs, identity_of, compose)
+    return _build(objects, morphs, identity_of, compose)[0]
 
 
 def delooping(g: FiniteGroup, obj="*") -> FiniteCategory:
     """One object whose endomorphisms are the group; g o f = table[g][f]."""
-    table = {(a, b): g.table[a][b] for a in range(g.order) for b in range(g.order)}
-    return FiniteCategory([obj], [0] * g.order, [0] * g.order, [0], table)
+    def compose(gd, fd):
+        return (0, 0, g.table[gd[2]][fd[2]])
+
+    morphs = [(0, 0, a) for a in range(g.order)]
+    return _build([obj], morphs, lambda o: (0, 0, 0), compose)[0]
 
 
 def poset_category(elements: Sequence, leq: Callable[[Any, Any], bool] | Iterable[tuple]) -> FiniteCategory:
@@ -538,7 +555,7 @@ def poset_category(elements: Sequence, leq: Callable[[Any, Any], bool] | Iterabl
     def compose(gd, fd):
         return (fd[0], gd[1])
 
-    return _build(elems, morphs, identity_of, compose)
+    return _build(elems, morphs, identity_of, compose)[0]
 
 
 def biset_category(
@@ -600,29 +617,7 @@ def biset_category(
             return (0, 1, "s", left[gd[3]][fd[3]])
         raise AssertionError("non-composable descriptor pair")
 
-    return _build(objects, morphs, identity_of, compose)
-
-
-class CayleyGroupRef:
-    """An automorphism group extracted from a category object, with the
-    morphism id carried by each group element (element 0 = identity)."""
-
-    __slots__ = ("group", "morphism_ids", "object")
-
-    def __init__(self, group: FiniteGroup, morphism_ids: tuple[int, ...], obj):
-        self.group = group
-        self.morphism_ids = morphism_ids
-        self.object = obj
-
-
-def aut_group(cat: FiniteCategory, obj) -> CayleyGroupRef:
-    i = cat.obj_index(obj)
-    auts = list(cat.aut(i))
-    auts.remove(cat.identity[i])
-    ids = [cat.identity[i]] + auts
-    index = {m: k for k, m in enumerate(ids)}
-    table = [[index[cat.compose_table[(a, b)]] for b in ids] for a in ids]
-    return CayleyGroupRef(FiniteGroup(table, [str(m) for m in ids]), tuple(ids), obj)
+    return _build(objects, morphs, identity_of, compose)[0]
 
 
 # ------------------------------------------------------ coverings and fibers
@@ -684,32 +679,11 @@ def is_isofibration(p: FunctorData) -> bool:
 
 def fiber_category(p: FunctorData, b_obj) -> FiniteCategory:
     """Subcategory of the source over one target object: objects mapping to it,
-    morphisms mapping to its identity."""
-    tgt = p.target
-    bi = tgt.obj_index(b_obj)
-    objs = [o for o in p.source.objects if p.object_map[o] == b_obj]
+    morphisms mapping to its identity (closed, since p(g o f) = id o id = id)."""
     src = p.source
-    keep_obj = {src.obj_index(o) for o in objs}
-    id_b = tgt.identity[bi]
-    keep = [
-        m
-        for m in range(src.n_morphisms)
-        if src.dom[m] in keep_obj and src.cod[m] in keep_obj and p.morphism_map[m] == id_b
-    ]
-    ids = [src.identity[src.obj_index(o)] for o in objs]
-    ordered = ids + [m for m in keep if m not in set(ids)]
-    new_of_old = {old: new for new, old in enumerate(ordered)}
-    obj_new = {src.obj_index(o): k for k, o in enumerate(objs)}
-    dom = [obj_new[src.dom[m]] for m in ordered]
-    cod = [obj_new[src.cod[m]] for m in ordered]
-    table = {}
-    for gi, go in enumerate(ordered):
-        for fi, fo in enumerate(ordered):
-            if cod[fi] == dom[gi]:
-                c = src.compose_table[(go, fo)]
-                # closed because p(g o f) = id o id = id
-                table[(gi, fi)] = new_of_old[c]
-    return FiniteCategory(objs, dom, cod, list(range(len(objs))), table)
+    objs = [i for i, o in enumerate(src.objects) if p.object_map[o] == b_obj]
+    id_b = p.target.identity[p.target.obj_index(b_obj)]
+    return _restrict(src, objs, lambda m: p.morphism_map[m] == id_b)[0]
 
 
 # ------------------------------------------------------------------- JSON io

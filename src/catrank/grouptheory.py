@@ -220,33 +220,55 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
     kind = spec["kind"]
     # the order is checked before a table is built wherever it is known
     if kind == "cyclic":
-        n = int(spec["n"])
+        n = _spec_int(spec, "n")
         _check_cap(n, cap)
         g = cyclic_group(n)
     elif kind == "dihedral":
-        n = int(spec["n"])
+        n = _spec_int(spec, "n")
         _check_cap(2 * n, cap)
         g = dihedral_group(n)
     elif kind == "symmetric":
-        g = symmetric_group(int(spec["n"]))
+        g = symmetric_group(_spec_int(spec, "n"))
     elif kind == "product":
+        if not isinstance(spec.get("factors"), list) or not spec["factors"]:
+            raise ValueError("product needs a nonempty list of factors")
         factors = [build_group(f, cap) for f in spec["factors"]]
-        if not factors:
-            raise ValueError("product needs at least one factor")
         _check_cap(math.prod(f.order for f in factors), cap)
         g = factors[0]
         for f in factors[1:]:
             g = product_group(g, f)
     elif kind == "table":
-        if isinstance(spec["table"], list):
-            _check_cap(len(spec["table"]), cap)
-        g = FiniteGroup(spec["table"], spec.get("names"))
+        table = _int_rows(spec.get("table"), "table")
+        _check_cap(len(table), cap)
+        names = spec.get("names")
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(x, str) for x in names)):
+            raise ValueError("names must be a list of strings")
+        g = FiniteGroup(table, names)
     elif kind == "perm":
-        g = perm_group(spec["generators"], cap)
+        g = perm_group(_int_rows(spec.get("generators"), "generators"), cap)
     else:
         raise ValueError(f"unknown group kind: {kind!r}")
     _check_cap(g.order, cap)
     return g
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _spec_int(spec: dict, key: str) -> int:
+    if not _is_int(spec.get(key)):
+        raise ValueError(f"group spec needs an integer {key!r}, got {spec.get(key)!r}")
+    return spec[key]
+
+
+def _int_rows(rows, what: str) -> list[list[int]]:
+    """rows as a list of lists of integers, or ValueError naming what."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(_is_int(v) for v in r) for r in rows)):
+        raise ValueError(f"{what} must be a list of lists of integers")
+    return rows
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -460,21 +482,19 @@ class MarksMatrix:
         return f"MarksMatrix({self.matrix!r})"
 
 
-def table_of_marks(g: FiniteGroup) -> MarksMatrix:
+def mark(h: SubgroupClass, k: frozenset[int]) -> int:
     """|(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|: the elements x
     with x^-1 H x inside K, counted through the conjugates they produce."""
+    count, rest = divmod(len(h.normalizer) * sum(1 for c in h.conjugates if c <= k), len(k))
+    assert rest == 0, f"mark not integral at ({h.label}, {_subgroup_key(k)})"
+    return count
+
+
+def table_of_marks(g: FiniteGroup) -> MarksMatrix:
+    """Marks |(G/K)^H| over the subgroup classes, from ``mark``."""
     classes = subgroup_classes(g)
     labels = [c.label for c in classes]
-    rows = []
-    for ch in classes:
-        row = []
-        for ck in classes:
-            k = ck.representative
-            marks, rest = divmod(len(ch.normalizer) * sum(1 for c in ch.conjugates if c <= k),
-                                 len(k))
-            assert rest == 0, f"mark not integral at ({ch.label}, {ck.label})"
-            row.append(marks)
-        rows.append(row)
+    rows = [[mark(ch, ck.representative) for ck in classes] for ch in classes]
     return MarksMatrix(QMatrix.from_rows(rows, labels, labels), classes)
 
 

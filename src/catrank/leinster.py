@@ -7,10 +7,8 @@ from fractions import Fraction
 from .exactq import QMatrix, QVector, kernel_basis, solve_linear
 from .fincat import FiniteCategory, opposite
 
-ZetaMatrix = QMatrix
 
-
-def zeta_matrix(cat: FiniteCategory) -> ZetaMatrix:
+def zeta_matrix(cat: FiniteCategory) -> QMatrix:
     """Hom-count matrix: entry (x, y) = |mor(x, y)| in object order, rows
     indexed by the source object."""
     n = cat.n_objects

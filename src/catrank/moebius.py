@@ -50,12 +50,6 @@ class IsoPoset:
     def aut_order(self, i: int) -> int:
         return len(self.cat.aut(self.reps[i]))
 
-    def class_of(self, obj) -> int:
-        for i, mem in enumerate(self.members):
-            if obj in mem:
-                return i
-        raise KeyError(obj)
-
     def __repr__(self) -> str:
         return f"IsoPoset({self.size} classes)"
 

@@ -6,14 +6,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactq import QVector
-from .fincat import FiniteCategory, _build
+from .fincat import _build
 from .grouptheory import (
     DEFAULT_CAP,
     FiniteGroup,
     SubgroupClass,
+    _is_int,
     build_group,
-    fixed_point_count,
     left_cosets,
+    mark,
     subgroup_classes,
 )
 from .moebius import omega_bar2
@@ -25,12 +26,11 @@ class OrbitCategory:
     One object per conjugacy class of subgroups; the morphisms G/H -> G/K are
     the cosets gK with g^-1 H g inside K, acting by right translation."""
 
-    __slots__ = ("category", "classes", "class_of_object", "coset_of_morphism")
+    __slots__ = ("category", "classes", "coset_of_morphism")
 
-    def __init__(self, category, classes, class_of_object, coset_of_morphism):
+    def __init__(self, category, classes, coset_of_morphism):
         self.category = category
         self.classes = classes
-        self.class_of_object = class_of_object
         self.coset_of_morphism = coset_of_morphism
 
     def object_of_class(self, i: int) -> str:
@@ -56,12 +56,12 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
         xi = g.inv[x]
         return all(g.table[g.table[xi][e]][x] in k for e in h)
 
-    morphs = []
-    for i, h in enumerate(reps):
-        for j, k in enumerate(reps):
-            for coset in left_cosets(g, k):
-                if qualifies(h, coset, k):
-                    morphs.append((i, j, coset))
+    cosets = [left_cosets(g, k) for k in reps]
+    morphs = [(i, j, coset)
+              for i, h in enumerate(reps)
+              for j, k in enumerate(reps)
+              for coset in cosets[j]
+              if qualifies(h, coset, k)]
 
     def identity_of(i):
         return (i, i, reps[i])
@@ -71,14 +71,8 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
         p = g.table[min(fd[2])][min(gd[2])]
         return (fd[0], gd[1], frozenset(g.table[p][e] for e in reps[gd[1]]))
 
-    cat = _build(objects, morphs, identity_of, compose)
-
-    # recover the descriptor attached to each morphism id for the dictionaries
-    ids = [identity_of(i) for i in range(len(objects))]
-    ordered = ids + [d for d in morphs if d not in ids]
-    class_of_object = {objects[i]: classes[i] for i in range(len(objects))}
-    coset_of_morphism = {m: ordered[m][2] for m in range(len(ordered))}
-    return OrbitCategory(cat, classes, class_of_object, coset_of_morphism)
+    cat, ordered = _build(objects, morphs, identity_of, compose)
+    return OrbitCategory(cat, classes, {m: d[2] for m, d in enumerate(ordered)})
 
 
 # ------------------------------------------------------------ cell censuses
@@ -97,7 +91,7 @@ class GCWComplex:
         self.classes = tuple(subgroup_classes(group))
         norm = []
         for dim, stab in cells:
-            if not isinstance(dim, int) or dim < 0:
+            if not _is_int(dim) or dim < 0:
                 raise ValueError(f"cell dimension must be a nonnegative integer: {dim!r}")
             norm.append((dim, self._class_index(stab)))
         self.cells = tuple(norm)
@@ -127,11 +121,16 @@ def gcw_from_json(doc: dict, cap: int = DEFAULT_CAP) -> GCWComplex:
     if not isinstance(doc, dict) or "group" not in doc or "cells" not in doc:
         raise ValueError("cell complex document needs 'group' and 'cells'")
     group = build_group(doc["group"], cap)
+    if not isinstance(doc["cells"], list):
+        raise ValueError("cells must be a JSON array")
     cells = []
     for rec in doc["cells"]:
         if not isinstance(rec, dict) or "dim" not in rec or "stabilizer" not in rec:
             raise ValueError(f"malformed cell record: {rec!r}")
-        cells.append((rec["dim"], rec["stabilizer"]))
+        stab = rec["stabilizer"]
+        if not isinstance(stab, list) or not all(_is_int(e) for e in stab):
+            raise ValueError(f"stabilizer must be a list of element indices: {stab!r}")
+        cells.append((rec["dim"], stab))
     return GCWComplex(group, cells)
 
 
@@ -144,18 +143,16 @@ def chi_G(x: GCWComplex) -> QVector:
 
 
 def fixed_point_euler(x: GCWComplex, h) -> int:
-    """Euler characteristic of the H-fixed subcomplex: each cell with
-    stabilizer class (K) contributes (-1)^dim |(G/K)^H|."""
+    """Euler characteristic of the H-fixed subcomplex, for h a subgroup class,
+    a class index or a subgroup: each cell with stabilizer class (K)
+    contributes (-1)^dim |(G/K)^H|, the mark of H on G/K."""
     if isinstance(h, SubgroupClass):
-        h_rep = h.representative
+        cls = h
     elif isinstance(h, int):
-        h_rep = x.classes[h].representative
+        cls = x.classes[h]
     else:
-        h_rep = x.classes[GCWComplex._class_index(x, h)].representative
-    total = 0
-    for dim, ci in x.cells:
-        total += (-1) ** dim * fixed_point_count(x.group, h_rep, x.classes[ci].representative)
-    return total
+        cls = x.classes[x._class_index(h)]
+    return sum(int(c) * mark(cls, k.representative) for c, k in zip(chi_G(x), x.classes) if c)
 
 
 def verify_omega_relation(x: GCWComplex):

@@ -313,6 +313,53 @@ def test_equivariant_malformed(tmp_path, capsys):
     assert code == 1 and "malformed" in err
 
 
+# the first seven crashed with a traceback; a bool dim counted as 1 and a
+# fractional n built D2
+MALFORMED_CELL_DOCS = {
+    "group-kind-without-n": {"group": {"kind": "cyclic"}, "cells": []},
+    "factors-not-a-list": {"group": {"kind": "product", "factors": 3}, "cells": []},
+    "table-not-a-list": {"group": {"kind": "table", "table": 5}, "cells": []},
+    "generator-entry-not-int": {"group": {"kind": "perm", "generators": [[0, "a"]]},
+                                "cells": []},
+    "cells-not-a-list": {"group": "cyclic:2", "cells": 4},
+    "stabilizer-not-a-list": {"group": "cyclic:2", "cells": [{"dim": 0, "stabilizer": 5}]},
+    "stabilizer-nested": {"group": "cyclic:2", "cells": [{"dim": 0, "stabilizer": [[0]]}]},
+    "dim-bool": {"group": "cyclic:2", "cells": [{"dim": True, "stabilizer": [0]}]},
+    "n-not-integer": {"group": {"kind": "dihedral", "n": 2.5}, "cells": []},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CELL_DOCS.values(), ids=MALFORMED_CELL_DOCS.keys())
+def test_equivariant_malformed_fields(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "group", "equivariant", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["violations"][0]["kind"] == "malformed"
+
+
+@pytest.mark.parametrize("spec", ["perm:[0,1]", "perm:5", "perm:[[1,0.0]]", "perm:[[true,0]]"])
+def test_group_malformed_perm_spec(capsys, spec):
+    code, out, err = run(capsys, "group", "marks", spec)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_nesting_deeper_than_the_stack(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 1 and json.loads(err)["violations"][0]["kind"] == "not_json"
+    path.write_text('{"group": "cyclic:2", "cells": ' + deep + "}")
+    code, _, err = run(capsys, "group", "equivariant", str(path))
+    assert code == 1 and json.loads(err)["violations"][0]["kind"] == "malformed"
+    spec = "product:" * 5000 + "cyclic:2"
+    for argv in (["group", "marks", spec], ["group", "equivariant", "--random", spec]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error" in json.loads(err)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from catrank.fincat import (
     FiniteCategory,
     FunctorData,
-    aut_group,
     biset_category,
     canonical_json,
     classify,
@@ -33,6 +32,7 @@ from catrank.fincat import (
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 
 import genrandom
+from aut_groups import aut_group
 
 
 # the walking retract pair: u: x -> y, v: y -> x with nontrivial idempotents

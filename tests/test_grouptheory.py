@@ -350,3 +350,21 @@ def test_build_group_cap():
     with pytest.raises(CapExceeded):  # before the table's group axioms are checked
         build_group({"kind": "table", "table": [[0] * 65] * 65}, cap=64)
     assert build_group("symmetric:5", cap=120).order == 120
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "dihedral", "n": 2.5},
+    {"kind": "cyclic", "n": True},
+    {"kind": "cyclic", "n": "3"},
+    {"kind": "symmetric"},
+    {"kind": "product", "factors": []},
+    {"kind": "product", "factors": [5]},
+    {"kind": "table", "table": [[0, 1], 5]},
+    {"kind": "table", "table": [[0]], "names": 7},
+    {"kind": "perm", "generators": [[1, 0.0]]},
+    {"kind": "perm", "generators": None},
+], ids=repr)
+def test_build_group_rejects_malformed_spec(spec):
+    with pytest.raises(ValueError) as exc:
+        build_group(spec)
+    assert not isinstance(exc.value, CapExceeded)

@@ -1,15 +1,17 @@
 """Orbit categories, equivariant cell censuses, and the fixed-point relation."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catrank.exactq import QVector
-from catrank.fincat import aut_group, classify, validate
+from catrank.fincat import classify, validate
 from catrank.grouptheory import (
     CapExceeded,
     build_group,
+    fixed_point_count,
     nu_matrix,
     nu_matrix_via_chains,
     subgroup_classes,
@@ -30,6 +32,7 @@ from catrank.orbitcat import (
     verify_omega_relation,
 )
 
+from aut_groups import aut_group
 from genrandom import random_gcw
 
 
@@ -198,6 +201,25 @@ def test_gcw_bad_input():
         gcw_from_json({"cells": []})
     with pytest.raises(ValueError, match="malformed cell"):
         gcw_from_json({"group": "cyclic:2", "cells": [{"dim": 0}]})
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:4", "dihedral:8", "q8",
+                                  "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2",
+                                  "product:cyclic:2+symmetric:3"])
+def test_fixed_point_euler_matches_coset_count(spec):
+    """The marks route against counting fixed cosets, cell by cell."""
+    g = build_group(spec)
+    classes = subgroup_classes(g)
+    rng = random.Random(f"fixed-point/{spec}")
+    cells = [(rng.randrange(4), sorted(rng.choice(rng.choice(classes).conjugates)))
+             for _ in range(40)]
+    x = GCWComplex(g, cells)
+    for i, cls in enumerate(x.classes):
+        expected = sum((-1) ** dim * fixed_point_count(g, cls.representative, stab)
+                       for dim, stab in cells)
+        assert fixed_point_euler(x, cls) == expected
+        assert fixed_point_euler(x, i) == expected
+        assert fixed_point_euler(x, sorted(cls.conjugates[-1])) == expected
 
 
 def test_gcw_json_round():
