@@ -20,12 +20,12 @@ def show(name, cat):
         print(f"   zeta[{lbl}] = {[int(v) for v in z.row(i)]}")
     w = weighting(cat)
     cw = coweighting(cat)
-    if w.exists:
-        print("   weighting  ", {str(l): rat_str(w.weighting.at(l)) for l in z.col_labels})
+    if w.consistent:
+        print("   weighting  ", {str(l): rat_str(w.solution.at(l)) for l in z.col_labels})
     else:
         print("   weighting   none: the system zeta . k = 1 is inconsistent")
-    if cw.exists:
-        print("   coweighting", {str(l): rat_str(cw.weighting.at(l)) for l in z.col_labels})
+    if cw.consistent:
+        print("   coweighting", {str(l): rat_str(cw.solution.at(l)) for l in z.col_labels})
     else:
         print("   coweighting none")
     print("   chi_L =", chi_L(cat) if chi_L(cat) == "undefined" else rat_str(chi_L(cat)))

@@ -121,13 +121,13 @@ def cmd_euler(args) -> int:
     warnings: list[str] = []
 
     w = weighting(cat)
-    if w.exists:
-        invariants["weighting"] = dict(_vec(w.weighting), kernel_dim=w.kernel_dim)
+    if w.consistent:
+        invariants["weighting"] = dict(_vec(w.solution), kernel_dim=w.kernel_dim)
     else:
         warnings.append("weighting omitted: the system zeta . k = 1 is inconsistent")
     cw = coweighting(cat)
-    if cw.exists:
-        invariants["coweighting"] = dict(_vec(cw.weighting), kernel_dim=cw.kernel_dim)
+    if cw.consistent:
+        invariants["coweighting"] = dict(_vec(cw.solution), kernel_dim=cw.kernel_dim)
     else:
         warnings.append("coweighting omitted: the system zeta . k = 1 on the opposite is inconsistent")
     chi = chi_L(cat, w, cw)

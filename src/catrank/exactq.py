@@ -1,14 +1,16 @@
-"""Exact rational scalars, dense matrices/vectors, and Gaussian elimination.
+"""Exact rational scalars, dense matrices/vectors, and one exact solver.
 
 Every invariant in this package is an exact rational; there is no floating
 point mode. Scalars are fractions.Fraction (arbitrary precision, reduced,
-positive denominator), matrices are dense and row-major, and elimination
-pivots on the first nonzero entry in column order so results are
-deterministic across runs.
+positive denominator) and matrices are dense and row-major. Every linear
+system is eliminated once, on Python integers (after Bareiss 1968), to its
+reduced row echelon form, which is unique: solutions, kernels and inverses
+do not depend on the order of the elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -57,10 +59,6 @@ class QVector:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -89,10 +87,6 @@ class QVector:
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.entries)
-
-    def reorder(self, new_labels: Sequence) -> "QVector":
-        idx = [self.labels.index(l) for l in new_labels]
-        return QVector([self.entries[i] for i in idx], new_labels)
 
 
 class QMatrix:
@@ -217,53 +211,60 @@ class QMatrix:
 
 
 class SolutionReport:
-    """Outcome of solve_linear: consistency, one particular solution, kernel size.
+    """Outcome of solve_linear, read off one elimination: consistency, one
+    particular solution and a kernel basis.
 
-    The particular solution fixes all free variables (non-pivot columns of the
-    RREF) to zero, so it is deterministic for a given system.
+    The particular solution sets every free variable (non-pivot column of the
+    RREF) to zero, and the kernel has one vector per free column, so both are
+    deterministic for a given system.
     """
 
-    __slots__ = ("consistent", "solution", "kernel_dim")
+    __slots__ = ("consistent", "solution", "kernel", "kernel_dim")
 
-    def __init__(self, consistent: bool, solution: QVector | None, kernel_dim: int):
+    def __init__(self, consistent: bool, solution: QVector | None, kernel: list[QVector]):
         self.consistent = consistent
         self.solution = solution
-        self.kernel_dim = kernel_dim
+        self.kernel = kernel
+        self.kernel_dim = len(kernel)
 
     def __repr__(self) -> str:
         return f"SolutionReport(consistent={self.consistent}, solution={self.solution}, kernel_dim={self.kernel_dim})"
 
 
-def _rref(data: list[list[Fraction]], ncols_reduce: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place RREF over the first ncols_reduce columns; returns (data, pivot cols).
+def _rref(data: list[list[RatLike]], ncols_reduce: int) -> tuple[list[list[Fraction]], list[int]]:
+    """RREF over the first ncols_reduce columns; returns (rows, pivot cols).
 
-    Pivot choice: first row (top to bottom) with a nonzero entry in the current
-    column. Exact arithmetic, so no stability concern; the rule is fixed for
-    determinism only.
+    Rows are cleared of denominators, combined as p*row_i - a*row_r and
+    divided by their gcd, so each stays a positive multiple of the row a
+    rational elimination would hold; pivot rows are divided by their pivots
+    at the end.
     """
-    nrows = len(data)
+    rows = []
+    for row in data:
+        den = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols_reduce):
-        pr = None
-        for i in range(r, nrows):
-            if data[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        data[r], data[pr] = data[pr], data[r]
-        pv = data[r][c]
-        data[r] = [v / pv for v in data[r]]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
         for i in range(nrows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+            a = rows[i][c]
+            if i != r and a:
+                row = [p * x - a * y for x, y in zip(rows[i], pivot_row)]
+                d = math.gcd(*row)
+                rows[i] = [x // d for x in row] if d > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return data, pivots
+    out = [[Fraction(x, rows[i][c]) for x in rows[i]] for i, c in enumerate(pivots)]
+    return out + [[Fraction(x) for x in row] for row in rows[r:]], pivots
 
 
 def mat_invert(a: QMatrix):
@@ -273,42 +274,26 @@ def mat_invert(a: QMatrix):
     n = a.rows
     if n == 0:
         return QMatrix(0, 0, [], a.col_labels, a.row_labels)
-    aug = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
     aug, pivots = _rref(aug, n)
     if len(pivots) < n:
         return "singular"
-    inv = [row[n:] for row in aug]
     # inverse maps the row space back: labels swap
-    return QMatrix(n, n, [v for row in inv for v in row], a.col_labels, a.row_labels)
+    return QMatrix(n, n, [v for row in aug for v in row[n:]], a.col_labels, a.row_labels)
 
 
 def solve_linear(a: QMatrix, b: QVector) -> SolutionReport:
-    """Solve a x = b exactly; report consistency, a particular solution, kernel dim."""
+    """Solve a x = b exactly in one elimination of [a | b]: consistency, a
+    particular solution and a basis of the kernel of a."""
     if a.rows != len(b):
         raise ValueError("solve_linear: right-hand side length does not match row count")
-    aug = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    aug, pivots = _rref(aug, a.cols)
-    rank = len(pivots)
+    n = a.cols
+    aug, pivots = _rref([list(a.row(i)) + [b[i]] for i in range(a.rows)], n)
+    row_of = {c: r for r, c in enumerate(pivots)}
+    kernel = [QVector([-aug[row_of[c]][f] if c in row_of else Fraction(c == f) for c in range(n)],
+                      a.col_labels) for f in range(n) if f not in row_of]
     # inconsistent iff a row reduces to (0 ... 0 | nonzero)
-    for i in range(rank, a.rows):
-        if aug[i][a.cols] != 0:
-            return SolutionReport(False, None, a.cols - rank)
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][a.cols]
-    return SolutionReport(True, QVector(x, a.col_labels), a.cols - rank)
-
-
-def kernel_basis(a: QMatrix) -> list[QVector]:
-    """Basis of the right kernel, one vector per free column of the RREF."""
-    aug = [list(a.row(i)) for i in range(a.rows)]
-    aug, pivots = _rref(aug, a.cols)
-    free = [c for c in range(a.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * a.cols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -aug[r][fc]
-        basis.append(QVector(v, a.col_labels))
-    return basis
+    if any(row[n] for row in aug[len(pivots):]):
+        return SolutionReport(False, None, kernel)
+    x = [aug[row_of[c]][n] if c in row_of else Fraction(0) for c in range(n)]
+    return SolutionReport(True, QVector(x, a.col_labels), kernel)

@@ -17,9 +17,10 @@ through it: (new dom, new cod, old id) descriptors composed in the parent.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Iterable, Sequence
 
-from .grouptheory import FiniteGroup
+from .grouptheory import FiniteGroup, _is_int
 
 
 class FiniteCategory:
@@ -728,7 +729,7 @@ def from_json(doc: dict) -> FiniteCategory:
         if not isinstance(rec, dict) or not {"id", "dom", "cod"} <= set(rec):
             raise ValueError(f"malformed morphism record: {rec!r}")
         mid = rec["id"]
-        if not isinstance(mid, int) or not (0 <= mid < m) or mid in seen:
+        if not _is_int(mid) or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
         if str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index:
@@ -740,7 +741,7 @@ def from_json(doc: dict) -> FiniteCategory:
         raise ValueError("identities must cover exactly the objects")
     identity = [0] * len(objects)
     for o, mid in identities.items():
-        if not isinstance(mid, int) or not (0 <= mid < m):
+        if not _is_int(mid) or not (0 <= mid < m):
             raise ValueError(f"identity of {o!r} references unknown morphism")
         identity[obj_index[o]] = mid
     table: dict[tuple[int, int], int] = {}
@@ -749,7 +750,7 @@ def from_json(doc: dict) -> FiniteCategory:
             raise ValueError(f"malformed composition record: {rec!r}")
         g, f, c = rec
         for v in (g, f, c):
-            if not isinstance(v, int) or not (0 <= v < m):
+            if not _is_int(v) or not (0 <= v < m):
                 raise ValueError(f"composition record references unknown morphism: {rec!r}")
         if (g, f) in table:
             raise ValueError(f"duplicate composition record for pair ({g},{f})")
@@ -758,6 +759,4 @@ def from_json(doc: dict) -> FiniteCategory:
 
 
 def canonical_json(cat: FiniteCategory) -> str:
-    import json
-
     return json.dumps(to_json(cat), indent=2) + "\n"

@@ -20,19 +20,23 @@ subgroups of M24, or how to compute the table of marks of a finite group):
 - ``subgroups`` is the union of the class conjugates, and each mark is
   |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
 
+The nu matrix D mu_bar2 D^-1, D = diag(|W_G H|), is D M^-1 for the table of
+marks M, so no orbit category is built for it.
+
 Group orders are capped: ``build_group`` raises ``CapExceeded`` (a
 ValueError) above its ``cap``, before any lattice work.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactq import QMatrix
+from .exactq import QMatrix, mat_invert
 
 DEFAULT_CAP = 64
 
@@ -140,8 +144,6 @@ def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def symmetric_group(n: int) -> FiniteGroup:
     if not (1 <= n <= 5):
         raise ValueError("symmetric group supported for 1 <= n <= 5")
-    import itertools
-
     elems = sorted(itertools.permutations(range(n)))
     return _group_from_perms(elems)
 
@@ -503,28 +505,18 @@ def table_of_marks(g: FiniteGroup) -> MarksMatrix:
 
 @lru_cache(maxsize=8)
 def nu_matrix(g: FiniteGroup) -> QMatrix:
-    """Integer matrix D mubar2 D^-1 over subgroup classes, D = diag(|W_G H|).
+    """Integer matrix nu = D M^-1 = D mu_bar2 D^-1 over subgroup classes, M the
+    table of marks and D = diag(|W_G H|): omega_bar2(Or G) = D^-1 M.
 
-    Non-integrality would mean the orbit-category Moebius data is wrong, so it
-    is an internal assertion, not an input error.
+    Non-integrality would mean the marks are wrong, so it is an internal
+    assertion, not an input error.
     """
-    from .moebius import euler_characteristics
-    from .orbitcat import orbit_category
-
-    oc = orbit_category(g)
-    classes = oc.classes
-    labels = [c.label for c in classes]
-    mu = euler_characteristics(oc.category).mu_bar2
-    object_order = [oc.object_of_class(i) for i in range(len(classes))]
-    mu = mu.reorder(object_order, object_order)
-    weyl = [c.weyl_order for c in classes]
-    ent = []
-    for i in range(len(classes)):
-        for j in range(len(classes)):
-            v = Fraction(weyl[i]) * mu.get(i, j) / weyl[j]
-            assert v.denominator == 1, f"nu matrix entry not integral at ({i},{j}): {v}"
-            ent.append(v)
-    return QMatrix(len(classes), len(classes), ent, labels, labels)
+    marks = table_of_marks(g)
+    inv = mat_invert(marks.matrix)
+    ent = [c.weyl_order * v for i, c in enumerate(marks.classes) for v in inv.row(i)]
+    for idx, v in enumerate(ent):
+        assert v.denominator == 1, f"nu matrix entry not integral at {divmod(idx, inv.cols)}: {v}"
+    return QMatrix(inv.rows, inv.cols, ent, inv.row_labels, inv.col_labels)
 
 
 def nu_matrix_via_chains(g: FiniteGroup) -> QMatrix:

@@ -70,16 +70,12 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
             if i != j:
                 assert not (leq[i][j] and leq[j][i]), "EI forces antisymmetry"
 
-    lengths = [-1] * k
-
-    def length(i):
-        if lengths[i] < 0:
-            below = [length(j) for j in range(k) if j != i and leq[j][i]]
-            lengths[i] = 1 + max(below) if below else 0
-        return lengths[i]
-
-    for i in range(k):
-        length(i)
+    # j < i implies down(j) is strictly inside down(i), so visiting classes by
+    # the size of their down-set fills every class after all classes below it
+    below = [[j for j in range(k) if j != i and leq[j][i]] for i in range(k)]
+    lengths = [0] * k
+    for i in sorted(range(k), key=lambda i: len(below[i])):
+        lengths[i] = 1 + max(lengths[j] for j in below[i]) if below[i] else 0
     order = sorted(range(k), key=lambda i: (lengths[i], reps[i]))
     return IsoPoset(
         cat,

@@ -71,7 +71,7 @@ def test_01_retract_pair_regression():
 
 def test_02_inconsistent_weighting_regression():
     cat = corpus.build("leinster-A")
-    assert not weighting(cat).exists
+    assert not weighting(cat).consistent
     assert chi_L(cat) == "undefined"
     rep = classify(cat)
     assert rep.is_cauchy_complete and not rep.is_directly_finite

@@ -158,9 +158,19 @@ LIST_OBJECT_DOC = {"objects": [["a"]], "morphisms": [{"id": 0, "dom": "['a']", "
                    "identities": {"['a']": 0}, "composition": [[0, 0, 0]]}
 
 
+# the span with JSON true for morphism 1 in its record, its identity and its composites
+BOOL_ID_DOC = {"morphisms": [{"id": 0, "dom": "a", "cod": "a"}, {"id": True, "dom": "x", "cod": "x"},
+                             {"id": 2, "dom": "y", "cod": "y"}, {"id": 3, "dom": "a", "cod": "x"},
+                             {"id": 4, "dom": "a", "cod": "y"}],
+               "identities": {"a": 0, "x": True, "y": 2},
+               "composition": [[0, 0, 0], [True, True, True], [True, 3, 3], [2, 2, 2],
+                               [2, 4, 4], [3, 0, 3], [4, 0, 4]]}
+
+
 @pytest.mark.parametrize("patch", [{"objects": 3}, {"morphisms": 5}, {"identities": 5},
-                                   {"composition": 7}, LIST_OBJECT_DOC],
-                         ids=["objects", "morphisms", "identities", "composition", "list-id"])
+                                   {"composition": 7}, LIST_OBJECT_DOC, BOOL_ID_DOC],
+                         ids=["objects", "morphisms", "identities", "composition", "list-id",
+                              "bool-id"])
 def test_malformed_document_fields(tmp_path, capsys, patch):
     code, text, _ = run(capsys, "examples", "emit", "span")
     doc = json.loads(text)

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import rref_oracle
 from catrank.exactq import (
     QMatrix,
     QVector,
-    kernel_basis,
     mat_invert,
     parse_rat,
     rat,
@@ -111,7 +112,7 @@ def test_solve_underdetermined_free_vars_zeroed():
     assert rep.consistent
     assert rep.kernel_dim == 1
     assert rep.solution.entries == (Fraction(1), Fraction(0))
-    basis = kernel_basis(a)
+    basis = rep.kernel
     assert len(basis) == 1
     assert a.mul_vec(basis[0]).entries == (Fraction(0),)
 
@@ -199,3 +200,67 @@ def test_solve_consistency_property(rows, cols, data):
         assert a.mul_vec(rep.solution).entries == b.entries
     else:
         assert rep.solution is None
+
+
+def _random_system(rng):
+    """A seeded rows x cols system: small integers or rationals with mixed
+    denominators, often with rows copied as combinations of earlier rows so
+    that singular, rank-deficient and inconsistent systems turn up."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    rational = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        if rational:
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 10)))
+        return Fraction(rng.randint(-3, 3))
+
+    data = []
+    for _ in range(rows):
+        if data and rng.random() < 0.35:
+            f, g = entry(), entry()
+            r1, r2 = rng.choice(data), rng.choice(data)
+            data.append([f * x + g * y for x, y in zip(r1, r2)])
+        else:
+            data.append([entry() for _ in range(cols)])
+    a = QMatrix(rows, cols, [v for row in data for v in row],
+                [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)])
+    return a, QVector([entry() for _ in range(rows)], [f"r{i}" for i in range(rows)])
+
+
+def test_elimination_matches_rational_oracle():
+    rng = random.Random(1968)
+    seen = {"inconsistent": 0, "kernel": 0, "singular": 0, "inverse": 0,
+            "rectangular": 0, "empty": 0, "mixed denominators": 0}
+    for _ in range(600):
+        a, b = _random_system(rng)
+        rep, ref = solve_linear(a, b), rref_oracle.solve_linear(a, b)
+        assert rep.consistent == ref.consistent
+        assert rep.solution == ref.solution
+        assert rep.kernel == rref_oracle.kernel_basis(a)
+        assert rep.kernel_dim == ref.kernel_dim
+        for v in rep.kernel:
+            assert not any(a.mul_vec(v))
+        if rep.consistent:
+            assert a.mul_vec(rep.solution).entries == b.entries
+        seen["inconsistent"] += not rep.consistent
+        seen["kernel"] += rep.kernel_dim > 0
+        seen["rectangular"] += a.rows != a.cols
+        seen["mixed denominators"] += any(
+            len({v.denominator for v in a.row(i)} - {1}) > 1 for i in range(a.rows))
+        if a.rows == a.cols:
+            inv = mat_invert(a)
+            assert inv == rref_oracle.mat_invert(a)
+            seen["empty"] += a.rows == 0
+            seen["singular" if inv == "singular" else "inverse"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_elimination_keeps_large_entries_exact():
+    # Hilbert matrices: every entry a rational with its own denominator
+    for n in (1, 4, 8):
+        h = QMatrix.from_rows([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+        inv = mat_invert(h)
+        assert inv == rref_oracle.mat_invert(h)
+        assert inv.is_integral() and h.mul(inv).is_identity()

@@ -2,10 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import lattice_oracle
+from catrank import moebius, orbitcat
+from catrank.exactq import QMatrix
 from catrank.grouptheory import (
     CapExceeded,
     FiniteGroup,
@@ -24,8 +27,12 @@ from catrank.grouptheory import (
     left_cosets,
     fixed_point_count,
     table_of_marks,
+    burnside_congruences,
+    nu_matrix,
     nu_matrix_via_chains,
 )
+from catrank.moebius import euler_characteristics
+from catrank.orbitcat import orbit_category
 
 
 # primitive subgroup oracle: every subset closed under the operation
@@ -317,6 +324,42 @@ def test_lattice_matches_oracle(g):
     m = table_of_marks(g).matrix
     n = len(classes)
     assert [[m.get(i, j) for j in range(n)] for i in range(n)] == lattice_oracle.marks(g)
+
+
+def nu_via_orbit_category(g):
+    """D mu_bar2 D^-1 over subgroup classes, D = diag(|W_G H|), with mu_bar2
+    from the chain walk on Or(G), reordered from object to class order."""
+    oc = orbit_category(g)
+    order = [oc.object_of_class(i) for i in range(len(oc.classes))]
+    mu = euler_characteristics(oc.category).mu_bar2.reorder(order, order)
+    weyl = [c.weyl_order for c in oc.classes]
+    n = len(weyl)
+    labels = [c.label for c in oc.classes]
+    return QMatrix(n, n, [Fraction(weyl[i]) * mu.get(i, j) / weyl[j]
+                          for i in range(n) for j in range(n)], labels, labels)
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in ORACLE_GROUPS] + random_perm_groups(),
+    ids=[name for name, _ in ORACLE_GROUPS]
+        + [f"perm{i}" for i in range(len(random_perm_groups()))],
+)
+def test_nu_matches_orbit_category_route(g):
+    assert nu_matrix(g) == nu_via_orbit_category(g)
+
+
+def test_nu_needs_no_orbit_category(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nu_matrix reached the orbit category")
+
+    monkeypatch.setattr(orbitcat, "orbit_category", refuse)
+    monkeypatch.setattr(moebius, "euler_characteristics", refuse)
+    for spec in ("symmetric:4", "dihedral:8", "q8"):
+        g = build_group(spec)
+        nu = nu_matrix.__wrapped__(g).to_lists()
+        assert nu == nu_matrix_via_chains(g).to_lists()
+        nu_matrix.cache_clear()
+        assert burnside_congruences(g, [1] * len(nu))[0] == [sum(row) for row in nu]
 
 
 @pytest.mark.parametrize("g", [symmetric_group(4), dihedral_group(6), build_group("q8")],

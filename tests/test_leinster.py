@@ -36,10 +36,10 @@ def test_zeta_rows_are_sources():
 
 def test_retract_pair_weighting_and_chi():
     w = weighting(retract_pair())
-    assert w.exists and w.kernel_dim == 0
-    assert list(w.weighting) == [F(1, 3), F(1, 3)]
+    assert w.consistent and w.kernel_dim == 0
+    assert list(w.solution) == [F(1, 3), F(1, 3)]
     cw = coweighting(retract_pair())
-    assert list(cw.weighting) == [F(1, 3), F(1, 3)]
+    assert list(cw.solution) == [F(1, 3), F(1, 3)]
     assert chi_L(retract_pair()) == F(2, 3)
 
 
@@ -52,9 +52,9 @@ def test_retract_pair_mu():
 def test_no_weighting_category():
     cat = corpus.build("leinster-A")
     w = weighting(cat)
-    assert not w.exists and w.weighting is None
+    assert not w.consistent and w.solution is None
     cw = coweighting(cat)
-    assert cw.exists and cw.kernel_dim == 1
+    assert cw.consistent and cw.kernel_dim == 1
     assert chi_L(cat) == "undefined"
     assert chi_L(opposite(cat)) == "undefined"
 
@@ -62,15 +62,15 @@ def test_no_weighting_category():
 def test_span_weighting():
     cat = span_category()
     w = weighting(cat)
-    assert w.exists and w.kernel_dim == 0
-    assert w.weighting.at("0") == -1
-    assert w.weighting.at("1") == 1 and w.weighting.at("2") == 1
+    assert w.consistent and w.kernel_dim == 0
+    assert w.solution.at("0") == -1
+    assert w.solution.at("1") == 1 and w.solution.at("2") == 1
     assert chi_L(cat) == 1
 
 
 def test_parallel_pair_weighting():
     w = weighting(parallel_pair())
-    assert list(w.weighting) == [-1, 1]
+    assert list(w.solution) == [-1, 1]
     assert chi_L(parallel_pair()) == 0
 
 
@@ -78,10 +78,10 @@ def test_subsets_weighting_alternates():
     for q in (1, 2, 3):
         cat = subsets_category(q)
         w = weighting(cat)
-        assert w.exists and w.kernel_dim == 0
+        assert w.consistent and w.kernel_dim == 0
         for i, obj in enumerate(cat.objects):
             size = bin(int(obj)).count("1")
-            assert w.weighting[i] == F(-1) ** (size - 1)
+            assert w.solution[i] == F(-1) ** (size - 1)
         assert chi_L(cat) == 1
 
 
@@ -90,16 +90,16 @@ def test_delooping_chi_is_reciprocal_order():
         g = build_group(spec)
         cat = delooping(g)
         w = weighting(cat)
-        assert list(w.weighting) == [F(1, g.order)]
+        assert list(w.solution) == [F(1, g.order)]
         assert chi_L(cat) == F(1, g.order)
 
 
 def test_singular_zeta_with_consistent_system():
     cat = corpus.build("indiscrete-2")
     w = weighting(cat)
-    assert w.exists and w.kernel_dim == 1
+    assert w.consistent and w.kernel_dim == 1
     # free variable zeroed: particular solution is (1, 0)
-    assert list(w.weighting) == [1, 0]
+    assert list(w.solution) == [1, 0]
     assert chi_L(cat) == 1
 
 
@@ -180,6 +180,13 @@ def test_weighting_from_cells_failure_flag():
 def test_weighting_from_cells_unknown_base():
     with pytest.raises(ValueError, match="unknown object"):
         weighting_from_cells(parallel_pair(), [(0, "z")])
+
+
+def test_weighting_from_cells_integer_bases():
+    # objects are the strings "0" and "1"; bases given as integers name them too
+    cat = poset_category(["0", "1"], [("0", "1")])
+    vec, ok = weighting_from_cells(cat, [(0, 0), (0, 1), (1, 0)])
+    assert ok and list(vec) == [0, 1]
 
 
 def test_cells_accumulate_per_object():

@@ -447,6 +447,45 @@ def test_nerve_cycle_search_is_not_recursive():
         nerve_euler_characteristic(_ArrowCycle(5 * sys.getrecursionlimit()))
 
 
+class _DescendingChain:
+    """Just what iso_order reads of a category: n objects, identities only,
+    and a nonempty hom(i, j) exactly when i >= j, so object 0 is the top of
+    a chain of n classes and the others lie below it in index order."""
+
+    def __init__(self, n):
+        self.n_objects = self.n_morphisms = n
+        self.objects = list(range(n))
+        self.dom = self.cod = list(range(n))
+
+    def is_iso(self, m):
+        return True
+
+    def obj_index(self, obj):
+        return obj
+
+    def hom(self, i, j):
+        return [i] if i >= j else []
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_iso_order_is_not_recursive():
+    old = sys.getrecursionlimit()
+    limit = _stack_depth() + 100
+    sys.setrecursionlimit(limit)
+    try:
+        poset = iso_order(_DescendingChain(2 * limit))
+    finally:
+        sys.setrecursionlimit(old)
+    assert poset.lengths == tuple(range(2 * limit))
+    assert poset.reps == tuple(reversed(range(2 * limit)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_free_ei_identities_hold_randomly(seed):
