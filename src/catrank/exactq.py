@@ -11,6 +11,7 @@ do not depend on the order of the elimination.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -26,7 +27,8 @@ def rat(num: int, den: int = 1) -> Fraction:
 
 def rat_str(q: RatLike) -> str:
     """Canonical serialization: "p/q" in lowest terms with q > 0, "p" if q == 1."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -41,7 +43,8 @@ def parse_rat(s: str) -> Fraction:
 
 
 def _as_frac_row(row: Sequence[RatLike]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in row)
+    """The entries as Fractions; entries that already are one are kept."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
 
 
 class QVector:
@@ -154,11 +157,9 @@ class QMatrix:
     def mul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.get(k, j) for k in range(self.cols)), Fraction(0)))
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        out = [sum(map(operator.mul, self.row(i), col), Fraction(0))
+               for i in range(self.rows) for col in columns]
         return QMatrix(self.rows, other.cols, out, self.row_labels, other.col_labels)
 
     def __mul__(self, other):
@@ -171,10 +172,8 @@ class QMatrix:
     def mul_vec(self, v: QVector) -> QVector:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
-        out = [
-            sum((self.get(i, k) * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
+        out = [sum(map(operator.mul, self.row(i), v.entries), Fraction(0))
+               for i in range(self.rows)]
         return QVector(out, self.row_labels)
 
     def is_identity(self) -> bool:
@@ -184,13 +183,6 @@ class QMatrix:
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.entries)
-
-    def reorder(self, new_row_labels: Sequence, new_col_labels: Sequence) -> "QMatrix":
-        """Same matrix with rows/columns permuted into the given label order."""
-        ri = [self.row_labels.index(l) for l in new_row_labels]
-        ci = [self.col_labels.index(l) for l in new_col_labels]
-        ent = [self.get(i, j) for i in ri for j in ci]
-        return QMatrix(len(ri), len(ci), ent, new_row_labels, new_col_labels)
 
     def __eq__(self, other) -> bool:
         return (

@@ -25,7 +25,7 @@ from .grouptheory import FiniteGroup, _is_int
 
 class FiniteCategory:
     __slots__ = ("objects", "dom", "cod", "identity", "compose_table",
-                 "_obj_index", "_hom", "_inverse", "_from_obj")
+                 "_obj_index", "_hom", "_inverse", "_from_obj", "_memo")
 
     def __init__(
         self,
@@ -61,6 +61,8 @@ class FiniteCategory:
         self._hom: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._inverse: tuple | None = None
         self._from_obj: tuple[tuple[int, ...], ...] | None = None
+        # tables other modules derive from this (immutable) category, by name
+        self._memo: dict[str, Any] = {}
 
     # ------------------------------------------------------------- basics
 

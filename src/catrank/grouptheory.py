@@ -1,6 +1,5 @@
 """Finite groups as Cayley tables: subgroup lattice, conjugacy classes of
-subgroups, Weyl groups, fixed-point counts, table of marks, nu matrix and
-Burnside congruences.
+subgroups, Weyl groups, table of marks, nu matrix and Burnside congruences.
 
 Elements are integers 0..n-1 with 0 the identity. Subgroups are frozensets of
 element indices. The canonical order on subgroup classes is ascending |H| with
@@ -46,9 +45,26 @@ class CapExceeded(ValueError):
 
 
 class FiniteGroup:
+    """A group given by its Cayley table; the constructor checks every group
+    axiom and raises ValueError on the first that fails."""
+
     __slots__ = ("order", "table", "names", "inv")
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
+        self._fill(table, names)
+        _check_associative(self.table)
+
+    @classmethod
+    def _associative(cls, table: Sequence[Sequence[int]],
+                     names: Sequence[str] | None = None) -> "FiniteGroup":
+        """For the builders, whose tables are associative by construction
+        (permutation composition, integers mod n, products and quotients of
+        groups): every check but the O(n^3) associativity loop."""
+        g = cls.__new__(cls)
+        g._fill(table, names)
+        return g
+
+    def _fill(self, table: Sequence[Sequence[int]], names: Sequence[str] | None) -> None:
         self.order = len(table)
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
         if names is None:
@@ -56,7 +72,7 @@ class FiniteGroup:
         self.names: tuple[str, ...] = tuple(names)
         if len(self.names) != self.order:
             raise ValueError("names length does not match order")
-        _check_group_table(self.table)
+        _check_latin_with_identity(self.table)
         inv = [None] * self.order
         for a in range(self.order):
             for b in range(self.order):
@@ -82,7 +98,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
+def _check_latin_with_identity(table: tuple[tuple[int, ...], ...]) -> None:
     n = len(table)
     if n == 0:
         raise ValueError("empty table; the trivial group has order 1")
@@ -98,6 +114,10 @@ def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:
             raise ValueError("element 0 is not a two-sided identity")
+
+
+def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
+    n = len(table)
     for a in range(n):
         ta = table[a]
         for b in range(n):
@@ -114,7 +134,7 @@ def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    return FiniteGroup._associative([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -133,7 +153,7 @@ def dihedral_group(n: int) -> FiniteGroup:
                 for s2 in range(2):
                     i = (i1 + (i2 if s1 == 0 else -i2)) % n
                     table[idx(i1, s1)][idx(i2, s2)] = idx(i, s1 ^ s2)
-    return FiniteGroup(table, names)
+    return FiniteGroup._associative(table, names)
 
 
 def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,7 +172,7 @@ def _group_from_perms(elems: list[tuple[int, ...]]) -> FiniteGroup:
     index = {p: i for i, p in enumerate(elems)}
     table = [[index[_perm_mul(p, q)] for q in elems] for p in elems]
     names = ["".join(map(str, p)) for p in elems]
-    return FiniteGroup(table, names)
+    return FiniteGroup._associative(table, names)
 
 
 def perm_group(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -194,7 +214,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                 for b2 in range(n2):
                     table[idx(a1, b1)][idx(a2, b2)] = idx(g1.table[a1][a2], g2.table[b1][b2])
     names = [f"{g1.names[a]}|{g2.names[b]}" for a in range(n1) for b in range(n2)]
-    return FiniteGroup(table, names)
+    return FiniteGroup._associative(table, names)
 
 
 _ALIASES = {
@@ -453,22 +473,9 @@ def weyl_group_with_cosets(g: FiniteGroup, h: frozenset[int]) -> tuple[FiniteGro
         for j, cj in enumerate(cosets):
             table[i][j] = lookup[g.table[ri][min(cj)]]
     names = [str(min(c)) for c in cosets]
-    wg = FiniteGroup(table, names)
+    wg = FiniteGroup._associative(table, names)
     assert index[frozenset(h)] == 0
     return wg, cosets
-
-
-def fixed_point_count(g: FiniteGroup, h: Iterable[int], k: Iterable[int]) -> int:
-    """|(G/K)^H| = number of cosets xK with x^-1 H x contained in K."""
-    hs = frozenset(h)
-    ks = frozenset(k)
-    count = 0
-    for coset in left_cosets(g, ks):
-        x = min(coset)
-        xi = g.inv[x]
-        if all(g.table[g.table[xi][e]][x] in ks for e in hs):
-            count += 1
-    return count
 
 
 class MarksMatrix:
@@ -517,77 +524,6 @@ def nu_matrix(g: FiniteGroup) -> QMatrix:
     for idx, v in enumerate(ent):
         assert v.denominator == 1, f"nu matrix entry not integral at {divmod(idx, inv.cols)}: {v}"
     return QMatrix(inv.rows, inv.cols, ent, inv.row_labels, inv.col_labels)
-
-
-def nu_matrix_via_chains(g: FiniteGroup) -> QMatrix:
-    """Cross-check route for nu: alternating sums over chains of subgroup classes.
-
-    Entry (row (K), col (H)) = sum over l >= 0 of (-1)^l times the number-of-
-    orbit products Prod_{t=1..l} |W(H_t) \\ mor(G/H_{t-1}, G/H_t)| over chains
-    (K) = (H_0) < ... < (H_l) = (H). Orbit counts are computed directly from
-    coset actions, not by dividing cardinalities.
-    """
-    classes = subgroup_classes(g)
-    labels = [c.label for c in classes]
-    k = len(classes)
-    # strict subconjugacy: (A) < (B) iff A is conjugate into B and (A) != (B)
-    reps = [c.representative for c in classes]
-    less = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j and fixed_point_count(g, reps[i], reps[j]) > 0:
-                less[i][j] = True
-
-    def orbit_count(i: int, j: int) -> int:
-        # cosets xB fixed by A, modulo right translation by N_G(B)
-        a, b = reps[i], reps[j]
-        nb = sorted(normalizer(g, b))
-        fixed = []
-        for coset in left_cosets(g, b):
-            x = min(coset)
-            xi = g.inv[x]
-            if all(g.table[g.table[xi][e]][x] in b for e in a):
-                fixed.append(coset)
-        fixed_set = {c: c for c in fixed}
-        seen: set[frozenset[int]] = set()
-        orbits = 0
-        for c in fixed:
-            if c in seen:
-                continue
-            orbits += 1
-            stack = [c]
-            seen.add(c)
-            while stack:
-                cur = stack.pop()
-                x = min(cur)
-                for n in nb:
-                    img = frozenset(g.table[g.table[x][n]][e] for e in b)
-                    img = fixed_set[img]
-                    if img not in seen:
-                        seen.add(img)
-                        stack.append(img)
-        return orbits
-
-    ocount: dict[tuple[int, int], int] = {}
-
-    def oc(i, j):
-        if (i, j) not in ocount:
-            ocount[(i, j)] = orbit_count(i, j)
-        return ocount[(i, j)]
-
-    ent = [[Fraction(0)] * k for _ in range(k)]
-    for start in range(k):
-        # DFS over strictly increasing chains from (K)=start
-        stack = [(start, 1, (start,))]
-        while stack:
-            cur, prod, chain = stack.pop()
-            l = len(chain) - 1
-            sign = -1 if l % 2 else 1
-            ent[start][cur] += sign * prod
-            for nxt in range(k):
-                if less[cur][nxt]:
-                    stack.append((nxt, prod * oc(cur, nxt), chain + (nxt,)))
-    return QMatrix.from_rows(ent, labels, labels)
 
 
 def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[Fraction], bool]:

@@ -1,4 +1,11 @@
-"""Weightings, coweightings, and the Euler characteristic they agree on."""
+"""Weightings, coweightings, and the Euler characteristic they agree on.
+
+On a skeletal category whose endomorphisms are all identities, zeta is
+omega_bar2 with its classes in object order, so the unique weighting and
+coweighting are the row and column sums of mu_bar2 (Leinster 2008, The Euler
+characteristic of a category), read off ``moebius.moebius_rows``.  Every
+other category is solved by ``exactq.solve_linear``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,7 @@ from fractions import Fraction
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
 from .fincat import FiniteCategory, opposite
+from .moebius import moebius_rows
 
 
 def zeta_matrix(cat: FiniteCategory) -> QMatrix:
@@ -17,14 +25,37 @@ def zeta_matrix(cat: FiniteCategory) -> QMatrix:
     return QMatrix(n, n, entries, row_labels=labels, col_labels=labels)
 
 
-def weighting(cat: FiniteCategory) -> SolutionReport:
-    """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
-    for every x; solved exactly, inconsistency reported in-band."""
+def _moebius_sums(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
+    """The row (or column) sums of mu_bar2 in object order as the unique
+    solution of zeta k = 1 (or of its transpose), when cat is skeletal with
+    trivial endomorphisms; None otherwise."""
+    found = moebius_rows(cat)
+    if found is None or found[0].size != cat.n_objects:
+        return None
+    poset, rows = found
+    sums = [0] * cat.n_objects
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            sums[poset.reps[j if columns else i]] += v
+    return SolutionReport(True, QVector(sums, [str(o) for o in cat.objects]), [])
+
+
+def _solve(cat: FiniteCategory) -> SolutionReport:
     return solve_linear(zeta_matrix(cat), QVector([Fraction(1)] * cat.n_objects))
 
 
+def weighting(cat: FiniteCategory) -> SolutionReport:
+    """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
+    for every x; solved exactly, inconsistency reported in-band."""
+    found = _moebius_sums(cat, columns=False)
+    return found if found is not None else _solve(cat)
+
+
 def coweighting(cat: FiniteCategory) -> SolutionReport:
-    return weighting(opposite(cat))
+    """A weighting of the opposite category."""
+    found = _moebius_sums(cat, columns=True)
+    # skeletal and trivial endomorphisms hold for both or neither of cat and its opposite
+    return found if found is not None else _solve(opposite(cat))
 
 
 def chi_L(cat: FiniteCategory, w: SolutionReport | None = None,

@@ -10,11 +10,18 @@ the quotient, and all the invariants below are signed sums of orbit counts of
 those actions:
 
   - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular.
-  - euler_characteristics: one walk over the chains that yields the per-class
-    functorial values (double orbits of S(c), integers), their rank-weighted
-    counterparts (left orbits / |aut y|), the totals, and mu_bar2 (sum over
-    chains of +/- |S(c)| / |aut y|, inverse to omega_bar2 whenever the
-    category is free).
+  - euler_characteristics: the per-class functorial values (double orbits of
+    S(c), integers), their rank-weighted counterparts (left orbits /
+    |aut y|), the totals, and mu_bar2 (sum over chains of +/- |S(c)| /
+    |aut y|, inverse to omega_bar2 whenever the category is free).  Two
+    routes compute them:
+      * when every endomorphism is an identity and no chain is cut, S(c) is
+        a plain product of hom-sets, mu_bar2 is the classical Moebius
+        function of the class poset (Rota 1964), and ``moebius_rows`` gets
+        it by one sparse integer back-substitution through omega_bar2;
+        chi_f = chi_f2 are its row sums;
+      * otherwise one depth-first walk over the chains builds every S(c)
+        with its actions.
   - integral_moebius: the integer zeta/Moebius pair for skeletal categories
     with trivial endomorphisms.
 """
@@ -87,6 +94,43 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     )
 
 
+def _once(cat: FiniteCategory, key: str, build):
+    """build(cat), computed once per category and kept on it."""
+    memo = cat._memo
+    if key not in memo:
+        memo[key] = build(cat)
+    return memo[key]
+
+
+def _back_substitute(cat: FiniteCategory) -> list[dict[int, int]] | None:
+    if any(len(cat.hom(x, x)) != 1 for x in range(cat.n_objects)):
+        return None
+    poset = _once(cat, "iso_order", iso_order)
+    k, reps, leq = poset.size, poset.reps, poset.leq
+    rows: list[dict[int, int]] = [{}] * k
+    for i in reversed(range(k)):
+        acc = {i: 1}
+        for t in range(i + 1, k):
+            if leq[i][t]:
+                h = len(cat.hom(reps[i], reps[t]))
+                for j, v in rows[t].items():
+                    acc[j] = acc.get(j, 0) - h * v
+        rows[i] = {j: v for j, v in acc.items() if v}
+    return rows
+
+
+def moebius_rows(cat: FiniteCategory) -> tuple[IsoPoset, list[dict[int, int]]] | None:
+    """mu_bar2 = omega_bar2^-1 of a category whose endomorphisms are all
+    identities, as sparse integer rows {class: entry} in iso order, with the
+    class poset; None for any other category.  Computed once per category.
+
+    With trivial automorphism groups omega_bar2 counts morphisms and is unit
+    upper triangular in iso order, so mu[i] = e_i - sum over the classes t
+    above i of |hom(i, t)| mu[t], filled from the top class down."""
+    rows = _once(cat, "moebius", _back_substitute)
+    return None if rows is None else (_once(cat, "iso_order", iso_order), rows)
+
+
 def perm_module_dim(group_order: int, action: Sequence[Sequence[int]]) -> Fraction:
     """Rank of the permutation module of a group action, |T| / |G|.
 
@@ -124,15 +168,14 @@ def perm_module_dim(group_order: int, action: Sequence[Sequence[int]]) -> Fracti
 
 def omega_bar2(cat: FiniteCategory) -> QMatrix:
     """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|."""
-    poset = iso_order(cat)
-    k = poset.size
-    rows = [
-        [
-            Fraction(len(poset.cat.hom(poset.reps[i], poset.reps[j])), poset.aut_order(i))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
+    poset = _once(cat, "iso_order", iso_order)
+    reps = poset.reps
+    zero = Fraction(0)
+    rows = []
+    for i, y in enumerate(reps):
+        a = poset.aut_order(i)
+        rows.append([Fraction(len(cat.hom(y, x)), a) if leq else zero
+                     for x, leq in zip(reps, poset.leq[i])])
     return QMatrix.from_rows(rows, poset.labels, poset.labels)
 
 
@@ -239,19 +282,47 @@ def _extend(left, right, hom_size, inner, outer):
             [[ids[g * n + r[s]] for g, s in members] for r in right])
 
 
+def _euler_from_moebius(poset: IsoPoset, rows: list[dict[int, int]]) -> EulerReport:
+    """The report of a category with trivial endomorphisms, from the rows of
+    ``moebius_rows``: every S(c) is a product of hom-sets with trivial
+    actions, so chi_f and chi_f2 both count |S(c)| and are the row sums."""
+    k = poset.size
+    zero = Fraction(0)
+    mu_rows = []
+    for row in rows:
+        dense = [zero] * k
+        for j, v in row.items():
+            dense[j] = Fraction(v)
+        mu_rows.append(dense)
+    chi_f = [Fraction(sum(row.values())) for row in rows]
+    chi = sum(chi_f, zero)
+    vec = QVector(chi_f, poset.labels)
+    return EulerReport(poset.labels, vec, chi, vec, chi,
+                       QMatrix.from_rows(mu_rows, poset.labels, poset.labels), False)
+
+
 def euler_characteristics(cat: FiniteCategory, max_chain_length: int | None = None) -> EulerReport:
     """Functorial and rank-weighted Euler characteristics of a finite EI
-    category, and mu_bar2, from one depth-first walk over the chains out of
-    each class.
+    category, and mu_bar2.
 
-    A node of the walk is a chain c with its set S(c), stored as index tables
-    of the left aut(top) and right aut(bottom) actions; S((x,)) = aut(x), and
-    S(c + y) = hom(top, y) x_{aut top} S(c).  Each node adds (-1)^length
-    times |S(c)| to mu_bar2 at (bottom, top), times its left-orbit count to
-    chi_f2 of the bottom class and times its double-orbit count to chi_f;
-    mu_bar2 and chi_f2 are divided by |aut bottom|.  Chains longer than
-    max_chain_length are cut, which sets the report's truncated flag."""
-    poset = iso_order(cat)
+    When every endomorphism is an identity and max_chain_length is None or
+    at least the longest chain, they are read off ``moebius_rows``: one
+    sparse integer back-substitution, no chain is visited.
+
+    Otherwise one depth-first walk over the chains out of each class computes
+    them.  A node of the walk is a chain c with its set S(c), stored as index
+    tables of the left aut(top) and right aut(bottom) actions; S((x,)) =
+    aut(x), and S(c + y) = hom(top, y) x_{aut top} S(c).  Each node adds
+    (-1)^length times |S(c)| to mu_bar2 at (bottom, top), times its
+    left-orbit count to chi_f2 of the bottom class and times its double-orbit
+    count to chi_f; mu_bar2 and chi_f2 are divided by |aut bottom|.  Chains
+    longer than max_chain_length are cut, which sets the report's truncated
+    flag."""
+    poset = _once(cat, "iso_order", iso_order)
+    if max_chain_length is None or max_chain_length >= max(poset.lengths, default=0):
+        found = moebius_rows(cat)
+        if found is not None:
+            return _euler_from_moebius(*found)
     k = poset.size
     cap = k if max_chain_length is None else max_chain_length
     comp = cat.compose_table

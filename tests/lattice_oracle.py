@@ -4,9 +4,15 @@ This is the all-pairs route the library used before it built the lattice up
 to conjugacy: closure multiplies every element seen so far by every new one,
 the lattice is the join-closure of the cyclic subgroups, every subgroup's
 class is found by conjugating it, and marks count fixed cosets one by one.
-It reads only the Cayley table and inverses of a group and shares no code
-with ``catrank.grouptheory``.
+``nu_matrix_via_chains`` sums over chains of subgroup classes instead of
+inverting the marks.  The module reads only the Cayley table and inverses of
+a group and shares no code with ``catrank.grouptheory``; only the QMatrix
+container is borrowed.
 """
+
+from fractions import Fraction
+
+from catrank.exactq import QMatrix
 
 
 def closure(g, elems):
@@ -66,22 +72,81 @@ def classes(g):
     return [found[rep] for rep in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
+def fixed_point_count(g, h, k):
+    """|(G/K)^H|: the left cosets xK with x^-1 H x inside K, counted one by one."""
+    k = frozenset(k)
+    seen = set()
+    count = 0
+    for x in range(g.order):
+        if x in seen:
+            continue
+        seen.update(g.table[x][e] for e in k)
+        if all(_conjugate(g, [e], g.inv[x]) <= k for e in h):
+            count += 1
+    return count
+
+
 def marks(g):
-    """|(G/K)^H| for class representatives H (row) and K (column): the left
-    cosets xK with x^-1 H x inside K, counted one by one."""
+    """|(G/K)^H| for class representatives H (row) and K (column)."""
     reps = [c[0][0] for c in classes(g)]
-    rows = []
-    for h in reps:
-        row = []
-        for k in reps:
-            seen = set()
-            count = 0
-            for x in range(g.order):
-                if x in seen:
-                    continue
-                seen.update(g.table[x][e] for e in k)
-                if all(_conjugate(g, [e], g.inv[x]) <= k for e in h):
-                    count += 1
-            row.append(count)
-        rows.append(row)
-    return rows
+    return [[fixed_point_count(g, h, k) for k in reps] for h in reps]
+
+
+def _left_cosets(g, k):
+    """The set of left cosets xK."""
+    return {frozenset(g.table[x][e] for e in k) for x in range(g.order)}
+
+
+def nu_matrix_via_chains(g):
+    """nu by alternating sums over chains of subgroup classes.
+
+    Entry (row (K), col (H)) = sum over l >= 0 of (-1)^l times the
+    number-of-orbit products Prod_{t=1..l} |W(H_t) \\ mor(G/H_{t-1}, G/H_t)|
+    over chains (K) = (H_0) < ... < (H_l) = (H).  Orbit counts are computed
+    directly from coset actions, not by dividing cardinalities."""
+    found = classes(g)
+    reps = [c[0][0] for c in found]
+    labels = [tuple(sorted(r)) for r in reps]
+    k = len(found)
+    # strict subconjugacy: (A) < (B) iff A is conjugate into B and (A) != (B)
+    less = [[i != j and fixed_point_count(g, reps[i], reps[j]) > 0 for j in range(k)]
+            for i in range(k)]
+    orbit_counts = {}
+
+    def orbit_count(i, j):
+        # cosets xB fixed by A, modulo right translation by N_G(B)
+        if (i, j) in orbit_counts:
+            return orbit_counts[i, j]
+        a, b, norm = reps[i], reps[j], sorted(found[j][1])
+        fixed = {c for c in _left_cosets(g, b)
+                 if all(_conjugate(g, [e], g.inv[min(c)]) <= b for e in a)}
+        seen = set()
+        orbits = 0
+        for c in fixed:
+            if c in seen:
+                continue
+            orbits += 1
+            seen.add(c)
+            stack = [c]
+            while stack:
+                x = min(stack.pop())
+                for n in norm:
+                    img = frozenset(g.table[g.table[x][n]][e] for e in b)
+                    assert img in fixed
+                    if img not in seen:
+                        seen.add(img)
+                        stack.append(img)
+        orbit_counts[i, j] = orbits
+        return orbits
+
+    ent = [[Fraction(0)] * k for _ in range(k)]
+    for start in range(k):
+        # depth-first over strictly increasing chains from (K) = start
+        stack = [(start, 1, 0)]
+        while stack:
+            cur, prod, length = stack.pop()
+            ent[start][cur] += (-1) ** length * prod
+            for nxt in range(k):
+                if less[cur][nxt]:
+                    stack.append((nxt, prod * orbit_count(cur, nxt), length + 1))
+    return QMatrix.from_rows(ent, labels, labels)

@@ -3,7 +3,8 @@
 Every operation is done in Fraction arithmetic and every pivot row is
 normalised as soon as it is chosen, so this shares no elimination code with
 the integer route in ``catrank.exactq._rref``.  Only the QMatrix and QVector
-containers are borrowed.
+containers are borrowed.  ``reorder`` permutes a matrix into another label
+order for tests that compare matrices indexed differently.
 """
 
 from __future__ import annotations
@@ -109,3 +110,11 @@ def kernel_basis(a: QMatrix) -> list[QVector]:
             v[c] = -aug[r][fc]
         basis.append(QVector(v, a.col_labels))
     return basis
+
+
+def reorder(m: QMatrix, row_labels, col_labels) -> QMatrix:
+    """m with its rows and columns permuted into the given label order."""
+    ri = [m.row_labels.index(l) for l in row_labels]
+    ci = [m.col_labels.index(l) for l in col_labels]
+    return QMatrix(len(ri), len(ci), [m.get(i, j) for i in ri for j in ci],
+                   row_labels, col_labels)

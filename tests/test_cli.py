@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -417,3 +418,30 @@ def test_equivariant_random_census_is_seeded(capsys):
 def test_equivariant_needs_input(capsys):
     code, _, err = run(capsys, "group", "equivariant")
     assert code == 2 and "path or --random" in err
+
+
+def test_euler_on_subsets_q7_end_to_end():
+    """examples emit subsets-q --q 7 | euler -, through two processes."""
+    emit = subprocess.run(
+        [sys.executable, "-m", "catrank", "examples", "emit", "subsets-q", "--q", "7"],
+        capture_output=True, timeout=120, check=True,
+    )
+    proc = subprocess.run([sys.executable, "-m", "catrank", "euler", "-"],
+                          input=emit.stdout, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    inv = doc["invariants"]
+    assert doc["warnings"] == []
+    assert [inv[name] for name in ("chi", "chi2", "chi_L", "chi_nerve")] == ["1"] * 4
+    assert len(inv["mu_bar2"]["row_labels"]) == 255
+    # mu_bar2 . omega_bar2 = I, multiplied over the nonzero entries only
+    mu = [{j: Fraction(v) for j, v in enumerate(row) if v != "0"}
+          for row in inv["mu_bar2"]["entries"]]
+    omega = [{j: Fraction(v) for j, v in enumerate(row) if v != "0"}
+             for row in inv["omega_bar2"]["entries"]]
+    for i, row in enumerate(mu):
+        acc = {}
+        for j, a in row.items():
+            for k, b in omega[j].items():
+                acc[k] = acc.get(k, 0) + a * b
+        assert {k: v for k, v in acc.items() if v} == {i: 1}
