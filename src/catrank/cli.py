@@ -53,13 +53,14 @@ def _mat(m) -> dict:
             "entries": [[rat_str(x) for x in m.row(i)] for i in range(m.rows)]}
 
 
-def _class_name(cls) -> str:
-    return "(" + ",".join(str(e) for e in cls.label) + ")"
-
-
-def _emit(doc, pretty: bool) -> None:
-    json.dump(doc, sys.stdout, indent=2 if pretty else None)
-    sys.stdout.write("\n")
+def _emit(doc, stream=None, indent=None) -> None:
+    """Writes doc as one line of JSON (or indented) and a newline to stream,
+    stdout by default.  sys.stdout is looked up at call time, so a replaced
+    stdout is honoured; json.dump streams, so no copy of the whole text is
+    held."""
+    stream = sys.stdout if stream is None else stream
+    json.dump(doc, stream, indent=indent)
+    stream.write("\n")
 
 
 def _read_source(path: str) -> tuple[bytes, str]:
@@ -96,7 +97,7 @@ def _load_category(path: str):
 def cmd_validate(args) -> int:
     stub, cat, violations = _load_category(args.path)
     if stub is None:
-        print(json.dumps({"violations": violations}), file=sys.stderr)
+        _emit({"violations": violations}, sys.stderr)
         return 1
     ok = not violations
     doc = dict(stub)
@@ -104,9 +105,9 @@ def cmd_validate(args) -> int:
     if ok:
         doc["objects"] = cat.n_objects
         doc["morphisms"] = cat.n_morphisms
-    _emit(doc, args.pretty)
+    _emit(doc, indent=args.indent)
     if not ok:
-        print(json.dumps({"violations": violations}), file=sys.stderr)
+        _emit({"violations": violations}, sys.stderr)
         return 1
     return 0
 
@@ -114,7 +115,7 @@ def cmd_validate(args) -> int:
 def cmd_euler(args) -> int:
     stub, cat, violations = _load_category(args.path)
     if cat is None:
-        print(json.dumps({"violations": violations}), file=sys.stderr)
+        _emit({"violations": violations}, sys.stderr)
         return 1
     rep = classify(cat)
     invariants: dict = {}
@@ -163,7 +164,7 @@ def cmd_euler(args) -> int:
     doc["predicates"] = rep.flags()
     doc["invariants"] = invariants
     doc["warnings"] = warnings
-    _emit(doc, args.pretty)
+    _emit(doc, indent=args.indent)
     return 0
 
 
@@ -173,7 +174,7 @@ def _group_report(g, spec) -> dict:
 
 
 def _error(message: str, code: int) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
+    _emit({"error": message}, sys.stderr)
     return code
 
 
@@ -190,7 +191,7 @@ def cmd_group(args) -> int:
         return 0
     classes = subgroup_classes(g)
     doc = _group_report(g, args.group)
-    doc["classes"] = [_class_name(c) for c in classes]
+    doc["classes"] = [_fmt_label(c.label) for c in classes]
     moduli = [c.weyl_order for c in classes]
 
     if args.group_cmd == "marks":
@@ -212,7 +213,7 @@ def cmd_group(args) -> int:
             "moduli": moduli,
             "satisfied": satisfied,
         }}
-    _emit(doc, args.pretty)
+    _emit(doc, indent=args.indent)
     return 0
 
 
@@ -241,26 +242,24 @@ def cmd_equivariant(args) -> int:
         try:
             data, name = _read_source(args.path)
         except OSError as e:
-            print(json.dumps({"violations": [{"kind": "unreadable", "detail": str(e)}]}),
-                  file=sys.stderr)
+            _emit({"violations": [{"kind": "unreadable", "detail": str(e)}]}, sys.stderr)
             return 1
         try:
             x = gcw_from_json(json.loads(data), args.cap)
         except CapExceeded as e:
             return _error(str(e), 1)
         except (ValueError, RecursionError) as e:
-            print(json.dumps({"violations": [{"kind": "malformed", "detail": str(e)}]}),
-                  file=sys.stderr)
+            _emit({"violations": [{"kind": "malformed", "detail": str(e)}]}, sys.stderr)
             return 1
     ok, lhs, rhs = verify_omega_relation(x)
-    labels = [_class_name(c) for c in x.classes]
+    labels = [_fmt_label(c.label) for c in x.classes]
     doc = {"input": _input_stanza(data, name), "group_order": x.group.order,
            "classes": labels, "cells": len(x.cells)}
     if args.random is not None:
         doc["census"] = [{"dim": d, "stabilizer": sorted(x.classes[ci].representative)}
                          for d, ci in x.cells]
     doc["invariants"] = {
-        "chi_G": {"labels": labels, "entries": [rat_str(v) for v in chi_G(x)]},
+        "chi_G": _vec(chi_G(x)),
         "fixed_point_euler": {"labels": labels,
                               "entries": [fixed_point_euler(x, c) for c in x.classes]},
         "omega_relation": {
@@ -269,19 +268,18 @@ def cmd_equivariant(args) -> int:
             "holds": ok,
         },
     }
-    _emit(doc, args.pretty)
+    _emit(doc, indent=args.indent)
     return 0
 
 
 def cmd_examples(args) -> int:
     if args.examples_cmd == "list":
-        _emit({"examples": corpus.names()}, args.pretty)
+        _emit({"examples": corpus.names()}, indent=args.indent)
         return 0
     try:
         cat = corpus.build(args.name, q=args.q)
     except ValueError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return 2
+        return _error(str(e), 2)
     sys.stdout.write(canonical_json(cat))
     return 0
 
@@ -290,7 +288,8 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="catrank",
                                 description="Exact Euler characteristics and "
                                             "Moebius inversion for finite categories.")
-    p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    p.add_argument("--pretty", action="store_const", const=2, dest="indent",
+                   help="indent the JSON output")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest group order accepted by every group subcommand "
                         f"(default {DEFAULT_CAP})")
@@ -347,8 +346,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except AssertionError as e:
-        print(json.dumps({"error": "internal assertion failed", "detail": str(e)}),
-              file=sys.stderr)
+        _emit({"error": "internal assertion failed", "detail": str(e)}, sys.stderr)
         return 3
 
 

@@ -18,13 +18,6 @@ from typing import Sequence, Union
 RatLike = Union[int, Fraction]
 
 
-def rat(num: int, den: int = 1) -> Fraction:
-    """Reduced rational with positive denominator; raises on den == 0."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
 def rat_str(q: RatLike) -> str:
     """Canonical serialization: "p/q" in lowest terms with q > 0, "p" if q == 1."""
     if type(q) is not Fraction:
@@ -32,14 +25,6 @@ def rat_str(q: RatLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return rat(int(num), int(den))
-    return Fraction(int(s))
 
 
 def _as_frac_row(row: Sequence[RatLike]) -> tuple[Fraction, ...]:
@@ -177,9 +162,10 @@ class QMatrix:
         return QVector(out, self.row_labels)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.get(i, j) == int(i == j) for i in range(self.rows) for j in range(self.cols)
-        )
+        # the diagonal is every (n + 1)-th entry; n nonzero entries leave
+        # none off it
+        n, e = self.rows, self.entries
+        return n == self.cols and all(v == 1 for v in e[::n + 1]) and sum(map(bool, e)) == n
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.entries)

@@ -321,17 +321,6 @@ def classify(cat: FiniteCategory) -> PredicateReport:
     )
 
 
-def has_nonidentity_idempotent(cat: FiniteCategory) -> bool:
-    for p in range(cat.n_morphisms):
-        if (
-            cat.dom[p] == cat.cod[p]
-            and cat.compose_table[(p, p)] == p
-            and p != cat.identity[cat.dom[p]]
-        ):
-            return True
-    return False
-
-
 # -------------------------------------------------------------- iso classes
 
 

@@ -1,5 +1,5 @@
 """Finite groups as Cayley tables: subgroup lattice, conjugacy classes of
-subgroups, Weyl groups, table of marks, nu matrix and Burnside congruences.
+subgroups, Weyl group orders, table of marks, nu matrix and Burnside congruences.
 
 Elements are integers 0..n-1 with 0 the identity. Subgroups are frozensets of
 element indices. The canonical order on subgroup classes is ascending |H| with
@@ -16,8 +16,7 @@ subgroups of M24, or how to compute the table of marks of a finite group):
 - Only class representatives are joined with the cyclic subgroups. A new
   subgroup is conjugated by every element once, which gives its conjugates,
   its normalizer (the stabiliser) and the generators of the representative.
-- ``subgroups`` is the union of the class conjugates, and each mark is
-  |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
+- Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
 
 The nu matrix D mu_bar2 D^-1, D = diag(|W_G H|), is D M^-1 for the table of
 marks M, so no orbit category is built for it.
@@ -349,20 +348,8 @@ def _subgroup_key(s: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, ascending |H| with ties broken by sorted elements: the
-    union of the conjugates of every class from ``subgroup_classes``."""
-    subs = [h for cls in _subgroup_classes_cached(g) for h in cls.conjugates]
-    return sorted(subs, key=lambda s: (len(s), _subgroup_key(s)))
-
-
 def conjugate_subgroup(g: FiniteGroup, h: Iterable[int], x: int) -> frozenset[int]:
     return frozenset(g.conj(x, e) for e in h)
-
-
-def normalizer(g: FiniteGroup, h: Iterable[int]) -> frozenset[int]:
-    hs = frozenset(h)
-    return frozenset(x for x in range(g.order) if conjugate_subgroup(g, hs, x) == hs)
 
 
 class SubgroupClass:
@@ -437,45 +424,17 @@ def _subgroup_classes_cached(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
     return tuple(sorted(classes, key=lambda c: (len(c.representative), c.label)))
 
 
-def left_cosets(g: FiniteGroup, h: frozenset[int], within: frozenset[int] | None = None) -> list[frozenset[int]]:
-    """Left cosets xh (of h in the whole group or in a subgroup), sorted by least element."""
-    ambient = sorted(within) if within is not None else range(g.order)
+def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
+    """Left cosets xh, sorted by least element."""
     seen: set[int] = set()
     cosets = []
-    for x in ambient:
+    for x in range(g.order):
         if x in seen:
             continue
         coset = frozenset(g.table[x][e] for e in h)
         seen |= coset
         cosets.append(coset)
     return sorted(cosets, key=min)
-
-
-def weyl_group(g: FiniteGroup, h: frozenset[int]) -> FiniteGroup:
-    return weyl_group_with_cosets(g, h)[0]
-
-
-def weyl_group_with_cosets(g: FiniteGroup, h: frozenset[int]) -> tuple[FiniteGroup, list[frozenset[int]]]:
-    """N_G(h)/h as a Cayley table; cosets sorted by least element, so h itself is index 0."""
-    if closure(g, h) != frozenset(h):
-        raise ValueError("not a subgroup")
-    n = normalizer(g, h)
-    cosets = left_cosets(g, h, within=n)
-    index = {c: i for i, c in enumerate(cosets)}
-    lookup = {}
-    for i, c in enumerate(cosets):
-        for e in c:
-            lookup[e] = i
-    k = len(cosets)
-    table = [[0] * k for _ in range(k)]
-    for i, ci in enumerate(cosets):
-        ri = min(ci)
-        for j, cj in enumerate(cosets):
-            table[i][j] = lookup[g.table[ri][min(cj)]]
-    names = [str(min(c)) for c in cosets]
-    wg = FiniteGroup._associative(table, names)
-    assert index[frozenset(h)] == 0
-    return wg, cosets
 
 
 class MarksMatrix:

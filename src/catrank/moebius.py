@@ -22,17 +22,17 @@ those actions:
         chi_f = chi_f2 are its row sums;
       * otherwise one depth-first walk over the chains builds every S(c)
         with its actions.
-  - integral_moebius: the integer zeta/Moebius pair for skeletal categories
-    with trivial endomorphisms.
+  - integral_moebius: the integer zeta/Moebius pair (A, B) for skeletal
+    categories with trivial endomorphisms; B is the transpose of
+    ``moebius_rows``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .exactq import QMatrix, QVector
-from .fincat import FiniteCategory, classify, iso_classes
+from .fincat import FiniteCategory, iso_classes
 
 
 class IsoPoset:
@@ -131,38 +131,6 @@ def moebius_rows(cat: FiniteCategory) -> tuple[IsoPoset, list[dict[int, int]]] |
     return None if rows is None else (_once(cat, "iso_order", iso_order), rows)
 
 
-def perm_module_dim(group_order: int, action: Sequence[Sequence[int]]) -> Fraction:
-    """Rank of the permutation module of a group action, |T| / |G|.
-
-    action[g][t] is the image of t under the g-th group element; the
-    orbit-stabilizer identity sum(1/|stab|) over orbit representatives is
-    checked against the returned value.
-    """
-    assert len(action) == group_order and group_order > 0
-    if not action[0]:
-        return Fraction(0)
-    size = len(action[0])
-    todo = set(range(size))
-    acc = Fraction(0)
-    while todo:
-        t = todo.pop()
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            e = frontier.pop()
-            for g in range(group_order):
-                img = action[g][e]
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        todo -= orbit
-        stab = sum(1 for g in range(group_order) if action[g][t] == t)
-        assert stab * len(orbit) == group_order
-        acc += Fraction(1, stab)
-    assert acc == Fraction(size, group_order)
-    return acc
-
-
 # ------------------------------------------------------------------ matrices
 
 
@@ -181,40 +149,19 @@ def omega_bar2(cat: FiniteCategory) -> QMatrix:
 
 def integral_moebius(cat: FiniteCategory) -> tuple[QMatrix, QMatrix]:
     """The integer incidence pair (A, B) for a skeletal category with trivial
-    endomorphisms: A counts morphisms, B is the alternating count of
-    nondegenerate paths, and the two are mutually inverse."""
-    rep = classify(cat)
-    if not (rep.is_skeletal and rep.has_trivial_endomorphisms):
+    endomorphisms, rows indexed by the target class: A counts morphisms,
+    A[i][j] = |hom(j, i)|, and B = A^-1 is the transpose of ``moebius_rows``."""
+    found = moebius_rows(cat)
+    if found is None or found[0].size != cat.n_objects:
         raise ValueError(
             "integral Moebius inversion needs a skeletal category with "
             "trivial endomorphisms"
         )
-    poset = iso_order(cat)
-    k = poset.size
-    a_rows = [
-        [Fraction(len(cat.hom(poset.reps[j], poset.reps[i]))) for j in range(k)]
-        for i in range(k)
-    ]
-    # nonidentity morphism counts, row = target
-    n = [[len(cat.hom(poset.reps[j], poset.reps[i])) - (i == j) for j in range(k)]
-         for i in range(k)]
-    b = [[Fraction(i == j) for j in range(k)] for i in range(k)]
-    power = [row[:] for row in n]
-    sign = -1
-    while any(any(row) for row in power):
-        for i in range(k):
-            for j in range(k):
-                b[i][j] += sign * power[i][j]
-        power = [
-            [sum(n[i][t] * power[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-        sign = -sign
-    labels = poset.labels
-    return (
-        QMatrix.from_rows(a_rows, labels, labels),
-        QMatrix.from_rows(b, labels, labels),
-    )
+    poset, rows = found
+    reps, labels, k = poset.reps, poset.labels, poset.size
+    a = [[len(cat.hom(reps[j], reps[i])) for j in range(k)] for i in range(k)]
+    b = [[rows[j].get(i, 0) for j in range(k)] for i in range(k)]
+    return QMatrix.from_rows(a, labels, labels), QMatrix.from_rows(b, labels, labels)
 
 
 # --------------------------------------------------------------------- euler
@@ -375,20 +322,6 @@ def euler_characteristics(cat: FiniteCategory, max_chain_length: int | None = No
         QMatrix.from_rows(mu_rows, poset.labels, poset.labels),
         truncated,
     )
-
-
-def chi_f2_via_eta(cat: FiniteCategory) -> QVector:
-    """The rank-weighted functorial values as mu_bar2 applied to the vector
-    1/|aut|; agrees with euler_characteristics for free EI categories."""
-    rep = classify(cat)
-    if not rep.is_ei:
-        raise ValueError("requires an EI category")
-    if not rep.is_free:
-        raise ValueError("requires a free EI category")
-    mu = euler_characteristics(cat).mu_bar2
-    poset = iso_order(cat)
-    eta = QVector([Fraction(1, poset.aut_order(i)) for i in range(poset.size)], poset.labels)
-    return mu.mul_vec(eta)
 
 
 def nerve_euler_characteristic(cat: FiniteCategory) -> int:

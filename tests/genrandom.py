@@ -22,11 +22,10 @@ from catrank.grouptheory import (
     cyclic_group,
     dihedral_group,
     left_cosets,
-    subgroups,
     symmetric_group,
-    weyl_group_with_cosets,
     product_group,
 )
+from subgroup_helpers import subgroups, weyl_group_with_cosets
 
 
 # ---------------------------------------------------------------- groupoids

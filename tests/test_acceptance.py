@@ -34,7 +34,6 @@ from catrank.grouptheory import (
 )
 from catrank.leinster import chi_L, weighting, weighting_from_cells, zeta_matrix
 from catrank.moebius import (
-    chi_f2_via_eta,
     euler_characteristics,
     integral_moebius,
     nerve_euler_characteristic,
@@ -42,6 +41,7 @@ from catrank.moebius import (
 )
 from catrank.orbitcat import GCWComplex, orbit_category, verify_omega_relation
 
+from chain_oracle import chi_f2_via_eta
 from genrandom import (
     action_groupoid,
     action_groupoid_to_quotient,

@@ -17,7 +17,6 @@ from catrank.fincat import (
     fiber_category,
     from_json,
     full_subcategory,
-    has_nonidentity_idempotent,
     is_covering,
     is_isofibration,
     iso_classes,
@@ -82,6 +81,17 @@ def divisor_poset(n: int) -> FiniteCategory:
     divs = [d for d in range(1, n + 1) if n % d == 0]
     return poset_category([str(d) for d in divs],
                           lambda a, b: int(b) % int(a) == 0)
+
+
+def has_nonidentity_idempotent(cat: FiniteCategory) -> bool:
+    """Direct search for an endomorphism p != id with p p = p, the oracle for
+    the EI lemma."""
+    return any(
+        cat.dom[p] == cat.cod[p]
+        and cat.compose_table[(p, p)] == p
+        and p != cat.identity[cat.dom[p]]
+        for p in range(cat.n_morphisms)
+    )
 
 
 class TestValidate:

@@ -19,11 +19,8 @@ from catrank.grouptheory import (
     product_group,
     perm_group,
     closure,
-    subgroups,
     subgroup_classes,
     conjugate_subgroup,
-    normalizer,
-    weyl_group,
     left_cosets,
     table_of_marks,
     burnside_congruences,
@@ -32,6 +29,7 @@ from catrank.grouptheory import (
 from catrank.moebius import euler_characteristics
 from catrank.orbitcat import orbit_category
 from rref_oracle import reorder
+from subgroup_helpers import normalizer, subgroups, weyl_group
 
 
 # primitive subgroup oracle: every subset closed under the operation

@@ -1,11 +1,14 @@
 """Static checks on the library source, standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "catrank").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "catrank").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +59,51 @@ def test_nested_import_is_found():
               "def f():\n    import json\n    return json\n"
               "class C:\n    def m(self):\n        def g():\n            from . import x\n")
     assert nested_imports(source) == ["f (line 3)", "m (line 8)", "g (line 8)"]
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every Name and Attribute of a module, except a top-level def's or
+    class's references to itself."""
+    found = set()
+    for stmt in tree.body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(stmt, DEFS):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def unused_public_names(library: list[str], callers: list[str], doc: str) -> list[str]:
+    """Public top-level defs and classes of the library modules that no
+    library module or caller reads and the doc does not name as a word."""
+    trees = [ast.parse(source) for source in library]
+    defined = {stmt.name for tree in trees for stmt in tree.body
+               if isinstance(stmt, DEFS) and not stmt.name.startswith("_")}
+    used = set(re.findall(r"\w+", doc))
+    for tree in trees + [ast.parse(source) for source in callers]:
+        used |= _reads(tree)
+    return sorted(defined - used)
+
+
+def test_no_public_api_that_nothing_calls():
+    library = [path.read_text() for path in SRC]
+    callers = [path.read_text() for path in DEMOS]
+    assert unused_public_names(library, callers, (ROOT / "README.md").read_text()) == []
+
+
+def test_unused_public_name_is_found():
+    # a is called by a caller, e read as an attribute, f and g named in the
+    # doc; b only calls itself and C is never read
+    library = ["def a():\n    return 1\n"
+               "def b():\n    return b()\n"
+               "class C:\n    pass\n"
+               "def _d():\n    return mod.e\n"
+               "def e():\n    pass\n"
+               "def f():\n    pass\n",
+               "def g():\n    pass\n"]
+    callers = ["from x import a\nprint(a())\n"]
+    assert unused_public_names(library, callers, "See `g` and f_ or f.") == ["C", "b"]

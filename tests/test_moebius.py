@@ -23,18 +23,17 @@ from catrank.fincat import (
 )
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 from catrank.moebius import (
-    chi_f2_via_eta,
     euler_characteristics,
     integral_moebius,
     iso_order,
     nerve_euler_characteristic,
     omega_bar2,
-    perm_module_dim,
 )
 from catrank.orbitcat import orbit_category
 
 import genrandom
-from chain_oracle import Chain, ChainBiset, chain_sums, enumerate_chains
+import chain_oracle
+from chain_oracle import Chain, ChainBiset, chain_sums, chi_f2_via_eta, enumerate_chains
 from test_fincat import retract_pair, indiscrete_pair, divisor_poset
 
 
@@ -163,33 +162,6 @@ class TestChainBiset:
                     assert b.act_right(b.act_left(a, e), c) == b.act_left(a, b.act_right(e, c))
 
 
-class TestPermModuleDim:
-    def test_regular(self):
-        g = symmetric_group(3)
-        action = [[g.table[a][b] for b in range(6)] for a in range(6)]
-        assert perm_module_dim(6, action) == 1
-
-    def test_trivial_action(self):
-        # all stabilizers are the full group, so each point contributes 1/2
-        assert perm_module_dim(2, [[0, 1, 2], [0, 1, 2]]) == Fraction(3, 2)
-
-    def test_coset_action(self):
-        from catrank.grouptheory import left_cosets, subgroups
-
-        g = symmetric_group(3)
-        for h in subgroups(g):
-            cosets = left_cosets(g, h)
-            idx = {c: i for i, c in enumerate(cosets)}
-            action = [
-                [idx[frozenset(g.table[a][e] for e in c)] for c in cosets]
-                for a in range(6)
-            ]
-            assert perm_module_dim(6, action) == Fraction(1, len(h))
-
-    def test_empty_set(self):
-        assert perm_module_dim(4, [[], [], [], []]) == 0
-
-
 class TestMatrices:
     def test_omega_span(self):
         om = omega_bar2(span_category())
@@ -284,6 +256,18 @@ class TestIntegralMoebius:
             a, b = integral_moebius(cat)
             assert a.is_integral() and b.is_integral()
             assert a.mul(b).is_identity() and b.mul(a).is_identity()
+
+    def test_matches_matrix_power_oracle(self):
+        rng = random.Random(21)
+        cats = [divisor_poset(n) for n in range(1, 61)]
+        cats += [corpus.build("subsets-q", q=q) for q in range(6)]
+        cats += [genrandom.random_dag_category(rng) for _ in range(6)]
+        for cat in cats:
+            a, b = integral_moebius(cat)
+            want_a, want_b, labels = chain_oracle.integral_moebius(cat)
+            assert a.row_labels == a.col_labels == b.row_labels == b.col_labels == labels
+            assert a.to_lists() == want_a
+            assert b.to_lists() == want_b
 
 
 class TestEuler:

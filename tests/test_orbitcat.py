@@ -14,13 +14,8 @@ from catrank.grouptheory import (
     nu_matrix,
     subgroup_classes,
     table_of_marks,
-    weyl_group_with_cosets,
 )
-from catrank.moebius import (
-    chi_f2_via_eta,
-    euler_characteristics,
-    omega_bar2,
-)
+from catrank.moebius import euler_characteristics, omega_bar2
 from catrank.orbitcat import (
     GCWComplex,
     chi_G,
@@ -31,9 +26,11 @@ from catrank.orbitcat import (
 )
 
 from aut_groups import aut_group
+from chain_oracle import chi_f2_via_eta
 from lattice_oracle import fixed_point_count, nu_matrix_via_chains
 from rref_oracle import reorder
 from genrandom import random_gcw
+from subgroup_helpers import weyl_group_with_cosets
 
 
 def test_orbit_category_of_c2():
