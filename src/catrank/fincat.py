@@ -13,6 +13,12 @@ buckets the morphisms by codomain once and composes only the composable
 pairs, in (g, f) id order. Full subcategories and fibers are restrictions
 through it: (new dom, new cod, old id) descriptors composed in the parent.
 ``opposite`` re-keys an existing table and ``from_json`` reads one.
+
+``validate`` checks associativity by Light's test (Clifford & Preston 1961,
+The Algebraic Theory of Semigroups, vol. 1, section 1.2): only the morphisms
+of a greedy generating set are checked as the right-hand factor, and the
+full scan over all composable triples runs only to list the violations
+when that check, or an identity law, fails.
 """
 
 from __future__ import annotations
@@ -148,38 +154,122 @@ class FiniteCategory:
 
 
 def validate(cat: FiniteCategory) -> list[dict]:
-    """All category axioms, as a list of violation records (empty iff valid)."""
+    """All category axioms, as a list of violation records (empty iff valid).
+
+    Associativity is checked by Light's test (Clifford & Preston 1961, The
+    Algebraic Theory of Semigroups, vol. 1, section 1.2): once the identity
+    laws hold, the morphisms f with (h g) f = h (g f) for all composable h, g
+    contain the identities and are closed under composition, so checking f
+    on a generating set (``_generating_set``) decides the law for every
+    morphism.  When an identity law or that check fails, the full scan over
+    all composable triples lists the violations, in the same order as
+    always."""
     out: list[dict] = []
     m = cat.n_morphisms
+    comp = cat.compose_table
+    dom, cod = cat.dom, cat.cod
     for x in range(cat.n_objects):
         e = cat.identity[x]
-        if cat.dom[e] != x or cat.cod[e] != x:
+        if dom[e] != x or cod[e] != x:
             out.append({"kind": "identity_endpoints", "object": cat.objects[x], "morphism": e})
-    for g, f in cat.compose_table:
-        if cat.cod[f] != cat.dom[g]:
+    for g, f in comp:
+        if cod[f] != dom[g]:
             out.append({"kind": "extra_composite", "pair": [g, f]})
-    missing = [(g, f) for f in range(m) for g in cat.morphisms_from(cat.cod[f])
-               if (g, f) not in cat.compose_table]
-    for key in sorted(missing):
-        out.append({"kind": "missing_composite", "pair": list(key)})
+    # without extra composites the table misses a composable pair exactly
+    # when it has fewer entries than there are composable pairs
+    if out or len(comp) != sum(len(cat.morphisms_from(cod[f])) for f in range(m)):
+        missing = [(g, f) for f in range(m) for g in cat.morphisms_from(cod[f])
+                   if (g, f) not in comp]
+        for key in sorted(missing):
+            out.append({"kind": "missing_composite", "pair": list(key)})
     if out:
         # endpoint or coverage problems make the remaining checks unreliable
         return out
-    for (g, f), c in sorted(cat.compose_table.items()):
-        if cat.dom[c] != cat.dom[f] or cat.cod[c] != cat.cod[g]:
-            out.append({"kind": "composite_endpoints", "pair": [g, f], "composite": c})
-    if out:
-        return out
+
+    misplaced = [key for key, c in comp.items() if dom[c] != dom[key[1]] or cod[c] != cod[key[0]]]
+    if misplaced:
+        return [{"kind": "composite_endpoints", "pair": list(key), "composite": comp[key]}
+                for key in sorted(misplaced)]
     for f in range(m):
-        if cat.compose_table[(cat.identity[cat.cod[f]], f)] != f:
+        if comp[(cat.identity[cod[f]], f)] != f:
             out.append({"kind": "identity_law", "side": "left", "morphism": f})
-        if cat.compose_table[(f, cat.identity[cat.dom[f]])] != f:
+        if comp[(f, cat.identity[dom[f]])] != f:
             out.append({"kind": "identity_law", "side": "right", "morphism": f})
-    for (g, f), gf in cat.compose_table.items():
-        for h in cat.morphisms_from(cat.cod[g]):
-            if cat.compose_table[(h, gf)] != cat.compose_table[(cat.compose_table[(h, g)], f)]:
-                out.append({"kind": "associativity", "triple": [h, g, f]})
+    if out or not _associative_at(cat, _generating_set(cat)):
+        out.extend(_associativity_violations(cat))
     return out
+
+
+def _generating_set(cat: FiniteCategory) -> list[int]:
+    """Non-identity morphisms that generate cat under composition, for a
+    category whose identity laws hold: first the indecomposable ones (no
+    composite of two non-identities; every generating set holds them), then,
+    in id order, each morphism that the closure of those kept so far misses.
+
+    The closure is grown from the identities by composing kept morphisms on
+    the left, breadth-first, and incrementally: a newly kept s is applied to
+    every morphism reached so far, and every newly reached morphism gets
+    every kept one.  The morphisms it reaches are composites of kept ones,
+    so they generate; in an associative category they are all the
+    composites, so nothing redundant is kept."""
+    m = cat.n_morphisms
+    comp = cat.compose_table
+    reached = [False] * m
+    for e in cat.identity:
+        reached[e] = True
+    decomposable = list(reached)
+    for (g, f), c in comp.items():
+        if not (reached[g] or reached[f]):
+            decomposable[c] = True
+    reached_into = [[e] for e in cat.identity]
+    kept_from: list[list[int]] = [[] for _ in range(cat.n_objects)]
+    kept = []
+    for s in [f for f in range(m) if not decomposable[f]] + list(range(m)):
+        if reached[s]:
+            continue
+        kept.append(s)
+        kept_from[cat.dom[s]].append(s)
+        stack = [comp[s, x] for x in reached_into[cat.dom[s]]]
+        while stack:
+            y = stack.pop()
+            if not reached[y]:
+                reached[y] = True
+                reached_into[cat.cod[y]].append(y)
+                stack += [comp[t, y] for t in kept_from[cat.cod[y]]]
+    return kept
+
+
+def _associative_at(cat: FiniteCategory, fs: Iterable[int]) -> bool:
+    """(h g) f = h (g f) for every f in fs and every composable h, g.
+
+    after[u] lists h u over the morphisms h out of cod u, in
+    ``morphisms_from`` order, and at[y] is the place of y in the list of
+    morphisms out of dom y.  For fixed f and g, h (g f) over all h is the row
+    after[g f], and (h g) f is after[f] read at the places of the row
+    after[g]."""
+    comp = cat.compose_table
+    m = cat.n_morphisms
+    at = [0] * m
+    for x in range(cat.n_objects):
+        for i, y in enumerate(cat.morphisms_from(x)):
+            at[y] = i
+    after = [[comp[h, u] for h in cat.morphisms_from(cat.cod[u])] for u in range(m)]
+    places = [[at[y] for y in row] for row in after]
+    for f in fs:
+        read_f = after[f].__getitem__
+        for g in cat.morphisms_from(cat.cod[f]):
+            if list(map(read_f, places[g])) != after[read_f(at[g])]:
+                return False
+    return True
+
+
+def _associativity_violations(cat: FiniteCategory) -> list[dict]:
+    """Every failing composable triple, scanned in composition-table order."""
+    comp = cat.compose_table
+    return [{"kind": "associativity", "triple": [h, g, f]}
+            for (g, f), gf in comp.items()
+            for h in cat.morphisms_from(cat.cod[g])
+            if comp[(h, gf)] != comp[(comp[(h, g)], f)]]
 
 
 # ---------------------------------------------------------------- predicates

@@ -1,10 +1,16 @@
 """Weightings, coweightings, and the Euler characteristic they agree on.
 
-On a skeletal category whose endomorphisms are all identities, zeta is
-omega_bar2 with its classes in object order, so the unique weighting and
-coweighting are the row and column sums of mu_bar2 (Leinster 2008, The Euler
-characteristic of a category), read off ``moebius.moebius_rows``.  Every
-other category is solved by ``exactq.solve_linear``.
+A weighting solves zeta k = 1 and a coweighting solves its transpose, zeta
+the hom-count matrix (Leinster 2008, The Euler characteristic of a
+category).  Three routes, tried in this order:
+
+  - skeletal with every endomorphism an identity: zeta is omega_bar2 with
+    its classes in object order, so the unique weighting and coweighting are
+    the row and column sums of mu_bar2, read off ``moebius.moebius_rows``;
+  - skeletal EI: zeta in iso order is triangular with diagonal |aut x|, so
+    both are unique and come from one back-substitution, from the top class
+    down for the weighting and from the bottom class up for the coweighting;
+  - any other category: ``exactq.solve_linear``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from fractions import Fraction
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
 from .fincat import FiniteCategory, opposite
-from .moebius import moebius_rows
+from .moebius import _once, iso_order, moebius_rows
 
 
 def zeta_matrix(cat: FiniteCategory) -> QMatrix:
@@ -40,6 +46,34 @@ def _moebius_sums(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
     return SolutionReport(True, QVector(sums, [str(o) for o in cat.objects]), [])
 
 
+def _triangular(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
+    """The unique solution of zeta k = 1 (or of its transpose) in object
+    order by back-substitution, when cat is skeletal EI; None otherwise.
+
+    In iso order hom(i, t) is empty unless t = i or t lies above i, so zeta
+    is upper triangular with diagonal |aut i|: its system is solved from the
+    top class down, the transpose's from the bottom class up."""
+    n = cat.n_objects
+    if not all(cat.is_iso(e) for x in range(n) for e in cat.hom(x, x)):
+        return None
+    poset = _once(cat, "iso_order", iso_order)
+    if poset.size != n:
+        return None
+    reps = poset.reps
+    z = [[len(cat.hom(a, b)) for b in reps] for a in reps]
+    if columns:
+        z = [list(col) for col in zip(*z)]
+    w = [Fraction(0)] * n
+    for i in (range(n) if columns else reversed(range(n))):
+        # z[i][t] is 0 wherever w[t] is not solved yet
+        solved = sum(z[i][t] * w[t] for t in range(n) if z[i][t] and t != i)
+        w[i] = (1 - solved) / Fraction(z[i][i])
+    k = [Fraction(0)] * n
+    for i, x in enumerate(reps):
+        k[x] = w[i]
+    return SolutionReport(True, QVector(k, [str(o) for o in cat.objects]), [])
+
+
 def _solve(cat: FiniteCategory) -> SolutionReport:
     return solve_linear(zeta_matrix(cat), QVector([Fraction(1)] * cat.n_objects))
 
@@ -48,13 +82,18 @@ def weighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
     for every x; solved exactly, inconsistency reported in-band."""
     found = _moebius_sums(cat, columns=False)
+    if found is None:
+        found = _triangular(cat, columns=False)
     return found if found is not None else _solve(cat)
 
 
 def coweighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting of the opposite category."""
+    # skeletal, EI and trivial endomorphisms each hold for both or neither of
+    # cat and its opposite
     found = _moebius_sums(cat, columns=True)
-    # skeletal and trivial endomorphisms hold for both or neither of cat and its opposite
+    if found is None:
+        found = _triangular(cat, columns=True)
     return found if found is not None else _solve(opposite(cat))
 
 

@@ -51,28 +51,33 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
     reps = [c.representative for c in classes]
     objects = [f"G/{i}" for i in range(len(classes))]
 
-    def qualifies(h: frozenset[int], coset: frozenset[int], k: frozenset[int]) -> bool:
-        x = min(coset)
+    def qualifies(h: frozenset[int], x: int, k: frozenset[int]) -> bool:
         xi = g.inv[x]
         return all(g.table[g.table[xi][e]][x] in k for e in h)
 
-    cosets = [left_cosets(g, k) for k in reps]
-    morphs = [(i, j, coset)
+    # a coset is named by its least element: named[j] maps names to the left
+    # cosets of K_j, and least[j][x] is the name of x K_j
+    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
+    least = [[0] * g.order for _ in reps]
+    for row, cosets in zip(least, named):
+        for lo, coset in cosets.items():
+            for x in coset:
+                row[x] = lo
+    morphs = [(i, j, lo)
               for i, h in enumerate(reps)
               for j, k in enumerate(reps)
-              for coset in cosets[j]
-              if qualifies(h, coset, k)]
+              for lo in named[j]
+              if qualifies(h, lo, k)]
 
     def identity_of(i):
-        return (i, i, reps[i])
+        return (i, i, 0)
 
     def compose(gd, fd):
         # fd: G/H0 -> G/H1 as g1*H1, gd: G/H1 -> G/H2 as g2*H2; result g1*g2*H2
-        p = g.table[min(fd[2])][min(gd[2])]
-        return (fd[0], gd[1], frozenset(g.table[p][e] for e in reps[gd[1]]))
+        return (fd[0], gd[1], least[gd[1]][g.table[fd[2]][gd[2]]])
 
     cat, ordered = _build(objects, morphs, identity_of, compose)
-    return OrbitCategory(cat, classes, {m: d[2] for m, d in enumerate(ordered)})
+    return OrbitCategory(cat, classes, {m: named[d[1]][d[2]] for m, d in enumerate(ordered)})
 
 
 # ------------------------------------------------------------ cell censuses

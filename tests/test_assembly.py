@@ -126,3 +126,102 @@ def test_validate_matches_oracle_on_mutations():
     # the mutations reach every check
     assert kinds == {"identity_endpoints", "extra_composite", "missing_composite",
                      "composite_endpoints", "identity_law", "associativity"}
+
+
+def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> FiniteCategory | None:
+    """Send one composite of two non-identities to another morphism of the
+    same hom-set.  Endpoints and identity laws still hold, so only the
+    associativity check can see it.  None when no such composite has a hom-set
+    with a second morphism (posets)."""
+    ids = set(cat.identity)
+    keys = [key for key, c in cat.compose_table.items()
+            if ids.isdisjoint(key) and len(cat.hom(cat.dom[c], cat.cod[c])) > 1]
+    if not keys:
+        return None
+    key = rng.choice(keys)
+    c = cat.compose_table[key]
+    table = dict(cat.compose_table)
+    table[key] = rng.choice([x for x in cat.hom(cat.dom[c], cat.cod[c]) if x != c])
+    return FiniteCategory(cat.objects, cat.dom, cat.cod, cat.identity, table)
+
+
+def light_cases():
+    """Orbit categories, posets and the draws of
+    test_validate_matches_oracle_on_mutations."""
+    cases = [(f"Or({spec})", orbitcat.orbit_category(build_group(spec)).category)
+             for spec in ("symmetric:3", "symmetric:4", "dihedral:4")]
+    cases += [(f"subsets-q {q}", corpus.subsets(q)) for q in (3, 4, 5)]
+    cases += [(f"draw {i}", cat) for i, cat in enumerate(random_categories(random.Random(406), 10))]
+    return cases
+
+
+def test_validate_matches_oracle_on_associativity_mutations():
+    rng = random.Random(407)
+    caught = 0
+    for name, cat in light_cases():
+        for _ in range(4):
+            bad = redirect_within_hom(rng, cat)
+            if bad is None:
+                break
+            found = validate(bad)
+            assert found == oracle.validate(bad), name
+            assert {v["kind"] for v in found} <= {"associativity"}
+            caught += bool(found)
+    assert caught >= 80
+
+
+def test_valid_categories_skip_the_full_associativity_scan(monkeypatch):
+    calls = []
+    full_scan = fincat._associativity_violations
+
+    def counted(cat):
+        calls.append(cat)
+        return full_scan(cat)
+
+    monkeypatch.setattr(fincat, "_associativity_violations", counted)
+    cats = [cat for _, cat in corpus_entries() + light_cases()]
+    cats += [orbitcat.orbit_category(build_group(spec)).category for spec in GROUPS]
+    for cat in cats:
+        assert validate(cat) == []
+    assert calls == []
+    bad = redirect_within_hom(random.Random(1), cats[-1])
+    assert validate(bad) and calls == [bad]
+
+
+def _closure(cat: FiniteCategory, gens) -> set[int]:
+    """The identities and gens closed under composition, by repeated passes
+    over the whole composition table."""
+    got = set(cat.identity) | set(gens)
+    while True:
+        new = {c for (g, f), c in cat.compose_table.items() if g in got and f in got} - got
+        if not new:
+            return got
+        got |= new
+
+
+def test_generating_set_is_the_greedy_one():
+    """Indecomposables first, then each morphism, in id order, that the
+    closure of those kept before it misses; together they generate."""
+    cases = light_cases() + [(spec, orbitcat.orbit_category(build_group(spec)).category)
+                             for spec in ("q8", "product:cyclic:2+symmetric:3")]
+    for name, cat in cases:
+        ids = set(cat.identity)
+        composite = {c for (g, f), c in cat.compose_table.items() if g not in ids and f not in ids}
+        everything = list(range(cat.n_morphisms))
+        expected: list[int] = []
+        got = _closure(cat, expected)
+        for f in [f for f in everything if f not in ids | composite] + everything:
+            if f not in got:
+                expected.append(f)
+                got = _closure(cat, expected)
+        assert got == set(everything), name
+        assert fincat._generating_set(cat) == expected, name
+
+
+def test_poset_generators_are_the_hasse_edges():
+    cat = corpus.subsets(6)
+    kept = fincat._generating_set(cat)
+    hasse = [f for f in range(cat.n_morphisms)
+             if len(cat.objects[cat.dom[f]]) == len(cat.objects[cat.cod[f]]) + 1]
+    assert (len(kept), cat.n_morphisms) == (441, 2059)
+    assert kept == hasse

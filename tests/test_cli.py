@@ -445,3 +445,29 @@ def test_euler_on_subsets_q7_end_to_end():
             for k, b in omega[j].items():
                 acc[k] = acc.get(k, 0) + a * b
         assert {k: v for k, v in acc.items() if v} == {i: 1}
+
+
+def test_euler_on_or_s5_end_to_end():
+    """--cap 120 group orbitcat symmetric:5 | validate - and | euler -, through
+    real processes."""
+    emit = subprocess.run(
+        [sys.executable, "-m", "catrank", "--cap", "120", "group", "orbitcat", "symmetric:5"],
+        capture_output=True, timeout=120, check=True,
+    )
+    proc = subprocess.run([sys.executable, "-m", "catrank", "validate", "-"],
+                          input=emit.stdout, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert (doc["valid"], doc["objects"], doc["morphisms"]) == (True, 19, 681)
+    proc = subprocess.run([sys.executable, "-m", "catrank", "euler", "-"],
+                          input=emit.stdout, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    inv = json.loads(proc.stdout)["invariants"]
+    assert [inv[name] for name in ("chi", "chi2", "chi_L")] == ["1"] * 3
+    mu = [[Fraction(v) for v in row] for row in inv["mu_bar2"]["entries"]]
+    omega = [[Fraction(v) for v in row] for row in inv["omega_bar2"]["entries"]]
+    k = len(mu)
+    assert k == 19
+    for i in range(k):
+        assert [sum(mu[i][j] * omega[j][c] for j in range(k)) for c in range(k)] == \
+            [Fraction(i == c) for c in range(k)]

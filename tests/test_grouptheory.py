@@ -46,6 +46,39 @@ def all_subgroups_bruteforce(g):
     return found
 
 
+def first_associativity_failure(table):
+    """The O(n^3) scan over all triples, kept as the oracle for the
+    generating-set check: the message for the lexicographically first
+    failing (a, b, c), or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a},{b},{c})"
+    return None
+
+
+def non_associative_loops():
+    """Latin squares with identity 0 made from group tables by swapping one
+    intercalate (a 2x2 subsquare away from row and column 0), kept when the
+    result is not associative."""
+    loops = []
+    for g in (cyclic_group(6), build_group("klein"), cyclic_group(8), dihedral_group(4),
+              build_group("q8"), symmetric_group(3)):
+        n = g.order
+        squares = [(a, b, c, d) for a, b in itertools.combinations(range(1, n), 2)
+                   for c, d in itertools.combinations(range(1, n), 2)
+                   if g.table[a][c] == g.table[b][d] and g.table[a][d] == g.table[b][c]]
+        for a, b, c, d in squares[:3]:
+            t = [list(row) for row in g.table]
+            t[a][c], t[a][d] = t[a][d], t[a][c]
+            t[b][c], t[b][d] = t[b][d], t[b][c]
+            if first_associativity_failure(t) is not None:
+                loops.append(t)
+    return loops
+
+
 class TestBuilders:
     def test_cyclic(self):
         g = cyclic_group(6)
@@ -138,8 +171,25 @@ class TestBuilders:
         with pytest.raises(ValueError, match="associativity"):
             build_group({"kind": "table", "table": bad})
 
+    def test_associativity_message_matches_the_full_scan(self):
+        bad = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        loops = [bad] + non_associative_loops()
+        assert len(loops) >= 12
+        for table in loops:
+            expected = first_associativity_failure(table)
+            assert expected is not None
+            with pytest.raises(ValueError) as err:
+                FiniteGroup(table)
+            assert str(err.value) == expected
+
     def test_builder_tables_pass_the_full_check(self):
-        # the builders skip the O(n^3) associativity loop, so their tables
+        # the builders skip the associativity check, so their tables
         # must pass it when handed to the checking constructor
         s4 = symmetric_group(4)
         groups = [cyclic_group(7), dihedral_group(5), s4, build_group("q8"),
@@ -147,6 +197,7 @@ class TestBuilders:
         groups += [weyl_group(s4, c.representative) for c in subgroup_classes(s4)]
         for g in groups:
             assert FiniteGroup(g.table, g.names) == g
+            assert first_associativity_failure(g.table) is None
 
     def test_inverse_and_conj(self):
         g = symmetric_group(3)

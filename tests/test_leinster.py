@@ -1,13 +1,14 @@
 """Weightings, coweightings, chi_L, and cell-structure weightings."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrank import corpus
-from catrank.exactq import QMatrix, mat_invert
-from catrank.fincat import delooping, opposite, poset_category, product
+from catrank import corpus, leinster
+from catrank.exactq import QMatrix, QVector, mat_invert, solve_linear
+from catrank.fincat import classify, delooping, opposite, poset_category, product
 from catrank.grouptheory import build_group
 from catrank.leinster import (
     chi_L,
@@ -17,8 +18,9 @@ from catrank.leinster import (
     zeta_matrix,
 )
 from catrank.moebius import euler_characteristics
+from catrank.orbitcat import orbit_category
 
-from genrandom import poset_of_groups, random_biset
+from genrandom import poset_of_groups, random_biset, random_free_ei_category
 from test_fincat import retract_pair
 from test_moebius import parallel_pair, span_category, subsets_category
 
@@ -195,3 +197,38 @@ def test_cells_accumulate_per_object():
         delooping(build_group("trivial")), [(0, "*"), (0, "*"), (1, "*")]
     )
     assert ok and list(vec) == [1]
+
+
+def _skeletal_ei_cases():
+    """Orbit categories, their opposites and the skeletal free EI draws of a
+    seeded genrandom run, all with nontrivial automorphisms somewhere."""
+    cats = [orbit_category(build_group(spec)).category
+            for spec in ("symmetric:3", "symmetric:4", "dihedral:4", "q8",
+                         "product:cyclic:2+symmetric:3",
+                         "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2")]
+    rng = random.Random(408)
+    for _ in range(30):
+        cat = random_free_ei_category(rng)
+        flags = classify(cat)
+        if flags.is_skeletal and not flags.has_trivial_endomorphisms:
+            cats.append(cat)
+    assert len(cats) >= 20
+    return cats + [opposite(cat) for cat in cats]
+
+
+def test_triangular_weighting_matches_the_general_solver(monkeypatch):
+    cases = _skeletal_ei_cases()
+    ones = [QVector([F(1)] * cat.n_objects) for cat in cases]
+    expected = [(solve_linear(zeta_matrix(cat), b), solve_linear(zeta_matrix(opposite(cat)), b))
+                for cat, b in zip(cases, ones)]
+
+    def refuse(*args):
+        raise AssertionError("skeletal EI categories take the triangular route")
+
+    monkeypatch.setattr(leinster, "solve_linear", refuse)
+    for cat, (w, cw) in zip(cases, expected):
+        for got, ref in ((weighting(cat), w), (coweighting(cat), cw)):
+            assert got.consistent and ref.consistent
+            assert got.solution == ref.solution
+            assert got.solution.labels == ref.solution.labels
+            assert got.kernel == ref.kernel == []

@@ -114,12 +114,15 @@ def test_nontrivial_automorphisms_keep_the_chain_walk(monkeypatch):
 
 
 def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
+    """Skeletal categories with trivial endomorphisms take the mu_bar2 sums,
+    other skeletal EI categories the triangular back-substitution; only
+    non-skeletal or non-EI categories reach the general solver."""
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
-    cat = corpus.build("subsets-q", q=5)
-    weighting(cat)
-    coweighting(cat)
-    for other in (corpus.build("indiscrete-2"), delooping(build_group("cyclic:2")),
-                  corpus.build("section8")):
+    for cat in (corpus.build("subsets-q", q=5), delooping(build_group("cyclic:2")),
+                orbit_category(build_group("symmetric:3")).category):
+        weighting(cat)
+        coweighting(cat)
+    for other in (corpus.build("indiscrete-2"), corpus.build("section8")):
         for solve in (weighting, coweighting):
             with pytest.raises(RuntimeError, match="solve_linear"):
                 solve(other)
