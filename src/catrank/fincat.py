@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Iterable, Sequence
 
-from .grouptheory import FiniteGroup, _is_int
+from .grouptheory import FiniteGroup
 
 
 class FiniteCategory:
@@ -784,7 +784,10 @@ def to_json(cat: FiniteCategory) -> dict:
 
 
 def from_json(doc: dict) -> FiniteCategory:
-    """Parse the category schema; raises ValueError naming the first format problem."""
+    """Parse the category schema; raises ValueError naming the first format problem.
+
+    Morphism ids must be of type int, as JSON numbers without a fraction
+    part parse: a bool (an int subclass) is refused."""
     if not isinstance(doc, dict):
         raise ValueError("category document must be a JSON object")
     for key in ("objects", "morphisms", "identities", "composition"):
@@ -810,7 +813,7 @@ def from_json(doc: dict) -> FiniteCategory:
         if not isinstance(rec, dict) or not {"id", "dom", "cod"} <= set(rec):
             raise ValueError(f"malformed morphism record: {rec!r}")
         mid = rec["id"]
-        if not _is_int(mid) or not (0 <= mid < m) or mid in seen:
+        if type(mid) is not int or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
         if str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index:
@@ -822,7 +825,7 @@ def from_json(doc: dict) -> FiniteCategory:
         raise ValueError("identities must cover exactly the objects")
     identity = [0] * len(objects)
     for o, mid in identities.items():
-        if not _is_int(mid) or not (0 <= mid < m):
+        if type(mid) is not int or not (0 <= mid < m):
             raise ValueError(f"identity of {o!r} references unknown morphism")
         identity[obj_index[o]] = mid
     table: dict[tuple[int, int], int] = {}
@@ -830,9 +833,9 @@ def from_json(doc: dict) -> FiniteCategory:
         if not (isinstance(rec, (list, tuple)) and len(rec) == 3):
             raise ValueError(f"malformed composition record: {rec!r}")
         g, f, c = rec
-        for v in (g, f, c):
-            if not _is_int(v) or not (0 <= v < m):
-                raise ValueError(f"composition record references unknown morphism: {rec!r}")
+        if not (type(g) is int and type(f) is int and type(c) is int
+                and 0 <= g < m and 0 <= f < m and 0 <= c < m):
+            raise ValueError(f"composition record references unknown morphism: {rec!r}")
         if (g, f) in table:
             raise ValueError(f"duplicate composition record for pair ({g},{f})")
         table[(g, f)] = c

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -469,12 +470,15 @@ def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
 
 
 class MarksMatrix:
-    """Fixed-point counts |(G/K)^H|: row (H), column (K), canonical class order."""
+    """Fixed-point counts |(G/K)^H|: row (H), column (K), canonical class
+    order, as integer rows and as a QMatrix."""
 
-    __slots__ = ("matrix", "classes")
+    __slots__ = ("rows", "matrix", "classes")
 
-    def __init__(self, matrix: QMatrix, classes: list[SubgroupClass]):
-        self.matrix = matrix
+    def __init__(self, rows: tuple[tuple[int, ...], ...], classes: tuple[SubgroupClass, ...]):
+        labels = [c.label for c in classes]
+        self.rows = rows
+        self.matrix = QMatrix.from_rows(rows, labels, labels)
         self.classes = classes
 
     def __repr__(self) -> str:
@@ -490,43 +494,67 @@ def mark(h: SubgroupClass, k: frozenset[int]) -> int:
 
 
 def table_of_marks(g: FiniteGroup) -> MarksMatrix:
-    """Marks |(G/K)^H| over the subgroup classes, from ``mark``."""
-    classes = subgroup_classes(g)
-    labels = [c.label for c in classes]
-    rows = [[mark(ch, ck.representative) for ck in classes] for ch in classes]
-    return MarksMatrix(QMatrix.from_rows(rows, labels, labels), classes)
+    """Marks |(G/K)^H| over the subgroup classes, from ``mark``; built once
+    per group and shared by every caller."""
+    return _marks_cached(g)
+
+
+def marks(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of ``table_of_marks``."""
+    return _marks_cached(g).rows
+
+
+@lru_cache(maxsize=8)
+def _marks_cached(g: FiniteGroup) -> MarksMatrix:
+    # below the diagonal the marks vanish: a class later in the canonical
+    # order is never subconjugate to an earlier one
+    classes = tuple(subgroup_classes(g))
+    rows = tuple((0,) * i + tuple(mark(ch, ck.representative) for ck in classes[i:])
+                 for i, ch in enumerate(classes))
+    return MarksMatrix(rows, classes)
 
 
 # ------------------------------------------------------- nu and congruences
 
 
 @lru_cache(maxsize=8)
+def _nu_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """nu = D M^-1 as integer rows: M^-1 from ``mat_invert`` of the marks,
+    scaled by the Weyl orders.  Non-integrality would mean the marks are
+    wrong, so it is an internal assertion, not an input error."""
+    tom = table_of_marks(g)
+    inv = mat_invert(tom.matrix)
+    rows = []
+    for i, c in enumerate(tom.classes):
+        row = []
+        for j, v in enumerate(inv.row(i)):
+            q, r = divmod(c.weyl_order * v.numerator, v.denominator)
+            assert r == 0, (f"nu matrix entry not integral at {(i, j)}: "
+                            f"{Fraction(c.weyl_order * v.numerator, v.denominator)}")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def nu_matrix(g: FiniteGroup) -> QMatrix:
     """Integer matrix nu = D M^-1 = D mu_bar2 D^-1 over subgroup classes, M the
-    table of marks and D = diag(|W_G H|): omega_bar2(Or G) = D^-1 M.
-
-    Non-integrality would mean the marks are wrong, so it is an internal
-    assertion, not an input error.
-    """
-    marks = table_of_marks(g)
-    inv = mat_invert(marks.matrix)
-    ent = [c.weyl_order * v for i, c in enumerate(marks.classes) for v in inv.row(i)]
-    for idx, v in enumerate(ent):
-        assert v.denominator == 1, f"nu matrix entry not integral at {divmod(idx, inv.cols)}: {v}"
-    return QMatrix(inv.rows, inv.cols, ent, inv.row_labels, inv.col_labels)
+    table of marks and D = diag(|W_G H|): omega_bar2(Or G) = D^-1 M."""
+    labels = [c.label for c in subgroup_classes(g)]
+    return QMatrix.from_rows(_nu_rows(g), labels, labels)
 
 
 def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[Fraction], bool]:
-    """nu(xi), one integer entry per subgroup class, and whether it vanishes
-    mod |W_G H| at every class (H)."""
+    """nu(xi), one integer entry per subgroup class (as Fractions), and whether
+    it vanishes mod |W_G H| at every class (H).  The dot products and the
+    congruences are taken on Python integers, against the rows of nu built
+    once per group."""
     classes = subgroup_classes(g)
     if len(xi) != len(classes):
         raise ValueError(f"xi needs {len(classes)} entries, got {len(xi)}")
-    nu = nu_matrix(g)
-    image = [sum(nu.get(i, j) * int(xi[j]) for j in range(len(classes)))
-             for i in range(len(classes))]
-    assert all(v.denominator == 1 for v in image)
-    return image, all(v.numerator % cls.weyl_order == 0 for v, cls in zip(image, classes))
+    xs = [int(v) for v in xi]
+    image = [sum(map(operator.mul, row, xs)) for row in _nu_rows(g)]
+    satisfied = all(v % c.weyl_order == 0 for v, c in zip(image, classes))
+    return [Fraction(v) for v in image], satisfied
 
 
 def burnside_check(g: FiniteGroup, xi: Sequence[int]) -> bool:

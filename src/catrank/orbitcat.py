@@ -14,10 +14,9 @@ from .grouptheory import (
     _is_int,
     build_group,
     left_cosets,
-    mark,
+    marks,
     subgroup_classes,
 )
-from .moebius import omega_bar2
 
 
 class OrbitCategory:
@@ -45,15 +44,17 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
     """Build Or(G) with one object per subgroup class (``build_group`` caps
     the order of the groups it builds).
 
-    A coset g0*K qualifies as a map G/H -> G/K iff g0^-1 H g0 is inside K;
-    composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
+    A coset g0*K qualifies as a map G/H -> G/K iff g0^-1 H g0 is inside K,
+    that is iff g0^-1 s g0 is in K for each of H's generators s, and only
+    when |H| divides |K|; composition follows the right-translation law
+    R_g2 o R_g1 = R_(g1 g2)."""
     classes = tuple(subgroup_classes(g))
     reps = [c.representative for c in classes]
     objects = [f"G/{i}" for i in range(len(classes))]
 
-    def qualifies(h: frozenset[int], x: int, k: frozenset[int]) -> bool:
+    def qualifies(h: SubgroupClass, x: int, k: frozenset[int]) -> bool:
         xi = g.inv[x]
-        return all(g.table[g.table[xi][e]][x] in k for e in h)
+        return all(g.table[g.table[xi][s]][x] in k for s in h.generators)
 
     # a coset is named by its least element: named[j] maps names to the left
     # cosets of K_j, and least[j][x] is the name of x K_j
@@ -64,8 +65,9 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
             for x in coset:
                 row[x] = lo
     morphs = [(i, j, lo)
-              for i, h in enumerate(reps)
+              for i, h in enumerate(classes)
               for j, k in enumerate(reps)
+              if len(k) % len(h.representative) == 0
               for lo in named[j]
               if qualifies(h, lo, k)]
 
@@ -87,9 +89,10 @@ class GCWComplex:
     """A finite equivariant cell census: dimensions and stabilizer classes.
 
     Attaching maps are irrelevant to every invariant computed here, so only
-    the list of (dim, stabilizer class index) pairs is kept."""
+    the list of (dim, stabilizer class index) pairs is kept, with the signed
+    cell count per stabilizer class, taken once."""
 
-    __slots__ = ("group", "classes", "cells")
+    __slots__ = ("group", "classes", "cells", "counts")
 
     def __init__(self, group: FiniteGroup, cells):
         self.group = group
@@ -100,6 +103,10 @@ class GCWComplex:
                 raise ValueError(f"cell dimension must be a nonnegative integer: {dim!r}")
             norm.append((dim, self._class_index(stab)))
         self.cells = tuple(norm)
+        counts = [0] * len(self.classes)
+        for dim, ci in self.cells:
+            counts[ci] += -1 if dim & 1 else 1
+        self.counts: tuple[int, ...] = tuple(counts)
 
     def _class_index(self, stab) -> int:
         members = frozenset(stab)
@@ -141,42 +148,50 @@ def gcw_from_json(doc: dict, cap: int = DEFAULT_CAP) -> GCWComplex:
 
 def chi_G(x: GCWComplex) -> QVector:
     """Signed count of cells per stabilizer class."""
-    counts = [0] * len(x.classes)
-    for dim, ci in x.cells:
-        counts[ci] += (-1) ** dim
-    return QVector([Fraction(c) for c in counts], labels=[c.label for c in x.classes])
+    return QVector(x.counts, labels=[c.label for c in x.classes])
+
+
+def _marks_times_counts(x: GCWComplex, rows) -> list[int]:
+    """sum_K c_K |(G/K)^H| for each given marks row (H), c the signed counts."""
+    support = [(j, c) for j, c in enumerate(x.counts) if c]
+    return [sum(c * row[j] for j, c in support) for row in rows]
 
 
 def fixed_point_euler(x: GCWComplex, h) -> int:
     """Euler characteristic of the H-fixed subcomplex, for h a subgroup class,
     a class index or a subgroup: each cell with stabilizer class (K)
-    contributes (-1)^dim |(G/K)^H|, the mark of H on G/K."""
+    contributes (-1)^dim |(G/K)^H|, read off the group's table of marks
+    against the census's signed counts."""
     if isinstance(h, SubgroupClass):
-        cls = h
+        i = next((i for i, c in enumerate(x.classes) if c is h), None)
+        if i is None:
+            i = x._class_index(h.representative)
     elif isinstance(h, int):
-        cls = x.classes[h]
+        i = h
     else:
-        cls = x.classes[x._class_index(h)]
-    return sum(int(c) * mark(cls, k.representative) for c, k in zip(chi_G(x), x.classes) if c)
+        i = x._class_index(h)
+    return _marks_times_counts(x, [marks(x.group)[i]])[0]
 
 
 def verify_omega_relation(x: GCWComplex):
     """Check omega_bar2(Or(G)) applied to chi_G(X) against the vector of
     fixed-point Euler characteristics divided by Weyl group orders.
 
+    The two sides share only the census counts c.  The left side,
+    sum_K |hom(G/H, G/K)| c_K / |aut(G/H)|, counts the coset-enumerated
+    hom sets of Or(G); the right side, sum_K c_K |(G/K)^H| / |W_G H|, reads
+    the marks formula and the lattice's Weyl orders.  Each entry is summed on
+    integers and divided once.
+
     Returns (equal, left side, right side), both sides in subgroup class order."""
     oc = orbit_category(x.group)
-    om = omega_bar2(oc.category)
+    cat = oc.category
+    objs = [cat.obj_index(oc.object_of_class(i)) for i in range(len(x.classes))]
+    support = [(objs[j], c) for j, c in enumerate(x.counts) if c]
+    # every endomorphism in Or(G) is invertible, so aut(G/H) = hom(G/H, G/H)
+    lhs = [Fraction(sum(c * len(cat.hom(a, b)) for b, c in support), len(cat.hom(a, a)))
+           for a in objs]
+    fixed = _marks_times_counts(x, marks(x.group))
+    rhs = [Fraction(f, cls.weyl_order) for f, cls in zip(fixed, x.classes)]
     labels = [c.label for c in x.classes]
-    v = chi_G(x)
-    # omega is indexed by iso classes of Or(G); translate class order <-> object order
-    obj_order = [oc.object_of_class(i) for i in range(len(x.classes))]
-    v_iso = QVector([v[obj_order.index(lbl)] for lbl in om.col_labels], labels=om.col_labels)
-    image = om.mul_vec(v_iso)
-    lhs = QVector([image.at(obj) for obj in obj_order], labels=labels)
-    rhs = QVector(
-        [Fraction(fixed_point_euler(x, cls), cls.weyl_order) for cls in x.classes],
-        labels=labels,
-    )
-    equal = all(lhs[i] == rhs[i] for i in range(len(labels)))
-    return equal, lhs, rhs
+    return lhs == rhs, QVector(lhs, labels=labels), QVector(rhs, labels=labels)
