@@ -113,6 +113,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    if args.max_chain_length is not None and args.max_chain_length < 0:
+        return _error(f"--max-chain-length must be nonnegative, got {args.max_chain_length}", 2)
     stub, cat, violations = _load_category(args.path)
     if cat is None:
         _emit({"violations": violations}, sys.stderr)
@@ -294,8 +296,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="largest group order accepted by every group subcommand "
                         f"(default {DEFAULT_CAP})")
     p.add_argument("--max-chain-length", type=int, default=None,
-                   help="bound the chain length in euler's chain sums; a cut chain "
-                        "omits the chain invariants (default: no bound)")
+                   help="bound the chain length in euler's chain sums, nonnegative; a cut "
+                        "chain omits the chain invariants (default: no bound)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized subcommands")
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactq import QMatrix, mat_invert
+from .exactq import QMatrix
 
 DEFAULT_CAP = 64
 
@@ -519,19 +519,28 @@ def _marks_cached(g: FiniteGroup) -> MarksMatrix:
 
 @lru_cache(maxsize=8)
 def _nu_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """nu = D M^-1 as integer rows: M^-1 from ``mat_invert`` of the marks,
-    scaled by the Weyl orders.  Non-integrality would mean the marks are
-    wrong, so it is an internal assertion, not an input error."""
-    tom = table_of_marks(g)
-    inv = mat_invert(tom.matrix)
+    """nu = D M^-1 as integer rows, by back-substitution on ints.  The marks
+    M are upper triangular in class order with diagonal |W_G H|, so nu M = D
+    gives, row by row, nu[i][i] = 1 and
+    nu[i][k] = -(sum over i <= j < k of nu[i][j] M[j][k]) / M[k][k].
+    Non-integrality would mean the marks are wrong, so it is an internal
+    assertion, not an input error."""
+    m = marks(g)
+    n = len(m)
+    above = [[(k, v) for k, v in enumerate(row) if k > j and v] for j, row in enumerate(m)]
     rows = []
-    for i, c in enumerate(tom.classes):
-        row = []
-        for j, v in enumerate(inv.row(i)):
-            q, r = divmod(c.weyl_order * v.numerator, v.denominator)
-            assert r == 0, (f"nu matrix entry not integral at {(i, j)}: "
-                            f"{Fraction(c.weyl_order * v.numerator, v.denominator)}")
-            row.append(q)
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        acc = [0] * n  # acc[k]: sum of nu[i][j] M[j][k] over the j < k filled so far
+        for k in range(i, n):
+            if k > i and acc[k]:
+                row[k], r = divmod(-acc[k], m[k][k])
+                assert r == 0, (f"nu matrix entry not integral at {(i, k)}: "
+                                f"{Fraction(-acc[k], m[k][k])}")
+            if row[k]:
+                for t, entry in above[k]:
+                    acc[t] += row[k] * entry
         rows.append(tuple(row))
     return tuple(rows)
 

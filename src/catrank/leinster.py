@@ -2,24 +2,26 @@
 
 A weighting solves zeta k = 1 and a coweighting solves its transpose, zeta
 the hom-count matrix (Leinster 2008, The Euler characteristic of a
-category).  Three routes, tried in this order:
+category).  Two routes:
 
-  - skeletal with every endomorphism an identity: zeta is omega_bar2 with
-    its classes in object order, so the unique weighting and coweighting are
-    the row and column sums of mu_bar2, read off ``moebius.moebius_rows``;
   - skeletal EI: zeta in iso order is triangular with diagonal |aut x|, so
-    both are unique and come from one back-substitution, from the top class
-    down for the weighting and from the bottom class up for the coweighting;
+    the weighting and coweighting are unique.  On a free category they are
+    the row and column sums of mu_bar2 scaled by the automorphism orders,
+    read off the rows g of ``moebius.free_sums`` that
+    ``euler_characteristics`` shares; otherwise one back-substitution gives
+    them, from the top class down for the weighting and from the bottom
+    class up for the coweighting;
   - any other category: ``exactq.solve_linear``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
 from .fincat import FiniteCategory, opposite
-from .moebius import _once, iso_order, moebius_rows
+from .moebius import _once, free_sums, iso_order
 
 
 def zeta_matrix(cat: FiniteCategory) -> QMatrix:
@@ -31,28 +33,17 @@ def zeta_matrix(cat: FiniteCategory) -> QMatrix:
     return QMatrix(n, n, entries, row_labels=labels, col_labels=labels)
 
 
-def _moebius_sums(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
-    """The row (or column) sums of mu_bar2 in object order as the unique
-    solution of zeta k = 1 (or of its transpose), when cat is skeletal with
-    trivial endomorphisms; None otherwise."""
-    found = moebius_rows(cat)
-    if found is None or found[0].size != cat.n_objects:
-        return None
-    poset, rows = found
-    sums = [0] * cat.n_objects
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            sums[poset.reps[j if columns else i]] += v
-    return SolutionReport(True, QVector(sums, [str(o) for o in cat.objects]), [])
-
-
-def _triangular(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
+def _skeletal_ei(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
     """The unique solution of zeta k = 1 (or of its transpose) in object
-    order by back-substitution, when cat is skeletal EI; None otherwise.
+    order, when cat is skeletal EI; None otherwise.
 
     In iso order hom(i, t) is empty unless t = i or t lies above i, so zeta
-    is upper triangular with diagonal |aut i|: its system is solved from the
-    top class down, the transpose's from the bottom class up."""
+    is upper triangular with diagonal |aut i|.  It is D omega_bar2 with
+    D = diag(|aut i|), so on a free category, where mu_bar2 = omega_bar2^-1
+    has entries |aut j| g_i(j) / |aut i| from ``moebius.free_sums``,
+    k_i = sum over j of g_i(j) / |aut i| and the transpose's solution is
+    c_j = sum over i of g_i(j) / |aut i|.  Otherwise zeta's system is solved
+    from the top class down, the transpose's from the bottom class up."""
     n = cat.n_objects
     if not all(cat.is_iso(e) for x in range(n) for e in cat.hom(x, x)):
         return None
@@ -60,14 +51,28 @@ def _triangular(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
     if poset.size != n:
         return None
     reps = poset.reps
-    z = [[len(cat.hom(a, b)) for b in reps] for a in reps]
-    if columns:
-        z = [list(col) for col in zip(*z)]
-    w = [Fraction(0)] * n
-    for i in (range(n) if columns else reversed(range(n))):
-        # z[i][t] is 0 wherever w[t] is not solved yet
-        solved = sum(z[i][t] * w[t] for t in range(n) if z[i][t] and t != i)
-        w[i] = (1 - solved) / Fraction(z[i][i])
+    sums = free_sums(cat)
+    if sums is not None:
+        orders = [len(fi) for fi in sums[0]]
+        lcm = math.lcm(*orders)
+        acc = [0] * n
+        for i, gi in enumerate(sums[1]):
+            scale = lcm // orders[i]
+            if columns:
+                for j, v in gi.items():
+                    acc[j] += scale * v
+            else:
+                acc[i] = scale * sum(gi.values())
+        w = [Fraction(v, lcm) for v in acc]
+    else:
+        z = [[len(cat.hom(a, b)) for b in reps] for a in reps]
+        if columns:
+            z = [list(col) for col in zip(*z)]
+        w = [Fraction(0)] * n
+        for i in (range(n) if columns else reversed(range(n))):
+            # z[i][t] is 0 wherever w[t] is not solved yet
+            solved = sum(z[i][t] * w[t] for t in range(n) if z[i][t] and t != i)
+            w[i] = (1 - solved) / Fraction(z[i][i])
     k = [Fraction(0)] * n
     for i, x in enumerate(reps):
         k[x] = w[i]
@@ -81,19 +86,14 @@ def _solve(cat: FiniteCategory) -> SolutionReport:
 def weighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
     for every x; solved exactly, inconsistency reported in-band."""
-    found = _moebius_sums(cat, columns=False)
-    if found is None:
-        found = _triangular(cat, columns=False)
+    found = _skeletal_ei(cat, columns=False)
     return found if found is not None else _solve(cat)
 
 
 def coweighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting of the opposite category."""
-    # skeletal, EI and trivial endomorphisms each hold for both or neither of
-    # cat and its opposite
-    found = _moebius_sums(cat, columns=True)
-    if found is None:
-        found = _triangular(cat, columns=True)
+    # skeletal and EI each hold for both or neither of cat and its opposite
+    found = _skeletal_ei(cat, columns=True)
     return found if found is not None else _solve(opposite(cat))
 
 

@@ -15,13 +15,16 @@ those actions:
     |aut y|), the totals, and mu_bar2 (sum over chains of +/- |S(c)| /
     |aut y|, inverse to omega_bar2 whenever the category is free).  Two
     routes compute them:
-      * when every endomorphism is an identity and no chain is cut, S(c) is
-        a plain product of hom-sets, mu_bar2 is the classical Moebius
-        function of the class poset (Rota 1964), and ``moebius_rows`` gets
-        it by one sparse integer back-substitution through omega_bar2;
-        chi_f = chi_f2 are its row sums;
-      * otherwise one depth-first walk over the chains builds every S(c)
-        with its actions.
+      * on a free EI category with no chain cut, one integer
+        back-substitution from the top class down (``_back_substitute``):
+        per class i a class function f_i on aut(i), whose average is chi_f
+        (Burnside's lemma) and whose value at 1 over |aut i| is chi_f2, and
+        a sparse row g_i that is mu_bar2 up to the automorphism orders.  When
+        every endomorphism is an identity g is the classical Moebius
+        function of the class poset (Rota 1964), read by ``moebius_rows``;
+      * otherwise (a non-free EI category, or a cut) one depth-first walk
+        over the chains builds every S(c) with its actions.  It is also the
+        oracle of the back-substitution.
   - integral_moebius: the integer zeta/Moebius pair (A, B) for skeletal
     categories with trivial endomorphisms; B is the transpose of
     ``moebius_rows``.
@@ -102,33 +105,82 @@ def _once(cat: FiniteCategory, key: str, build):
     return memo[key]
 
 
-def _back_substitute(cat: FiniteCategory) -> list[dict[int, int]] | None:
-    if any(len(cat.hom(x, x)) != 1 for x in range(cat.n_objects)):
-        return None
+def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[int, int]]] | None:
+    """(f, g) of a free EI category, filled from the top class down; None as
+    soon as some aut(t) has an orbit shorter than |aut t| on some hom(i, t),
+    i.e. when the category is not free.
+
+    With A_i = aut(rep i), R_it a set of representatives of the A_t-orbits on
+    hom(i, t) and, for x in R_it and b in A_i, a_x(b) the unique a in A_t with
+    x o b = a o x (when there is one):
+
+      f_i(b) = 1 - sum over t above i, x in R_it with x o b in A_t o x of
+               f_t(a_x(b)),
+      g_i    = e_i - sum over t above i of |R_it| g_t.
+
+    f_i(b) is the signed count, over the chains c out of i, of the points of
+    A_top \\ S(c) that b fixes, as a list over the positions of cat.aut(rep i);
+    g_i(j) is the signed count of A_j \\ S(c) over the chains from i to j, as a
+    sparse dict.  Freeness makes S(c) = S(c_t) x_{A_t} hom(i, t) a product
+    S(c_t) x R_it, which is what both recurrences read; at b = 1 they agree,
+    so f_i(1) is the sum of the row g_i.  Every endomorphism an identity is
+    the case |A| = 1: g is then the Moebius function of the class poset
+    (Rota 1964)."""
     poset = _once(cat, "iso_order", iso_order)
     k, reps, leq = poset.size, poset.reps, poset.leq
-    rows: list[dict[int, int]] = [{}] * k
+    comp = cat.compose_table
+    auts = [cat.aut(r) for r in reps]
+    f: list[list[int]] = [[]] * k
+    g: list[dict[int, int]] = [{}] * k
     for i in reversed(range(k)):
-        acc = {i: 1}
+        fi = [1] * len(auts[i])
+        gi = {i: 1}
         for t in range(i + 1, k):
-            if leq[i][t]:
-                h = len(cat.hom(reps[i], reps[t]))
-                for j, v in rows[t].items():
-                    acc[j] = acc.get(j, 0) - h * v
-        rows[i] = {j: v for j, v in acc.items() if v}
-    return rows
+            if not leq[i][t]:
+                continue
+            hom = cat.hom(reps[i], reps[t])
+            at, ft = auts[t], f[t]
+            where = {}  # h -> (x, position of a in at) with h = a o x, x in R_it
+            orbit_reps = []
+            for x in hom:
+                if x not in where:
+                    orbit_reps.append(x)
+                    for ai, a in enumerate(at):
+                        where[comp[a, x]] = (x, ai)
+            if len(orbit_reps) * len(at) != len(hom):
+                return None
+            for x in orbit_reps:
+                for bi, b in enumerate(auts[i]):
+                    y, ai = where[comp[x, b]]
+                    if y == x:
+                        fi[bi] -= ft[ai]
+            n = len(orbit_reps)
+            for j, v in g[t].items():
+                gi[j] = gi.get(j, 0) - n * v
+        f[i] = fi
+        g[i] = {j: v for j, v in gi.items() if v}
+    return f, g
+
+
+def free_sums(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[int, int]]] | None:
+    """(f, g) of ``_back_substitute`` for an EI category, None when it is not
+    free; computed once per category and shared by ``moebius_rows``,
+    ``euler_characteristics`` and the weightings of ``leinster``."""
+    return _once(cat, "moebius", _back_substitute)
 
 
 def moebius_rows(cat: FiniteCategory) -> tuple[IsoPoset, list[dict[int, int]]] | None:
     """mu_bar2 = omega_bar2^-1 of a category whose endomorphisms are all
     identities, as sparse integer rows {class: entry} in iso order, with the
-    class poset; None for any other category.  Computed once per category.
+    class poset; None for any other category.
 
-    With trivial automorphism groups omega_bar2 counts morphisms and is unit
-    upper triangular in iso order, so mu[i] = e_i - sum over the classes t
-    above i of |hom(i, t)| mu[t], filled from the top class down."""
-    rows = _once(cat, "moebius", _back_substitute)
-    return None if rows is None else (_once(cat, "iso_order", iso_order), rows)
+    These are the rows g of ``_back_substitute``, read from the memo that
+    ``euler_characteristics`` shares, so the recurrence runs once per
+    category.  With trivial automorphism groups they are
+    mu[i] = e_i - sum over the classes t above i of |hom(i, t)| mu[t]."""
+    if any(len(cat.hom(x, x)) != 1 for x in range(cat.n_objects)):
+        return None
+    return _once(cat, "iso_order", iso_order), free_sums(cat)[1]
 
 
 # ------------------------------------------------------------------ matrices
@@ -168,7 +220,8 @@ def integral_moebius(cat: FiniteCategory) -> tuple[QMatrix, QMatrix]:
 
 
 class EulerReport:
-    """Chain sums of an EI category.  When truncated is true the depth bound
+    """Chain sums of an EI category, from the back-substitution or the walk
+    (see ``euler_characteristics``).  When truncated is true the depth bound
     cut at least one chain, so chi_f, chi, chi_f2, chi2 and mu_bar2 are
     partial sums, not the invariants."""
 
@@ -229,47 +282,60 @@ def _extend(left, right, hom_size, inner, outer):
             [[ids[g * n + r[s]] for g, s in members] for r in right])
 
 
-def _euler_from_moebius(poset: IsoPoset, rows: list[dict[int, int]]) -> EulerReport:
-    """The report of a category with trivial endomorphisms, from the rows of
-    ``moebius_rows``: every S(c) is a product of hom-sets with trivial
-    actions, so chi_f and chi_f2 both count |S(c)| and are the row sums."""
-    k = poset.size
+def _report(poset: IsoPoset, chi_f: list[Fraction], chi_f2: list[Fraction],
+            mu_rows: list[list[Fraction]], truncated: bool) -> EulerReport:
+    labels = poset.labels
+    return EulerReport(labels, QVector(chi_f, labels), sum(chi_f, Fraction(0)),
+                       QVector(chi_f2, labels), sum(chi_f2, Fraction(0)),
+                       QMatrix.from_rows(mu_rows, labels, labels), truncated)
+
+
+def _euler_from_sums(poset: IsoPoset, f: list[list[int]], g: list[dict[int, int]]) -> EulerReport:
+    """The report of a free EI category from (f, g) of ``_back_substitute``:
+    chi_f[i] = sum over b of f_i(b) / |A_i| (Burnside's lemma),
+    chi_f2[i] = f_i(1) / |A_i| = sum over j of g_i(j) / |A_i|, and
+    mu_bar2[i][j] = |A_j| g_i(j) / |A_i|, A_j acting freely on every S(c)."""
+    orders = [len(fi) for fi in f]
     zero = Fraction(0)
-    mu_rows = []
-    for row in rows:
-        dense = [zero] * k
-        for j, v in row.items():
-            dense[j] = Fraction(v)
-        mu_rows.append(dense)
-    chi_f = [Fraction(sum(row.values())) for row in rows]
-    chi = sum(chi_f, zero)
-    vec = QVector(chi_f, poset.labels)
-    return EulerReport(poset.labels, vec, chi, vec, chi,
-                       QMatrix.from_rows(mu_rows, poset.labels, poset.labels), False)
+    chi_f, chi_f2, mu_rows = [], [], []
+    for i, (fi, gi) in enumerate(zip(f, g)):
+        ai = orders[i]
+        orbits, rest = divmod(sum(fi), ai)
+        assert rest == 0, (f"chi_f not integral at class {poset.labels[i]}: "
+                           f"{Fraction(sum(fi), ai)}")
+        chi_f.append(Fraction(orbits))
+        chi_f2.append(Fraction(sum(gi.values()), ai))
+        row = [zero] * len(f)
+        for j, v in gi.items():
+            row[j] = Fraction(orders[j] * v, ai)
+        mu_rows.append(row)
+    return _report(poset, chi_f, chi_f2, mu_rows, False)
 
 
 def euler_characteristics(cat: FiniteCategory, max_chain_length: int | None = None) -> EulerReport:
     """Functorial and rank-weighted Euler characteristics of a finite EI
     category, and mu_bar2.
 
-    When every endomorphism is an identity and max_chain_length is None or
-    at least the longest chain, they are read off ``moebius_rows``: one
-    sparse integer back-substitution, no chain is visited.
+    When the category is free and max_chain_length is None or at least the
+    longest chain, they are read off the class functions of
+    ``_back_substitute``: one integer back-substitution from the top class
+    down, no chain is visited.
 
-    Otherwise one depth-first walk over the chains out of each class computes
-    them.  A node of the walk is a chain c with its set S(c), stored as index
-    tables of the left aut(top) and right aut(bottom) actions; S((x,)) =
-    aut(x), and S(c + y) = hom(top, y) x_{aut top} S(c).  Each node adds
-    (-1)^length times |S(c)| to mu_bar2 at (bottom, top), times its
-    left-orbit count to chi_f2 of the bottom class and times its double-orbit
-    count to chi_f; mu_bar2 and chi_f2 are divided by |aut bottom|.  Chains
-    longer than max_chain_length are cut, which sets the report's truncated
-    flag."""
+    Otherwise (a non-free EI category, or a cut) one depth-first walk over
+    the chains out of each class computes them.  A node of the walk is a
+    chain c with its set S(c), stored as index tables of the left aut(top)
+    and right aut(bottom) actions; S((x,)) = aut(x), and
+    S(c + y) = hom(top, y) x_{aut top} S(c).  Each node adds (-1)^length
+    times |S(c)| to mu_bar2 at (bottom, top), times its left-orbit count to
+    chi_f2 of the bottom class and times its double-orbit count to chi_f;
+    mu_bar2 and chi_f2 are divided by |aut bottom|.  Chains longer than
+    max_chain_length are cut, which sets the report's truncated flag.  The
+    walk is also the oracle of the back-substitution."""
     poset = _once(cat, "iso_order", iso_order)
     if max_chain_length is None or max_chain_length >= max(poset.lengths, default=0):
-        found = moebius_rows(cat)
-        if found is not None:
-            return _euler_from_moebius(*found)
+        sums = free_sums(cat)
+        if sums is not None:
+            return _euler_from_sums(poset, *sums)
     k = poset.size
     cap = k if max_chain_length is None else max_chain_length
     comp = cat.compose_table
@@ -313,15 +379,7 @@ def euler_characteristics(cat: FiniteCategory, max_chain_length: int | None = No
         chi_f.append(Fraction(f))
         chi_f2.append(Fraction(f2, ai))
         mu_rows.append([Fraction(v, ai) for v in row])
-    return EulerReport(
-        poset.labels,
-        QVector(chi_f, poset.labels),
-        sum(chi_f, Fraction(0)),
-        QVector(chi_f2, poset.labels),
-        sum(chi_f2, Fraction(0)),
-        QMatrix.from_rows(mu_rows, poset.labels, poset.labels),
-        truncated,
-    )
+    return _report(poset, chi_f, chi_f2, mu_rows, truncated)
 
 
 def nerve_euler_characteristic(cat: FiniteCategory) -> int:

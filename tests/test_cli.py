@@ -154,6 +154,14 @@ def test_euler_chain_length_truncation(capsys, monkeypatch):
             == euler_on(capsys, monkeypatch, "span"))
 
 
+
+def test_euler_negative_chain_length(capsys, monkeypatch):
+    code, text, _ = run(capsys, "examples", "emit", "span")
+    feed_stdin(monkeypatch, text)
+    code, out, err = run(capsys, "--max-chain-length", "-1", "euler", "-")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "--max-chain-length must be nonnegative, got -1"}
+
 # an object id that is a JSON array, with every reference to it spelled as str() spells it
 LIST_OBJECT_DOC = {"objects": [["a"]], "morphisms": [{"id": 0, "dom": "['a']", "cod": "['a']"}],
                    "identities": {"['a']": 0}, "composition": [[0, 0, 0]]}

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrank import corpus, leinster
+from catrank import corpus, leinster, moebius
 from catrank.exactq import QMatrix, QVector, mat_invert, solve_linear
 from catrank.fincat import classify, delooping, opposite, poset_category, product
 from catrank.grouptheory import build_group
@@ -217,7 +217,10 @@ def _skeletal_ei_cases():
 
 
 def test_triangular_weighting_matches_the_general_solver(monkeypatch):
+    """Free cases read the weighting off the Moebius back-substitution, the
+    others (the opposites of Or(G)) back-substitute zeta itself."""
     cases = _skeletal_ei_cases()
+    assert {moebius._back_substitute(cat) is None for cat in cases} == {False, True}
     ones = [QVector([F(1)] * cat.n_objects) for cat in cases]
     expected = [(solve_linear(zeta_matrix(cat), b), solve_linear(zeta_matrix(opposite(cat)), b))
                 for cat, b in zip(cases, ones)]

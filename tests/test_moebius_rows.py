@@ -9,7 +9,7 @@ import pytest
 
 from catrank import corpus, leinster, moebius
 from catrank.exactq import QVector, mat_invert, solve_linear
-from catrank.fincat import classify, delooping, opposite, product
+from catrank.fincat import biset_category, classify, delooping, opposite, product
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting, zeta_matrix
 from catrank.moebius import euler_characteristics, moebius_rows, omega_bar2
@@ -105,18 +105,33 @@ def test_untruncated_posets_skip_the_chain_walk(monkeypatch):
 
 
 def test_nontrivial_automorphisms_keep_the_chain_walk(monkeypatch):
+    """Free EI categories with nontrivial automorphisms skip the walk unless a
+    chain is cut; non-free EI categories always walk."""
     monkeypatch.setattr(moebius, "_extend", _refuse("_extend"))
-    for cat in (orbit_category(build_group("symmetric:3")).category,
-                product(delooping(build_group("cyclic:2")), divisor_poset(2))):
+    free = [orbit_category(build_group("symmetric:3")).category,
+            product(delooping(build_group("cyclic:2")), divisor_poset(4))]
+    for cat in free:
         assert moebius_rows(cat) is None
+        longest = max(moebius.iso_order(cat).lengths)
+        assert longest >= 2  # a cut at length 0 stops before any extension
+        assert euler_characteristics(cat, max_chain_length=longest).mu_bar2 == \
+            euler_characteristics(cat).mu_bar2
+        with pytest.raises(RuntimeError, match="_extend"):
+            euler_characteristics(cat, max_chain_length=longest - 1)
+    rng = random.Random(7)
+    non_free = [corpus.build("biset-trivial-c2-c2")]
+    non_free += [biset_category(*genrandom.random_biset(rng)[:4]) for _ in range(12)]
+    non_free = [cat for cat in non_free if not classify(cat).is_free]
+    assert len(non_free) > 4
+    for cat in non_free:
         with pytest.raises(RuntimeError, match="_extend"):
             euler_characteristics(cat)
 
 
 def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
-    """Skeletal categories with trivial endomorphisms take the mu_bar2 sums,
-    other skeletal EI categories the triangular back-substitution; only
-    non-skeletal or non-EI categories reach the general solver."""
+    """Skeletal EI categories take the mu_bar2 sums when free and the
+    triangular back-substitution otherwise; only non-skeletal or non-EI
+    categories reach the general solver."""
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for cat in (corpus.build("subsets-q", q=5), delooping(build_group("cyclic:2")),
                 orbit_category(build_group("symmetric:3")).category):
