@@ -15,7 +15,7 @@ import sys
 
 from . import corpus
 from .exactq import rat_str
-from .fincat import canonical_json, classify, from_json, validate
+from .fincat import _once, canonical_json, classify, from_json, validate
 from .grouptheory import (
     CapExceeded,
     DEFAULT_CAP,
@@ -26,7 +26,7 @@ from .grouptheory import (
     table_of_marks,
 )
 from .leinster import chi_L, coweighting, weighting
-from .moebius import euler_characteristics, nerve_euler_characteristic, omega_bar2
+from .moebius import euler_characteristics, iso_order, nerve_euler_characteristic, omega_bar2
 from .orbitcat import (
     chi_G,
     fixed_point_euler,
@@ -137,18 +137,22 @@ def cmd_euler(args) -> int:
     invariants["chi_L"] = rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:
-        er = euler_characteristics(cat, max_chain_length=args.max_chain_length)
-        if er.truncated:
+        # the chain invariants are sums over every chain, so a bound below the
+        # longest chain omits them; nothing is summed then
+        longest = max(_once(cat, "iso_order", iso_order).lengths, default=0)
+        cut = args.max_chain_length is not None and longest > args.max_chain_length
+        if cut:
             for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2"):
                 warnings.append(f"{name} omitted: chain sums truncated at length "
                                 f"{args.max_chain_length}")
         else:
+            er = euler_characteristics(cat)
             invariants["chi_f"] = _vec(er.chi_f)
             invariants["chi"] = rat_str(er.chi)
             invariants["chi_f2"] = _vec(er.chi_f2)
             invariants["chi2"] = rat_str(er.chi2)
         invariants["omega_bar2"] = _mat(omega_bar2(cat))
-        if not er.truncated:
+        if not cut:
             invariants["mu_bar2"] = _mat(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):

@@ -150,6 +150,14 @@ class FiniteCategory:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
+def _once(cat: FiniteCategory, key: str, build):
+    """build(cat), computed once per category and kept on it."""
+    memo = cat._memo
+    if key not in memo:
+        memo[key] = build(cat)
+    return memo[key]
+
+
 # ------------------------------------------------------------------ validate
 
 
@@ -300,6 +308,31 @@ class PredicateReport:
         return f"PredicateReport({', '.join(on) or 'none'})"
 
 
+def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
+    """A nonidentity automorphism a and a morphism f with a o f = f, the
+    first found over targets, sources, morphisms and automorphisms in index
+    order; None when every automorphism group acts freely on the morphisms
+    into its object (the category is free).  Each aut(y)-orbit is visited
+    once, from its least element: the stabilisers along an orbit are
+    conjugate."""
+    comp = cat.compose_table
+    for y in range(cat.n_objects):
+        auts = [a for a in cat.aut(y) if a != cat.identity[y]]
+        if not auts:
+            continue
+        for x in range(cat.n_objects):
+            seen = set()
+            for f in cat.hom(x, y):
+                if f in seen:
+                    continue
+                for a in auts:
+                    g = comp[a, f]
+                    if g == f:
+                        return a, f
+                    seen.add(g)
+    return None
+
+
 def classify(cat: FiniteCategory) -> PredicateReport:
     """Exhaustive predicate checks; witnesses record a counterexample per failed flag."""
     wit: dict[str, tuple] = {}
@@ -343,24 +376,10 @@ def classify(cat: FiniteCategory) -> PredicateReport:
             wit["is_cauchy_complete"] = (p,)
             break
 
-    is_free = True
-    for y in range(cat.n_objects):
-        auts = [a for a in cat.aut(y) if a != cat.identity[y]]
-        if not auts:
-            continue
-        for x in range(cat.n_objects):
-            for f in cat.hom(x, y):
-                for a in auts:
-                    if cat.compose_table[(a, f)] == f:
-                        is_free = False
-                        wit["is_free"] = (a, f)
-                        break
-                if not is_free:
-                    break
-            if not is_free:
-                break
-        if not is_free:
-            break
+    fixed = _once(cat, "free_witness", free_witness)
+    is_free = fixed is None
+    if not is_free:
+        wit["is_free"] = fixed
 
     is_skeletal = True
     for m in range(cat.n_morphisms):

@@ -7,7 +7,7 @@ category).  Two routes:
   - skeletal EI: zeta in iso order is triangular with diagonal |aut x|, so
     the weighting and coweighting are unique.  On a free category they are
     the row and column sums of mu_bar2 scaled by the automorphism orders,
-    read off the rows g of ``moebius.free_sums`` that
+    read off the rows of ``moebius.class_sums`` that
     ``euler_characteristics`` shares; otherwise one back-substitution gives
     them, from the top class down for the weighting and from the bottom
     class up for the coweighting;
@@ -20,8 +20,8 @@ import math
 from fractions import Fraction
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
-from .fincat import FiniteCategory, opposite
-from .moebius import _once, free_sums, iso_order
+from .fincat import FiniteCategory, _once, free_witness, opposite
+from .moebius import class_sums, iso_order
 
 
 def zeta_matrix(cat: FiniteCategory) -> QMatrix:
@@ -39,11 +39,12 @@ def _skeletal_ei(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
 
     In iso order hom(i, t) is empty unless t = i or t lies above i, so zeta
     is upper triangular with diagonal |aut i|.  It is D omega_bar2 with
-    D = diag(|aut i|), so on a free category, where mu_bar2 = omega_bar2^-1
-    has entries |aut j| g_i(j) / |aut i| from ``moebius.free_sums``,
-    k_i = sum over j of g_i(j) / |aut i| and the transpose's solution is
-    c_j = sum over i of g_i(j) / |aut i|.  Otherwise zeta's system is solved
-    from the top class down, the transpose's from the bottom class up."""
+    D = diag(|aut i|).  On a free category mu_bar2 = omega_bar2^-1, with
+    entries h_i(1)[j] / |aut i| from ``moebius.class_sums``, so
+    k_i = sum over j of h_i(1)[j] / (|aut i| |aut j|) and the transpose's
+    solution is c_j = sum over i of the same terms.  Otherwise mu_bar2 is
+    not the inverse, and zeta's system is solved from the top class down,
+    the transpose's from the bottom class up."""
     n = cat.n_objects
     if not all(cat.is_iso(e) for x in range(n) for e in cat.hom(x, x)):
         return None
@@ -51,19 +52,16 @@ def _skeletal_ei(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
     if poset.size != n:
         return None
     reps = poset.reps
-    sums = free_sums(cat)
-    if sums is not None:
-        orders = [len(fi) for fi in sums[0]]
+    if _once(cat, "free_witness", free_witness) is None:
+        f, rows = class_sums(cat)
+        orders = [len(fi) for fi in f]
         lcm = math.lcm(*orders)
         acc = [0] * n
-        for i, gi in enumerate(sums[1]):
+        for i, hi in enumerate(rows):
             scale = lcm // orders[i]
-            if columns:
-                for j, v in gi.items():
-                    acc[j] += scale * v
-            else:
-                acc[i] = scale * sum(gi.values())
-        w = [Fraction(v, lcm) for v in acc]
+            for j, v in hi.items():
+                acc[j if columns else i] += scale * (lcm // orders[j]) * v
+        w = [Fraction(v, lcm * lcm) for v in acc]
     else:
         z = [[len(cat.hom(a, b)) for b in reps] for a in reps]
         if columns:

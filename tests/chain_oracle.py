@@ -1,13 +1,18 @@
-"""Brute-force chain sums, the reference for catrank.moebius.euler_characteristics.
+"""Chain sums by enumerating chains, the references for
+catrank.moebius.euler_characteristics.
 
-Every chain of iso classes is enumerated on its own and its set S(c) is built
-as the full product hom x ... x hom, then merged under every interior
-automorphism by union-find.  This is slow but shares no code with the
-library's incremental walk, which is what makes it a useful oracle.
+``chain_sums`` is the brute force: every chain of iso classes is enumerated
+on its own and its set S(c) is built as the full product hom x ... x hom,
+then merged under every interior automorphism by union-find.  It is slow but
+shares no code with the library, which is what makes it a useful oracle.
+
+``walk_sums`` is the fast oracle: one depth-first walk over the chains out
+of each class builds every S(c) incrementally with its actions, so it reaches
+categories the brute force cannot.  Both take a bound on the chain length
+and report whether it cut a chain.
 
 ``chi_f2_via_eta`` reads mu_bar2 off these sums, and ``integral_moebius``
-inverts the hom-count matrix by summing its powers, the reference for the
-library's back-substitution.
+inverts the hom-count matrix by summing its powers.
 """
 
 import itertools
@@ -164,6 +169,106 @@ def chain_sums(cat, max_chain_length=None):
         for i in range(k)
         for chain in enumerate_chains(poset, i, max_length=max(max_chain_length, 0) + 1)
     )
+    return chi_f, chi_f2, mu_rows, truncated
+
+
+def _orbit_count(n: int, tables) -> int:
+    """Orbits of 0..n-1 under the maps tables[a][t]."""
+    seen = bytearray(n)
+    count = 0
+    for t in range(n):
+        if seen[t]:
+            continue
+        count += 1
+        seen[t] = 1
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            for tab in tables:
+                v = tab[u]
+                if not seen[v]:
+                    seen[v] = 1
+                    todo.append(v)
+    return count
+
+
+def _extend(left, right, hom_size, inner, outer):
+    """Tables of hom(top, y) x_{aut top} S from those of S.
+
+    A pair (g, s) stands for hom element g and element s of S, at index
+    g * |S| + s; the aut(top)-orbit of (g, s) is {(g a^-1, a s)}, read off
+    inner[a] (g -> g a^-1) and left[a].  The quotient's left action is
+    aut(y) acting on g (outer), its right action that of aut(bottom) on s."""
+    n = len(left[0])
+    ids = [-1] * (hom_size * n)
+    members = []
+    for g in range(hom_size):
+        for s in range(n):
+            if ids[g * n + s] < 0:
+                t = len(members)
+                members.append((g, s))
+                for ia, la in zip(inner, left):
+                    ids[ia[g] * n + la[s]] = t
+    return ([[ids[o[g] * n + s] for g, s in members] for o in outer],
+            [[ids[g * n + r[s]] for g, s in members] for r in right])
+
+
+def walk_sums(cat, max_chain_length=None):
+    """(chi_f, chi_f2, mu_bar2 rows, truncated) as ``chain_sums`` returns
+    them, by one depth-first walk over the chains out of each class.
+
+    A node of the walk is a chain c with its set S(c), stored as index
+    tables of the left aut(top) and right aut(bottom) actions;
+    S((x,)) = aut(x), and S(c + y) = hom(top, y) x_{aut top} S(c).  Each
+    node adds (-1)^length times |S(c)| to mu_bar2 at (bottom, top), times its
+    left-orbit count to chi_f2 of the bottom class and times its
+    double-orbit count to chi_f; mu_bar2 and chi_f2 are divided by
+    |aut bottom|.  Chains longer than max_chain_length are cut, which sets
+    truncated."""
+    poset = iso_order(cat)
+    k = poset.size
+    cap = k if max_chain_length is None else max_chain_length
+    comp = cat.compose_table
+    auts = [cat.aut(r) for r in poset.reps]
+    above = [[j for j in range(k) if j != i and poset.leq[i][j]] for i in range(k)]
+    steps = {}
+
+    def step(i, j):
+        if (i, j) not in steps:
+            hom = cat.hom(poset.reps[i], poset.reps[j])
+            at = {h: t for t, h in enumerate(hom)}
+            steps[i, j] = (
+                len(hom),
+                [[at[comp[h, cat.inverse(a)]] for h in hom] for a in auts[i]],
+                [[at[comp[a, h]] for h in hom] for a in auts[j]],
+            )
+        return steps[i, j]
+
+    truncated = False
+    chi_f, chi_f2, mu_rows = [], [], []
+    for i in range(k):
+        aut = auts[i]
+        at = {m: t for t, m in enumerate(aut)}
+        nodes = [(i, 0, [[at[comp[a, m]] for m in aut] for a in aut],
+                  [[at[comp[m, b]] for m in aut] for b in aut])]
+        f = f2 = 0
+        row = [0] * k
+        while nodes:
+            top, length, left, right = nodes.pop()
+            size = len(left[0])
+            sign = -1 if length % 2 else 1
+            row[top] += sign * size
+            f2 += sign * _orbit_count(size, left)
+            f += sign * _orbit_count(size, left + right)
+            if length >= cap:
+                truncated = truncated or bool(above[top])
+                continue
+            for j in above[top]:
+                nodes.append((j, length + 1, *_extend(left, right, *step(top, j))))
+        ai = len(aut)
+        chi_f.append(Fraction(f))
+        chi_f2.append(Fraction(f2, ai))
+        mu_rows.append([Fraction(v, ai) for v in row])
     return chi_f, chi_f2, mu_rows, truncated
 
 

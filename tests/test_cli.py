@@ -8,9 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from catrank import grouptheory
+from catrank import grouptheory, moebius
 from catrank.cli import main
-from catrank.fincat import canonical_json, from_json
+from catrank.exactq import rat_str
+from catrank.fincat import canonical_json, classify, from_json, opposite
+from catrank.grouptheory import build_group
+from catrank.orbitcat import orbit_category
+
+from chain_oracle import walk_sums
 
 
 def run(capsys, *argv):
@@ -153,6 +158,48 @@ def test_euler_chain_length_truncation(capsys, monkeypatch):
     assert (euler_on(capsys, monkeypatch, "span", "--max-chain-length", "1")
             == euler_on(capsys, monkeypatch, "span"))
 
+
+
+def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
+    """Or(C2^3 x C4)^op, 118 classes and not free, read from a file: chi_f,
+    chi_f2 and mu_bar2 are the walk oracle's."""
+    spec = "product:cyclic:2+cyclic:2+cyclic:2+cyclic:4"
+    cat = opposite(orbit_category(build_group(spec)).category)
+    assert not classify(cat).is_free
+    path = tmp_path / "or-op.json"
+    path.write_text(canonical_json(cat))
+    code, out, err = run(capsys, "euler", str(path))
+    assert code == 0 and err == ""
+    inv = json.loads(out)["invariants"]
+    chi_f, chi_f2, mu_rows, _ = walk_sums(cat)
+    assert inv["chi_f"]["entries"] == [rat_str(v) for v in chi_f]
+    assert inv["chi_f2"]["entries"] == [rat_str(v) for v in chi_f2]
+    assert inv["mu_bar2"]["entries"] == [[rat_str(v) for v in row] for row in mu_rows]
+    assert len(mu_rows) == 118
+
+
+def test_euler_cut_sums_no_chain(tmp_path, capsys, monkeypatch):
+    """A bound below the longest chain of Or(S4)^op (length 4) omits the
+    chain invariants without running the recurrence; the weightings, chi_L
+    and omega_bar2 stay."""
+    cat = opposite(orbit_category(build_group("symmetric:4")).category)
+    assert max(moebius.iso_order(cat).lengths) == 4
+    path = tmp_path / "or-s4-op.json"
+    path.write_text(canonical_json(cat))
+
+    def refuse(cat):
+        raise RuntimeError("the recurrence ran under a cut")
+
+    monkeypatch.setattr(moebius, "_back_substitute", refuse)
+    for length in ("0", "1"):
+        code, out, err = run(capsys, "--max-chain-length", length, "euler", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["warnings"] == [
+            f"{name} omitted: chain sums truncated at length {length}"
+            for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2")
+        ] + ["chi_nerve omitted: nontrivial endomorphism"]
+        assert list(doc["invariants"]) == ["weighting", "coweighting", "chi_L", "omega_bar2"]
 
 
 def test_euler_negative_chain_length(capsys, monkeypatch):

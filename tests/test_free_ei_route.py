@@ -1,30 +1,44 @@
-"""The class-function back-substitution of free EI categories: chi_f, chi_f2
-and mu_bar2 against the brute-force chain sums and the chain walk, the
-freeness test that hands non-free categories to the walk, and guards that
-each route runs exactly where it should."""
+"""The class-function back-substitution that computes chi_f, chi_f2 and
+mu_bar2 of every EI category, free or not: against the brute-force chain
+sums and the chain walk oracle, on free categories (where every stabiliser is
+trivial and only the rows at 1 are needed) and on non-free ones, with guards
+on its assertions and on what it leaves in the category's memo."""
 
 import random
 
 import pytest
 
 from catrank import corpus, moebius
-from catrank.fincat import classify, full_subcategory, opposite
+from catrank.fincat import biset_category, classify, full_subcategory, opposite, product
 from catrank.grouptheory import build_group
+from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics
 from catrank.orbitcat import orbit_category
 
 import genrandom
-from chain_oracle import chain_sums
+from chain_oracle import chain_sums, walk_sums
 
 ORBIT_SPECS = ("symmetric:3", "symmetric:4", "dihedral:4", "q8", "product:cyclic:2+symmetric:3",
                "cyclic:12", "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2", "symmetric:5")
-PROPER_SPECS = ("symmetric:4", "dihedral:6", "product:cyclic:2+symmetric:3")
+PROPER_SPECS = ("symmetric:4", "dihedral:6", "product:cyclic:2+symmetric:3",
+                "symmetric:3", "dihedral:4", "q8", "cyclic:12")
+# the brute force builds every S(c) as a full product of hom sets; above this
+# many morphisms the walk alone is the oracle
+BRUTE_FORCE_MORPHISMS = 300
+
+
+def _proper(cat):
+    """cat without its top class (G/G for an orbit category)."""
+    top = moebius.iso_order(cat).labels[-1]
+    return full_subcategory(cat, [o for o in cat.objects if o != top])[0]
 
 
 def _cases():
-    """Every EI corpus entry and its opposite, Or(G) for ORBIT_SPECS, Or(G)
-    without G/G for PROPER_SPECS and its opposite, and seeded free EI draws,
-    every other one inflated."""
+    """Every EI corpus entry and its opposite; Or(G) and Or(G)^op for
+    ORBIT_SPECS; Or(G) without G/G and its opposite for PROPER_SPECS; seeded
+    free EI draws, every other one inflated; random bisets and their
+    opposites; seeded dag and poset-of-groups draws with their opposites;
+    and products with Or(S3)^op."""
     cases = []
     for name in corpus.names():
         cat = corpus.build(name)
@@ -34,11 +48,9 @@ def _cases():
         cases.append((f"Or({spec})", orbit_category(build_group(spec, 120)).category))
     # without its terminal object G/G, the automorphisms of the lower classes
     # act on the upper chains with varying fixed points, so chi_f depends on
-    # f_t(a_x(b)) at every a, not on f_t(1) alone
-    for spec in PROPER_SPECS:
-        cat = orbit_category(build_group(spec)).category
-        top = moebius.iso_order(cat).labels[-1]
-        proper = full_subcategory(cat, [o for o in cat.objects if o != top])[0]
+    # f_t(a) at every a, not on f_t(1) alone
+    for spec in PROPER_SPECS[:3]:
+        proper = _proper(orbit_category(build_group(spec)).category)
         cases += [(f"Or({spec}) proper", proper), (f"Or({spec}) proper^op", opposite(proper))]
     rng = random.Random(1989)
     for i in range(40):
@@ -47,87 +59,126 @@ def _cases():
             cases.append((f"inflated free {i}", genrandom.random_inflation(rng, cat)[0]))
         else:
             cases.append((f"free {i}", cat))
+    # an opposite orbit category is not free: the Weyl groups of the upper
+    # classes fix morphisms, so stabilisers and demand sets grow
+    for spec in ORBIT_SPECS:
+        cases.append((f"Or({spec})^op", opposite(orbit_category(build_group(spec, 120)).category)))
+    for spec in PROPER_SPECS[3:]:
+        proper = _proper(orbit_category(build_group(spec)).category)
+        cases += [(f"Or({spec}) proper", proper), (f"Or({spec}) proper^op", opposite(proper))]
+    rng = random.Random(2012)
+    for i in range(30):
+        biset = biset_category(*genrandom.random_biset(rng)[:4])
+        cases += [(f"biset {i}", biset), (f"biset {i}^op", opposite(biset))]
+    for i in range(6):
+        for kind, cat in (("dag", genrandom.random_dag_category(rng)),
+                          ("poset of groups", genrandom.poset_of_groups(rng))):
+            cases += [(f"{kind} {i}", cat), (f"{kind} {i}^op", opposite(cat))]
+    s3op = opposite(orbit_category(build_group("symmetric:3")).category)
+    cases.append(("Or(symmetric:3)^op x Or(symmetric:3)^op", product(s3op, s3op)))
+    for i in range(4):
+        biset = biset_category(*genrandom.random_biset(rng)[:4])
+        cases.append((f"biset {30 + i} x Or(symmetric:3)^op", product(biset, s3op)))
     return cases
 
 
 CASES = _cases()
 
 
-def walk(cat):
-    """euler_characteristics with the back-substitution refused, so the
-    chain walk runs; the category's memo is left as it was found."""
-    memo = cat._memo
-    kept = memo.pop("moebius", None)
-    memo["moebius"] = None
-    try:
-        return euler_characteristics(cat)
-    finally:
-        del memo["moebius"]
-        if kept is not None:
-            memo["moebius"] = kept
-
-
-def _refuse(what):
-    def refuse(*args, **kwargs):
-        raise RuntimeError(f"{what} was called")
-    return refuse
+def _report_sums(rep):
+    return (list(rep.chi_f), list(rep.chi_f2),
+            [list(rep.mu_bar2.row(i)) for i in range(rep.mu_bar2.rows)])
 
 
 def test_cases_cover_both_routes_and_nontrivial_groups():
+    """Free and non-free categories, skeletal and not, many with
+    automorphism groups larger than C2, and enough of them under the brute
+    force."""
+    assert len(CASES) >= 172
     free = [classify(cat).is_free for _, cat in CASES]
-    assert any(free) and not all(free)
+    assert sum(free) > 80 and len(free) - sum(free) > 70
     skeletal = [classify(cat).is_skeletal for _, cat in CASES]
     assert any(skeletal) and not all(skeletal)
     assert sum(1 for _, cat in CASES
                if any(len(cat.aut(x)) > 2 for x in range(cat.n_objects))) > 10
+    brute = [cat for _, cat in CASES if cat.n_morphisms <= BRUTE_FORCE_MORPHISMS]
+    assert sum(1 for cat in brute if not classify(cat).is_free) > 60
 
 
 @pytest.mark.parametrize("name,cat", CASES, ids=[name for name, _ in CASES])
 def test_route_matches_walk_and_oracle(name, cat):
-    free = classify(cat).is_free
-    assert (moebius._back_substitute(cat) is not None) == free
-    rep, ref = euler_characteristics(cat), walk(cat)
-    chi_f, chi_f2, mu_rows, truncated = chain_sums(cat)
-    for got in (rep, ref):
-        assert list(got.chi_f) == chi_f
-        assert list(got.chi_f2) == chi_f2
-        assert [list(got.mu_bar2.row(i)) for i in range(got.mu_bar2.rows)] == mu_rows
-        assert got.chi == sum(chi_f) and got.chi2 == sum(chi_f2)
-        assert not got.truncated and not truncated
-    assert rep.labels == ref.labels
+    rep = euler_characteristics(cat)
+    chi_f, chi_f2, mu_rows, truncated = walk_sums(cat)
+    assert _report_sums(rep) == (chi_f, chi_f2, mu_rows) and not truncated
+    assert rep.chi == sum(chi_f) and rep.chi2 == sum(chi_f2)
+    assert rep.labels == moebius.iso_order(cat).labels
+    if cat.n_morphisms <= BRUTE_FORCE_MORPHISMS:
+        assert chain_sums(cat) == (chi_f, chi_f2, mu_rows, truncated)
 
 
-def test_nonfree_orbits_hand_over_to_the_walk(monkeypatch):
-    """A biset with stabilisers has short orbits: the back-substitution
-    declines it, and the walk (here refused) must run."""
+def test_nonfree_orbits_stay_on_the_route():
+    """A biset with stabilisers has orbits shorter than |aut t|: the route
+    averages over cosets of size 2 and gives the walk's numbers."""
     cat = corpus.build("biset-trivial-c2-c2")
     assert not classify(cat).is_free
-    assert moebius._back_substitute(cat) is None
-    monkeypatch.setattr(moebius, "_extend", _refuse("_extend"))
-    with pytest.raises(RuntimeError, match="_extend"):
-        euler_characteristics(cat)
+    poset = moebius.iso_order(cat)
+    (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
+               if i != t and poset.leq[i][t]]
+    at = cat.aut(poset.reps[t])
+    xs, fibre = moebius._orbits(cat.compose_table, cat.hom(poset.reps[i], poset.reps[t]), at)
+    assert {len(c) for _, c in fibre.values()} == {2}
+    assert len(xs) * len(at) > len(cat.hom(poset.reps[i], poset.reps[t]))
+    rep = euler_characteristics(cat)
+    assert _report_sums(rep) == walk_sums(cat)[:3]
 
 
 def test_route_asserts_integral_chi_f(monkeypatch):
     """Burnside's lemma makes sum f_i(b) a multiple of |A_i|; a wrong class
     function is an internal error, not a silent fraction."""
     cat = corpus.build("delooping-c3")
-    f, g = moebius._back_substitute(cat)
-    monkeypatch.setattr(moebius, "_back_substitute", lambda cat: ([[1, 1, 0]], g))
+    f, rows = moebius._back_substitute(cat)
+    monkeypatch.setattr(moebius, "_back_substitute", lambda cat: ([[1, 1, 0]], rows))
     with pytest.raises(AssertionError, match="chi_f not integral"):
         euler_characteristics(cat)
-    assert f == [[1, 1, 1]]
+    assert f == [[1, 1, 1]] and rows == [{0: 3}]
 
 
-def test_orbit_category_only_the_route_reaches(monkeypatch):
+def test_route_asserts_integral_coset_averages(monkeypatch):
+    """Each coset average is an integer; an operator whose cosets are not
+    cosets of the stabiliser breaks that and is caught."""
+    cat = opposite(orbit_category(build_group("symmetric:3")).category)
+    inner = moebius._orbits
+
+    def skewed(comp, hom, at):
+        xs, fibre = inner(comp, hom, at)
+        return xs, {y: (x, c if len(c) == 1 else c + c[:1]) for y, (x, c) in fibre.items()}
+
+    monkeypatch.setattr(moebius, "_orbits", skewed)
+    with pytest.raises(AssertionError, match="not integral at class"):
+        moebius._back_substitute(cat)
+
+
+def test_memo_keeps_only_the_class_functions_and_rows():
+    """The orbits and demand sets are local to the recurrence: the memo holds
+    f on every A_i and the sparse integer rows h_i(1), nothing per pair."""
+    cat = opposite(orbit_category(build_group("dihedral:4")).category)
+    weighting(cat)
+    coweighting(cat)
+    euler_characteristics(cat)
+    assert set(cat._memo) == {"iso_order", "free_witness", "moebius"}
+    f, rows = cat._memo["moebius"]
+    poset = cat._memo["iso_order"]
+    assert [len(fi) for fi in f] == [poset.aut_order(i) for i in range(poset.size)]
+    assert all(type(v) is int for fi in f for v in fi)
+    assert all(type(j) is int and type(v) is int and v for hi in rows for j, v in hi.items())
+
+
+def test_orbit_category_only_the_route_reaches():
     """Or(C2^3 x C4), 118 classes: the walk takes about half a second, the
     back-substitution a few hundredths; both give the same report."""
     cat = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:4")).category
     assert moebius.iso_order(cat).size == 118
-    ref = walk(cat)
-    with monkeypatch.context() as m:
-        m.setattr(moebius, "_extend", _refuse("_extend"))
-        rep = euler_characteristics(cat)
-    assert rep.chi_f == ref.chi_f and rep.chi_f2 == ref.chi_f2
-    assert rep.mu_bar2 == ref.mu_bar2
-    assert (rep.chi, rep.chi2, rep.truncated) == (ref.chi, ref.chi2, False)
+    rep = euler_characteristics(cat)
+    chi_f, chi_f2, mu_rows, truncated = walk_sums(cat)
+    assert _report_sums(rep) == (chi_f, chi_f2, mu_rows) and not truncated
+    assert (rep.chi, rep.chi2) == (sum(chi_f), sum(chi_f2))

@@ -218,9 +218,18 @@ def _skeletal_ei_cases():
 
 def test_triangular_weighting_matches_the_general_solver(monkeypatch):
     """Free cases read the weighting off the Moebius back-substitution, the
-    others (the opposites of Or(G)) back-substitute zeta itself."""
+    others (the opposites of Or(G)) back-substitute zeta itself and never
+    run the recurrence, whose mu_bar2 is not omega_bar2^-1 there."""
     cases = _skeletal_ei_cases()
-    assert {moebius._back_substitute(cat) is None for cat in cases} == {False, True}
+    assert {classify(cat).is_free for cat in cases} == {False, True}
+    recurred = []
+    inner = moebius._back_substitute
+
+    def recorded(cat):
+        recurred.append(cat)
+        return inner(cat)
+
+    monkeypatch.setattr(moebius, "_back_substitute", recorded)
     ones = [QVector([F(1)] * cat.n_objects) for cat in cases]
     expected = [(solve_linear(zeta_matrix(cat), b), solve_linear(zeta_matrix(opposite(cat)), b))
                 for cat, b in zip(cases, ones)]
@@ -235,3 +244,4 @@ def test_triangular_weighting_matches_the_general_solver(monkeypatch):
             assert got.solution == ref.solution
             assert got.solution.labels == ref.solution.labels
             assert got.kernel == ref.kernel == []
+    assert recurred and all(classify(cat).is_free for cat in recurred)

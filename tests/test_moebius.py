@@ -22,18 +22,19 @@ from catrank.fincat import (
     validate,
 )
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
-from catrank.moebius import (
-    euler_characteristics,
-    integral_moebius,
-    iso_order,
-    nerve_euler_characteristic,
-    omega_bar2,
-)
+from catrank.moebius import euler_characteristics, iso_order, nerve_euler_characteristic, omega_bar2
 from catrank.orbitcat import orbit_category
 
 import genrandom
 import chain_oracle
-from chain_oracle import Chain, ChainBiset, chain_sums, chi_f2_via_eta, enumerate_chains
+from chain_oracle import (
+    Chain,
+    ChainBiset,
+    chain_sums,
+    chi_f2_via_eta,
+    enumerate_chains,
+    walk_sums,
+)
 from test_fincat import retract_pair, indiscrete_pair, divisor_poset
 
 
@@ -78,6 +79,23 @@ def collapsed_action_category() -> FiniteCategory:
             (5, 4): 6,
         },
     )
+
+
+def rows(m: QMatrix) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def integral_pair(cat) -> tuple[QMatrix, QMatrix]:
+    """The integer zeta/Moebius pair (A, B) of a category as the library
+    gives it, rows indexed by the target class in iso order:
+    A[i][j] = |hom(rep j, rep i)| and B the transpose of mu_bar2.  For a
+    skeletal category with trivial endomorphisms B = A^-1."""
+    poset = iso_order(cat)
+    reps, labels, k = poset.reps, poset.labels, poset.size
+    a = [[len(cat.hom(reps[j], reps[i])) for j in range(k)] for i in range(k)]
+    mu = euler_characteristics(cat).mu_bar2
+    b = [[mu.get(j, i) for j in range(k)] for i in range(k)]
+    return QMatrix.from_rows(a, labels, labels), QMatrix.from_rows(b, labels, labels)
 
 
 def classical_mobius(leq_pairs, elems):
@@ -207,36 +225,45 @@ class TestMatrices:
         assert mu.at("x", "z") == 0 and inv.at("x", "z") == Fraction(-1, 2)
 
     def test_max_chain_length_truncates(self):
-        rep0 = euler_characteristics(span_category(), max_chain_length=0)
-        assert rep0.mu_bar2.is_identity() and rep0.truncated
+        """The walk oracle under a cut: at length 0 only the one-class
+        chains count; a bound at the longest chain cuts nothing and gives
+        the library's mu_bar2, a shorter one cuts."""
+        _, _, mu0, cut0 = walk_sums(span_category(), 0)
+        assert QMatrix.from_rows(mu0).is_identity() and cut0
         full = euler_characteristics(divisor_poset(12))
-        assert not full.truncated
-        capped = euler_characteristics(divisor_poset(12), max_chain_length=5)
-        assert capped.mu_bar2 == full.mu_bar2 and not capped.truncated
-        assert euler_characteristics(divisor_poset(12), max_chain_length=2).truncated
+        _, _, mu, cut = walk_sums(divisor_poset(12), 5)
+        assert mu == rows(full.mu_bar2) and not cut
+        assert walk_sums(divisor_poset(12), 3) == walk_sums(divisor_poset(12))
+        assert walk_sums(divisor_poset(12), 2)[3]
 
 
 class TestIntegralMoebius:
+    """The pair (A, B) read off hom counts and mu_bar2 (``integral_pair``)
+    against the textbook Moebius function and the matrix-power oracle."""
+
     def test_requires_skeletal_trivial_endos(self):
         with pytest.raises(ValueError, match="skeletal"):
-            integral_moebius(delooping(cyclic_group(2)))
+            chain_oracle.integral_moebius(delooping(cyclic_group(2)))
         with pytest.raises(ValueError, match="skeletal"):
-            integral_moebius(indiscrete_pair())
+            chain_oracle.integral_moebius(indiscrete_pair())
+        # with a nontrivial automorphism mu_bar2 is no integer inverse of A
+        a, b = integral_pair(delooping(cyclic_group(2)))
+        assert a.to_lists() == [[2]] and b.to_lists() == [[1]]
 
     def test_two_chain(self):
-        a, b = integral_moebius(divisor_poset(2))
+        a, b = integral_pair(divisor_poset(2))
         assert [a.row(0), a.row(1)] == [(1, 0), (1, 1)]
         assert [b.row(0), b.row(1)] == [(1, 0), (-1, 1)]
 
     def test_parallel_pair(self):
-        a, b = integral_moebius(parallel_pair())
+        a, b = integral_pair(parallel_pair())
         assert [a.row(0), a.row(1)] == [(1, 0), (2, 1)]
         assert [b.row(0), b.row(1)] == [(1, 0), (-2, 1)]
 
     @pytest.mark.parametrize("n", [4, 12, 30, 36])
     def test_divisor_posets_match_classical_recursion(self, n):
         cat = divisor_poset(n)
-        a, b = integral_moebius(cat)
+        a, b = integral_pair(cat)
         divs = [d for d in range(1, n + 1) if n % d == 0]
         leq = {(x, y) for x in divs for y in divs if y % x == 0}
         mu = classical_mobius(leq, divs)
@@ -245,7 +272,7 @@ class TestIntegralMoebius:
                 assert b.get(i, j) == mu(int(dj), int(di))
 
     def test_divisor_anchor_values(self):
-        _, b = integral_moebius(divisor_poset(4))
+        _, b = integral_pair(divisor_poset(4))
         assert b.at("4", "1") == 0
         assert b.at("2", "1") == -1
 
@@ -253,7 +280,7 @@ class TestIntegralMoebius:
         rng = random.Random(21)
         for _ in range(6):
             cat = genrandom.random_dag_category(rng)
-            a, b = integral_moebius(cat)
+            a, b = integral_pair(cat)
             assert a.is_integral() and b.is_integral()
             assert a.mul(b).is_identity() and b.mul(a).is_identity()
 
@@ -263,7 +290,7 @@ class TestIntegralMoebius:
         cats += [corpus.build("subsets-q", q=q) for q in range(6)]
         cats += [genrandom.random_dag_category(rng) for _ in range(6)]
         for cat in cats:
-            a, b = integral_moebius(cat)
+            a, b = integral_pair(cat)
             want_a, want_b, labels = chain_oracle.integral_moebius(cat)
             assert a.row_labels == a.col_labels == b.row_labels == b.col_labels == labels
             assert a.to_lists() == want_a
@@ -344,8 +371,9 @@ class TestEuler:
             assert a.chi == b.chi and a.chi2 == b.chi2
 
     def test_max_chain_length_zero(self):
-        rep = euler_characteristics(span_category(), max_chain_length=0)
-        assert rep.chi_f.entries == (1, 1, 1)
+        chi_f, _, _, _ = walk_sums(span_category(), 0)
+        assert chi_f == [1, 1, 1]
+        assert chi_f != list(euler_characteristics(span_category()).chi_f)
 
 
 class TestNerve:
@@ -513,10 +541,17 @@ def test_chain_walk_matches_brute_force_oracle():
     assert any(not classify(cat).is_free for _, cat in cases)
     for name, cat in cases:
         for length in (None, 0, 1, 2):
-            rep = euler_characteristics(cat, max_chain_length=length)
-            chi_f, chi_f2, mu_rows, truncated = chain_sums(cat, length)
-            assert list(rep.chi_f) == chi_f, (name, length)
-            assert list(rep.chi_f2) == chi_f2, (name, length)
-            mu = rep.mu_bar2
-            assert [list(mu.row(i)) for i in range(mu.rows)] == mu_rows, (name, length)
-            assert rep.truncated == truncated, (name, length)
+            assert walk_sums(cat, length) == chain_sums(cat, length), (name, length)
+
+
+def test_longest_chain_decides_the_cut():
+    """A bound cuts a chain exactly when it is below the longest chain of
+    the class poset, the test ``catrank euler`` makes instead of summing."""
+    cuts = set()
+    for name, cat in _oracle_cases():
+        longest = max(iso_order(cat).lengths, default=0)
+        for length in (0, 1, 2, 3):
+            truncated = walk_sums(cat, length)[3]
+            assert (longest > length) == truncated, (name, length)
+            cuts.add(truncated)
+    assert cuts == {False, True}

@@ -1,7 +1,8 @@
-"""The back-substitution route for categories whose endomorphisms are all
+"""The back-substitution on categories whose endomorphisms are all
 identities: mu_bar2, chi_f, chi_f2, weighting and coweighting against the
 brute-force chain sums, matrix inversion of omega_bar2 and the general
-solver, and guards that each route runs exactly where it should."""
+solver, the chain walk oracle under a cut, and guards that each route runs
+exactly where it should."""
 
 import random
 
@@ -12,11 +13,11 @@ from catrank.exactq import QVector, mat_invert, solve_linear
 from catrank.fincat import biset_category, classify, delooping, opposite, product
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting, zeta_matrix
-from catrank.moebius import euler_characteristics, moebius_rows, omega_bar2
+from catrank.moebius import euler_characteristics, omega_bar2
 from catrank.orbitcat import orbit_category
 
 import genrandom
-from chain_oracle import chain_sums
+from chain_oracle import chain_sums, walk_sums
 from test_assembly import random_categories
 from test_fincat import divisor_poset
 from test_moebius import _oracle_cases
@@ -57,13 +58,13 @@ def test_cases_cover_both_weighting_routes():
 
 @pytest.mark.parametrize("name,cat", CASES, ids=[name for name, _ in CASES])
 def test_route_matches_oracles(name, cat):
-    assert moebius_rows(cat) is not None
+    assert _trivial_endos(cat)
     rep = euler_characteristics(cat)
     chi_f, chi_f2, mu_rows, truncated = chain_sums(cat)
     assert list(rep.chi_f) == chi_f
     assert list(rep.chi_f2) == chi_f2
     assert [list(rep.mu_bar2.row(i)) for i in range(rep.mu_bar2.rows)] == mu_rows
-    assert not rep.truncated and not truncated
+    assert not truncated
     assert rep.mu_bar2 == mat_invert(omega_bar2(cat))
     assert rep.chi == sum(chi_f) and rep.chi2 == sum(chi_f2)
 
@@ -92,40 +93,49 @@ def _refuse(what):
     return refuse
 
 
-def test_untruncated_posets_skip_the_chain_walk(monkeypatch):
-    monkeypatch.setattr(moebius, "_extend", _refuse("_extend"))
+def _rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def test_untruncated_posets_skip_the_chain_walk():
+    """On a poset a bound at or above the longest chain cuts nothing: the
+    walk oracle then gives the library's report, and below it the walk
+    cuts, which is when ``catrank euler`` omits the chain invariants."""
     cat = corpus.build("subsets-q", q=5)
     assert max(moebius.iso_order(cat).lengths) == 5
     full = euler_characteristics(cat)
-    assert euler_characteristics(cat, max_chain_length=5).mu_bar2 == full.mu_bar2
-    assert euler_characteristics(cat, max_chain_length=50).chi_f == full.chi_f
+    for length in (5, 50):
+        chi_f, chi_f2, mu_rows, truncated = walk_sums(cat, length)
+        assert not truncated
+        assert chi_f == list(full.chi_f) and chi_f2 == list(full.chi_f2)
+        assert mu_rows == _rows(full.mu_bar2)
     for length in (1, 4):
-        with pytest.raises(RuntimeError, match="_extend"):
-            euler_characteristics(cat, max_chain_length=length)
+        assert walk_sums(cat, length)[3]
 
 
-def test_nontrivial_automorphisms_keep_the_chain_walk(monkeypatch):
-    """Free EI categories with nontrivial automorphisms skip the walk unless a
-    chain is cut; non-free EI categories always walk."""
-    monkeypatch.setattr(moebius, "_extend", _refuse("_extend"))
+def test_nontrivial_automorphisms_take_the_same_route():
+    """Free EI categories with nontrivial automorphisms and non-free ones
+    get the report the walk oracle gives without a cut, and the walk cuts
+    exactly below the longest chain."""
     free = [orbit_category(build_group("symmetric:3")).category,
             product(delooping(build_group("cyclic:2")), divisor_poset(4))]
     for cat in free:
-        assert moebius_rows(cat) is None
+        assert not _trivial_endos(cat) and classify(cat).is_free
         longest = max(moebius.iso_order(cat).lengths)
-        assert longest >= 2  # a cut at length 0 stops before any extension
-        assert euler_characteristics(cat, max_chain_length=longest).mu_bar2 == \
-            euler_characteristics(cat).mu_bar2
-        with pytest.raises(RuntimeError, match="_extend"):
-            euler_characteristics(cat, max_chain_length=longest - 1)
+        assert longest >= 2
+        rep = euler_characteristics(cat)
+        _, _, mu_rows, truncated = walk_sums(cat, longest)
+        assert mu_rows == _rows(rep.mu_bar2) and not truncated
+        assert walk_sums(cat, longest - 1)[3]
     rng = random.Random(7)
     non_free = [corpus.build("biset-trivial-c2-c2")]
     non_free += [biset_category(*genrandom.random_biset(rng)[:4]) for _ in range(12)]
     non_free = [cat for cat in non_free if not classify(cat).is_free]
     assert len(non_free) > 4
     for cat in non_free:
-        with pytest.raises(RuntimeError, match="_extend"):
-            euler_characteristics(cat)
+        rep = euler_characteristics(cat)
+        chi_f, chi_f2, mu_rows, _ = walk_sums(cat)
+        assert (chi_f, chi_f2, mu_rows) == (list(rep.chi_f), list(rep.chi_f2), _rows(rep.mu_bar2))
 
 
 def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
