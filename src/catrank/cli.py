@@ -193,7 +193,7 @@ def cmd_group(args) -> int:
         return _error(str(e), 2)
     if args.group_cmd == "orbitcat":
         # raw category document so the output pipes into euler/validate
-        sys.stdout.write(canonical_json(orbit_category(g).category))
+        canonical_json(orbit_category(g).category, sys.stdout)
         return 0
     classes = subgroup_classes(g)
     doc = _group_report(g, args.group)
@@ -286,7 +286,7 @@ def cmd_examples(args) -> int:
         cat = corpus.build(args.name, q=args.q)
     except ValueError as e:
         return _error(str(e), 2)
-    sys.stdout.write(canonical_json(cat))
+    canonical_json(cat, sys.stdout)
     return 0
 
 
@@ -349,6 +349,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.cmd == "group" and args.cap < 1:
+        return _error(f"--cap must be positive, got {args.cap}", 2)
     try:
         return args.fn(args)
     except AssertionError as e:

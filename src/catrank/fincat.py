@@ -12,7 +12,8 @@ put the identities first, in object order, so golden outputs stay stable.
 buckets the morphisms by codomain once and composes only the composable
 pairs, in (g, f) id order. Full subcategories and fibers are restrictions
 through it: (new dom, new cod, old id) descriptors composed in the parent.
-``opposite`` re-keys an existing table and ``from_json`` reads one.
+``opposite`` re-keys an existing table, ``from_json`` reads one and
+``canonical_json`` streams one out as the JSON document.
 
 ``validate`` checks associativity by Light's test (Clifford & Preston 1961,
 The Algebraic Theory of Semigroups, vol. 1, section 1.2): only the morphisms
@@ -24,7 +25,9 @@ when that check, or an identity law, fails.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, Sequence
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from .grouptheory import FiniteGroup
 
@@ -334,89 +337,38 @@ def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
 
 
 def classify(cat: FiniteCategory) -> PredicateReport:
-    """Exhaustive predicate checks; witnesses record a counterexample per failed flag."""
+    """Exhaustive predicate checks; witnesses record a counterexample per
+    failed flag, the first found in index order."""
     wit: dict[str, tuple] = {}
 
-    is_ei = True
-    for m in range(cat.n_morphisms):
-        if cat.dom[m] == cat.cod[m] and not cat.is_iso(m):
-            is_ei = False
-            wit["is_ei"] = (m,)
-            break
+    def holds(name: str, counterexamples) -> bool:
+        found = next(iter(counterexamples), None)
+        if found is not None:
+            wit[name] = found
+        return found is None
 
-    is_df = True
-    for u in range(cat.n_morphisms):
-        x, y = cat.dom[u], cat.cod[u]
-        for v in cat.hom(y, x):
-            if cat.compose_table[(v, u)] == cat.identity[x] and cat.compose_table[(u, v)] != cat.identity[y]:
-                is_df = False
-                wit["is_directly_finite"] = (u, v)
-                break
-        if not is_df:
-            break
-
-    is_cc = True
-    for p in range(cat.n_morphisms):
-        x = cat.dom[p]
-        if cat.cod[p] != x or cat.compose_table[(p, p)] != p:
-            continue
-        split = False
-        for z in range(cat.n_objects):
-            for i in cat.hom(z, x):
-                for r in cat.hom(x, z):
-                    if cat.compose_table[(r, i)] == cat.identity[z] and cat.compose_table[(i, r)] == p:
-                        split = True
-                        break
-                if split:
-                    break
-            if split:
-                break
-        if not split:
-            is_cc = False
-            wit["is_cauchy_complete"] = (p,)
-            break
-
-    fixed = _once(cat, "free_witness", free_witness)
-    is_free = fixed is None
-    if not is_free:
-        wit["is_free"] = fixed
-
-    is_skeletal = True
-    for m in range(cat.n_morphisms):
-        if cat.dom[m] != cat.cod[m] and cat.is_iso(m):
-            is_skeletal = False
-            wit["is_skeletal"] = (m,)
-            break
-
-    is_groupoid = True
-    for m in range(cat.n_morphisms):
-        if not cat.is_iso(m):
-            is_groupoid = False
-            wit["is_groupoid"] = (m,)
-            break
-
-    is_cg = is_groupoid
-    if is_groupoid:
-        for i in range(cat.n_objects):
-            for j in range(cat.n_objects):
-                if not cat.hom(i, j):
-                    is_cg = False
-                    wit["is_connected_groupoid"] = (cat.objects[i], cat.objects[j])
-                    break
-            if not is_cg:
-                break
-    else:
-        wit["is_connected_groupoid"] = wit["is_groupoid"]
-
-    triv = True
-    for x in range(cat.n_objects):
-        endos = cat.hom(x, x)
-        if len(endos) != 1:
-            triv = False
-            nonid = next(m for m in endos if m != cat.identity[x])
-            wit["has_trivial_endomorphisms"] = (nonid,)
-            break
-
+    comp, ident, dom, cod = cat.compose_table, cat.identity, cat.dom, cat.cod
+    ms, objs = range(cat.n_morphisms), range(cat.n_objects)
+    is_ei = holds("is_ei", ((m,) for m in ms if dom[m] == cod[m] and not cat.is_iso(m)))
+    is_df = holds("is_directly_finite",
+                  ((u, v) for u in ms for v in cat.hom(cod[u], dom[u])
+                   if comp[v, u] == ident[dom[u]] and comp[u, v] != ident[cod[u]]))
+    # an idempotent p on x splits when p = i r with r i = 1 for some z
+    is_cc = holds("is_cauchy_complete",
+                  ((p,) for p in ms if dom[p] == cod[p] and comp[p, p] == p
+                   and not any(comp[r, i] == ident[z] and comp[i, r] == p
+                               for z in objs for i in cat.hom(z, dom[p])
+                               for r in cat.hom(dom[p], z))))
+    is_free = holds("is_free", [_once(cat, "free_witness", free_witness)])
+    is_skeletal = holds("is_skeletal", ((m,) for m in ms if dom[m] != cod[m] and cat.is_iso(m)))
+    is_groupoid = holds("is_groupoid", ((m,) for m in ms if not cat.is_iso(m)))
+    is_cg = holds("is_connected_groupoid",
+                  [wit["is_groupoid"]] if not is_groupoid else
+                  ((cat.objects[i], cat.objects[j]) for i in objs for j in objs
+                   if not cat.hom(i, j)))
+    triv = holds("has_trivial_endomorphisms",
+                 ((next(m for m in cat.hom(x, x) if m != ident[x]),) for x in objs
+                  if len(cat.hom(x, x)) != 1))
     return PredicateReport(
         is_ei=is_ei,
         is_directly_finite=is_df,
@@ -790,23 +742,12 @@ def fiber_category(p: FunctorData, b_obj) -> FiniteCategory:
 # ------------------------------------------------------------------- JSON io
 
 
-def to_json(cat: FiniteCategory) -> dict:
-    return {
-        "objects": list(cat.objects),
-        "morphisms": [
-            {"id": m, "dom": cat.objects[cat.dom[m]], "cod": cat.objects[cat.cod[m]]}
-            for m in range(cat.n_morphisms)
-        ],
-        "identities": {str(cat.objects[x]): cat.identity[x] for x in range(cat.n_objects)},
-        "composition": [[g, f, c] for (g, f), c in sorted(cat.compose_table.items())],
-    }
-
-
 def from_json(doc: dict) -> FiniteCategory:
     """Parse the category schema; raises ValueError naming the first format problem.
 
-    Morphism ids must be of type int, as JSON numbers without a fraction
-    part parse: a bool (an int subclass) is refused."""
+    Object ids must be strings or numbers and morphism ids of type int, as
+    JSON parses them: null, and true/false (bool is an int subclass), are
+    refused."""
     if not isinstance(doc, dict):
         raise ValueError("category document must be a JSON object")
     for key in ("objects", "morphisms", "identities", "composition"):
@@ -818,7 +759,7 @@ def from_json(doc: dict) -> FiniteCategory:
     if not isinstance(doc["identities"], dict):
         raise ValueError("identities must be a JSON object")
     objects = list(doc["objects"])
-    if any(isinstance(o, (list, dict)) for o in objects):
+    if any(type(o) not in (str, int, float) for o in objects):
         raise ValueError("object ids must be strings or numbers")
     if len(set(map(str, objects))) != len(objects):
         raise ValueError("duplicate object ids")
@@ -861,5 +802,36 @@ def from_json(doc: dict) -> FiniteCategory:
     return FiniteCategory(objects, dom, cod, identity, table)
 
 
-def canonical_json(cat: FiniteCategory) -> str:
-    return json.dumps(to_json(cat), indent=2) + "\n"
+_CHUNK = 4096  # records per write of canonical_json
+
+
+def canonical_json(cat: FiniteCategory, out: IO[str]) -> None:
+    """Write the category document to the text stream out, byte-identical to
+    ``json.dumps(doc, indent=2) + "\n"``: each record is formatted straight
+    from the tables, and records are written ``_CHUNK`` at a time."""
+    def value(v, depth):  # json's text for v on a line indented depth levels
+        return json.dumps(v, indent=2).replace("\n", "\n" + "  " * depth)
+
+    def section(key, records, brackets="[]", lead=","):
+        out.write(f'{lead}\n  "{key}": ')
+        first = next(records, None)
+        if first is None:
+            out.write(brackets)
+            return
+        out.write(brackets[0] + "\n" + first)
+        for batch in iter(lambda: list(islice(records, _CHUNK)), []):
+            out.write(",\n" + ",\n".join(batch))
+        out.write("\n  " + brackets[1])
+
+    names = [value(o, 3) for o in cat.objects]
+    identities = {str(o): i for o, i in zip(cat.objects, cat.identity)}
+    table = cat.compose_table
+    section("objects", ("    " + value(o, 2) for o in cat.objects), lead="{")
+    section("morphisms", ('    {\n      "id": %d,\n      "dom": %s,\n      "cod": %s\n    }'
+                          % (m, names[d], names[c])
+                          for m, (d, c) in enumerate(zip(cat.dom, cat.cod))))
+    section("identities", ("    %s: %d" % (encode_basestring_ascii(k), i)
+                           for k, i in identities.items()), "{}")
+    section("composition", ("    [\n      %d,\n      %d,\n      %d\n    ]" % (g, f, table[g, f])
+                            for g, f in sorted(table)))
+    out.write("\n}\n")

@@ -85,6 +85,12 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
 # ------------------------------------------------------------ cell censuses
 
 
+@lru_cache(maxsize=8)
+def _class_of(g: FiniteGroup) -> dict[frozenset[int], int]:
+    """The class index of every subgroup of g, read off the lattice once."""
+    return {c: i for i, cls in enumerate(subgroup_classes(g)) for c in cls.conjugates}
+
+
 class GCWComplex:
     """A finite equivariant cell census: dimensions and stabilizer classes.
 
@@ -109,17 +115,10 @@ class GCWComplex:
         self.counts: tuple[int, ...] = tuple(counts)
 
     def _class_index(self, stab) -> int:
-        members = frozenset(stab)
-        if not members or not members <= set(range(self.group.order)):
+        i = _class_of(self.group).get(frozenset(stab))
+        if i is None:
             raise ValueError(f"stabilizer is not a subgroup: {sorted(stab)!r}")
-        for a in members:
-            for b in members:
-                if self.group.table[a][b] not in members:
-                    raise ValueError(f"stabilizer is not a subgroup: {sorted(stab)!r}")
-        for i, cls in enumerate(self.classes):
-            if members in cls.conjugates:
-                return i
-        raise AssertionError("subgroup missed every conjugacy class")
+        return i
 
     def __repr__(self) -> str:
         return f"GCWComplex(|G|={self.group.order}, {len(self.cells)} cells)"

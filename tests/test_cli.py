@@ -11,11 +11,12 @@ import pytest
 from catrank import grouptheory, moebius
 from catrank.cli import main
 from catrank.exactq import rat_str
-from catrank.fincat import canonical_json, classify, from_json, opposite
+from catrank.fincat import classify, from_json, opposite
 from catrank.grouptheory import build_group
 from catrank.orbitcat import orbit_category
 
 from chain_oracle import walk_sums
+from json_oracle import emitted
 
 
 def run(capsys, *argv):
@@ -57,7 +58,7 @@ def test_emit_load_reemit_byte_identical(capsys):
     for name in json.loads(out)["examples"]:
         code, text, _ = run(capsys, "examples", "emit", name)
         assert code == 0
-        assert canonical_json(from_json(json.loads(text))) == text, name
+        assert emitted(from_json(json.loads(text))) == text, name
 
 
 def test_validate_good_file(tmp_path, capsys):
@@ -167,7 +168,7 @@ def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
     cat = opposite(orbit_category(build_group(spec)).category)
     assert not classify(cat).is_free
     path = tmp_path / "or-op.json"
-    path.write_text(canonical_json(cat))
+    path.write_text(emitted(cat))
     code, out, err = run(capsys, "euler", str(path))
     assert code == 0 and err == ""
     inv = json.loads(out)["invariants"]
@@ -185,7 +186,7 @@ def test_euler_cut_sums_no_chain(tmp_path, capsys, monkeypatch):
     cat = opposite(orbit_category(build_group("symmetric:4")).category)
     assert max(moebius.iso_order(cat).lengths) == 4
     path = tmp_path / "or-s4-op.json"
-    path.write_text(canonical_json(cat))
+    path.write_text(emitted(cat))
 
     def refuse(cat):
         raise RuntimeError("the recurrence ran under a cut")
@@ -223,10 +224,20 @@ BOOL_ID_DOC = {"morphisms": [{"id": 0, "dom": "a", "cod": "a"}, {"id": True, "do
                                [2, 4, 4], [3, 0, 3], [4, 0, 4]]}
 
 
+# object ids that are JSON null, true and false, referenced as str() spells them
+NULL_OBJECT_DOC = {"objects": [None], "morphisms": [{"id": 0, "dom": "None", "cod": "None"}],
+                   "identities": {"None": 0}, "composition": [[0, 0, 0]]}
+BOOL_OBJECT_DOC = {"objects": [True, False],
+                   "morphisms": [{"id": 0, "dom": "True", "cod": "True"},
+                                 {"id": 1, "dom": "False", "cod": "False"}],
+                   "identities": {"True": 0, "False": 1}, "composition": [[0, 0, 0], [1, 1, 1]]}
+
+
 @pytest.mark.parametrize("patch", [{"objects": 3}, {"morphisms": 5}, {"identities": 5},
-                                   {"composition": 7}, LIST_OBJECT_DOC, BOOL_ID_DOC],
+                                   {"composition": 7}, LIST_OBJECT_DOC, BOOL_ID_DOC,
+                                   NULL_OBJECT_DOC, BOOL_OBJECT_DOC],
                          ids=["objects", "morphisms", "identities", "composition", "list-id",
-                              "bool-id"])
+                              "bool-id", "null-object-id", "bool-object-id"])
 def test_malformed_document_fields(tmp_path, capsys, patch):
     code, text, _ = run(capsys, "examples", "emit", "span")
     doc = json.loads(text)
@@ -237,6 +248,17 @@ def test_malformed_document_fields(tmp_path, capsys, patch):
         code, _, err = run(capsys, cmd, str(path))
         assert code == 1
         assert json.loads(err)["violations"][0]["kind"] == "malformed"
+
+
+@pytest.mark.parametrize("doc", [NULL_OBJECT_DOC, BOOL_OBJECT_DOC], ids=["null", "bool"])
+def test_null_and_bool_object_ids_refused(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("validate", "euler"):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 1
+        assert json.loads(err)["violations"] == [
+            {"kind": "malformed", "detail": "object ids must be strings or numbers"}]
 
 
 def test_group_marks_c5(capsys):
@@ -319,6 +341,28 @@ def test_equivariant_file_cap_checked_before_lattice(tmp_path, capsys, no_lattic
     code, out, err = run(capsys, "--cap", "20", "group", "equivariant", str(path))
     assert code == 1 and out == ""
     assert "cap" in json.loads(err)["error"]
+
+
+CAP_INPUTS = GROUP_SUBCOMMANDS + (("equivariant", "-"), ("equivariant", "missing.json"))
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("sub", CAP_INPUTS, ids=[s[0] + "-" + s[-1] for s in CAP_INPUTS])
+def test_group_cap_below_one_is_a_usage_error(capsys, monkeypatch, cap, sub):
+    def no_input():
+        raise AssertionError("input read under a cap below 1")
+
+    monkeypatch.setattr(sys, "stdin", None)
+    monkeypatch.setattr("catrank.cli._read_source", lambda path: no_input())
+    monkeypatch.setattr("catrank.cli.build_group", lambda spec, cap: no_input())
+    code, out, err = run(capsys, "--cap", cap, "group", *sub)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"--cap must be positive, got {cap}"}
+
+
+def test_cap_of_one_is_accepted(capsys):
+    code, out, _ = run(capsys, "--cap", "1", "group", "marks", "trivial")
+    assert code == 0 and json.loads(out)["group_order"] == 1
 
 
 def test_group_marks_default_cap(capsys):

@@ -10,7 +10,6 @@ from catrank.fincat import (
     FiniteCategory,
     FunctorData,
     biset_category,
-    canonical_json,
     classify,
     coproduct,
     delooping,
@@ -24,7 +23,6 @@ from catrank.fincat import (
     poset_category,
     product,
     skeleton,
-    to_json,
     validate,
     validate_functor,
 )
@@ -32,6 +30,7 @@ from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 
 import genrandom
 from aut_groups import aut_group
+from json_oracle import emitted, to_json
 
 
 # the walking retract pair: u: x -> y, v: y -> x with nontrivial idempotents
@@ -166,7 +165,19 @@ class TestJson:
             doc = to_json(cat)
             again = from_json(json.loads(json.dumps(doc)))
             assert again == cat
-            assert canonical_json(again) == canonical_json(cat)
+            assert emitted(again) == emitted(cat)
+
+    @pytest.mark.parametrize("bad", [None, True, False, ["a"], {"a": 1}])
+    def test_object_id_types(self, bad):
+        doc = {"objects": ["x", bad], "morphisms": [{"id": 0, "dom": "x", "cod": "x"},
+                                                    {"id": 1, "dom": str(bad), "cod": str(bad)}],
+               "identities": {"x": 0, str(bad): 1}, "composition": [[0, 0, 0], [1, 1, 1]]}
+        with pytest.raises(ValueError, match="^object ids must be strings or numbers$"):
+            from_json(doc)
+        doc["objects"][1] = 1.5 if bad is None else 7
+        doc["morphisms"][1].update(dom=str(doc["objects"][1]), cod=str(doc["objects"][1]))
+        doc["identities"] = {"x": 0, str(doc["objects"][1]): 1}
+        assert validate(from_json(doc)) == []
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
@@ -486,5 +497,62 @@ def test_random_categories_are_lawful(seed):
     assert opposite(opposite(cat)) == cat
     rep = classify(cat)
     assert rep.is_ei == (rep.is_directly_finite and rep.is_cauchy_complete)
-    doc = json.loads(canonical_json(cat))
+    doc = json.loads(emitted(cat))
     assert from_json(doc) == cat
+
+
+def _first_counterexamples(cat) -> dict:
+    """Each predicate's first counterexample in index order, by brute force
+    over the composition table (is_free's comes from the library's search)."""
+    comp, ident, dom, cod = cat.compose_table, cat.identity, cat.dom, cat.cod
+    ms, objs = range(cat.n_morphisms), range(cat.n_objects)
+
+    def iso(m):
+        return any(comp[g, m] == ident[dom[m]] and comp[m, g] == ident[cod[m]]
+                   for g in ms if dom[g] == cod[m] and cod[g] == dom[m])
+
+    def splits(p):
+        return any(comp[r, i] == ident[dom[i]] and comp[i, r] == p
+                   for i in ms for r in ms
+                   if cod[i] == dom[p] and dom[r] == dom[p] and cod[r] == dom[i])
+
+    found = {
+        "is_ei": [(m,) for m in ms if dom[m] == cod[m] and not iso(m)],
+        "is_directly_finite": [(u, v) for u in ms for v in ms
+                               if dom[v] == cod[u] and cod[v] == dom[u]
+                               and comp[v, u] == ident[dom[u]] and comp[u, v] != ident[cod[u]]],
+        "is_cauchy_complete": [(p,) for p in ms if dom[p] == cod[p] and comp[p, p] == p
+                               and not splits(p)],
+        "is_skeletal": [(m,) for m in ms if dom[m] != cod[m] and iso(m)],
+        "is_groupoid": [(m,) for m in ms if not iso(m)],
+        "has_trivial_endomorphisms": [(m,) for m in ms if dom[m] == cod[m] and m != ident[dom[m]]],
+    }
+    found["is_connected_groupoid"] = found["is_groupoid"] or [
+        (cat.objects[i], cat.objects[j]) for i in objs for j in objs
+        if not any(dom[m] == i and cod[m] == j for m in ms)]
+    return {name: c[0] for name, c in found.items() if c}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_witnesses_are_first_counterexamples(seed):
+    rng = random.Random(seed)
+    cat = rng.choice([
+        genrandom.random_dag_category,
+        genrandom.random_poset_category,
+        genrandom.poset_of_groups,
+        lambda r: retract_pair(),
+        lambda r: genrandom.action_groupoid(genrandom.random_group(r, 8), (0,))[0],
+        lambda r: opposite(genrandom.random_free_ei_category(r)),
+    ])(rng)
+    rep = classify(cat)
+    expected = _first_counterexamples(cat)
+    free = rep.witnesses.pop("is_free", None)
+    assert rep.is_free == (free is None)
+    if free is not None:
+        a, f = free
+        assert a in cat.aut(cat.cod[f]) and a != cat.identity[cat.cod[f]]
+        assert cat.compose(a, f) == f
+    assert rep.witnesses == expected
+    assert {k for k, v in rep.flags().items() if not v} == set(expected) | (
+        {"is_free"} if free else set())

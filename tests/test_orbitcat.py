@@ -1,6 +1,7 @@
 """Orbit categories, equivariant cell censuses, and the fixed-point relation."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -246,3 +247,23 @@ def test_chi_f2_eta_route_on_orbit_categories(rng):
     g = build_group(rng.choice(["cyclic:4", "cyclic:6", "klein", "symmetric:3"]))
     cat = orbit_category(g).category
     assert list(euler_characteristics(cat).chi_f2) == list(chi_f2_via_eta(cat))
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "cyclic:4", "klein", "dihedral:4"])
+def test_census_lookup_on_every_subset(spec):
+    """Every subset of the group: a subgroup lands in the class holding it
+    among its conjugates, anything else is refused by the same message."""
+    g = build_group(spec)
+    classes = subgroup_classes(g)
+    x = GCWComplex(g, [])
+    for bits in range(1 << g.order):
+        subset = [e for e in range(g.order) if bits >> e & 1]
+        owner = [i for i, cls in enumerate(classes) if frozenset(subset) in cls.conjugates]
+        if owner:
+            assert x._class_index(subset) == owner[0]
+        else:
+            with pytest.raises(ValueError, match=r"^stabilizer is not a subgroup: "
+                                                 + re.escape(repr(subset)) + "$"):
+                x._class_index(subset)
+    with pytest.raises(ValueError, match=r"not a subgroup: \[0, 99\]"):
+        x._class_index([99, 0])
