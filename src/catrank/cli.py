@@ -184,13 +184,21 @@ def _error(message: str, code: int) -> int:
     return code
 
 
-def cmd_group(args) -> int:
+def _group_arg(spec: str, cap: int):
+    """(build_group(spec, cap), 0), or (None, exit code) once the reason is
+    reported: 1 above the cap, 2 for a malformed spec."""
     try:
-        g = build_group(args.group, args.cap)
+        return build_group(spec, cap), 0
     except CapExceeded as e:
-        return _error(str(e), 1)
+        return None, _error(str(e), 1)
     except (ValueError, RecursionError) as e:
-        return _error(str(e), 2)
+        return None, _error(str(e), 2)
+
+
+def cmd_group(args) -> int:
+    g, code = _group_arg(args.group, args.cap)
+    if g is None:
+        return code
     if args.group_cmd == "orbitcat":
         # raw category document so the output pipes into euler/validate
         canonical_json(orbit_category(g).category, sys.stdout)
@@ -227,12 +235,9 @@ def cmd_equivariant(args) -> int:
     if args.cells < 0:
         return _error(f"--cells must be nonnegative, got {args.cells}", 2)
     if args.random is not None:
-        try:
-            g = build_group(args.random, args.cap)
-        except CapExceeded as e:
-            return _error(str(e), 1)
-        except (ValueError, RecursionError) as e:
-            return _error(str(e), 2)
+        g, code = _group_arg(args.random, args.cap)
+        if g is None:
+            return code
         rng = random.Random(args.seed)
         classes = subgroup_classes(g)
         census = [{"dim": rng.randrange(0, 4),

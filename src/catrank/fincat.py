@@ -359,7 +359,7 @@ def classify(cat: FiniteCategory) -> PredicateReport:
                    and not any(comp[r, i] == ident[z] and comp[i, r] == p
                                for z in objs for i in cat.hom(z, dom[p])
                                for r in cat.hom(dom[p], z))))
-    is_free = holds("is_free", [_once(cat, "free_witness", free_witness)])
+    is_free = holds("is_free", [free_witness(cat)])
     is_skeletal = holds("is_skeletal", ((m,) for m in ms if dom[m] != cod[m] and cat.is_iso(m)))
     is_groupoid = holds("is_groupoid", ((m,) for m in ms if not cat.is_iso(m)))
     is_cg = holds("is_connected_groupoid",

@@ -281,7 +281,10 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
         _check_cap(2 * n, cap)
         g = dihedral_group(n)
     elif kind == "symmetric":
-        g = symmetric_group(_spec_int(spec, "n"))
+        n = _spec_int(spec, "n")
+        if 1 <= n <= 5:  # outside that range symmetric_group raises its range error
+            _check_cap(math.factorial(n), cap)
+        g = symmetric_group(n)
     elif kind == "product":
         if not isinstance(spec.get("factors"), list) or not spec["factors"]:
             raise ValueError("product needs a nonempty list of factors")

@@ -4,24 +4,22 @@ A weighting solves zeta k = 1 and a coweighting solves its transpose, zeta
 the hom-count matrix (Leinster 2008, The Euler characteristic of a
 category).  Two routes:
 
-  - skeletal EI: zeta in iso order is triangular with diagonal |aut x|, so
-    the weighting and coweighting are unique.  On a free category they are
-    the row and column sums of mu_bar2 scaled by the automorphism orders,
-    read off the rows of ``moebius.class_sums`` that
-    ``euler_characteristics`` shares; otherwise one back-substitution gives
-    them, from the top class down for the weighting and from the bottom
-    class up for the coweighting;
-  - any other category: ``exactq.solve_linear``.
+  - EI: zeta on the class representatives, in iso order, is triangular
+    with diagonal |aut x|, so one back-substitution solves it, from the top
+    class down for the weighting and from the bottom class up for the
+    coweighting.  Members of a class have equal rows and columns, so the
+    report is the one ``exactq.solve_linear`` would give, written down;
+  - any other category: ``exactq.solve_linear`` on zeta or its transpose.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import compress
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
-from .fincat import FiniteCategory, _once, free_witness, opposite
-from .moebius import class_sums, iso_order
+from .fincat import FiniteCategory, _once
+from .moebius import iso_order
 
 
 def zeta_matrix(cat: FiniteCategory) -> QMatrix:
@@ -33,66 +31,65 @@ def zeta_matrix(cat: FiniteCategory) -> QMatrix:
     return QMatrix(n, n, entries, row_labels=labels, col_labels=labels)
 
 
-def _skeletal_ei(cat: FiniteCategory, columns: bool) -> SolutionReport | None:
-    """The unique solution of zeta k = 1 (or of its transpose) in object
-    order, when cat is skeletal EI; None otherwise.
+def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
+    """``solve_linear``'s report on zeta k = 1 (or on its transpose) of an
+    EI category, without eliminating.
 
-    In iso order hom(i, t) is empty unless t = i or t lies above i, so zeta
-    is upper triangular with diagonal |aut i|.  It is D omega_bar2 with
-    D = diag(|aut i|).  On a free category mu_bar2 = omega_bar2^-1, with
-    entries h_i(1)[j] / |aut i| from ``moebius.class_sums``, so
-    k_i = sum over j of h_i(1)[j] / (|aut i| |aut j|) and the transpose's
-    solution is c_j = sum over i of the same terms.  Otherwise mu_bar2 is
-    not the inverse, and zeta's system is solved from the top class down,
-    the transpose's from the bottom class up."""
-    n = cat.n_objects
-    if not all(cat.is_iso(e) for x in range(n) for e in cat.hom(x, x)):
-        return None
+    Each class representative (its least-index object) is a pivot, since
+    the representatives' columns are independent and every other member's
+    column repeats its representative's.  The pivots carry the unique
+    solution of the system on the representatives: in iso order hom(i, t)
+    is empty unless t = i or t lies above i, so it is solved from the top
+    class down, the transpose's from the bottom class up, on Python
+    integers while each division by |aut i| is exact.  Every other member
+    m is a free variable set to 0, with kernel vector e_m - e_rep."""
     poset = _once(cat, "iso_order", iso_order)
-    if poset.size != n:
-        return None
-    reps = poset.reps
-    if _once(cat, "free_witness", free_witness) is None:
-        f, rows = class_sums(cat)
-        orders = [len(fi) for fi in f]
-        lcm = math.lcm(*orders)
-        acc = [0] * n
-        for i, hi in enumerate(rows):
-            scale = lcm // orders[i]
-            for j, v in hi.items():
-                acc[j if columns else i] += scale * (lcm // orders[j]) * v
-        w = [Fraction(v, lcm * lcm) for v in acc]
-    else:
-        z = [[len(cat.hom(a, b)) for b in reps] for a in reps]
-        if columns:
-            z = [list(col) for col in zip(*z)]
-        w = [Fraction(0)] * n
-        for i in (range(n) if columns else reversed(range(n))):
-            # z[i][t] is 0 wherever w[t] is not solved yet
-            solved = sum(z[i][t] * w[t] for t in range(n) if z[i][t] and t != i)
-            w[i] = (1 - solved) / Fraction(z[i][i])
-    k = [Fraction(0)] * n
-    for i, x in enumerate(reps):
-        k[x] = w[i]
-    return SolutionReport(True, QVector(k, [str(o) for o in cat.objects]), [])
+    reps, k = poset.reps, poset.size
+    # the transpose's system reads the relation and the hom sets reversed
+    leq = list(zip(*poset.leq)) if columns else poset.leq
+    hom = (lambda a, b: cat.hom(b, a)) if columns else cat.hom
+    w: list = [0] * k
+    for i in (range(k) if columns else reversed(range(k))):
+        # every class related to i, other than i, is solved before it
+        rest = 1 - sum(len(hom(reps[i], reps[t])) * w[t]
+                       for t in compress(range(k), leq[i]) if t != i)
+        d = len(cat.hom(reps[i], reps[i]))
+        w[i] = rest // d if rest % d == 0 else Fraction(rest, d)
+    n = cat.n_objects
+    x, rep_of = [0] * n, list(range(n))
+    for r, wi, members in zip(reps, w, poset.members):
+        x[r] = wi
+        for o in members:
+            rep_of[cat.obj_index(o)] = r
+    labels = [str(o) for o in cat.objects]
+    zeros, kernel = [Fraction(0)] * n, []
+    for m, r in enumerate(rep_of):
+        if m != r:
+            v = zeros.copy()
+            v[m], v[r] = Fraction(1), Fraction(-1)
+            kernel.append(QVector(v, labels))
+    return SolutionReport(True, QVector(x, labels), kernel)
 
 
-def _solve(cat: FiniteCategory) -> SolutionReport:
-    return solve_linear(zeta_matrix(cat), QVector([Fraction(1)] * cat.n_objects))
+def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
+    if all(cat.is_iso(e) for x in range(cat.n_objects) for e in cat.hom(x, x)):
+        return _ei(cat, columns)
+    z = zeta_matrix(cat)
+    if columns:
+        # the zeta matrix of the opposite category
+        z = QMatrix.from_rows(list(zip(*z.to_lists())), z.col_labels, z.row_labels)
+    return solve_linear(z, QVector([Fraction(1)] * cat.n_objects))
 
 
 def weighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
     for every x; solved exactly, inconsistency reported in-band."""
-    found = _skeletal_ei(cat, columns=False)
-    return found if found is not None else _solve(cat)
+    return _solve(cat, columns=False)
 
 
 def coweighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting of the opposite category."""
-    # skeletal and EI each hold for both or neither of cat and its opposite
-    found = _skeletal_ei(cat, columns=True)
-    return found if found is not None else _solve(opposite(cat))
+    return _solve(cat, columns=True)
 
 
 def chi_L(cat: FiniteCategory, w: SolutionReport | None = None,

@@ -199,13 +199,6 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
     return f, [hi[0] for hi in h]
 
 
-def class_sums(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[int, int]]]:
-    """(f, rows) of ``_back_substitute`` for an EI category, computed once
-    per category and kept on it; shared by ``euler_characteristics`` and
-    the weightings of ``leinster``."""
-    return _once(cat, "moebius", _back_substitute)
-
-
 # ------------------------------------------------------------------ matrices
 
 
@@ -252,7 +245,7 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     chain is visited."""
     poset = _once(cat, "iso_order", iso_order)
     labels = poset.labels
-    f, rows = class_sums(cat)
+    f, rows = _once(cat, "moebius", _back_substitute)
     zero = Fraction(0)
     chi_f, chi_f2, mu_rows = [], [], []
     for i, (fi, hi) in enumerate(zip(f, rows)):

@@ -165,7 +165,7 @@ def test_memo_keeps_only_the_class_functions_and_rows():
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
-    assert set(cat._memo) == {"iso_order", "free_witness", "moebius"}
+    assert set(cat._memo) == {"iso_order", "moebius"}
     f, rows = cat._memo["moebius"]
     poset = cat._memo["iso_order"]
     assert [len(fi) for fi in f] == [poset.aut_order(i) for i in range(poset.size)]

@@ -456,6 +456,22 @@ def test_build_group_cap():
     assert build_group("symmetric:5", cap=120).order == 120
 
 
+def test_symmetric_cap_before_the_table(monkeypatch):
+    """n! is checked against the cap before any permutation is multiplied;
+    a degree out of range keeps its range error whatever the cap."""
+
+    def refuse(elems):
+        raise AssertionError("the symmetric group was built")
+
+    monkeypatch.setattr(grouptheory, "_group_from_perms", refuse)
+    with pytest.raises(CapExceeded, match="group order 120 exceeds cap 64"):
+        build_group("symmetric:5")
+    for cap in (64, 720):
+        with pytest.raises(ValueError, match="1 <= n <= 5") as err:
+            build_group("symmetric:6", cap=cap)
+        assert not isinstance(err.value, CapExceeded)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "dihedral", "n": 2.5},
     {"kind": "cyclic", "n": True},

@@ -20,7 +20,7 @@ from catrank.leinster import (
 from catrank.moebius import euler_characteristics
 from catrank.orbitcat import orbit_category
 
-from genrandom import poset_of_groups, random_biset, random_free_ei_category
+from genrandom import poset_of_groups, random_biset, random_free_ei_category, random_inflation
 from test_fincat import retract_pair
 from test_moebius import parallel_pair, span_category, subsets_category
 
@@ -216,10 +216,13 @@ def _skeletal_ei_cases():
     return cats + [opposite(cat) for cat in cats]
 
 
+def _refuse_solver(*args):
+    raise AssertionError("EI categories take the triangular route")
+
+
 def test_triangular_weighting_matches_the_general_solver(monkeypatch):
-    """Free cases read the weighting off the Moebius back-substitution, the
-    others (the opposites of Or(G)) back-substitute zeta itself and never
-    run the recurrence, whose mu_bar2 is not omega_bar2^-1 there."""
+    """Free or not (the opposites of Or(G)), the weightings back-substitute
+    zeta itself and never run the Moebius recurrence."""
     cases = _skeletal_ei_cases()
     assert {classify(cat).is_free for cat in cases} == {False, True}
     recurred = []
@@ -233,15 +236,98 @@ def test_triangular_weighting_matches_the_general_solver(monkeypatch):
     ones = [QVector([F(1)] * cat.n_objects) for cat in cases]
     expected = [(solve_linear(zeta_matrix(cat), b), solve_linear(zeta_matrix(opposite(cat)), b))
                 for cat, b in zip(cases, ones)]
-
-    def refuse(*args):
-        raise AssertionError("skeletal EI categories take the triangular route")
-
-    monkeypatch.setattr(leinster, "solve_linear", refuse)
+    monkeypatch.setattr(leinster, "solve_linear", _refuse_solver)
     for cat, (w, cw) in zip(cases, expected):
         for got, ref in ((weighting(cat), w), (coweighting(cat), cw)):
             assert got.consistent and ref.consistent
             assert got.solution == ref.solution
             assert got.solution.labels == ref.solution.labels
             assert got.kernel == ref.kernel == []
-    assert recurred and all(classify(cat).is_free for cat in recurred)
+    assert recurred == []
+
+
+def _oracle(cat):
+    """The general solver's reports on zeta and on the zeta of the opposite."""
+    ones = QVector([F(1)] * cat.n_objects)
+    return (solve_linear(zeta_matrix(cat), ones),
+            solve_linear(zeta_matrix(opposite(cat)), ones))
+
+
+def _same_report(got, ref):
+    return (got.consistent == ref.consistent and got.solution == ref.solution
+            and (ref.solution is None or got.solution.labels == ref.solution.labels)
+            and got.kernel == ref.kernel)
+
+
+def _non_skeletal_ei_cases():
+    """indiscrete-2, seeded inflations of free and non-free EI categories
+    and products with indiscrete-2: every class past the first member adds
+    a free variable and a kernel vector."""
+    ind = corpus.build("indiscrete-2")
+    ors3 = orbit_category(build_group("symmetric:3")).category
+    ord8 = orbit_category(build_group("dihedral:4")).category
+    bisets = [corpus.build(name) for name in corpus.names() if name.startswith("biset")]
+    bisets = [cat for cat in bisets if not classify(cat).is_free]
+    assert len(bisets) == 3
+    rng = random.Random(1403)
+    inflated = [random_inflation(rng, cat)[0]
+                for cat in [ors3, opposite(ors3), opposite(ord8), *bisets,
+                            corpus.build("subsets-q", q=3)]
+                for _ in range(2)]
+    return [ind, *inflated, product(ors3, ind), product(opposite(ors3), ind)]
+
+
+def test_ei_weightings_are_the_general_solvers_reports(monkeypatch):
+    """On non-skeletal EI categories, free or not, the triangular route
+    gives the report the general solver gives: consistency, the solution
+    with its labels, and the kernel vectors e_m - e_rep in order."""
+    cases = _non_skeletal_ei_cases()
+    flags = [classify(cat) for cat in cases]
+    assert all(f.is_ei and not f.is_skeletal for f in flags)
+    assert {f.is_free for f in flags} == {False, True}
+    expected = [_oracle(cat) for cat in cases]
+    assert all(w.kernel and cw.kernel for w, cw in expected)
+    monkeypatch.setattr(leinster, "solve_linear", _refuse_solver)
+    for cat, (w, cw) in zip(cases, expected):
+        assert _same_report(weighting(cat), w)
+        assert _same_report(coweighting(cat), cw)
+
+
+def test_ei_weightings_of_a_large_product(monkeypatch):
+    """Or(C2^4) x indiscrete-2, 134 objects in 67 classes of two: the
+    weighting of a product is the product of the weightings, and each
+    (x, b) is a free variable with kernel vector e_(x,b) - e_(x,a)."""
+    orc = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2")).category
+    ind = corpus.build("indiscrete-2")
+    cat = product(orc, ind)
+    assert (cat.n_objects, moebius.iso_order(cat).size) == (134, 67)
+    monkeypatch.setattr(leinster, "solve_linear", _refuse_solver)
+    for solve in (weighting, coweighting):
+        got, left, right = solve(cat), solve(orc), solve(ind)
+        assert got.consistent and list(right.solution) == [1, 0]
+        assert list(got.solution) == [a * b for a in left.solution for b in right.solution]
+        assert got.solution.labels == tuple(str(o) for o in cat.objects)
+        assert [[i for i, v in enumerate(k) if v] for k in got.kernel] == \
+            [[2 * x, 2 * x + 1] for x in range(67)]
+        assert all((k[2 * x], k[2 * x + 1]) == (-1, 1) for x, k in enumerate(got.kernel))
+    assert chi_L(cat) == chi_L(orc) == euler_characteristics(orc).chi2
+
+
+def test_non_ei_weightings_reach_the_general_solver(monkeypatch):
+    """section8 and leinster-A are not EI: both solves run solve_linear,
+    and the coweighting's transposed zeta gives the report of the solve on
+    the opposite category."""
+    for name in ("section8", "leinster-A"):
+        cat = corpus.build(name)
+        assert not classify(cat).is_ei
+        w, cw = _oracle(cat)
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return solve_linear(a, b)
+
+        monkeypatch.setattr(leinster, "solve_linear", counted)
+        assert _same_report(weighting(cat), w)
+        assert _same_report(coweighting(cat), cw)
+        assert calls == [zeta_matrix(cat), zeta_matrix(opposite(cat))]

@@ -139,15 +139,15 @@ def test_nontrivial_automorphisms_take_the_same_route():
 
 
 def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
-    """Skeletal EI categories take the mu_bar2 sums when free and the
-    triangular back-substitution otherwise; only non-skeletal or non-EI
-    categories reach the general solver."""
+    """Every EI category, skeletal or not, takes the triangular
+    back-substitution; only non-EI categories reach the general solver."""
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for cat in (corpus.build("subsets-q", q=5), delooping(build_group("cyclic:2")),
-                orbit_category(build_group("symmetric:3")).category):
+                orbit_category(build_group("symmetric:3")).category,
+                corpus.build("indiscrete-2")):
         weighting(cat)
         coweighting(cat)
-    for other in (corpus.build("indiscrete-2"), corpus.build("section8")):
+    for other in (corpus.build("leinster-A"), corpus.build("section8")):
         for solve in (weighting, coweighting):
             with pytest.raises(RuntimeError, match="solve_linear"):
                 solve(other)
