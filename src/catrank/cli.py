@@ -15,7 +15,7 @@ import sys
 
 from . import corpus
 from .exactq import rat_str
-from .fincat import _once, canonical_json, classify, from_json, validate
+from .fincat import canonical_json, classify, from_json, validate
 from .grouptheory import (
     CapExceeded,
     DEFAULT_CAP,
@@ -26,7 +26,7 @@ from .grouptheory import (
     table_of_marks,
 )
 from .leinster import chi_L, coweighting, weighting
-from .moebius import euler_characteristics, iso_order, nerve_euler_characteristic, omega_bar2
+from .moebius import euler_characteristics, nerve_euler_characteristic, omega_bar2
 from .orbitcat import (
     chi_G,
     fixed_point_euler,
@@ -113,8 +113,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    if args.max_chain_length is not None and args.max_chain_length < 0:
-        return _error(f"--max-chain-length must be nonnegative, got {args.max_chain_length}", 2)
     stub, cat, violations = _load_category(args.path)
     if cat is None:
         _emit({"violations": violations}, sys.stderr)
@@ -137,23 +135,13 @@ def cmd_euler(args) -> int:
     invariants["chi_L"] = rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:
-        # the chain invariants are sums over every chain, so a bound below the
-        # longest chain omits them; nothing is summed then
-        longest = max(_once(cat, "iso_order", iso_order).lengths, default=0)
-        cut = args.max_chain_length is not None and longest > args.max_chain_length
-        if cut:
-            for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2"):
-                warnings.append(f"{name} omitted: chain sums truncated at length "
-                                f"{args.max_chain_length}")
-        else:
-            er = euler_characteristics(cat)
-            invariants["chi_f"] = _vec(er.chi_f)
-            invariants["chi"] = rat_str(er.chi)
-            invariants["chi_f2"] = _vec(er.chi_f2)
-            invariants["chi2"] = rat_str(er.chi2)
+        er = euler_characteristics(cat)
+        invariants["chi_f"] = _vec(er.chi_f)
+        invariants["chi"] = rat_str(er.chi)
+        invariants["chi_f2"] = _vec(er.chi_f2)
+        invariants["chi2"] = rat_str(er.chi2)
         invariants["omega_bar2"] = _mat(omega_bar2(cat))
-        if not cut:
-            invariants["mu_bar2"] = _mat(er.mu_bar2)
+        invariants["mu_bar2"] = _mat(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
             warnings.append(f"{name} omitted: not an EI category")
@@ -174,9 +162,8 @@ def cmd_euler(args) -> int:
     return 0
 
 
-def _group_report(g, spec) -> dict:
-    raw = json.dumps(spec, sort_keys=True) if isinstance(spec, dict) else str(spec)
-    return {"input": _input_stanza(raw.encode(), raw), "group_order": g.order}
+def _group_report(g, spec: str) -> dict:
+    return {"input": _input_stanza(spec.encode(), spec), "group_order": g.order}
 
 
 def _error(message: str, code: int) -> int:
@@ -302,11 +289,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_const", const=2, dest="indent",
                    help="indent the JSON output")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="largest group order accepted by every group subcommand "
+                   help="largest group order accepted by every group subcommand, "
+                        "symmetric:n included; catrank's only limit "
                         f"(default {DEFAULT_CAP})")
-    p.add_argument("--max-chain-length", type=int, default=None,
-                   help="bound the chain length in euler's chain sums, nonnegative; a cut "
-                        "chain omits the chain invariants (default: no bound)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized subcommands")
     sub = p.add_subparsers(dest="cmd", required=True)

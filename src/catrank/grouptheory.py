@@ -21,8 +21,10 @@ subgroups of M24, or how to compute the table of marks of a finite group):
 The nu matrix D mu_bar2 D^-1, D = diag(|W_G H|), is D M^-1 for the table of
 marks M, so no orbit category is built for it.
 
-Group orders are capped: ``build_group`` raises ``CapExceeded`` (a
-ValueError) above its ``cap``, before any lattice work.
+Group orders are capped, and the cap is the only limit: ``build_group``
+raises ``CapExceeded`` (a ValueError) above its ``cap``, before any lattice
+work and, where the order is known from the spec (``symmetric:n`` for any
+n >= 1 among them), before any table is built.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    if not (1 <= n <= 5):
-        raise ValueError("symmetric group supported for 1 <= n <= 5")
+    if n < 1:
+        raise ValueError("symmetric group needs n >= 1")
     elems = sorted(itertools.permutations(range(n)))
     return _group_from_perms(elems)
 
@@ -282,8 +284,16 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
         g = dihedral_group(n)
     elif kind == "symmetric":
         n = _spec_int(spec, "n")
-        if 1 <= n <= 5:  # outside that range symmetric_group raises its range error
-            _check_cap(math.factorial(n), cap)
+        # n! = 2*3*...*n is multiplied out only until it passes the cap, so a
+        # huge n is refused at once; never stopped before 5!, so degrees up
+        # to 5 always name their order in the message
+        order, k = 1, 1
+        while k < n and (order <= cap or k < 5):
+            k += 1
+            order *= k
+        if k < n:
+            raise CapExceeded(f"group order exceeds cap {cap}")
+        _check_cap(order, cap)
         g = symmetric_group(n)
     elif kind == "product":
         if not isinstance(spec.get("factors"), list) or not spec["factors"]:

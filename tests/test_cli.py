@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from catrank import grouptheory, moebius
+from catrank import grouptheory
 from catrank.cli import main
 from catrank.exactq import rat_str
 from catrank.fincat import classify, from_json, opposite
@@ -148,19 +148,6 @@ def test_euler_indiscrete_nerve_cycle(capsys, monkeypatch):
     assert doc["invariants"]["chi2"] == "1"
 
 
-def test_euler_chain_length_truncation(capsys, monkeypatch):
-    doc = euler_on(capsys, monkeypatch, "span", "--max-chain-length", "0")
-    inv = doc["invariants"]
-    for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2"):
-        assert name not in inv
-        assert f"{name} omitted: chain sums truncated at length 0" in doc["warnings"]
-    assert inv["chi_L"] == "1" and "omega_bar2" in inv
-    # the span's longest chain has length 1, so a bound of 1 cuts nothing
-    assert (euler_on(capsys, monkeypatch, "span", "--max-chain-length", "1")
-            == euler_on(capsys, monkeypatch, "span"))
-
-
-
 def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
     """Or(C2^3 x C4)^op, 118 classes and not free, read from a file: chi_f,
     chi_f2 and mu_bar2 are the walk oracle's."""
@@ -179,36 +166,18 @@ def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
     assert len(mu_rows) == 118
 
 
-def test_euler_cut_sums_no_chain(tmp_path, capsys, monkeypatch):
-    """A bound below the longest chain of Or(S4)^op (length 4) omits the
-    chain invariants without running the recurrence; the weightings, chi_L
-    and omega_bar2 stay."""
-    cat = opposite(orbit_category(build_group("symmetric:4")).category)
-    assert max(moebius.iso_order(cat).lengths) == 4
-    path = tmp_path / "or-s4-op.json"
-    path.write_text(emitted(cat))
-
-    def refuse(cat):
-        raise RuntimeError("the recurrence ran under a cut")
-
-    monkeypatch.setattr(moebius, "_back_substitute", refuse)
-    for length in ("0", "1"):
-        code, out, err = run(capsys, "--max-chain-length", length, "euler", str(path))
-        assert code == 0 and err == ""
-        doc = json.loads(out)
-        assert doc["warnings"] == [
-            f"{name} omitted: chain sums truncated at length {length}"
-            for name in ("chi_f", "chi", "chi_f2", "chi2", "mu_bar2")
-        ] + ["chi_nerve omitted: nontrivial endomorphism"]
-        assert list(doc["invariants"]) == ["weighting", "coweighting", "chi_L", "omega_bar2"]
-
-
-def test_euler_negative_chain_length(capsys, monkeypatch):
+def test_max_chain_length_is_retired(capsys, monkeypatch):
+    """chi_f, chi_f2 and mu_bar2 are sums over every chain, so no bound on
+    chain length is accepted: the flag is a usage error in either spelling."""
     code, text, _ = run(capsys, "examples", "emit", "span")
-    feed_stdin(monkeypatch, text)
-    code, out, err = run(capsys, "--max-chain-length", "-1", "euler", "-")
-    assert (code, out) == (2, "")
-    assert json.loads(err) == {"error": "--max-chain-length must be nonnegative, got -1"}
+    for flag in (["--max-chain-length", "0"], ["--max-chain-length=3"]):
+        feed_stdin(monkeypatch, text)
+        with pytest.raises(SystemExit) as exc:
+            main(flag + ["euler", "-"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "catrank: error:" in err
+
 
 # an object id that is a JSON array, with every reference to it spelled as str() spells it
 LIST_OBJECT_DOC = {"objects": [["a"]], "morphisms": [{"id": 0, "dom": "['a']", "cod": "['a']"}],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -457,19 +458,40 @@ def test_build_group_cap():
 
 
 def test_symmetric_cap_before_the_table(monkeypatch):
-    """n! is checked against the cap before any permutation is multiplied;
-    a degree out of range keeps its range error whatever the cap."""
+    """symmetric:n is bounded by the cap alone, checked before any
+    permutation is multiplied; n! is multiplied out only until it passes the
+    cap, so a huge degree is refused at once.  A degree below 1 stays a
+    malformed spec whatever the cap."""
 
     def refuse(elems):
         raise AssertionError("the symmetric group was built")
 
     monkeypatch.setattr(grouptheory, "_group_from_perms", refuse)
-    with pytest.raises(CapExceeded, match="group order 120 exceeds cap 64"):
-        build_group("symmetric:5")
+    for spec, cap, message in (("symmetric:5", 64, "group order 120 exceeds cap 64"),
+                               ("symmetric:5", 10, "group order 120 exceeds cap 10"),
+                               ("symmetric:6", 64, "group order exceeds cap 64"),
+                               ("symmetric:6", 719, "group order 720 exceeds cap 719"),
+                               ("symmetric:7", 720, "group order 5040 exceeds cap 720"),
+                               ("symmetric:1000000000", 64, "group order exceeds cap 64")):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as err:
+            build_group(spec, cap=cap)
+        assert str(err.value) == message
+        assert time.perf_counter() - start < 1.0
     for cap in (64, 720):
-        with pytest.raises(ValueError, match="1 <= n <= 5") as err:
-            build_group("symmetric:6", cap=cap)
+        with pytest.raises(ValueError, match="n >= 1") as err:
+            build_group("symmetric:0", cap=cap)
         assert not isinstance(err.value, CapExceeded)
+
+
+def test_symmetric_6_is_the_permutation_spec():
+    """At cap 720 symmetric:6 builds, and its table and names are those of
+    S6 generated by a transposition and a 6-cycle: both sort the 720
+    permutations."""
+    sym = build_group("symmetric:6", cap=720)
+    perm = build_group("perm:[[1,0,2,3,4,5],[1,2,3,4,5,0]]", cap=720)
+    assert sym.order == 720
+    assert (sym.table, sym.names) == (perm.table, perm.names)
 
 
 @pytest.mark.parametrize("spec", [

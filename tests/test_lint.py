@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from catrank.cli import _parser
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "catrank").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -107,3 +109,22 @@ def test_unused_public_name_is_found():
                "def g():\n    pass\n"]
     callers = ["from x import a\nprint(a())\n"]
     assert unused_public_names(library, callers, "See `g` and f_ or f.") == ["C", "b"]
+
+
+def documented_flags(markdown: str) -> set[str]:
+    """The flags that open a bullet under the ``## Flags`` heading."""
+    section = markdown.split("\n## Flags\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(--[\w-]+)", section, re.MULTILINE))
+
+
+def test_global_flags_are_the_documented_ones():
+    parser = _parser()
+    flags = {s for action in parser._actions for s in action.option_strings
+             if s.startswith("--")} - {"--help"}
+    assert flags == documented_flags((ROOT / "docs" / "schemas.md").read_text())
+
+
+def test_documented_flag_is_found():
+    doc = ("# Doc\n\n## Flags\n\n- `--a` one\n- `--b-c <n>` two, see `--d`\n  `--e` wraps\n"
+           "\n## Next\n\n- `--f` elsewhere\n")
+    assert documented_flags(doc) == {"--a", "--b-c"}
