@@ -11,19 +11,19 @@ from catrank import corpus
 from catrank.exactq import rat_str
 from catrank.fincat import classify, opposite
 from catrank.leinster import chi_L
-from catrank.moebius import euler_characteristics, nerve_euler_characteristic
+from catrank.moebius import euler_characteristics
 
 
 def spectrum(name, cat):
     rep = classify(cat)
-    cols = []
-    try:
-        cols.append(f"chi_nerve={nerve_euler_characteristic(cat)}")
-    except ValueError:
+    e = euler_characteristics(cat) if rep.is_ei else None
+    if rep.has_trivial_endomorphisms and rep.is_skeletal:
+        # no cycle of nonidentity morphisms: the nerve count is chi
+        cols = [f"chi_nerve={rat_str(e.chi)}"]
+    else:
         # endomorphisms, or a cycle of nonidentity morphisms: infinite nerve
-        cols.append("chi_nerve=n/a")
-    if rep.is_ei:
-        e = euler_characteristics(cat)
+        cols = ["chi_nerve=n/a"]
+    if e is not None:
         cols.append(f"chi={rat_str(e.chi)}")
         cols.append(f"chi2={rat_str(e.chi2)}")
     else:

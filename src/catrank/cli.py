@@ -26,7 +26,7 @@ from .grouptheory import (
     table_of_marks,
 )
 from .leinster import chi_L, coweighting, weighting
-from .moebius import euler_characteristics, nerve_euler_characteristic, omega_bar2
+from .moebius import euler_characteristics, omega_bar2
 from .orbitcat import (
     chi_G,
     fixed_point_euler,
@@ -146,13 +146,16 @@ def cmd_euler(args) -> int:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
             warnings.append(f"{name} omitted: not an EI category")
 
-    if rep.has_trivial_endomorphisms:
-        try:
-            invariants["chi_nerve"] = rat_str(nerve_euler_characteristic(cat))
-        except ValueError:
-            warnings.append("chi_nerve omitted: nonidentity morphisms form a cycle")
-    else:
+    # With identities as the only endomorphisms, a cycle of nonidentity
+    # morphisms is a pair of inverse isomorphisms between distinct objects.
+    # Without one, the classes are single objects and the class chains that
+    # chi sums are the nondegenerate simplices of the nerve.
+    if not rep.has_trivial_endomorphisms:
         warnings.append("chi_nerve omitted: nontrivial endomorphism")
+    elif rep.is_skeletal:
+        invariants["chi_nerve"] = invariants["chi"]
+    else:
+        warnings.append("chi_nerve omitted: nonidentity morphisms form a cycle")
 
     doc = dict(stub)
     doc["predicates"] = rep.flags()

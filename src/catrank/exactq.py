@@ -4,8 +4,8 @@ Every invariant in this package is an exact rational; there is no floating
 point mode. Scalars are fractions.Fraction (arbitrary precision, reduced,
 positive denominator) and matrices are dense and row-major. Every linear
 system is eliminated once, on Python integers (after Bareiss 1968), to its
-reduced row echelon form, which is unique: solutions, kernels and inverses
-do not depend on the order of the elimination.
+reduced row echelon form, which is unique: solutions and kernels do not
+depend on the order of the elimination.
 """
 
 from __future__ import annotations
@@ -243,21 +243,6 @@ def _rref(data: list[list[RatLike]], ncols_reduce: int) -> tuple[list[list[Fract
             break
     out = [[Fraction(x, rows[i][c]) for x in rows[i]] for i, c in enumerate(pivots)]
     return out + [[Fraction(x) for x in row] for row in rows[r:]], pivots
-
-
-def mat_invert(a: QMatrix):
-    """Exact inverse of a square matrix, or the string "singular"."""
-    if a.rows != a.cols:
-        raise ValueError("mat_invert requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return QMatrix(0, 0, [], a.col_labels, a.row_labels)
-    aug = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    aug, pivots = _rref(aug, n)
-    if len(pivots) < n:
-        return "singular"
-    # inverse maps the row space back: labels swap
-    return QMatrix(n, n, [v for row in aug for v in row[n:]], a.col_labels, a.row_labels)
 
 
 def solve_linear(a: QMatrix, b: QVector) -> SolutionReport:

@@ -311,6 +311,15 @@ class PredicateReport:
         return f"PredicateReport({', '.join(on) or 'none'})"
 
 
+def ei_witness(cat: FiniteCategory) -> int | None:
+    """The first endomorphism in id order that is not invertible; None when
+    the category is EI.  Callers read it through ``_once``, so each
+    category is scanned once."""
+    dom, cod = cat.dom, cat.cod
+    return next((m for m in range(cat.n_morphisms)
+                 if dom[m] == cod[m] and not cat.is_iso(m)), None)
+
+
 def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
     """A nonidentity automorphism a and a morphism f with a o f = f, the
     first found over targets, sources, morphisms and automorphisms in index
@@ -349,7 +358,8 @@ def classify(cat: FiniteCategory) -> PredicateReport:
 
     comp, ident, dom, cod = cat.compose_table, cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
-    is_ei = holds("is_ei", ((m,) for m in ms if dom[m] == cod[m] and not cat.is_iso(m)))
+    not_ei = _once(cat, "ei_witness", ei_witness)
+    is_ei = holds("is_ei", [] if not_ei is None else [(not_ei,)])
     is_df = holds("is_directly_finite",
                   ((u, v) for u in ms for v in cat.hom(cod[u], dom[u])
                    if comp[v, u] == ident[dom[u]] and comp[u, v] != ident[cod[u]]))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactq import QMatrix, QVector
-from .fincat import FiniteCategory, _once, iso_classes
+from .fincat import FiniteCategory, _once, ei_witness, iso_classes
 
 
 class IsoPoset:
@@ -60,12 +60,12 @@ class IsoPoset:
 
 
 def iso_order(cat: FiniteCategory) -> IsoPoset:
-    for m in range(cat.n_morphisms):
-        if cat.dom[m] == cat.cod[m] and not cat.is_iso(m):
-            raise ValueError(
-                "iso class order needs an EI category; "
-                f"morphism {m} is a non-invertible endomorphism"
-            )
+    m = _once(cat, "ei_witness", ei_witness)
+    if m is not None:
+        raise ValueError(
+            "iso class order needs an EI category; "
+            f"morphism {m} is a non-invertible endomorphism"
+        )
     classes = iso_classes(cat)
     reps = [cat.obj_index(c[0]) for c in classes]
     k = len(classes)
@@ -261,47 +261,3 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     return EulerReport(labels, QVector(chi_f, labels), sum(chi_f, zero),
                        QVector(chi_f2, labels), sum(chi_f2, zero),
                        QMatrix.from_rows(mu_rows, labels, labels))
-
-
-def nerve_euler_characteristic(cat: FiniteCategory) -> int:
-    """Alternating count of nondegenerate simplex chains of the nerve.
-
-    Defined only when chains of nonidentity morphisms cannot cycle; a category
-    with a loop of nonidentity morphisms has simplices in every dimension.
-    """
-    nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
-    adj = {x: set() for x in range(cat.n_objects)}
-    for m in nonid:
-        adj[cat.dom[m]].add(cat.cod[m])
-    # iterative depth-first search; grey objects are on the current path
-    color = [0] * cat.n_objects
-    for root in range(cat.n_objects):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            x, succ = stack[-1]
-            for y in succ:
-                if color[y] == 1:
-                    raise ValueError("nerve is infinite: nonidentity morphisms form a cycle")
-                if color[y] == 0:
-                    color[y] = 1
-                    stack.append((y, iter(adj[y])))
-                    break
-            else:
-                color[x] = 2
-                stack.pop()
-
-    # counts[g]: chains of nonidentity morphisms of the current length ending in g
-    chi = cat.n_objects
-    counts = {m: 1 for m in nonid}
-    sign = -1
-    while counts:
-        chi += sign * sum(counts.values())
-        into = [0] * cat.n_objects
-        for f, c in counts.items():
-            into[cat.cod[f]] += c
-        counts = {g: into[cat.dom[g]] for g in nonid if into[cat.dom[g]]}
-        sign = -sign
-    return chi

@@ -13,6 +13,10 @@ and report whether it cut a chain.
 
 ``chi_f2_via_eta`` reads mu_bar2 off these sums, and ``integral_moebius``
 inverts the hom-count matrix by summing its powers.
+
+``nerve_by_listing_chains`` counts the nondegenerate simplices of the nerve
+one by one, the reference for the ``chi_nerve`` that ``catrank euler``
+prints.
 """
 
 import itertools
@@ -310,3 +314,20 @@ def integral_moebius(cat):
                  for i in range(k)]
         sign = -sign
     return a, b, poset.labels
+
+
+def nerve_by_listing_chains(cat):
+    """Alternating count of the chains of composable nonidentity morphisms,
+    listed one by one; None when a chain is longer than an acyclic category
+    allows (then the nonidentity morphisms form a cycle)."""
+    nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
+    chi = cat.n_objects
+    chains = [(m,) for m in nonid]
+    sign = -1
+    while chains:
+        if len(chains[0]) >= cat.n_objects:
+            return None
+        chi += sign * len(chains)
+        chains = [c + (g,) for c in chains for g in nonid if cat.dom[g] == cat.cod[c[-1]]]
+        sign = -sign
+    return chi

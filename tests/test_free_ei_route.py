@@ -160,12 +160,14 @@ def test_route_asserts_integral_coset_averages(monkeypatch):
 
 def test_memo_keeps_only_the_class_functions_and_rows():
     """The orbits and demand sets are local to the recurrence: the memo holds
-    f on every A_i and the sparse integer rows h_i(1), nothing per pair."""
+    the EI verdict, f on every A_i and the sparse integer rows h_i(1),
+    nothing per pair."""
     cat = opposite(orbit_category(build_group("dihedral:4")).category)
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
-    assert set(cat._memo) == {"iso_order", "moebius"}
+    assert set(cat._memo) == {"ei_witness", "iso_order", "moebius"}
+    assert cat._memo["ei_witness"] is None
     f, rows = cat._memo["moebius"]
     poset = cat._memo["iso_order"]
     assert [len(fi) for fi in f] == [poset.aut_order(i) for i in range(poset.size)]

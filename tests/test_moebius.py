@@ -1,5 +1,6 @@
 """Iso-class poset, chain bisets, Moebius matrices, Euler characteristics."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catrank import corpus
-from catrank.exactq import QMatrix, mat_invert
+from catrank.cli import main
+from catrank.exactq import QMatrix, rat_str
 from catrank.fincat import (
     FiniteCategory,
     biset_category,
@@ -22,7 +24,7 @@ from catrank.fincat import (
     validate,
 )
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
-from catrank.moebius import euler_characteristics, iso_order, nerve_euler_characteristic, omega_bar2
+from catrank.moebius import euler_characteristics, iso_order, omega_bar2
 from catrank.orbitcat import orbit_category
 
 import genrandom
@@ -33,8 +35,11 @@ from chain_oracle import (
     chain_sums,
     chi_f2_via_eta,
     enumerate_chains,
+    nerve_by_listing_chains,
     walk_sums,
 )
+from json_oracle import emitted
+from rref_oracle import mat_invert
 from test_fincat import retract_pair, indiscrete_pair, divisor_poset
 
 
@@ -313,7 +318,7 @@ class TestEuler:
             cat = subsets_category(q)
             rep = euler_characteristics(cat)
             assert rep.chi == 1
-            assert nerve_euler_characteristic(cat) == 1
+            assert nerve_by_listing_chains(cat) == 1
 
     def test_delooping(self):
         for spec in ("cyclic:2", "sym:3", "q8"):
@@ -377,18 +382,12 @@ class TestEuler:
 
 
 class TestNerve:
-    def test_rejects_endomorphism_loops(self):
-        with pytest.raises(ValueError, match="infinite"):
-            nerve_euler_characteristic(delooping(cyclic_group(2)))
-        with pytest.raises(ValueError, match="infinite"):
-            nerve_euler_characteristic(indiscrete_pair())
-
     def test_discrete(self):
         cat = coproduct(
             poset_category(["a"], [("a", "a")]),
             poset_category(["b"], [("b", "b")]),
         )
-        assert nerve_euler_characteristic(cat) == 2
+        assert nerve_by_listing_chains(cat) == 2
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -396,67 +395,44 @@ class TestNerve:
         rng = random.Random(seed)
         cat = genrandom.random_dag_category(rng)
         rep = euler_characteristics(cat)
-        assert nerve_euler_characteristic(cat) == rep.chi
+        assert nerve_by_listing_chains(cat) == rep.chi
         assert rep.chi == rep.chi2
 
 
-def nerve_by_listing_chains(cat):
-    """Alternating count of the chains of composable nonidentity morphisms,
-    listed one by one; None when a chain is longer than an acyclic category
-    allows (then the nonidentity morphisms form a cycle)."""
-    nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
-    chi = cat.n_objects
-    chains = [(m,) for m in nonid]
-    sign = -1
-    while chains:
-        if len(chains[0]) >= cat.n_objects:
-            return None
-        chi += sign * len(chains)
-        chains = [c + (g,) for c in chains for g in nonid if cat.dom[g] == cat.cod[c[-1]]]
-        sign = -sign
-    return chi
-
-
-def _nerve_or_none(cat):
-    try:
-        return nerve_euler_characteristic(cat)
-    except ValueError:
-        return None
-
-
-def test_nerve_matches_listed_chains():
+def test_nerve_matches_listed_chains(tmp_path, capsys):
+    """catrank euler prints chi_nerve exactly on the skeletal categories
+    with trivial endomorphisms, with the listed nerve count (the walked
+    chi_f sum where listing is too slow), and warns of a cycle exactly when
+    the listing finds one."""
     cats = [corpus.build(name) for name in corpus.names()]
-    cats += [corpus.build("subsets-q", q=q) for q in (2, 3)]
     rng = random.Random(17)
-    cats += [genrandom.random_poset_category(rng) for _ in range(20)]
-    cats += [genrandom.random_dag_category(rng) for _ in range(20)]
-    cycles = 0
+    cats += [genrandom.random_dag_category(rng) for _ in range(30)]
+    cats += [genrandom.random_poset_category(rng) for _ in range(30)]
+    cats += [opposite(cat) for cat in cats]
+    slow = corpus.build("subsets-q", q=6)  # listing its chains takes seconds
+    cats += [corpus.build("subsets-q", q=q) for q in range(6)] + [slow]
+    path = tmp_path / "cat.json"
+    seen = {"nerve": 0, "cycle": 0, "endomorphism": 0}
     for cat in cats:
-        if not classify(cat).has_trivial_endomorphisms:
+        path.write_text(emitted(cat))
+        assert main(["euler", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rep = classify(cat)
+        if not rep.has_trivial_endomorphisms:
+            assert "chi_nerve omitted: nontrivial endomorphism" in doc["warnings"]
+            assert "chi_nerve" not in doc["invariants"]
+            seen["endomorphism"] += 1
             continue
-        expected = nerve_by_listing_chains(cat)
-        cycles += expected is None
-        assert _nerve_or_none(cat) == expected
-    assert cycles >= 1  # indiscrete-2
-
-
-class _ArrowCycle:
-    """Just what the nerve reads of a category: n objects joined in one
-    directed cycle of n nonidentity arrows (not closed under composition)."""
-
-    def __init__(self, n):
-        self.n_objects = n
-        self.n_morphisms = 2 * n
-        self.dom = list(range(n)) + list(range(n))
-        self.cod = list(range(n)) + [(i + 1) % n for i in range(n)]
-
-    def is_identity(self, m):
-        return m < self.n_objects
-
-
-def test_nerve_cycle_search_is_not_recursive():
-    with pytest.raises(ValueError, match="infinite"):
-        nerve_euler_characteristic(_ArrowCycle(5 * sys.getrecursionlimit()))
+        expected = sum(walk_sums(cat)[0]) if cat is slow else nerve_by_listing_chains(cat)
+        cycle = "chi_nerve omitted: nonidentity morphisms form a cycle" in doc["warnings"]
+        assert cycle == (expected is None) == (not rep.is_skeletal)
+        if expected is None:
+            assert "chi_nerve" not in doc["invariants"]
+            seen["cycle"] += 1
+        else:
+            assert doc["invariants"]["chi_nerve"] == rat_str(expected)
+            seen["nerve"] += 1
+    assert min(seen.values()) >= 2, seen  # indiscrete-2 and its opposite have a cycle
 
 
 class _DescendingChain:
@@ -468,6 +444,7 @@ class _DescendingChain:
         self.n_objects = self.n_morphisms = n
         self.objects = list(range(n))
         self.dom = self.cod = list(range(n))
+        self._memo = {}
 
     def is_iso(self, m):
         return True

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from catrank import corpus, leinster, moebius
-from catrank.exactq import QVector, mat_invert, solve_linear
+from catrank import corpus, fincat, leinster, moebius
+from catrank.exactq import QVector, solve_linear
 from catrank.fincat import biset_category, classify, delooping, opposite, product
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting, zeta_matrix
@@ -18,6 +18,7 @@ from catrank.orbitcat import orbit_category
 
 import genrandom
 from chain_oracle import chain_sums, walk_sums
+from rref_oracle import mat_invert
 from test_assembly import random_categories
 from test_fincat import divisor_poset
 from test_moebius import _oracle_cases
@@ -168,3 +169,38 @@ def test_back_substitution_runs_once_per_category(monkeypatch):
     euler_characteristics(cat)
     omega_bar2(cat)
     assert calls == [cat]
+
+
+def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
+    """classify, iso_order and both weightings read one memoised EI verdict:
+    the endomorphisms of a category are scanned once, and a non-EI category
+    keeps its witness, its iso_order message and the general solver."""
+    calls = []
+    inner = fincat.ei_witness
+
+    def counted(cat):
+        calls.append(cat)
+        return inner(cat)
+
+    for module in (fincat, moebius, leinster):
+        monkeypatch.setattr(module, "ei_witness", counted)
+    cat = corpus.build("subsets-q", q=3)
+    classify(cat)
+    weighting(cat)
+    coweighting(cat)
+    moebius.iso_order(cat)
+    euler_characteristics(cat)
+    assert calls == [cat]
+    monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
+    for name in ("section8", "leinster-A"):
+        calls.clear()
+        other = corpus.build(name)
+        assert classify(other).witnesses["is_ei"] == (4,)
+        for solve in (weighting, coweighting):
+            with pytest.raises(RuntimeError, match="solve_linear"):
+                solve(other)
+        with pytest.raises(ValueError) as err:
+            moebius.iso_order(other)
+        assert str(err.value) == ("iso class order needs an EI category; "
+                                  "morphism 4 is a non-invertible endomorphism")
+        assert calls == [other]
