@@ -4,16 +4,22 @@ full subcategory, skeleton), plus functor data, coverings and isofibrations.
 
 A category is stored as: a tuple of object ids (strings by convention, so JSON
 round-trips), per-morphism dom/cod object indices, an identity morphism per
-object, and a composition dict keyed by (g, f) for exactly the composable
-pairs (cod f = dom g). Morphism ids are dense 0..m-1 and constructors always
-put the identities first, in object order, so golden outputs stay stable.
+object, and its composition as rows: rows[f][p] is g o f for the p-th
+morphism g of ``morphisms_from(cod f)``, and at[g] is that place p of g.
+Morphism ids are dense 0..m-1 and constructors always put the identities
+first, in object order, so golden outputs stay stable.
 
-``_build`` assembles every constructed category's composition table. It
-buckets the morphisms by codomain once and composes only the composable
-pairs, in (g, f) id order. Full subcategories and fibers are restrictions
-through it: (new dom, new cod, old id) descriptors composed in the parent.
-``opposite`` re-keys an existing table, ``from_json`` reads one and
-``canonical_json`` streams one out as the JSON document.
+One pass (``FiniteCategory._load``) fills the rows from [g, f, g o f]
+records and checks their type, range and uniqueness; records whose
+endpoints do not meet are kept aside for ``validate``.  ``from_json`` feeds
+it the document's records, the constructor a (g, f) dict's items, and
+``_build`` the composable pairs of every constructed category: it buckets
+the morphisms by codomain once and composes only those pairs.  Full
+subcategories and fibers are restrictions through it: (new dom, new cod,
+old id) descriptors composed in the parent.  ``opposite`` feeds it the
+pairs reversed, and ``canonical_json`` streams the rows out in (g, f)
+order as the JSON document.  ``compose_table`` is a (g, f) dict view, built
+only when a caller asks for it.
 
 ``validate`` checks associativity by Light's test (Clifford & Preston 1961,
 The Algebraic Theory of Semigroups, vol. 1, section 1.2): only the morphisms
@@ -27,13 +33,14 @@ from __future__ import annotations
 import json
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import IO, Any, Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .grouptheory import FiniteGroup
 
 
 class FiniteCategory:
-    __slots__ = ("objects", "dom", "cod", "identity", "compose_table",
+    __slots__ = ("objects", "dom", "cod", "identity", "rows", "at", "_extra",
                  "_obj_index", "_hom", "_inverse", "_from_obj", "_memo")
 
     def __init__(
@@ -44,11 +51,27 @@ class FiniteCategory:
         identity: Sequence[int],
         compose_table: dict[tuple[int, int], int],
     ):
+        self._load(objects, dom, cod, identity,
+                   ((g, f, c) for (g, f), c in compose_table.items()))
+
+    @classmethod
+    def _from_records(cls, objects, dom, cod, identity, records: Iterable) -> FiniteCategory:
+        """The category whose composition is given as [g, f, g o f] records."""
+        cat = cls.__new__(cls)
+        cat._load(objects, dom, cod, identity, records)
+        return cat
+
+    def _load(self, objects, dom, cod, identity, records: Iterable) -> None:
+        """Check the tables and fill the rows from the records in one pass.
+
+        Each record is checked for shape, type and range, and for repeating
+        an earlier pair; a composable pair fills its slot, and a pair whose
+        endpoints do not meet is kept aside, in record order, for
+        ``validate`` to report."""
         self.objects: tuple = tuple(objects)
         self.dom: tuple[int, ...] = tuple(dom)
         self.cod: tuple[int, ...] = tuple(cod)
         self.identity: tuple[int, ...] = tuple(identity)
-        self.compose_table: dict[tuple[int, int], int] = dict(compose_table)
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object ids")
         if len(self.dom) != len(self.cod):
@@ -57,19 +80,43 @@ class FiniteCategory:
         n = len(self.objects)
         if len(self.identity) != n:
             raise ValueError("identity map must cover every object")
-        for x in list(self.dom) + list(self.cod):
+        for x in self.dom + self.cod:
             if not (0 <= x < n):
                 raise ValueError("morphism endpoint references unknown object")
         for mid in self.identity:
             if not (0 <= mid < m):
                 raise ValueError("identity references unknown morphism")
-        for (gid, fid), cid in self.compose_table.items():
-            if not (0 <= gid < m and 0 <= fid < m and 0 <= cid < m):
-                raise ValueError("composition references unknown morphism")
+        buckets: list[list[int]] = [[] for _ in range(n)]
+        at = [0] * m
+        for f, x in enumerate(self.dom):
+            at[f] = len(buckets[x])
+            buckets[x].append(f)
+        self._from_obj = tuple(map(tuple, buckets))
+        self.at: tuple[int, ...] = tuple(at)
+        dom, cod = self.dom, self.cod
+        rows: list[list[int | None]] = [[None] * len(buckets[y]) for y in cod]
+        extra: dict[tuple[int, int], int] = {}
+        for rec in records:
+            if not (isinstance(rec, (list, tuple)) and len(rec) == 3):
+                raise ValueError(f"malformed composition record: {rec!r}")
+            g, f, c = rec
+            if not (type(g) is int and type(f) is int and type(c) is int
+                    and 0 <= g < m and 0 <= f < m and 0 <= c < m):
+                raise ValueError(f"composition record references unknown morphism: {rec!r}")
+            if cod[f] == dom[g]:
+                row, p = rows[f], at[g]
+                if row[p] is None:
+                    row[p] = c
+                    continue
+            elif (g, f) not in extra:
+                extra[g, f] = c
+                continue
+            raise ValueError(f"duplicate composition record for pair ({g},{f})")
+        self.rows = rows
+        self._extra = extra
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
         self._hom: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._inverse: tuple | None = None
-        self._from_obj: tuple[tuple[int, ...], ...] | None = None
         # tables other modules derive from this (immutable) category, by name
         self._memo: dict[str, Any] = {}
 
@@ -91,7 +138,17 @@ class FiniteCategory:
 
     def compose(self, g: int, f: int) -> int:
         """g after f; raises KeyError when the pair is not composable."""
-        return self.compose_table[(g, f)]
+        c = self.rows[f][self.at[g]] if self.cod[f] == self.dom[g] else None
+        if c is None:
+            raise KeyError((g, f))
+        return c
+
+    @property
+    def compose_table(self) -> Mapping[tuple[int, int], int]:
+        """The composition as a read-only dict keyed by (g, f), in (g, f)
+        order, records kept aside included; built on demand, for callers
+        that want a dict."""
+        return _once(self, "compose_table", _table_view)
 
     def hom(self, i: int, j: int) -> tuple[int, ...]:
         """Morphism ids from object index i to object index j."""
@@ -103,25 +160,19 @@ class FiniteCategory:
         return self._hom.get((i, j), ())
 
     def morphisms_from(self, i: int) -> tuple[int, ...]:
-        if self._from_obj is None:
-            buckets: list[list[int]] = [[] for _ in range(self.n_objects)]
-            for m in range(self.n_morphisms):
-                buckets[self.dom[m]].append(m)
-            self._from_obj = tuple(tuple(b) for b in buckets)
+        """Morphism ids out of object index i, ascending: the slots of a row."""
         return self._from_obj[i]
 
     def inverse(self, m: int) -> int | None:
         if self._inverse is None:
             inv: list[int | None] = [None] * self.n_morphisms
+            rows, at = self.rows, self.at
             for f in range(self.n_morphisms):
                 if inv[f] is not None:
                     continue
                 x, y = self.dom[f], self.cod[f]
                 for g in self.hom(y, x):
-                    if (
-                        self.compose_table.get((g, f)) == self.identity[x]
-                        and self.compose_table.get((f, g)) == self.identity[y]
-                    ):
+                    if rows[f][at[g]] == self.identity[x] and rows[g][at[f]] == self.identity[y]:
                         inv[f] = g
                         inv[g] = f
                         break
@@ -142,12 +193,13 @@ class FiniteCategory:
             and self.dom == other.dom
             and self.cod == other.cod
             and self.identity == other.identity
-            and self.compose_table == other.compose_table
+            and self.rows == other.rows
+            and self._extra == other._extra
         )
 
     def __hash__(self):
         return hash((self.objects, self.dom, self.cod, self.identity,
-                     tuple(sorted(self.compose_table.items()))))
+                     tuple(map(tuple, self.rows))))
 
     def __repr__(self) -> str:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
@@ -161,11 +213,35 @@ def _once(cat: FiniteCategory, key: str, build):
     return memo[key]
 
 
+def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:
+    """(g, f, g o f) over the filled slots, in (g, f) order: each g, then the
+    morphisms into dom g."""
+    into: list[list[int]] = [[] for _ in range(cat.n_objects)]
+    for f, y in enumerate(cat.cod):
+        into[y].append(f)
+    rows = cat.rows
+    for g, (x, p) in enumerate(zip(cat.dom, cat.at)):
+        for f in into[x]:
+            c = rows[f][p]
+            if c is not None:
+                yield g, f, c
+
+
+def _table_view(cat: FiniteCategory) -> Mapping[tuple[int, int], int]:
+    table = {(g, f): c for g, f, c in _pairs(cat)}
+    table.update(cat._extra)
+    return MappingProxyType(table)
+
+
 # ------------------------------------------------------------------ validate
 
 
 def validate(cat: FiniteCategory) -> list[dict]:
     """All category axioms, as a list of violation records (empty iff valid).
+
+    Records whose endpoints do not meet were kept aside when the rows were
+    filled, and are reported first, in record order; coverage holds when no
+    slot of the rows is empty.  The remaining checks read the rows.
 
     Associativity is checked by Light's test (Clifford & Preston 1961, The
     Algebraic Theory of Semigroups, vol. 1, section 1.2): once the identity
@@ -173,38 +249,33 @@ def validate(cat: FiniteCategory) -> list[dict]:
     contain the identities and are closed under composition, so checking f
     on a generating set (``_generating_set``) decides the law for every
     morphism.  When an identity law or that check fails, the full scan over
-    all composable triples lists the violations, in the same order as
-    always."""
+    all composable triples lists the violations in (g, f, h) order."""
     out: list[dict] = []
     m = cat.n_morphisms
-    comp = cat.compose_table
+    rows, at, ident = cat.rows, cat.at, cat.identity
     dom, cod = cat.dom, cat.cod
     for x in range(cat.n_objects):
-        e = cat.identity[x]
+        e = ident[x]
         if dom[e] != x or cod[e] != x:
             out.append({"kind": "identity_endpoints", "object": cat.objects[x], "morphism": e})
-    for g, f in comp:
-        if cod[f] != dom[g]:
-            out.append({"kind": "extra_composite", "pair": [g, f]})
-    # without extra composites the table misses a composable pair exactly
-    # when it has fewer entries than there are composable pairs
-    if out or len(comp) != sum(len(cat.morphisms_from(cod[f])) for f in range(m)):
-        missing = [(g, f) for f in range(m) for g in cat.morphisms_from(cod[f])
-                   if (g, f) not in comp]
-        for key in sorted(missing):
-            out.append({"kind": "missing_composite", "pair": list(key)})
+    out += [{"kind": "extra_composite", "pair": [g, f]} for g, f in cat._extra]
+    missing = sorted((g, f) for f, row in enumerate(rows) if None in row
+                     for g, c in zip(cat.morphisms_from(cod[f]), row) if c is None)
+    out += [{"kind": "missing_composite", "pair": [g, f]} for g, f in missing]
     if out:
         # endpoint or coverage problems make the remaining checks unreliable
         return out
 
-    misplaced = [key for key, c in comp.items() if dom[c] != dom[key[1]] or cod[c] != cod[key[0]]]
+    misplaced = [(g, f, c) for f, row in enumerate(rows)
+                 for g, c in zip(cat.morphisms_from(cod[f]), row)
+                 if dom[c] != dom[f] or cod[c] != cod[g]]
     if misplaced:
-        return [{"kind": "composite_endpoints", "pair": list(key), "composite": comp[key]}
-                for key in sorted(misplaced)]
+        return [{"kind": "composite_endpoints", "pair": [g, f], "composite": c}
+                for g, f, c in sorted(misplaced)]
     for f in range(m):
-        if comp[(cat.identity[cod[f]], f)] != f:
+        if rows[f][at[ident[cod[f]]]] != f:
             out.append({"kind": "identity_law", "side": "left", "morphism": f})
-        if comp[(f, cat.identity[dom[f]])] != f:
+        if rows[ident[dom[f]]][at[f]] != f:
             out.append({"kind": "identity_law", "side": "right", "morphism": f})
     if out or not _associative_at(cat, _generating_set(cat)):
         out.extend(_associativity_violations(cat))
@@ -224,14 +295,16 @@ def _generating_set(cat: FiniteCategory) -> list[int]:
     so they generate; in an associative category they are all the
     composites, so nothing redundant is kept."""
     m = cat.n_morphisms
-    comp = cat.compose_table
+    rows, at = cat.rows, cat.at
     reached = [False] * m
     for e in cat.identity:
         reached[e] = True
     decomposable = list(reached)
-    for (g, f), c in comp.items():
-        if not (reached[g] or reached[f]):
-            decomposable[c] = True
+    for f, row in enumerate(rows):
+        if not reached[f]:
+            for g, c in zip(cat.morphisms_from(cat.cod[f]), row):
+                if not reached[g]:
+                    decomposable[c] = True
     reached_into = [[e] for e in cat.identity]
     kept_from: list[list[int]] = [[] for _ in range(cat.n_objects)]
     kept = []
@@ -240,47 +313,42 @@ def _generating_set(cat: FiniteCategory) -> list[int]:
             continue
         kept.append(s)
         kept_from[cat.dom[s]].append(s)
-        stack = [comp[s, x] for x in reached_into[cat.dom[s]]]
+        stack = [rows[x][at[s]] for x in reached_into[cat.dom[s]]]
         while stack:
             y = stack.pop()
             if not reached[y]:
                 reached[y] = True
                 reached_into[cat.cod[y]].append(y)
-                stack += [comp[t, y] for t in kept_from[cat.cod[y]]]
+                stack += [rows[y][at[t]] for t in kept_from[cat.cod[y]]]
     return kept
 
 
 def _associative_at(cat: FiniteCategory, fs: Iterable[int]) -> bool:
     """(h g) f = h (g f) for every f in fs and every composable h, g.
 
-    after[u] lists h u over the morphisms h out of cod u, in
-    ``morphisms_from`` order, and at[y] is the place of y in the list of
-    morphisms out of dom y.  For fixed f and g, h (g f) over all h is the row
-    after[g f], and (h g) f is after[f] read at the places of the row
-    after[g]."""
-    comp = cat.compose_table
-    m = cat.n_morphisms
-    at = [0] * m
-    for x in range(cat.n_objects):
-        for i, y in enumerate(cat.morphisms_from(x)):
-            at[y] = i
-    after = [[comp[h, u] for h in cat.morphisms_from(cat.cod[u])] for u in range(m)]
-    places = [[at[y] for y in row] for row in after]
+    The rows are the table this reads: rows[u] lists h u over the morphisms
+    h out of cod u, and places[u] lists, for each entry y of rows[u], the
+    place at[y] of y in its own source's list.  For fixed f and g, h (g f)
+    over all h is the row of g f, and (h g) f is the row of f read at the
+    places of the row of g."""
+    rows, at = cat.rows, cat.at
+    places = [[at[y] for y in row] for row in rows]
     for f in fs:
-        read_f = after[f].__getitem__
+        read_f = rows[f].__getitem__
         for g in cat.morphisms_from(cat.cod[f]):
-            if list(map(read_f, places[g])) != after[read_f(at[g])]:
+            if list(map(read_f, places[g])) != rows[read_f(at[g])]:
                 return False
     return True
 
 
 def _associativity_violations(cat: FiniteCategory) -> list[dict]:
-    """Every failing composable triple, scanned in composition-table order."""
-    comp = cat.compose_table
+    """Every failing composable triple (h, g, f), in (g, f) order and then
+    in the order of h."""
+    rows, at = cat.rows, cat.at
     return [{"kind": "associativity", "triple": [h, g, f]}
-            for (g, f), gf in comp.items()
-            for h in cat.morphisms_from(cat.cod[g])
-            if comp[(h, gf)] != comp[(comp[(h, g)], f)]]
+            for g, f, gf in _pairs(cat)
+            for h, hgf in zip(cat.morphisms_from(cat.cod[g]), rows[gf])
+            if hgf != rows[f][at[rows[g][at[h]]]]]
 
 
 # ---------------------------------------------------------------- predicates
@@ -327,7 +395,7 @@ def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
     into its object (the category is free).  Each aut(y)-orbit is visited
     once, from its least element: the stabilisers along an orbit are
     conjugate."""
-    comp = cat.compose_table
+    rows, at = cat.rows, cat.at
     for y in range(cat.n_objects):
         auts = [a for a in cat.aut(y) if a != cat.identity[y]]
         if not auts:
@@ -338,7 +406,7 @@ def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
                 if f in seen:
                     continue
                 for a in auts:
-                    g = comp[a, f]
+                    g = rows[f][at[a]]
                     if g == f:
                         return a, f
                     seen.add(g)
@@ -356,17 +424,18 @@ def classify(cat: FiniteCategory) -> PredicateReport:
             wit[name] = found
         return found is None
 
-    comp, ident, dom, cod = cat.compose_table, cat.identity, cat.dom, cat.cod
+    rows, at, ident, dom, cod = cat.rows, cat.at, cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
     not_ei = _once(cat, "ei_witness", ei_witness)
     is_ei = holds("is_ei", [] if not_ei is None else [(not_ei,)])
+    # g o f is rows[f][at[g]]
     is_df = holds("is_directly_finite",
                   ((u, v) for u in ms for v in cat.hom(cod[u], dom[u])
-                   if comp[v, u] == ident[dom[u]] and comp[u, v] != ident[cod[u]]))
+                   if rows[u][at[v]] == ident[dom[u]] and rows[v][at[u]] != ident[cod[u]]))
     # an idempotent p on x splits when p = i r with r i = 1 for some z
     is_cc = holds("is_cauchy_complete",
-                  ((p,) for p in ms if dom[p] == cod[p] and comp[p, p] == p
-                   and not any(comp[r, i] == ident[z] and comp[i, r] == p
+                  ((p,) for p in ms if dom[p] == cod[p] and rows[p][at[p]] == p
+                   and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
                                for z in objs for i in cat.hom(z, dom[p])
                                for r in cat.hom(dom[p], z))))
     is_free = holds("is_free", [free_witness(cat)])
@@ -453,8 +522,9 @@ def validate_functor(p: FunctorData) -> list[dict]:
     for x in range(src.n_objects):
         if p.morphism_map[src.identity[x]] != tgt.identity[omap[x]]:
             out.append({"kind": "identity_not_preserved", "object": src.objects[x]})
-    for (g, f), gf in src.compose_table.items():
-        img = tgt.compose_table.get((p.morphism_map[g], p.morphism_map[f]))
+    for g, f, gf in _pairs(src):
+        fg, ff = p.morphism_map[g], p.morphism_map[f]
+        img = tgt.rows[ff][tgt.at[fg]] if tgt.cod[ff] == tgt.dom[fg] else None
         if img != p.morphism_map[gf]:
             out.append({"kind": "composition_not_preserved", "pair": [g, f]})
     return out
@@ -481,12 +551,10 @@ def _build(objects, morphs, identity_of, compose):
     into: dict[int, list[tuple[int, Any]]] = {}
     for fi, fd in enumerate(ordered):
         into.setdefault(fd[1], []).append((fi, fd))
-    table = {}
-    for gi, gd in enumerate(ordered):
-        for fi, fd in into.get(gd[0], ()):
-            table[(gi, fi)] = index[compose(gd, fd)]
-    cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
-                         [index[d] for d in ids], table)
+    records = ((gi, fi, index[compose(gd, fd)])
+               for gi, gd in enumerate(ordered) for fi, fd in into.get(gd[0], ()))
+    cat = FiniteCategory._from_records(objects, [d[0] for d in ordered],
+                                       [d[1] for d in ordered], [index[d] for d in ids], records)
     return cat, ordered
 
 
@@ -504,16 +572,18 @@ def _restrict(cat: FiniteCategory, objs: Sequence[int], keep: Callable[[int], bo
     def identity_of(k):
         return (k, k, cat.identity[objs[k]])
 
+    rows, at = cat.rows, cat.at
+
     def compose(gd, fd):
-        return (fd[0], gd[1], cat.compose_table[(gd[2], fd[2])])
+        return (fd[0], gd[1], rows[fd[2]][at[gd[2]]])
 
     return _build([cat.objects[i] for i in objs], morphs, identity_of, compose)
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:
     """Same objects and morphism ids with dom/cod and composition reversed."""
-    table = {(f, g): c for (g, f), c in cat.compose_table.items()}
-    return FiniteCategory(cat.objects, cat.cod, cat.dom, cat.identity, table)
+    return FiniteCategory._from_records(cat.objects, cat.cod, cat.dom, cat.identity,
+                                        ((f, g, c) for g, f, c in _pairs(cat)))
 
 
 def full_subcategory(cat: FiniteCategory, objs: Sequence) -> tuple[FiniteCategory, FunctorData]:
@@ -549,8 +619,8 @@ def product(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         return (oidx(c1.dom[m1], c2.dom[m2]), oidx(c1.cod[m1], c2.cod[m2]), m1, m2)
 
     def compose(gd, fd):
-        m1 = c1.compose_table[(gd[2], fd[2])]
-        m2 = c2.compose_table[(gd[3], fd[3])]
+        m1 = c1.rows[fd[2]][c1.at[gd[2]]]
+        m2 = c2.rows[fd[3]][c2.at[gd[3]]]
         return (fd[0], gd[1], m1, m2)
 
     return _build(objects, pairs, identity_of, compose)[0]
@@ -574,7 +644,7 @@ def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
     def compose(gd, fd):
         assert gd[2] == fd[2]
         side = c1 if gd[2] == 0 else c2
-        m = side.compose_table[(gd[3], fd[3])]
+        m = side.rows[fd[3]][side.at[gd[3]]]
         return left(m) if gd[2] == 0 else right(m)
 
     return _build(objects, morphs, identity_of, compose)[0]
@@ -798,18 +868,7 @@ def from_json(doc: dict) -> FiniteCategory:
         if type(mid) is not int or not (0 <= mid < m):
             raise ValueError(f"identity of {o!r} references unknown morphism")
         identity[obj_index[o]] = mid
-    table: dict[tuple[int, int], int] = {}
-    for rec in doc["composition"]:
-        if not (isinstance(rec, (list, tuple)) and len(rec) == 3):
-            raise ValueError(f"malformed composition record: {rec!r}")
-        g, f, c = rec
-        if not (type(g) is int and type(f) is int and type(c) is int
-                and 0 <= g < m and 0 <= f < m and 0 <= c < m):
-            raise ValueError(f"composition record references unknown morphism: {rec!r}")
-        if (g, f) in table:
-            raise ValueError(f"duplicate composition record for pair ({g},{f})")
-        table[(g, f)] = c
-    return FiniteCategory(objects, dom, cod, identity, table)
+    return FiniteCategory._from_records(objects, dom, cod, identity, doc["composition"])
 
 
 _CHUNK = 4096  # records per write of canonical_json
@@ -835,13 +894,12 @@ def canonical_json(cat: FiniteCategory, out: IO[str]) -> None:
 
     names = [value(o, 3) for o in cat.objects]
     identities = {str(o): i for o, i in zip(cat.objects, cat.identity)}
-    table = cat.compose_table
     section("objects", ("    " + value(o, 2) for o in cat.objects), lead="{")
     section("morphisms", ('    {\n      "id": %d,\n      "dom": %s,\n      "cod": %s\n    }'
                           % (m, names[d], names[c])
                           for m, (d, c) in enumerate(zip(cat.dom, cat.cod))))
     section("identities", ("    %s: %d" % (encode_basestring_ascii(k), i)
                            for k, i in identities.items()), "{}")
-    section("composition", ("    [\n      %d,\n      %d,\n      %d\n    ]" % (g, f, table[g, f])
-                            for g, f in sorted(table)))
+    section("composition", ("    [\n      %d,\n      %d,\n      %d\n    ]" % rec
+                            for rec in _pairs(cat)))
     out.write("\n}\n")

@@ -92,20 +92,23 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     )
 
 
-def _orbits(comp, hom, at) -> tuple[list[int], dict[int, tuple[int, tuple[int, ...]]]]:
-    """The at-orbits on hom: their first elements x, and for each y in hom
-    the x of its orbit with the positions in at of the a with a o x = y.
+def _orbits(cat: FiniteCategory, hom, auts
+            ) -> tuple[list[int], dict[int, tuple[int, tuple[int, ...]]]]:
+    """The auts-orbits on hom: their first elements x, and for each y in hom
+    the x of its orbit with the positions in auts of the a with a o x = y.
 
     For b in the automorphisms of the source, C(x, b) = {a : a o x = x o b}
     is then the positions at x o b when x o b lies in the orbit of x, and
     empty otherwise: a coset of the stabiliser of x, of size s_x."""
     xs = []
     fibre = {}
+    places = [cat.at[a] for a in auts]
     for x in hom:
         if x not in fibre:
             xs.append(x)
-            for p, a in enumerate(at):
-                y = comp[a, x]
+            row = cat.rows[x]
+            for p, q in enumerate(places):
+                y = row[q]
                 fibre[y] = (x, fibre[y][1] + (p,) if y in fibre else (p,))
     return xs, fibre
 
@@ -151,7 +154,7 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
     times the signed count of A_j \\ S(c) over the chains from i to j."""
     poset = _once(cat, "iso_order", iso_order)
     k, reps, leq, labels = poset.size, poset.reps, poset.leq, poset.labels
-    comp = cat.compose_table
+    rows, at = cat.rows, cat.at
     auts = []
     for r in reps:
         one = cat.identity[r]
@@ -162,10 +165,11 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
         # every class below i comes before it, so D_i is complete here
         for t in range(i + 1, k):
             if leq[i][t]:
-                xs, fibre = orbits[i][t] = _orbits(comp, cat.hom(reps[i], reps[t]), auts[t])
+                xs, fibre = orbits[i][t] = _orbits(cat, cat.hom(reps[i], reps[t]), auts[t])
                 for b in demand[i]:
+                    after_b = rows[auts[i][b]]
                     for x in xs:
-                        y, c = fibre[comp[x, auts[i][b]]]
+                        y, c = fibre[after_b[at[x]]]
                         if y == x:
                             demand[t].update(c)
     f: list[list[int]] = [[]] * k
@@ -178,9 +182,10 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
             ft, ht = f[t], h[t]
             for b, m in enumerate(auts[i]):
                 row = hi.get(b)
+                after_m = rows[m]
                 cosets: dict[tuple[int, ...], int] = {}
                 for x in xs:
-                    y, c = fibre[comp[x, m]]
+                    y, c = fibre[after_m[at[x]]]
                     if y != x:
                         continue
                     if len(c) == 1:  # a free orbit, where the average is one value

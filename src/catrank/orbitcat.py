@@ -40,36 +40,45 @@ class OrbitCategory:
 
 
 @lru_cache(maxsize=8)
-def orbit_category(g: FiniteGroup) -> OrbitCategory:
-    """Build Or(G) with one object per subgroup class (``build_group`` caps
-    the order of the groups it builds).
+def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, frozenset[int]]],
+                                   list[list[list[int]]]]:
+    """(classes, named, maps): the subgroup classes; named[j], which maps the
+    name of each left coset of K_j (the representative of class j), its least
+    element, to the coset; and maps[i][j], the names, in named[j]'s order, of
+    the cosets g0*K_j that qualify as maps G/H_i -> G/K_j.
 
-    A coset g0*K qualifies as a map G/H -> G/K iff g0^-1 H g0 is inside K,
-    that is iff g0^-1 s g0 is in K for each of H's generators s, and only
-    when |H| divides |K|; composition follows the right-translation law
-    R_g2 o R_g1 = R_(g1 g2)."""
+    A coset g0*K qualifies iff g0^-1 H g0 is inside K, that is iff
+    g0^-1 s g0 is in K for each of H's generators s, and only when |H|
+    divides |K|."""
     classes = tuple(subgroup_classes(g))
     reps = [c.representative for c in classes]
-    objects = [f"G/{i}" for i in range(len(classes))]
+    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
 
     def qualifies(h: SubgroupClass, x: int, k: frozenset[int]) -> bool:
         xi = g.inv[x]
         return all(g.table[g.table[xi][s]][x] in k for s in h.generators)
 
-    # a coset is named by its least element: named[j] maps names to the left
-    # cosets of K_j, and least[j][x] is the name of x K_j
-    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
-    least = [[0] * g.order for _ in reps]
+    maps = [[[lo for lo in named[j] if qualifies(h, lo, k)]
+             if len(k) % len(h.representative) == 0 else []
+             for j, k in enumerate(reps)]
+            for h in classes]
+    return classes, named, maps
+
+
+@lru_cache(maxsize=8)
+def orbit_category(g: FiniteGroup) -> OrbitCategory:
+    """Build Or(G) with one object per subgroup class (``build_group`` caps
+    the order of the groups it builds), its maps enumerated by ``_maps``;
+    composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
+    classes, named, maps = _maps(g)
+    objects = [f"G/{i}" for i in range(len(classes))]
+    # least[j][x] is the name of the coset x K_j
+    least = [[0] * g.order for _ in classes]
     for row, cosets in zip(least, named):
         for lo, coset in cosets.items():
             for x in coset:
                 row[x] = lo
-    morphs = [(i, j, lo)
-              for i, h in enumerate(classes)
-              for j, k in enumerate(reps)
-              if len(k) % len(h.representative) == 0
-              for lo in named[j]
-              if qualifies(h, lo, k)]
+    morphs = [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row) for lo in los]
 
     def identity_of(i):
         return (i, i, 0)
@@ -177,19 +186,17 @@ def verify_omega_relation(x: GCWComplex):
     fixed-point Euler characteristics divided by Weyl group orders.
 
     The two sides share only the census counts c.  The left side,
-    sum_K |hom(G/H, G/K)| c_K / |aut(G/H)|, counts the coset-enumerated
-    hom sets of Or(G); the right side, sum_K c_K |(G/K)^H| / |W_G H|, reads
-    the marks formula and the lattice's Weyl orders.  Each entry is summed on
-    integers and divided once.
+    sum_K |hom(G/H, G/K)| c_K / |aut(G/H)|, counts the hom sets of Or(G)
+    as ``_maps`` enumerates them, without composing any; the right side,
+    sum_K c_K |(G/K)^H| / |W_G H|, reads the marks formula and the lattice's
+    Weyl orders.  Each entry is summed on integers and divided once.
 
     Returns (equal, left side, right side), both sides in subgroup class order."""
-    oc = orbit_category(x.group)
-    cat = oc.category
-    objs = [cat.obj_index(oc.object_of_class(i)) for i in range(len(x.classes))]
-    support = [(objs[j], c) for j, c in enumerate(x.counts) if c]
+    maps = _maps(x.group)[2]
+    support = [(j, c) for j, c in enumerate(x.counts) if c]
     # every endomorphism in Or(G) is invertible, so aut(G/H) = hom(G/H, G/H)
-    lhs = [Fraction(sum(c * len(cat.hom(a, b)) for b, c in support), len(cat.hom(a, a)))
-           for a in objs]
+    lhs = [Fraction(sum(c * len(row[j]) for j, c in support), len(row[i]))
+           for i, row in enumerate(maps)]
     fixed = _marks_times_counts(x, marks(x.group))
     rhs = [Fraction(f, cls.weyl_order) for f, cls in zip(fixed, x.classes)]
     labels = [c.label for c in x.classes]

@@ -1,12 +1,25 @@
-"""All-pairs assembly, kept as a test oracle for ``fincat``.
+"""All-pairs assembly and the dict-keyed loader, kept as test oracles for
+``fincat``.
 
 These are the earlier, independent routes: every composition table here is
-filled by testing all m^2 morphism pairs, and ``validate`` builds its
-composable set the same way. They share no code with ``fincat._build`` or
-with ``fincat.validate``'s composable-pair walk.
+filled by testing all m^2 morphism pairs, ``from_json`` reads the records
+into a dict keyed by (g, f), and ``validate`` scans that dict, building its
+composable set the same way. They share no code with ``fincat._build``,
+with the row loader or with ``fincat.validate``.
 """
 
 from catrank.fincat import FiniteCategory, FunctorData, iso_classes
+
+
+class DictCategory(FiniteCategory):
+    """A category that keeps the composition dict it was given, for
+    ``validate`` below to scan."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, objects, dom, cod, identity, table):
+        super().__init__(objects, dom, cod, identity, table)
+        self.table = dict(table)
 
 
 def build(objects, morphs, identity_of, compose):
@@ -84,35 +97,95 @@ def fiber_category(p, b_obj):
     return FiniteCategory(objs, dom, cod, list(range(len(objs))), table)
 
 
+def from_json(doc: dict) -> DictCategory:
+    """The category schema read into a (g, f) dict, raising ValueError with
+    the message ``fincat.from_json`` gives for the first format problem."""
+    if not isinstance(doc, dict):
+        raise ValueError("category document must be a JSON object")
+    for key in ("objects", "morphisms", "identities", "composition"):
+        if key not in doc:
+            raise ValueError(f"missing key: {key}")
+    for key in ("objects", "morphisms", "composition"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a JSON array")
+    if not isinstance(doc["identities"], dict):
+        raise ValueError("identities must be a JSON object")
+    objects = list(doc["objects"])
+    if any(type(o) not in (str, int, float) for o in objects):
+        raise ValueError("object ids must be strings or numbers")
+    if len(set(map(str, objects))) != len(objects):
+        raise ValueError("duplicate object ids")
+    obj_index = {str(o): i for i, o in enumerate(objects)}
+    morphs = doc["morphisms"]
+    m = len(morphs)
+    dom = [0] * m
+    cod = [0] * m
+    seen = set()
+    for rec in morphs:
+        if not isinstance(rec, dict) or not {"id", "dom", "cod"} <= set(rec):
+            raise ValueError(f"malformed morphism record: {rec!r}")
+        mid = rec["id"]
+        if type(mid) is not int or not (0 <= mid < m) or mid in seen:
+            raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
+        seen.add(mid)
+        if str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index:
+            raise ValueError(f"morphism {mid} references unknown object")
+        dom[mid] = obj_index[str(rec["dom"])]
+        cod[mid] = obj_index[str(rec["cod"])]
+    identities = doc["identities"]
+    if set(identities) != set(map(str, objects)):
+        raise ValueError("identities must cover exactly the objects")
+    identity = [0] * len(objects)
+    for o, mid in identities.items():
+        if type(mid) is not int or not (0 <= mid < m):
+            raise ValueError(f"identity of {o!r} references unknown morphism")
+        identity[obj_index[o]] = mid
+    table: dict[tuple[int, int], int] = {}
+    for rec in doc["composition"]:
+        if not (isinstance(rec, (list, tuple)) and len(rec) == 3):
+            raise ValueError(f"malformed composition record: {rec!r}")
+        g, f, c = rec
+        if not (type(g) is int and type(f) is int and type(c) is int
+                and 0 <= g < m and 0 <= f < m and 0 <= c < m):
+            raise ValueError(f"composition record references unknown morphism: {rec!r}")
+        if (g, f) in table:
+            raise ValueError(f"duplicate composition record for pair ({g},{f})")
+        table[(g, f)] = c
+    return DictCategory(objects, dom, cod, identity, table)
+
+
 def validate(cat):
+    """Every violation, scanning the dict a ``DictCategory`` keeps (any other
+    category's ``compose_table``) in its item order."""
     out = []
     m = cat.n_morphisms
+    table = cat.table if isinstance(cat, DictCategory) else cat.compose_table
     for x in range(cat.n_objects):
         e = cat.identity[x]
         if cat.dom[e] != x or cat.cod[e] != x:
             out.append({"kind": "identity_endpoints", "object": cat.objects[x], "morphism": e})
     composable = {(g, f) for f in range(m) for g in range(m) if cat.cod[f] == cat.dom[g]}
-    for key in cat.compose_table:
+    for key in table:
         if key not in composable:
             out.append({"kind": "extra_composite", "pair": list(key)})
     for key in sorted(composable):
-        if key not in cat.compose_table:
+        if key not in table:
             out.append({"kind": "missing_composite", "pair": list(key)})
     if out:
         return out
-    for (g, f), c in sorted(cat.compose_table.items()):
+    for (g, f), c in sorted(table.items()):
         if cat.dom[c] != cat.dom[f] or cat.cod[c] != cat.cod[g]:
             out.append({"kind": "composite_endpoints", "pair": [g, f], "composite": c})
     if out:
         return out
     for f in range(m):
-        if cat.compose_table[(cat.identity[cat.cod[f]], f)] != f:
+        if table[(cat.identity[cat.cod[f]], f)] != f:
             out.append({"kind": "identity_law", "side": "left", "morphism": f})
-        if cat.compose_table[(f, cat.identity[cat.dom[f]])] != f:
+        if table[(f, cat.identity[cat.dom[f]])] != f:
             out.append({"kind": "identity_law", "side": "right", "morphism": f})
-    for (g, f), gf in cat.compose_table.items():
+    for (g, f), gf in table.items():
         for h in range(m):
             if cat.dom[h] == cat.cod[g]:
-                if cat.compose_table[(h, gf)] != cat.compose_table[(cat.compose_table[(h, g)], f)]:
+                if table[(h, gf)] != table[(table[(h, g)], f)]:
                     out.append({"kind": "associativity", "triple": [h, g, f]})
     return out

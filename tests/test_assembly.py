@@ -2,8 +2,8 @@
 
 Every category built through ``fincat._build`` (constructions, the corpus,
 orbit categories, full subcategories, skeletons and fibers) must equal the
-oracle's, down to morphism numbering and the insertion order of the
-composition table; ``validate`` must report the same violations.
+oracle's, down to morphism numbering; ``validate`` on the rows must report
+the same violations as the oracle's scan of the composition dict.
 """
 
 import random
@@ -19,7 +19,6 @@ from catrank.grouptheory import build_group, cyclic_group, subgroup_classes
 
 def assert_same(cat: FiniteCategory, ref: FiniteCategory):
     assert cat == ref
-    assert list(cat.compose_table.items()) == list(ref.compose_table.items())
 
 
 def corpus_entries():
@@ -94,7 +93,7 @@ def test_fiber_category_matches_oracle():
             assert_same(fiber_category(p, b), oracle.fiber_category(p, b))
 
 
-def mutate(rng: random.Random, cat: FiniteCategory) -> FiniteCategory:
+def mutate(rng: random.Random, cat: FiniteCategory) -> oracle.DictCategory:
     """Drop, add or redirect a few composites, or move an identity."""
     table = dict(cat.compose_table)
     identity = list(cat.identity)
@@ -109,7 +108,7 @@ def mutate(rng: random.Random, cat: FiniteCategory) -> FiniteCategory:
             table[rng.choice(list(table))] = rng.randrange(m)
         else:
             identity[rng.randrange(cat.n_objects)] = rng.randrange(m)
-    return FiniteCategory(cat.objects, cat.dom, cat.cod, identity, table)
+    return oracle.DictCategory(cat.objects, cat.dom, cat.cod, identity, table)
 
 
 def test_validate_matches_oracle_on_mutations():
@@ -128,7 +127,7 @@ def test_validate_matches_oracle_on_mutations():
                      "composite_endpoints", "identity_law", "associativity"}
 
 
-def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> FiniteCategory | None:
+def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> oracle.DictCategory | None:
     """Send one composite of two non-identities to another morphism of the
     same hom-set.  Endpoints and identity laws still hold, so only the
     associativity check can see it.  None when no such composite has a hom-set
@@ -142,7 +141,7 @@ def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> FiniteCatego
     c = cat.compose_table[key]
     table = dict(cat.compose_table)
     table[key] = rng.choice([x for x in cat.hom(cat.dom[c], cat.cod[c]) if x != c])
-    return FiniteCategory(cat.objects, cat.dom, cat.cod, cat.identity, table)
+    return oracle.DictCategory(cat.objects, cat.dom, cat.cod, cat.identity, table)
 
 
 def light_cases():

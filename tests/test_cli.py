@@ -202,11 +202,14 @@ BOOL_OBJECT_DOC = {"objects": [True, False],
                    "identities": {"True": 0, "False": 1}, "composition": [[0, 0, 0], [1, 1, 1]]}
 
 
-@pytest.mark.parametrize("patch", [{"objects": 3}, {"morphisms": 5}, {"identities": 5},
-                                   {"composition": 7}, LIST_OBJECT_DOC, BOOL_ID_DOC,
-                                   NULL_OBJECT_DOC, BOOL_OBJECT_DOC],
-                         ids=["objects", "morphisms", "identities", "composition", "list-id",
-                              "bool-id", "null-object-id", "bool-object-id"])
+# keys of the span's document replaced, each making it malformed
+MALFORMED_FIELDS = {"objects": {"objects": 3}, "morphisms": {"morphisms": 5},
+                    "identities": {"identities": 5}, "composition": {"composition": 7},
+                    "list-id": LIST_OBJECT_DOC, "bool-id": BOOL_ID_DOC,
+                    "null-object-id": NULL_OBJECT_DOC, "bool-object-id": BOOL_OBJECT_DOC}
+
+
+@pytest.mark.parametrize("patch", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS))
 def test_malformed_document_fields(tmp_path, capsys, patch):
     code, text, _ = run(capsys, "examples", "emit", "span")
     doc = json.loads(text)

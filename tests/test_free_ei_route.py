@@ -125,7 +125,7 @@ def test_nonfree_orbits_stay_on_the_route():
     (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
                if i != t and poset.leq[i][t]]
     at = cat.aut(poset.reps[t])
-    xs, fibre = moebius._orbits(cat.compose_table, cat.hom(poset.reps[i], poset.reps[t]), at)
+    xs, fibre = moebius._orbits(cat, cat.hom(poset.reps[i], poset.reps[t]), at)
     assert {len(c) for _, c in fibre.values()} == {2}
     assert len(xs) * len(at) > len(cat.hom(poset.reps[i], poset.reps[t]))
     rep = euler_characteristics(cat)

@@ -171,7 +171,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
         work.append((g, xi, x))
         burnside_check(g, xi)
         verify_omega_relation(x)
-    calls = {"_rref": 0, "mark": 0, "_build": 0}
+    calls = {"_rref": 0, "mark": 0, "_build": 0, "left_cosets": 0}
 
     def counting(module, name):
         orig = getattr(module, name)
@@ -185,6 +185,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
     counting(exactq, "_rref")
     counting(grouptheory, "mark")
     counting(orbitcat, "_build")
+    counting(orbitcat, "left_cosets")
     for _ in range(3):
         for g, xi, x in work:
             burnside_check(g, xi)
@@ -192,13 +193,16 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
             verify_omega_relation(x)
             table_of_marks(g)
             fixed_point_euler(x, 0)
-    assert calls == {"_rref": 0, "mark": 0, "_build": 0}
-    # the wrappers see a cold build
+    assert calls == {"_rref": 0, "mark": 0, "_build": 0, "left_cosets": 0}
+    # the wrappers see a cold enumeration
     grouptheory._marks_cached.cache_clear()
     grouptheory._nu_rows.cache_clear()
+    orbitcat._maps.cache_clear()
     orbit_category.cache_clear()
     g, xi, x = work[0]
     burnside_check(g, xi)
     verify_omega_relation(x)
-    # nu is a back-substitution on the integer marks: nothing is eliminated
-    assert calls["_rref"] == 0 and calls["_build"] == 1 and calls["mark"] > 0
+    # nu is a back-substitution on the integer marks: nothing is eliminated;
+    # the omega relation counts the enumerated maps and composes none
+    assert calls["_rref"] == 0 and calls["mark"] > 0
+    assert calls["_build"] == 0 and calls["left_cosets"] > 0

@@ -63,6 +63,25 @@ def test_nested_import_is_found():
     assert nested_imports(source) == ["f (line 3)", "m (line 8)", "g (line 8)"]
 
 
+def compose_table_reads(source: str) -> list[int]:
+    """Lines that read an attribute named compose_table: the (g, f) dict
+    view that ``fincat`` builds on demand for callers outside the library."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "compose_table"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_library_reads_the_rows_not_the_dict_view(path):
+    assert compose_table_reads(path.read_text()) == []
+
+
+def test_compose_table_read_is_found():
+    source = ("class C:\n    @property\n    def compose_table(self):\n        return {}\n"
+              "def f(cat):\n    return cat.compose_table[0, 0]\n"
+              "def g(cat):\n    return getattr(cat, 'compose_table')\n")
+    assert compose_table_reads(source) == [6]
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
