@@ -28,6 +28,7 @@ from .grouptheory import (
 from .leinster import chi_L, coweighting, weighting
 from .moebius import euler_characteristics, omega_bar2
 from .orbitcat import (
+    GCWComplex,
     chi_G,
     fixed_point_euler,
     gcw_from_json,
@@ -236,7 +237,7 @@ def cmd_equivariant(args) -> int:
         doc_in = {"group": args.random, "cells": census}
         data = json.dumps(doc_in, sort_keys=True).encode()
         name = f"<random seed={args.seed}>"
-        x = gcw_from_json(doc_in, args.cap)
+        x = GCWComplex(g, [(c["dim"], c["stabilizer"]) for c in census])
     else:
         if args.path is None:
             return _error("equivariant needs a path or --random <group>", 2)

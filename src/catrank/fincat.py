@@ -31,6 +31,7 @@ when that check, or an identity law, fails.
 from __future__ import annotations
 
 import json
+from functools import wraps
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -117,7 +118,7 @@ class FiniteCategory:
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
         self._hom: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._inverse: tuple | None = None
-        # tables other modules derive from this (immutable) category, by name
+        # tables derived from this (immutable) category, kept by ``_once``
         self._memo: dict[str, Any] = {}
 
     # ------------------------------------------------------------- basics
@@ -148,7 +149,7 @@ class FiniteCategory:
         """The composition as a read-only dict keyed by (g, f), in (g, f)
         order, records kept aside included; built on demand, for callers
         that want a dict."""
-        return _once(self, "compose_table", _table_view)
+        return _table_view(self)
 
     def hom(self, i: int, j: int) -> tuple[int, ...]:
         """Morphism ids from object index i to object index j."""
@@ -205,12 +206,19 @@ class FiniteCategory:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
-def _once(cat: FiniteCategory, key: str, build):
-    """build(cat), computed once per category and kept on it."""
-    memo = cat._memo
-    if key not in memo:
-        memo[key] = build(cat)
-    return memo[key]
+# Decorator: build(cat) is computed once per category and kept in its memo
+# under build's name; callers call the decorated build by name.
+def _once(build):
+    key = build.__name__
+
+    @wraps(build)
+    def once(cat):
+        memo = cat._memo
+        if key not in memo:
+            memo[key] = build(cat)
+        return memo[key]
+
+    return once
 
 
 def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:
@@ -227,6 +235,7 @@ def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:
                 yield g, f, c
 
 
+@_once
 def _table_view(cat: FiniteCategory) -> Mapping[tuple[int, int], int]:
     table = {(g, f): c for g, f, c in _pairs(cat)}
     table.update(cat._extra)
@@ -379,10 +388,11 @@ class PredicateReport:
         return f"PredicateReport({', '.join(on) or 'none'})"
 
 
+@_once
 def ei_witness(cat: FiniteCategory) -> int | None:
     """The first endomorphism in id order that is not invertible; None when
-    the category is EI.  Callers read it through ``_once``, so each
-    category is scanned once."""
+    the category is EI.  Memoised by ``_once``, so each category is
+    scanned once."""
     dom, cod = cat.dom, cat.cod
     return next((m for m in range(cat.n_morphisms)
                  if dom[m] == cod[m] and not cat.is_iso(m)), None)
@@ -426,7 +436,7 @@ def classify(cat: FiniteCategory) -> PredicateReport:
 
     rows, at, ident, dom, cod = cat.rows, cat.at, cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
-    not_ei = _once(cat, "ei_witness", ei_witness)
+    not_ei = ei_witness(cat)
     is_ei = holds("is_ei", [] if not_ei is None else [(not_ei,)])
     # g o f is rows[f][at[g]]
     is_df = holds("is_directly_finite",

@@ -15,10 +15,9 @@ category).  Two routes:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 
 from .exactq import QMatrix, QVector, SolutionReport, solve_linear
-from .fincat import FiniteCategory, _once, ei_witness
+from .fincat import FiniteCategory, ei_witness
 from .moebius import iso_order
 
 
@@ -38,26 +37,24 @@ def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
     Each class representative (its least-index object) is a pivot, since
     the representatives' columns are independent and every other member's
     column repeats its representative's.  The pivots carry the unique
-    solution of the system on the representatives: in iso order hom(i, t)
-    is empty unless t = i or t lies above i, so it is solved from the top
-    class down, the transpose's from the bottom class up, on Python
-    integers while each division by |aut i| is exact.  Every other member
-    m is a free variable set to 0, with kernel vector e_m - e_rep."""
-    poset = _once(cat, "iso_order", iso_order)
-    reps, k = poset.reps, poset.size
-    # the transpose's system reads the relation and the hom sets reversed
-    leq = list(zip(*poset.leq)) if columns else poset.leq
-    hom = (lambda a, b: cat.hom(b, a)) if columns else cat.hom
+    solution of the system on the representatives, the class table
+    ``iso_order(cat).homs``, upper triangular with diagonal |aut i|: its
+    rows from the top class down, or its columns from the bottom class up,
+    on Python integers while each division by |aut i| is exact.  Every
+    other member m is a free variable set to 0, with kernel vector
+    e_m - e_rep."""
+    poset = iso_order(cat)
+    k, homs = poset.size, poset.homs
+    table = list(zip(*homs)) if columns else homs
     w: list = [0] * k
     for i in (range(k) if columns else reversed(range(k))):
-        # every class related to i, other than i, is solved before it
-        rest = 1 - sum(len(hom(reps[i], reps[t])) * w[t]
-                       for t in compress(range(k), leq[i]) if t != i)
-        d = len(cat.hom(reps[i], reps[i]))
+        # every t related to i is solved before it; w[i] itself is still 0
+        rest = 1 - sum(h * wt for h, wt in zip(table[i], w) if h)
+        d = homs[i][i]
         w[i] = rest // d if rest % d == 0 else Fraction(rest, d)
     n = cat.n_objects
     x, rep_of = [0] * n, list(range(n))
-    for r, wi, members in zip(reps, w, poset.members):
+    for r, wi, members in zip(poset.reps, w, poset.members):
         x[r] = wi
         for o in members:
             rep_of[cat.obj_index(o)] = r
@@ -72,7 +69,7 @@ def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
 
 
 def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
-    if _once(cat, "ei_witness", ei_witness) is None:
+    if ei_witness(cat) is None:
         return _ei(cat, columns)
     z = zeta_matrix(cat)
     if columns:

@@ -27,40 +27,33 @@ those actions:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactq import QMatrix, QVector
 from .fincat import FiniteCategory, _once, ei_witness, iso_classes
 
 
-class IsoPoset:
-    """Iso classes of an EI category, in canonical order: ascending by
-    (longest chain strictly below, representative object index).  The
-    representative of a class is its least-index object."""
+class IsoPoset(namedtuple("IsoPoset", "labels members reps homs auts lengths")):
+    """The class table of an EI category, which every class-level invariant
+    reads: the iso classes in canonical order, ascending by (longest chain
+    strictly below, representative = least-index object), homs[i][j] =
+    |hom(rep i, rep j)|, nonzero exactly when class i lies at or below
+    class j, and auts[i] = aut(rep i) with the identity first."""
 
-    __slots__ = ("cat", "labels", "members", "reps", "leq", "lengths")
-
-    def __init__(self, cat, labels, members, reps, leq, lengths):
-        self.cat = cat
-        self.labels = labels
-        self.members = members
-        self.reps = reps
-        self.leq = leq
-        self.lengths = lengths
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    def aut_order(self, i: int) -> int:
-        return len(self.cat.aut(self.reps[i]))
-
     def __repr__(self) -> str:
         return f"IsoPoset({self.size} classes)"
 
 
+@_once
 def iso_order(cat: FiniteCategory) -> IsoPoset:
-    m = _once(cat, "ei_witness", ei_witness)
+    m = ei_witness(cat)
     if m is not None:
         raise ValueError(
             "iso class order needs an EI category; "
@@ -69,25 +62,25 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     classes = iso_classes(cat)
     reps = [cat.obj_index(c[0]) for c in classes]
     k = len(classes)
-    leq = [[bool(cat.hom(reps[i], reps[j])) for j in range(k)] for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                assert not (leq[i][j] and leq[j][i]), "EI forces antisymmetry"
+    homs = [[len(cat.hom(reps[i], reps[j])) for j in range(k)] for i in range(k)]
+    assert not any(homs[i][j] and homs[j][i] for i in range(k) for j in range(i)), \
+        "EI forces antisymmetry"
 
     # j < i implies down(j) is strictly inside down(i), so visiting classes by
     # the size of their down-set fills every class after all classes below it
-    below = [[j for j in range(k) if j != i and leq[j][i]] for i in range(k)]
+    below = [[j for j in range(k) if j != i and homs[j][i]] for i in range(k)]
     lengths = [0] * k
     for i in sorted(range(k), key=lambda i: len(below[i])):
         lengths[i] = 1 + max(lengths[j] for j in below[i]) if below[i] else 0
     order = sorted(range(k), key=lambda i: (lengths[i], reps[i]))
+    # EI: the endomorphisms are the automorphisms; a stable sort puts 1 first
+    auts = [tuple(sorted(cat.hom(r, r), key=cat.identity[r].__ne__)) for r in reps]
     return IsoPoset(
-        cat,
         tuple(cat.objects[reps[i]] for i in order),
         tuple(tuple(classes[i]) for i in order),
         tuple(reps[i] for i in order),
-        tuple(tuple(leq[i][j] for j in order) for i in order),
+        tuple(tuple(homs[i][j] for j in order) for i in order),
+        tuple(auts[i] for i in order),
         tuple(lengths[i] for i in order),
     )
 
@@ -127,6 +120,7 @@ def _average(rows: dict[int, dict[int, int]], c: tuple[int, ...], label) -> dict
     return total
 
 
+@_once
 def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[int, int]]]:
     """(f, rows) of an EI category, filled from the top class down.
 
@@ -152,19 +146,15 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
 
     On a free category every s_x is 1 and D_i = {1}, so h_i(1)[j] is |A_j|
     times the signed count of A_j \\ S(c) over the chains from i to j."""
-    poset = _once(cat, "iso_order", iso_order)
-    k, reps, leq, labels = poset.size, poset.reps, poset.leq, poset.labels
+    poset = iso_order(cat)
+    k, reps, homs, auts, labels = poset.size, poset.reps, poset.homs, poset.auts, poset.labels
     rows, at = cat.rows, cat.at
-    auts = []
-    for r in reps:
-        one = cat.identity[r]
-        auts.append((one,) + tuple(a for a in cat.aut(r) if a != one))
     orbits: list[dict[int, tuple]] = [{} for _ in range(k)]
     demand = [{0} for _ in range(k)]
     for i in range(k):
         # every class below i comes before it, so D_i is complete here
         for t in range(i + 1, k):
-            if leq[i][t]:
+            if homs[i][t]:
                 xs, fibre = orbits[i][t] = _orbits(cat, cat.hom(reps[i], reps[t]), auts[t])
                 for b in demand[i]:
                     after_b = rows[auts[i][b]]
@@ -208,15 +198,12 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
 
 
 def omega_bar2(cat: FiniteCategory) -> QMatrix:
-    """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|."""
-    poset = _once(cat, "iso_order", iso_order)
-    reps = poset.reps
+    """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|, read
+    off the class table (|aut y| = |hom(y, y)| in an EI category)."""
+    poset = iso_order(cat)
     zero = Fraction(0)
-    rows = []
-    for i, y in enumerate(reps):
-        a = poset.aut_order(i)
-        rows.append([Fraction(len(cat.hom(y, x)), a) if leq else zero
-                     for x, leq in zip(reps, poset.leq[i])])
+    rows = [[Fraction(h, row[i]) if h else zero for h in row]
+            for i, row in enumerate(poset.homs)]
     return QMatrix.from_rows(rows, poset.labels, poset.labels)
 
 
@@ -248,9 +235,8 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     chi_f2[i] = f_i(1) / |A_i| and mu_bar2[i][j] = h_i(1)[j] / |A_i|.  One
     integer back-substitution from the top class down, free or not; no
     chain is visited."""
-    poset = _once(cat, "iso_order", iso_order)
-    labels = poset.labels
-    f, rows = _once(cat, "moebius", _back_substitute)
+    labels = iso_order(cat).labels
+    f, rows = _back_substitute(cat)
     zero = Fraction(0)
     chi_f, chi_f2, mu_rows = [], [], []
     for i, (fi, hi) in enumerate(zip(f, rows)):

@@ -5,6 +5,9 @@ catrank.moebius.euler_characteristics.
 on its own and its set S(c) is built as the full product hom x ... x hom,
 then merged under every interior automorphism by union-find.  It is slow but
 shares no code with the library, which is what makes it a useful oracle.
+Both oracles take the class order from ``iso_order`` but read the relation
+between classes and their automorphism groups off the category's own hom
+sets (``class_relation``, ``cat.aut``), never off the class table under test.
 
 ``walk_sums`` is the fast oracle: one depth-first walk over the chains out
 of each class builds every S(c) incrementally with its actions, so it reaches
@@ -44,9 +47,17 @@ class Chain:
         return f"Chain{self.classes}"
 
 
-def enumerate_chains(poset: IsoPoset, start: int, end=None, max_length=None):
+def class_relation(cat, poset: IsoPoset) -> list[list[bool]]:
+    """leq[a][b]: is there a morphism from the representative of class a to
+    that of class b, read off cat's hom sets rather than the class table
+    under test."""
+    return [[bool(cat.hom(x, y)) for y in poset.reps] for x in poset.reps]
+
+
+def enumerate_chains(cat, poset: IsoPoset, start: int, end=None, max_length=None):
     """All strictly increasing chains from start (to end, if given)."""
     cap = poset.size - 1 if max_length is None else max_length
+    leq = class_relation(cat, poset)
 
     def walk(prefix):
         last = prefix[-1]
@@ -55,12 +66,12 @@ def enumerate_chains(poset: IsoPoset, start: int, end=None, max_length=None):
         if len(prefix) - 1 >= cap:
             return
         for j in range(poset.size):
-            if j != last and poset.leq[last][j]:
-                if end is not None and not (j == end or poset.leq[j][end]):
+            if j != last and leq[last][j]:
+                if end is not None and not (j == end or leq[j][end]):
                     continue
                 yield from walk(prefix + (j,))
 
-    if end is not None and not (start == end or poset.leq[start][end]):
+    if end is not None and not (start == end or leq[start][end]):
         return
     yield from walk((start,))
 
@@ -70,10 +81,9 @@ class ChainBiset:
     class representatives, modulo the interior automorphism actions, with the
     residual left aut(top) and right aut(bottom) actions."""
 
-    def __init__(self, poset: IsoPoset, chain: Chain):
-        self.poset = poset
+    def __init__(self, cat, poset: IsoPoset, chain: Chain):
+        self.cat = cat
         self.chain = chain
-        cat = poset.cat
         reps = [poset.reps[c] for c in chain.classes]
         l = chain.length
         if l == 0:
@@ -117,12 +127,10 @@ class ChainBiset:
         return len(self.elements)
 
     def act_left(self, a: int, elem: tuple) -> tuple:
-        cat = self.poset.cat
-        return self._find[(cat.compose(a, elem[0]),) + elem[1:]]
+        return self._find[(self.cat.compose(a, elem[0]),) + elem[1:]]
 
     def act_right(self, elem: tuple, b: int) -> tuple:
-        cat = self.poset.cat
-        return self._find[elem[:-1] + (cat.compose(elem[-1], b),)]
+        return self._find[elem[:-1] + (self.cat.compose(elem[-1], b),)]
 
     def left_orbit_count(self) -> int:
         return self._orbit_count(use_right=False)
@@ -156,11 +164,11 @@ def chain_sums(cat, max_chain_length=None):
     k = poset.size
     chi_f, chi_f2, mu_rows = [], [], []
     for i in range(k):
-        ai = poset.aut_order(i)
+        ai = len(cat.aut(poset.reps[i]))
         f = f2 = 0
         row = [0] * k
-        for chain in enumerate_chains(poset, i, max_length=max_chain_length):
-            b = ChainBiset(poset, chain)
+        for chain in enumerate_chains(cat, poset, i, max_length=max_chain_length):
+            b = ChainBiset(cat, poset, chain)
             sign = (-1) ** chain.length
             f += sign * b.double_orbit_count()
             f2 += sign * b.left_orbit_count()
@@ -171,7 +179,7 @@ def chain_sums(cat, max_chain_length=None):
     truncated = max_chain_length is not None and any(
         chain.length > max_chain_length
         for i in range(k)
-        for chain in enumerate_chains(poset, i, max_length=max(max_chain_length, 0) + 1)
+        for chain in enumerate_chains(cat, poset, i, max_length=max(max_chain_length, 0) + 1)
     )
     return chi_f, chi_f2, mu_rows, truncated
 
@@ -234,7 +242,8 @@ def walk_sums(cat, max_chain_length=None):
     cap = k if max_chain_length is None else max_chain_length
     comp = cat.compose_table
     auts = [cat.aut(r) for r in poset.reps]
-    above = [[j for j in range(k) if j != i and poset.leq[i][j]] for i in range(k)]
+    leq = class_relation(cat, poset)
+    above = [[j for j in range(k) if j != i and leq[i][j]] for i in range(k)]
     steps = {}
 
     def step(i, j):
@@ -286,7 +295,7 @@ def chi_f2_via_eta(cat) -> QVector:
     if not rep.is_free:
         raise ValueError("requires a free EI category")
     poset = iso_order(cat)
-    eta = [Fraction(1, poset.aut_order(i)) for i in range(poset.size)]
+    eta = [Fraction(1, len(cat.aut(r))) for r in poset.reps]
     mu_rows = chain_sums(cat)[2]
     return QVector([sum(map(operator.mul, row, eta), Fraction(0)) for row in mu_rows],
                    poset.labels)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from catrank import grouptheory
+from catrank import cli, grouptheory, orbitcat
 from catrank.cli import main
 from catrank.exactq import rat_str
 from catrank.fincat import classify, from_json, opposite
@@ -484,6 +484,22 @@ def test_equivariant_random_census_is_seeded(capsys):
     code, other, _ = run(capsys, "--seed", "8", "group", "equivariant",
                          "--random", "sym:3", "--cells", "5")
     assert json.loads(other)["census"] != doc["census"]
+
+
+def test_equivariant_random_builds_its_group_once(capsys, monkeypatch):
+    """The census is drawn from the group --random names, and the complex
+    is made from that same group: one build per call."""
+    built = []
+
+    def counted(spec, *rest):
+        built.append(spec)
+        return build_group(spec, *rest)
+
+    monkeypatch.setattr(cli, "build_group", counted)
+    monkeypatch.setattr(orbitcat, "build_group", counted)
+    code, out, _ = run(capsys, "--seed", "3", "group", "equivariant", "--random", "dihedral:4")
+    assert code == 0 and json.loads(out)["invariants"]["omega_relation"]["holds"] is True
+    assert built == ["dihedral:4"]
 
 
 def test_equivariant_needs_input(capsys):

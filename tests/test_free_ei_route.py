@@ -17,6 +17,7 @@ from catrank.orbitcat import orbit_category
 
 import genrandom
 from chain_oracle import chain_sums, walk_sums
+from test_moebius import recording_memo
 
 ORBIT_SPECS = ("symmetric:3", "symmetric:4", "dihedral:4", "q8", "product:cyclic:2+symmetric:3",
                "cyclic:12", "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2", "symmetric:5")
@@ -123,7 +124,7 @@ def test_nonfree_orbits_stay_on_the_route():
     assert not classify(cat).is_free
     poset = moebius.iso_order(cat)
     (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
-               if i != t and poset.leq[i][t]]
+               if i != t and cat.hom(poset.reps[i], poset.reps[t])]
     at = cat.aut(poset.reps[t])
     xs, fibre = moebius._orbits(cat, cat.hom(poset.reps[i], poset.reps[t]), at)
     assert {len(c) for _, c in fibre.values()} == {2}
@@ -160,17 +161,19 @@ def test_route_asserts_integral_coset_averages(monkeypatch):
 
 def test_memo_keeps_only_the_class_functions_and_rows():
     """The orbits and demand sets are local to the recurrence: the memo holds
-    the EI verdict, f on every A_i and the sparse integer rows h_i(1),
-    nothing per pair."""
+    the EI verdict, the class table, f on every A_i and the sparse integer
+    rows h_i(1), each built once, nothing per pair."""
     cat = opposite(orbit_category(build_group("dihedral:4")).category)
+    memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
-    assert set(cat._memo) == {"ei_witness", "iso_order", "moebius"}
-    assert cat._memo["ei_witness"] is None
-    f, rows = cat._memo["moebius"]
-    poset = cat._memo["iso_order"]
-    assert [len(fi) for fi in f] == [poset.aut_order(i) for i in range(poset.size)]
+    euler_characteristics(cat)
+    assert memo.builds == ["ei_witness", "iso_order", "_back_substitute"]
+    assert memo["ei_witness"] is None
+    f, rows = memo["_back_substitute"]
+    poset = memo["iso_order"]
+    assert [len(fi) for fi in f] == [len(cat.aut(r)) for r in poset.reps]
     assert all(type(v) is int for fi in f for v in fi)
     assert all(type(j) is int and type(v) is int and v for hi in rows for j, v in hi.items())
 

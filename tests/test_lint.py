@@ -82,6 +82,27 @@ def test_compose_table_read_is_found():
     assert compose_table_reads(source) == [6]
 
 
+def memo_accesses(source: str) -> list[int]:
+    """Lines that read or write an attribute named _memo: the store of the
+    tables derived from a category, which ``fincat._once`` keeps."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_memo")
+
+
+def test_memo_lives_in_fincat():
+    found = {path.name: memo_accesses(path.read_text()) for path in SRC}
+    assert found.pop("fincat.py")
+    assert found == {name: [] for name in found}
+
+
+def test_memo_access_is_found():
+    source = ("class C:\n    __slots__ = ('_memo',)\n"
+              "def f(cat):\n    return cat._memo['iso_order']\n"
+              "def g(cat):\n    cat._memo = {}\n    del cat._memo\n"
+              "def h(cat):\n    return getattr(cat, '_memo')\n")
+    assert memo_accesses(source) == [4, 6, 7]
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

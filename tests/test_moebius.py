@@ -24,6 +24,7 @@ from catrank.fincat import (
     validate,
 )
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
+from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics, iso_order, omega_bar2
 from catrank.orbitcat import orbit_category
 
@@ -34,6 +35,7 @@ from chain_oracle import (
     ChainBiset,
     chain_sums,
     chi_f2_via_eta,
+    class_relation,
     enumerate_chains,
     nerve_by_listing_chains,
     walk_sums,
@@ -131,11 +133,13 @@ class TestIsoOrder:
             euler_characteristics(retract_pair())
 
     def test_span_order(self):
-        poset = iso_order(span_category())
+        cat = span_category()
+        poset = iso_order(cat)
         assert poset.labels == ("0", "1", "2")
         assert poset.lengths == (0, 1, 1)
-        assert poset.leq[0][1] and poset.leq[0][2]
-        assert not poset.leq[1][2] and not poset.leq[2][1]
+        leq = class_relation(cat, poset)
+        assert leq[0][1] and leq[0][2]
+        assert not leq[1][2] and not leq[2][1]
 
     def test_merges_isomorphic_objects(self):
         poset = iso_order(indiscrete_pair())
@@ -148,29 +152,134 @@ class TestIsoOrder:
         assert poset.lengths == (0, 1, 1, 2, 2, 3)
 
     def test_chain_enumeration(self):
-        poset = iso_order(divisor_poset(12))
-        chains = list(enumerate_chains(poset, 0, end=5))
+        cat = divisor_poset(12)
+        poset = iso_order(cat)
+        chains = list(enumerate_chains(cat, poset, 0, end=5))
         # 1<12, 1<2<12, 1<3<12, 1<4<12, 1<6<12, 1<2<4<12, 1<2<6<12, 1<3<6<12
         assert sorted(c.classes for c in chains) == sorted([
             (0, 5), (0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 4, 5),
             (0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 4, 5),
         ])
-        assert all(ch.length <= 1 for ch in enumerate_chains(poset, 0, max_length=1))
+        assert all(ch.length <= 1 for ch in enumerate_chains(cat, poset, 0, max_length=1))
+
+
+class RecordingMemo(dict):
+    """A category's memo that lists, in order, the names its tables are
+    stored under: one entry per build."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = []
+
+    def __setitem__(self, key, value):
+        self.builds.append(key)
+        super().__setitem__(key, value)
+
+
+def recording_memo(cat) -> RecordingMemo:
+    cat._memo = RecordingMemo()
+    return cat._memo
+
+
+def _ids_reversed(cat) -> FiniteCategory:
+    """cat with its morphism ids in reverse order, so that every identity
+    comes after the other endomorphisms of its object."""
+    last = cat.n_morphisms - 1
+    return FiniteCategory(
+        cat.objects, cat.dom[::-1], cat.cod[::-1], [last - m for m in cat.identity],
+        {(last - g, last - f): last - c for (g, f), c in cat.compose_table.items()})
+
+
+def _table_cases():
+    """The EI corpus entries and their opposites, subsets-q 0-5, Or(G) and
+    Or(G)^op for S3, D8 and Q8, and seeded inflations (extra isomorphic
+    copies of objects) of free EI draws and of bisets; the orbit categories
+    and inflated bisets again with their morphism ids reversed."""
+    cases = []
+    for name in corpus.names():
+        cat = corpus.build(name)
+        if classify(cat).is_ei:
+            cases += [(name, cat), (f"{name}^op", opposite(cat))]
+    cases += [(f"subsets-q {q}", corpus.build("subsets-q", q=q)) for q in range(6)]
+    for spec in ("symmetric:3", "dihedral:4", "q8"):
+        cat = orbit_category(build_group(spec)).category
+        cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
+    rng = random.Random(47)
+    for i in range(6):
+        free = genrandom.random_free_ei_category(rng)
+        cases.append((f"inflated free {i}", genrandom.random_inflation(rng, free)[0]))
+        g, h, left, right, _ = genrandom.random_biset(rng)
+        biset = biset_category(g, h, left, right)
+        cases.append((f"inflated biset {i}", genrandom.random_inflation(rng, biset)[0]))
+    return cases + [(f"{name} ids reversed", _ids_reversed(cat))
+                    for name, cat in cases if name.startswith(("Or(", "inflated biset"))]
+
+
+TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("name,cat", TABLE_CASES, ids=[name for name, _ in TABLE_CASES])
+def test_class_table_counts_the_hom_sets(name, cat):
+    """homs[i][j] is |hom(rep i, rep j)| as an int, zero below the diagonal
+    of the iso order; auts[i] is aut(rep i), identity first."""
+    poset = iso_order(cat)
+    reps = poset.reps
+    for i, x in enumerate(reps):
+        assert [type(h) for h in poset.homs[i]] == [int] * poset.size
+        assert list(poset.homs[i]) == [len(cat.hom(x, y)) for y in reps]
+        assert not any(poset.homs[i][:i])
+        assert poset.auts[i][0] == cat.identity[x]
+        assert len(poset.auts[i]) == len(cat.aut(x))
+        assert set(poset.auts[i]) == set(cat.aut(x))
+
+
+def test_table_cases_cover_inflations_and_automorphisms():
+    assert any(len(members) > 1 for _, cat in TABLE_CASES for members in iso_order(cat).members)
+    assert any(len(a) > 2 for _, cat in TABLE_CASES for a in iso_order(cat).auts)
+    assert any(min(cat.aut(x)) != cat.identity[x]
+               for _, cat in TABLE_CASES for x in range(cat.n_objects))
+
+
+def test_invariants_do_not_depend_on_morphism_ids():
+    for spec in ("symmetric:3", "dihedral:4"):
+        cat = opposite(orbit_category(build_group(spec)).category)
+        a, b = euler_characteristics(cat), euler_characteristics(_ids_reversed(cat))
+        assert (a.chi_f, a.chi_f2, a.mu_bar2) == (b.chi_f, b.chi_f2, b.mu_bar2)
+        assert omega_bar2(cat) == omega_bar2(_ids_reversed(cat))
+
+
+def test_weightings_and_omega_count_no_hom_set_again(monkeypatch):
+    """Once the class table is built, the weighting, the coweighting and
+    omega_bar2 read it alone: no hom or aut set is listed again."""
+    cats = [cat for _, cat in TABLE_CASES]
+    expected = [(weighting(cat), coweighting(cat), omega_bar2(cat)) for cat in cats]
+
+    def refuse(self, i, j=None):
+        raise AssertionError("a hom set is counted again")
+
+    monkeypatch.setattr(FiniteCategory, "hom", refuse)
+    monkeypatch.setattr(FiniteCategory, "aut", refuse)
+    for cat, (w, cw, om) in zip(cats, expected):
+        got = weighting(cat), coweighting(cat), omega_bar2(cat)
+        assert got[0].solution == w.solution and got[0].kernel == w.kernel
+        assert got[1].solution == cw.solution and got[1].kernel == cw.kernel
+        assert got[2] == om
 
 
 class TestChainBiset:
     def test_singleton_chain_is_aut(self):
         cat = delooping(symmetric_group(3))
         poset = iso_order(cat)
-        b = ChainBiset(poset, Chain((0,)))
+        b = ChainBiset(cat, poset, Chain((0,)))
         assert b.size == 6
         assert b.left_orbit_count() == 1
         assert b.double_orbit_count() == 1
 
     def test_interior_quotient_collapses(self):
-        poset = iso_order(collapsed_action_category())
+        cat = collapsed_action_category()
+        poset = iso_order(cat)
         chain = Chain((0, 1, 2))
-        b = ChainBiset(poset, chain)
+        b = ChainBiset(cat, poset, chain)
         # two raw tuples (h, f) and (h, s o f) but s acts trivially on both
         # sides, so the middle quotient identifies nothing; |S| stays 1*1 = 1
         assert b.size == 1
@@ -178,7 +287,7 @@ class TestChainBiset:
     def test_actions_commute(self):
         cat = delooping(build_group("q8"))
         poset = iso_order(cat)
-        b = ChainBiset(poset, Chain((0,)))
+        b = ChainBiset(cat, poset, Chain((0,)))
         for a in range(8):
             for c in range(8):
                 for e in b.elements:
@@ -352,9 +461,7 @@ class TestEuler:
             # omega applied to chi_f2 recovers the 1/|aut| vector
             poset = iso_order(cat)
             eta = omega_bar2(cat).mul_vec(rep.chi_f2)
-            assert eta.entries == tuple(
-                Fraction(1, poset.aut_order(i)) for i in range(poset.size)
-            )
+            assert eta.entries == tuple(Fraction(1, len(cat.aut(r))) for r in poset.reps)
 
     def test_eta_route_requires_free(self):
         with pytest.raises(ValueError, match="free"):
@@ -443,7 +550,7 @@ class _DescendingChain:
     def __init__(self, n):
         self.n_objects = self.n_morphisms = n
         self.objects = list(range(n))
-        self.dom = self.cod = list(range(n))
+        self.dom = self.cod = self.identity = list(range(n))
         self._memo = {}
 
     def is_iso(self, m):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from catrank import corpus, fincat, leinster, moebius
+from catrank import corpus, leinster, moebius
 from catrank.exactq import QVector, solve_linear
 from catrank.fincat import biset_category, classify, delooping, opposite, product
 from catrank.grouptheory import build_group
@@ -21,7 +21,7 @@ from chain_oracle import chain_sums, walk_sums
 from rref_oracle import mat_invert
 from test_assembly import random_categories
 from test_fincat import divisor_poset
-from test_moebius import _oracle_cases
+from test_moebius import _oracle_cases, recording_memo
 
 
 def _trivial_endos(cat) -> bool:
@@ -154,47 +154,33 @@ def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
                 solve(other)
 
 
-def test_back_substitution_runs_once_per_category(monkeypatch):
-    calls = []
-    inner = moebius._back_substitute
-
-    def counted(cat):
-        calls.append(cat)
-        return inner(cat)
-
-    monkeypatch.setattr(moebius, "_back_substitute", counted)
+def test_back_substitution_runs_once_per_category():
     cat = corpus.build("subsets-q", q=4)
+    memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
     omega_bar2(cat)
-    assert calls == [cat]
+    euler_characteristics(cat)
+    assert memo.builds == ["ei_witness", "iso_order", "_back_substitute"]
 
 
 def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
     """classify, iso_order and both weightings read one memoised EI verdict:
     the endomorphisms of a category are scanned once, and a non-EI category
     keeps its witness, its iso_order message and the general solver."""
-    calls = []
-    inner = fincat.ei_witness
-
-    def counted(cat):
-        calls.append(cat)
-        return inner(cat)
-
-    for module in (fincat, moebius, leinster):
-        monkeypatch.setattr(module, "ei_witness", counted)
     cat = corpus.build("subsets-q", q=3)
+    memo = recording_memo(cat)
     classify(cat)
     weighting(cat)
     coweighting(cat)
     moebius.iso_order(cat)
     euler_characteristics(cat)
-    assert calls == [cat]
+    assert memo.builds == ["ei_witness", "iso_order", "_back_substitute"]
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for name in ("section8", "leinster-A"):
-        calls.clear()
         other = corpus.build(name)
+        memo = recording_memo(other)
         assert classify(other).witnesses["is_ei"] == (4,)
         for solve in (weighting, coweighting):
             with pytest.raises(RuntimeError, match="solve_linear"):
@@ -203,4 +189,4 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
             moebius.iso_order(other)
         assert str(err.value) == ("iso class order needs an EI category; "
                                   "morphism 4 is a non-invertible endomorphism")
-        assert calls == [other]
+        assert memo.builds == ["ei_witness"]
