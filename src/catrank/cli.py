@@ -8,10 +8,14 @@ input, 2 usage error, 3 internal assertion failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL into every run
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import corpus
 from .exactq import rat_str
@@ -73,20 +77,54 @@ def _read_source(path: str) -> tuple[bytes, str]:
 
 
 def _input_stanza(data: bytes, name: str) -> dict:
-    return {"source": name, "sha256": hashlib.sha256(data).hexdigest()}
+    """The "input" member of a report: the source's name and the SHA-256 of
+    its raw bytes, as ``hashlib.sha256(data).hexdigest()`` gives it."""
+    return {"source": name, "sha256": sha256(data).hexdigest()}
+
+
+class _Ints(dict):
+    """parse_int for one parse: each distinct integer literal is converted
+    once, so its occurrences in the document share one int object."""
+
+    def __missing__(self, literal: str) -> int:
+        self[literal] = n = int(literal)
+        return n
+
+
+def _read_json(path: str) -> tuple[dict, object, str | None]:
+    """(input stanza, document, None) of the JSON file at path, or - for
+    stdin; (input stanza, None, reason) when it is not JSON.  Raises OSError
+    when the source cannot be read.
+
+    The stanza hashes the raw bytes.  They are then decoded as
+    ``json.loads(bytes)`` decodes them (``json.detect_encoding``,
+    "surrogatepass") and dropped, so the parse holds the text alone.  The
+    text is parsed as ``json.loads`` parses it, except that the ints are
+    shared (``_Ints``), and that a BOM left after decoding is parsed as text,
+    as ``json.loads(bytes)`` does, rather than refused."""
+    data, name = _read_source(path)
+    stanza = _input_stanza(data, name)
+    try:
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        del data
+        return stanza, json.JSONDecoder(parse_int=_Ints().__getitem__).decode(text), None
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting deeper than the stack
+        return stanza, None, str(e)
 
 
 def _load_category(path: str):
-    """Returns (report stub, category or None, violations)."""
+    """(report stub, category or None, violations) of the category document
+    at path, or - for stdin.  The stub is None when the source cannot be
+    read; otherwise it holds the input stanza, and the document is read by
+    ``_read_json``: not_json when it does not parse, malformed when
+    ``from_json`` refuses it, and the ``validate`` violations else."""
     try:
-        data, name = _read_source(path)
+        stanza, doc, error = _read_json(path)
     except OSError as e:
         return None, None, [{"kind": "unreadable", "detail": str(e)}]
-    stub = {"input": _input_stanza(data, name)}
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as e:  # RecursionError: nesting deeper than the stack
-        return stub, None, [{"kind": "not_json", "detail": str(e)}]
+    stub = {"input": stanza}
+    if error is not None:
+        return stub, None, [{"kind": "not_json", "detail": error}]
     try:
         cat = from_json(doc)
     except ValueError as e:
@@ -175,6 +213,11 @@ def _error(message: str, code: int) -> int:
     return code
 
 
+def _violation(kind: str, detail: str) -> int:
+    _emit({"violations": [{"kind": kind, "detail": detail}]}, sys.stderr)
+    return 1
+
+
 def _group_arg(spec: str, cap: int):
     """(build_group(spec, cap), 0), or (None, exit code) once the reason is
     reported: 1 above the cap, 2 for a malformed spec."""
@@ -235,27 +278,27 @@ def cmd_equivariant(args) -> int:
                    "stabilizer": sorted(rng.choice(classes).representative)}
                   for _ in range(args.cells)]
         doc_in = {"group": args.random, "cells": census}
-        data = json.dumps(doc_in, sort_keys=True).encode()
-        name = f"<random seed={args.seed}>"
+        stanza = _input_stanza(json.dumps(doc_in, sort_keys=True).encode(),
+                               f"<random seed={args.seed}>")
         x = GCWComplex(g, [(c["dim"], c["stabilizer"]) for c in census])
     else:
         if args.path is None:
             return _error("equivariant needs a path or --random <group>", 2)
         try:
-            data, name = _read_source(args.path)
+            stanza, doc_in, error = _read_json(args.path)
         except OSError as e:
-            _emit({"violations": [{"kind": "unreadable", "detail": str(e)}]}, sys.stderr)
-            return 1
+            return _violation("unreadable", str(e))
+        if error is not None:
+            return _violation("malformed", error)
         try:
-            x = gcw_from_json(json.loads(data), args.cap)
+            x = gcw_from_json(doc_in, args.cap)
         except CapExceeded as e:
             return _error(str(e), 1)
         except (ValueError, RecursionError) as e:
-            _emit({"violations": [{"kind": "malformed", "detail": str(e)}]}, sys.stderr)
-            return 1
+            return _violation("malformed", str(e))
     ok, lhs, rhs = verify_omega_relation(x)
     labels = [_fmt_label(c.label) for c in x.classes]
-    doc = {"input": _input_stanza(data, name), "group_order": x.group.order,
+    doc = {"input": stanza, "group_order": x.group.order,
            "classes": labels, "cells": len(x.cells)}
     if args.random is not None:
         doc["census"] = [{"dim": d, "stabilizer": sorted(x.classes[ci].representative)}

@@ -62,24 +62,44 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     classes = iso_classes(cat)
     reps = [cat.obj_index(c[0]) for c in classes]
     k = len(classes)
-    homs = [[len(cat.hom(reps[i], reps[j])) for j in range(k)] for i in range(k)]
-    assert not any(homs[i][j] and homs[j][i] for i in range(k) for j in range(i)), \
-        "EI forces antisymmetry"
+    # the nonzero entries only: per class i, {j: |hom(rep i, rep j)|}, read
+    # off the morphisms out of rep i
+    class_of = dict(zip(reps, range(k)))
+    counts: list[dict[int, int]] = []
+    for r in reps:
+        row: dict[int, int] = {}
+        for f in cat.morphisms_from(r):
+            j = class_of.get(cat.cod[f])
+            if j is not None:
+                row[j] = row.get(j, 0) + 1
+        counts.append(row)
+    below: list[list[int]] = [[] for _ in range(k)]
+    for i, row in enumerate(counts):
+        for j in row:
+            if j != i:
+                assert i not in counts[j], "EI forces antisymmetry"
+                below[j].append(i)
 
     # j < i implies down(j) is strictly inside down(i), so visiting classes by
     # the size of their down-set fills every class after all classes below it
-    below = [[j for j in range(k) if j != i and homs[j][i]] for i in range(k)]
     lengths = [0] * k
     for i in sorted(range(k), key=lambda i: len(below[i])):
         lengths[i] = 1 + max(lengths[j] for j in below[i]) if below[i] else 0
     order = sorted(range(k), key=lambda i: (lengths[i], reps[i]))
+    place = [0] * k
+    for p, i in enumerate(order):
+        place[i] = p
+    homs = [[0] * k for _ in range(k)]
+    for i, row in enumerate(counts):
+        for j, n in row.items():
+            homs[place[i]][place[j]] = n
     # EI: the endomorphisms are the automorphisms; a stable sort puts 1 first
     auts = [tuple(sorted(cat.hom(r, r), key=cat.identity[r].__ne__)) for r in reps]
     return IsoPoset(
         tuple(cat.objects[reps[i]] for i in order),
         tuple(tuple(classes[i]) for i in order),
         tuple(reps[i] for i in order),
-        tuple(tuple(homs[i][j] for j in order) for i in order),
+        tuple(map(tuple, homs)),
         tuple(auts[i] for i in order),
         tuple(lengths[i] for i in order),
     )

@@ -168,3 +168,43 @@ def test_documented_flag_is_found():
     doc = ("# Doc\n\n## Flags\n\n- `--a` one\n- `--b-c <n>` two, see `--d`\n  `--e` wraps\n"
            "\n## Next\n\n- `--f` elsewhere\n")
     assert documented_flags(doc) == {"--a", "--b-c"}
+
+
+def hashlib_imports(source: str) -> list[int]:
+    """Lines that import hashlib, which loads OpenSSL, except as the
+    fallback of a ``try`` that imports ``_sha256`` and catches ImportError."""
+    tree = ast.parse(source)
+    fallbacks = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+                isinstance(stmt, ast.ImportFrom) and stmt.module == "_sha256"
+                for stmt in node.body):
+            for handler in node.handlers:
+                if isinstance(handler.type, ast.Name) and handler.type.id == "ImportError":
+                    fallbacks |= {id(stmt) for stmt in handler.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "hashlib" for name in names) and id(node) not in fallbacks:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_src_does_not_import_hashlib(path):
+    assert hashlib_imports(path.read_text()) == []
+
+
+def test_hashlib_import_is_found():
+    source = ("import hashlib\n"
+              "try:\n    from _sha256 import sha256\nexcept ImportError:\n"
+              "    from hashlib import sha256\n"
+              "try:\n    from _md5 import md5\nexcept ImportError:\n    from hashlib import md5\n"
+              "try:\n    from _sha256 import sha224\nexcept Exception:\n    import hashlib\n"
+              "def f():\n    import os, hashlib as h\n")
+    assert hashlib_imports(source) == [1, 9, 13, 15]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from catrank.orbitcat import orbit_category
 
 import genrandom
 import chain_oracle
+import class_table_oracle
 from chain_oracle import (
     Chain,
     ChainBiset,
@@ -231,6 +233,41 @@ def test_class_table_counts_the_hom_sets(name, cat):
         assert poset.auts[i][0] == cat.identity[x]
         assert len(poset.auts[i]) == len(cat.aut(x))
         assert set(poset.auts[i]) == set(cat.aut(x))
+
+
+def _sparse_route_cases():
+    """TABLE_CASES, subsets-q 6, Or(G) and Or(G)^op for S4 and C2^4, and
+    the corpus entries that are not EI, with their opposites."""
+    cases = list(TABLE_CASES) + [("subsets-q 6", corpus.build("subsets-q", q=6))]
+    for spec in ("symmetric:4", "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2"):
+        cat = orbit_category(build_group(spec)).category
+        cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
+    for name in corpus.names():
+        cat = corpus.build(name)
+        if not classify(cat).is_ei:
+            cases += [(name, cat), (f"{name}^op", opposite(cat))]
+    return cases
+
+
+SPARSE_ROUTE_CASES = _sparse_route_cases()
+
+
+@pytest.mark.parametrize("name,cat", SPARSE_ROUTE_CASES, ids=[name for name, _ in SPARSE_ROUTE_CASES])
+def test_class_table_matches_the_dense_route(name, cat):
+    """iso_order reads only the morphisms out of the representatives; the
+    dense oracle counts every pair of classes.  A category that is not EI
+    is refused with the same message on both routes."""
+    try:
+        expected = class_table_oracle.iso_order(cat)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            iso_order(cat)
+        return
+    assert iso_order(cat) == expected
+
+
+def test_sparse_route_cases_cover_non_ei():
+    assert sum(not classify(cat).is_ei for _, cat in SPARSE_ROUTE_CASES) >= 2
 
 
 def test_table_cases_cover_inflations_and_automorphisms():
@@ -543,24 +580,32 @@ def test_nerve_matches_listed_chains(tmp_path, capsys):
 
 
 class _DescendingChain:
-    """Just what iso_order reads of a category: n objects, identities only,
-    and a nonempty hom(i, j) exactly when i >= j, so object 0 is the top of
-    a chain of n classes and the others lie below it in index order."""
+    """Just what iso_order reads of a category: n objects and one morphism
+    i -> j exactly when i >= j, the identities being the only isomorphisms,
+    so object 0 is the top of a chain of n classes and the others lie below
+    it in index order."""
 
     def __init__(self, n):
-        self.n_objects = self.n_morphisms = n
         self.objects = list(range(n))
-        self.dom = self.cod = self.identity = list(range(n))
+        self.n_objects = n
+        pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+        self.n_morphisms = len(pairs)
+        self.dom = [i for i, _ in pairs]
+        self.cod = [j for _, j in pairs]
+        self.identity = [i * (i + 1) // 2 + i for i in range(n)]
         self._memo = {}
 
     def is_iso(self, m):
-        return True
+        return self.dom[m] == self.cod[m]
 
     def obj_index(self, obj):
         return obj
 
+    def morphisms_from(self, i):
+        return range(i * (i + 1) // 2, i * (i + 1) // 2 + i + 1)
+
     def hom(self, i, j):
-        return [i] if i >= j else []
+        return [i * (i + 1) // 2 + j] if i >= j else []
 
 
 def _stack_depth():
