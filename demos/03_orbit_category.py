@@ -7,10 +7,9 @@ orders) is the classical table of marks.
 """
 
 from catrank.exactq import rat_str
-from catrank.fincat import classify
+from catrank.fincat import classify, orbit_category
 from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_of_marks
 from catrank.moebius import euler_characteristics, omega_bar2
-from catrank.orbitcat import orbit_category
 
 g = build_group("symmetric:3")
 oc = orbit_category(g)

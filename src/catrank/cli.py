@@ -19,7 +19,7 @@ except ImportError:
 
 from . import corpus
 from .exactq import rat_str
-from .fincat import canonical_json, classify, from_json, validate
+from .fincat import canonical_json, classify, from_json, orbit_category, validate
 from .grouptheory import (
     CapExceeded,
     DEFAULT_CAP,
@@ -36,7 +36,6 @@ from .orbitcat import (
     chi_G,
     fixed_point_euler,
     gcw_from_json,
-    orbit_category,
     verify_omega_relation,
 )
 

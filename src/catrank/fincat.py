@@ -1,6 +1,7 @@
 """Finite categories as explicit tables: validation, classification predicates,
 and constructions (opposite, product, coproduct, delooping, poset, biset,
-full subcategory, skeleton), plus functor data, coverings and isofibrations.
+orbit category, full subcategory, skeleton), plus functor data, coverings
+and isofibrations.
 
 A category is stored as: a tuple of object ids (strings by convention, so JSON
 round-trips), per-morphism dom/cod object indices, an identity morphism per
@@ -31,13 +32,13 @@ when that check, or an identity law, fails.
 from __future__ import annotations
 
 import json
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .grouptheory import FiniteGroup
+from .grouptheory import FiniteGroup, _maps
 
 
 class FiniteCategory:
@@ -761,6 +762,53 @@ def biset_category(
         raise AssertionError("non-composable descriptor pair")
 
     return _build(objects, morphs, identity_of, compose)[0]
+
+
+class OrbitCategory:
+    """The category of homogeneous spaces G/H with equivariant maps.
+
+    One object per conjugacy class of subgroups; the morphisms G/H -> G/K are
+    the cosets gK with g^-1 H g inside K, acting by right translation."""
+
+    __slots__ = ("category", "classes", "coset_of_morphism")
+
+    def __init__(self, category, classes, coset_of_morphism):
+        self.category = category
+        self.classes = classes
+        self.coset_of_morphism = coset_of_morphism
+
+    def object_of_class(self, i: int) -> str:
+        return f"G/{i}"
+
+    def __repr__(self) -> str:
+        return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
+
+
+@lru_cache(maxsize=8)
+def orbit_category(g: FiniteGroup) -> OrbitCategory:
+    """Build Or(G) with one object per subgroup class (``build_group`` caps
+    the order of the groups it builds), its maps enumerated by
+    ``grouptheory._maps``; composition follows the right-translation law
+    R_g2 o R_g1 = R_(g1 g2)."""
+    classes, named, maps = _maps(g)
+    objects = [f"G/{i}" for i in range(len(classes))]
+    # least[j][x] is the name of the coset x K_j
+    least = [[0] * g.order for _ in classes]
+    for row, cosets in zip(least, named):
+        for lo, coset in cosets.items():
+            for x in coset:
+                row[x] = lo
+    morphs = [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row) for lo in los]
+
+    def identity_of(i):
+        return (i, i, 0)
+
+    def compose(gd, fd):
+        # fd: G/H0 -> G/H1 as g1*H1, gd: G/H1 -> G/H2 as g2*H2; result g1*g2*H2
+        return (fd[0], gd[1], least[gd[1]][g.table[fd[2]][gd[2]]])
+
+    cat, ordered = _build(objects, morphs, identity_of, compose)
+    return OrbitCategory(cat, classes, {m: named[d[1]][d[2]] for m, d in enumerate(ordered)})
 
 
 # ------------------------------------------------------ coverings and fibers

@@ -13,10 +13,18 @@ subgroups of M24, or how to compute the table of marks of a finite group):
   multiplication by the generators, O(|H| * |generators|).
 - Every class keeps a short generator tuple; the join of a representative H
   with a cyclic subgroup <x> closes over H's generators plus x.
-- Only class representatives are joined with the cyclic subgroups. A new
-  subgroup is conjugated by every element once, which gives its conjugates,
-  its normalizer (the stabiliser) and the generators of the representative.
+- Only class representatives are joined with the cyclic subgroups, and each
+  representative H with one cyclic subgroup per N_G(H)-orbit. A new
+  subgroup's normalizer is found by conjugating its generators, and the
+  subgroup is conjugated once per left coset of the normalizer, which gives
+  its conjugates and the generators of the representative.
 - Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
+- ``_maps`` lists, for the orbit category, the cosets gK with g^-1 H g
+  inside K; the omega relation counts them and ``fincat.orbit_category``
+  composes them.
+
+Permutation groups get their Cayley table from one right-multiplication map
+per generator, not from all |G|^2 permutation products.
 
 The nu matrix D mu_bar2 D^-1, D = diag(|W_G H|), is D M^-1 for the table of
 marks M, so no orbit category is built for it.
@@ -75,13 +83,8 @@ class FiniteGroup:
         if len(self.names) != self.order:
             raise ValueError("names length does not match order")
         _check_latin_with_identity(self.table)
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-        self.inv: tuple[int, ...] = tuple(inv)
+        # a Latin row holds the identity once, at the inverse
+        self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -110,12 +113,12 @@ def _check_latin_with_identity(table: tuple[tuple[int, ...], ...]) -> None:
             raise ValueError(f"row {i} has wrong length")
         if set(row) != full:
             raise ValueError(f"row {i} is not a permutation of 0..{n-1}")
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
             raise ValueError(f"column {j} is not a permutation of 0..{n-1}")
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            raise ValueError("element 0 is not a two-sided identity")
+    ident = tuple(range(n))
+    if table[0] != ident or tuple(row[0] for row in table) != ident:
+        raise ValueError("element 0 is not a two-sided identity")
 
 
 def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
@@ -198,14 +201,40 @@ def symmetric_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
     elems = sorted(itertools.permutations(range(n)))
-    return _group_from_perms(elems)
+    # an n-cycle and a transposition generate S_n; for n <= 2 the cycle alone
+    gens = [tuple(range(1, n)) + (0,)]
+    if n > 2:
+        gens.append((1, 0) + tuple(range(2, n)))
+    return _group_from_perms(elems, gens)
 
 
-def _group_from_perms(elems: list[tuple[int, ...]]) -> FiniteGroup:
+def _group_from_perms(elems: list[tuple[int, ...]],
+                      gens: Sequence[tuple[int, ...]]) -> FiniteGroup:
+    """The Cayley table of the sorted permutations elems (identity first),
+    which gens generate.
+
+    Right multiplication by a generator s is one map R_s on indices, |G|
+    permutation products each.  If p_j = p_j' s then p_i p_j = (p_i p_j') s,
+    so column j is R_s applied to column j'; the columns are filled
+    breadth-first from the identity's, by n^2 list lookups."""
+    n = len(elems)
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[_perm_mul(p, q)] for q in elems] for p in elems]
+    right = [[index[_perm_mul(p, s)] for p in elems] for s in gens]
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = list(range(n))
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for j in frontier:
+            column = columns[j]
+            for r in right:
+                k = r[j]
+                if columns[k] is None:
+                    columns[k] = list(map(r.__getitem__, column))
+                    nxt.append(k)
+        frontier = nxt
     names = ["".join(map(str, p)) for p in elems]
-    return FiniteGroup._associative(table, names)
+    return FiniteGroup._associative(list(zip(*columns)), names)
 
 
 def perm_group(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -231,7 +260,7 @@ def perm_group(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP) -> F
                         raise CapExceeded(f"group order exceeds cap {cap}")
         frontier = nxt
     # identity is lexicographically least, so sorting puts it at index 0
-    return _group_from_perms(sorted(seen))
+    return _group_from_perms(sorted(seen), gens)
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -422,19 +451,26 @@ class SubgroupClass:
 
 
 def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -> SubgroupClass:
-    """Conjugates J by every element once; the stabiliser is N_G(J), carried
-    over to the least conjugate together with the generators."""
+    """The class of J, which gens generate.
+
+    y normalises J iff y s y^-1 is in J for each generator s, since
+    conjugation is injective.  y J y^-1 depends only on the left coset
+    y N_G(J), so J is conjugated once per coset, by the coset's least
+    element, the least y giving that conjugate; the least conjugate takes
+    over J's normaliser and generators, conjugated by its y."""
+    norm = [y for y in range(g.order) if all(g.conj(y, s) in j for s in gens)]
     first: dict[frozenset[int], int] = {}
-    stab = []
+    covered = bytearray(g.order)
     for y in range(g.order):
-        c = conjugate_subgroup(g, j, y)
-        if c == j:
-            stab.append(y)
-        first.setdefault(c, y)
+        if not covered[y]:
+            row = g.table[y]
+            for n in norm:
+                covered[row[n]] = 1
+            first[conjugate_subgroup(g, j, y)] = y
     conjugates = tuple(sorted(first, key=_subgroup_key))
     y = first[conjugates[0]]
     return SubgroupClass(conjugates, tuple(g.conj(y, x) for x in gens),
-                         frozenset(g.conj(y, n) for n in stab))
+                         frozenset(g.conj(y, n) for n in norm))
 
 
 def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
@@ -448,18 +484,32 @@ def _subgroup_classes_cached(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
     Every subgroup is reached by a chain of joins with cyclic subgroups;
     conjugating the chain puts each step's left factor on a class
     representative, so joining only the representatives with the cyclic
-    subgroups finds every class. A join closes over the representative's
-    generators plus one element."""
-    cyclic_gens: dict[frozenset[int], int] = {}
+    subgroups finds every class.  Joins of H with N_G(H)-conjugate cyclic
+    subgroups are conjugate, so H is joined with one cyclic subgroup per
+    N_G(H)-orbit, the one with the least generator.  A join closes over the
+    representative's generators plus that generator."""
+    table = g.table
+    # cyc_of[x]: the least generator of <x>.  The generators of <x> are its
+    # x^k with k prime to |<x>|, and the least of them is met first.
+    cyc_of = [0] * g.order
     for x in range(1, g.order):
-        cyclic_gens.setdefault(closure(g, (x,)), x)
+        if not cyc_of[x]:
+            powers = [x]
+            while powers[-1]:
+                powers.append(table[powers[-1]][x])
+            for k, p in enumerate(powers, 1):
+                if math.gcd(k, len(powers)) == 1:
+                    cyc_of[p] = x
+    cyclic = [x for x in range(1, g.order) if cyc_of[x] == x]
     classes = [_conjugacy_class(g, frozenset([0]), ())]
     known = set(classes[0].conjugates)
     for cls in classes:  # grows while it is walked
         rep = cls.representative
-        for x in cyclic_gens.values():
-            if x in rep:
+        joined = set()
+        for x in cyclic:
+            if x in joined or x in rep:
                 continue
+            joined.update(cyc_of[g.conj(n, x)] for n in cls.normalizer)
             gens = cls.generators + (x,)
             j = closure(g, gens)
             if j not in known:
@@ -480,6 +530,33 @@ def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
         seen |= coset
         cosets.append(coset)
     return sorted(cosets, key=min)
+
+
+@lru_cache(maxsize=8)
+def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, frozenset[int]]],
+                                   list[list[list[int]]]]:
+    """(classes, named, maps): the subgroup classes; named[j], which maps the
+    name of each left coset of K_j (the representative of class j), its least
+    element, to the coset; and maps[i][j], the names, in named[j]'s order, of
+    the cosets g0*K_j that qualify as maps G/H_i -> G/K_j in the orbit
+    category.
+
+    A coset g0*K qualifies iff g0^-1 H g0 is inside K, that is iff
+    g0^-1 s g0 is in K for each of H's generators s, and only when |H|
+    divides |K|."""
+    classes = tuple(subgroup_classes(g))
+    reps = [c.representative for c in classes]
+    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
+
+    def qualifies(h: SubgroupClass, x: int, k: frozenset[int]) -> bool:
+        xi = g.inv[x]
+        return all(g.table[g.table[xi][s]][x] in k for s in h.generators)
+
+    maps = [[[lo for lo in named[j] if qualifies(h, lo, k)]
+             if len(k) % len(h.representative) == 0 else []
+             for j, k in enumerate(reps)]
+            for h in classes]
+    return classes, named, maps
 
 
 class MarksMatrix:

@@ -1,4 +1,7 @@
-"""Orbit categories of finite groups and equivariant cell censuses."""
+"""Equivariant cell censuses: chi_G, fixed-point Euler characteristics and
+the omega relation of the orbit category, all read off the subgroup lattice,
+the table of marks and the hom-set sizes of ``grouptheory._maps``.  No
+category is built here; ``fincat.orbit_category`` builds Or(G) itself."""
 
 from __future__ import annotations
 
@@ -6,92 +9,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactq import QVector
-from .fincat import _build
 from .grouptheory import (
     DEFAULT_CAP,
     FiniteGroup,
     SubgroupClass,
     _is_int,
+    _maps,
     build_group,
-    left_cosets,
     marks,
     subgroup_classes,
 )
-
-
-class OrbitCategory:
-    """The category of homogeneous spaces G/H with equivariant maps.
-
-    One object per conjugacy class of subgroups; the morphisms G/H -> G/K are
-    the cosets gK with g^-1 H g inside K, acting by right translation."""
-
-    __slots__ = ("category", "classes", "coset_of_morphism")
-
-    def __init__(self, category, classes, coset_of_morphism):
-        self.category = category
-        self.classes = classes
-        self.coset_of_morphism = coset_of_morphism
-
-    def object_of_class(self, i: int) -> str:
-        return f"G/{i}"
-
-    def __repr__(self) -> str:
-        return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
-
-
-@lru_cache(maxsize=8)
-def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, frozenset[int]]],
-                                   list[list[list[int]]]]:
-    """(classes, named, maps): the subgroup classes; named[j], which maps the
-    name of each left coset of K_j (the representative of class j), its least
-    element, to the coset; and maps[i][j], the names, in named[j]'s order, of
-    the cosets g0*K_j that qualify as maps G/H_i -> G/K_j.
-
-    A coset g0*K qualifies iff g0^-1 H g0 is inside K, that is iff
-    g0^-1 s g0 is in K for each of H's generators s, and only when |H|
-    divides |K|."""
-    classes = tuple(subgroup_classes(g))
-    reps = [c.representative for c in classes]
-    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
-
-    def qualifies(h: SubgroupClass, x: int, k: frozenset[int]) -> bool:
-        xi = g.inv[x]
-        return all(g.table[g.table[xi][s]][x] in k for s in h.generators)
-
-    maps = [[[lo for lo in named[j] if qualifies(h, lo, k)]
-             if len(k) % len(h.representative) == 0 else []
-             for j, k in enumerate(reps)]
-            for h in classes]
-    return classes, named, maps
-
-
-@lru_cache(maxsize=8)
-def orbit_category(g: FiniteGroup) -> OrbitCategory:
-    """Build Or(G) with one object per subgroup class (``build_group`` caps
-    the order of the groups it builds), its maps enumerated by ``_maps``;
-    composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
-    classes, named, maps = _maps(g)
-    objects = [f"G/{i}" for i in range(len(classes))]
-    # least[j][x] is the name of the coset x K_j
-    least = [[0] * g.order for _ in classes]
-    for row, cosets in zip(least, named):
-        for lo, coset in cosets.items():
-            for x in coset:
-                row[x] = lo
-    morphs = [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row) for lo in los]
-
-    def identity_of(i):
-        return (i, i, 0)
-
-    def compose(gd, fd):
-        # fd: G/H0 -> G/H1 as g1*H1, gd: G/H1 -> G/H2 as g2*H2; result g1*g2*H2
-        return (fd[0], gd[1], least[gd[1]][g.table[fd[2]][gd[2]]])
-
-    cat, ordered = _build(objects, morphs, identity_of, compose)
-    return OrbitCategory(cat, classes, {m: named[d[1]][d[2]] for m, d in enumerate(ordered)})
-
-
-# ------------------------------------------------------------ cell censuses
 
 
 @lru_cache(maxsize=8)

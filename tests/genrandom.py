@@ -241,7 +241,7 @@ def poset_of_groups(rng: random.Random, max_nodes: int = 4) -> FiniteCategory:
 
 
 def random_orbit_subcategory(rng: random.Random, max_order: int = 12) -> FiniteCategory:
-    from catrank.orbitcat import orbit_category
+    from catrank.fincat import orbit_category
 
     g = random_group(rng, max_order=max_order)
     oc = orbit_category(g)

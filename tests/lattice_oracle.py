@@ -5,9 +5,16 @@ to conjugacy: closure multiplies every element seen so far by every new one,
 the lattice is the join-closure of the cyclic subgroups, every subgroup's
 class is found by conjugating it, and marks count fixed cosets one by one.
 ``nu_matrix_via_chains`` sums over chains of subgroup classes instead of
-inverting the marks.  The module reads only the Cayley table and inverses of
-a group and shares no code with ``catrank.grouptheory``; only the QMatrix
-container is borrowed.
+inverting the marks.
+
+Two later routes the library replaced are kept here too:
+``cyclic_join_classes`` joins every class representative with every cyclic
+subgroup and conjugates every new subgroup by every element, and
+``table_by_all_pairs`` multiplies every pair of permutations.
+
+The module reads only the Cayley table and inverses of a group and shares
+no code with ``catrank.grouptheory``; only the QMatrix container is
+borrowed.
 """
 
 from fractions import Fraction
@@ -150,3 +157,73 @@ def nu_matrix_via_chains(g):
                 if less[cur][nxt]:
                     stack.append((nxt, prod * orbit_count(cur, nxt), length + 1))
     return QMatrix.from_rows(ent, labels, labels)
+
+
+def _bfs_closure(g, gens):
+    """<gens>, by a breadth-first search from the identity under right
+    multiplication by gens."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = g.table[a][b]
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def cyclic_join_classes(g):
+    """The lattice up to conjugacy by joining every class representative
+    with every cyclic subgroup, each new subgroup conjugated by every element.
+
+    One record per class in the canonical order: (conjugates sorted by
+    sorted elements, generators of the least conjugate, its normalizer).
+    The generators are the discovering join's, conjugated onto the least
+    conjugate by the least element that does so."""
+    cyclic = {}
+    for x in range(1, g.order):
+        cyclic.setdefault(_bfs_closure(g, (x,)), x)
+
+    def conjugacy_class(j, gens):
+        first = {}
+        stab = []
+        for y in range(g.order):
+            c = _conjugate(g, j, y)
+            if c == j:
+                stab.append(y)
+            first.setdefault(c, y)
+        conjugates = tuple(sorted(first, key=lambda s: tuple(sorted(s))))
+        y, yi = first[conjugates[0]], g.inv[first[conjugates[0]]]
+        return (conjugates, tuple(g.table[g.table[y][x]][yi] for x in gens),
+                frozenset(g.table[g.table[y][n]][yi] for n in stab))
+
+    found = [conjugacy_class(frozenset([0]), ())]
+    known = set(found[0][0])
+    for conjugates, gens, _ in found:  # grows while it is walked
+        for x in cyclic.values():
+            if x in conjugates[0]:
+                continue
+            j = _bfs_closure(g, gens + (x,))
+            if j not in known:
+                found.append(conjugacy_class(j, gens + (x,)))
+                known.update(found[-1][0])
+    return sorted(found, key=lambda c: (len(c[0][0]), tuple(sorted(c[0][0]))))
+
+
+def marks_by_formula(g, found):
+    """|(G/K)^H| = |N_G(H)| #{H' ~ H : H' inside K} / |K| over the records
+    of ``cyclic_join_classes``."""
+    reps = [conjugates[0] for conjugates, _, _ in found]
+    return [[len(norm) * sum(1 for c in conjugates if c <= k) // len(k) for k in reps]
+            for conjugates, _, norm in found]
+
+
+def table_by_all_pairs(elems):
+    """The Cayley table of the permutations elems, (p q)(i) = p(q(i)), by
+    multiplying every pair."""
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(p[q[i]] for i in range(len(p)))] for q in elems] for p in elems]

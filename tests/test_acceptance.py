@@ -21,6 +21,7 @@ from catrank.fincat import (
     is_covering,
     is_isofibration,
     opposite,
+    orbit_category,
     product,
     skeleton,
 )
@@ -33,7 +34,7 @@ from catrank.grouptheory import (
 )
 from catrank.leinster import chi_L, weighting, weighting_from_cells, zeta_matrix
 from catrank.moebius import euler_characteristics, omega_bar2
-from catrank.orbitcat import GCWComplex, orbit_category, verify_omega_relation
+from catrank.orbitcat import GCWComplex, verify_omega_relation
 
 import chain_oracle
 from chain_oracle import chi_f2_via_eta, nerve_by_listing_chains

@@ -10,9 +10,8 @@ import pytest
 
 from catrank import corpus, fincat
 from catrank.cli import main
-from catrank.fincat import FiniteCategory, canonical_json, from_json, opposite
+from catrank.fincat import FiniteCategory, canonical_json, from_json, opposite, orbit_category
 from catrank.grouptheory import build_group
-from catrank.orbitcat import orbit_category
 
 from json_oracle import emitted, indent_json
 

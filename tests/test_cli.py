@@ -11,9 +11,8 @@ import pytest
 from catrank import cli, grouptheory, orbitcat
 from catrank.cli import main
 from catrank.exactq import rat_str
-from catrank.fincat import classify, from_json, opposite
+from catrank.fincat import classify, from_json, opposite, orbit_category
 from catrank.grouptheory import build_group
-from catrank.orbitcat import orbit_category
 
 from chain_oracle import walk_sums
 from json_oracle import emitted

@@ -12,8 +12,8 @@ import pytest
 
 from catrank import corpus
 from catrank.cli import main
+from catrank.fincat import orbit_category
 from catrank.grouptheory import build_group
-from catrank.orbitcat import orbit_category
 from json_oracle import emitted
 
 SPAN = emitted(corpus.build("span")).encode()

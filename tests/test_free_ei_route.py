@@ -9,11 +9,17 @@ import random
 import pytest
 
 from catrank import corpus, moebius
-from catrank.fincat import biset_category, classify, full_subcategory, opposite, product
+from catrank.fincat import (
+    biset_category,
+    classify,
+    full_subcategory,
+    opposite,
+    orbit_category,
+    product,
+)
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics
-from catrank.orbitcat import orbit_category
 
 import genrandom
 from chain_oracle import chain_sums, walk_sums

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 import lattice_oracle
-from catrank import grouptheory, moebius, orbitcat
+from catrank import fincat, grouptheory, moebius
 from catrank.exactq import QMatrix
+from catrank.fincat import orbit_category
 from catrank.grouptheory import (
     CapExceeded,
     FiniteGroup,
@@ -28,7 +29,6 @@ from catrank.grouptheory import (
     nu_matrix,
 )
 from catrank.moebius import euler_characteristics
-from catrank.orbitcat import orbit_category
 from rref_oracle import reorder
 from subgroup_helpers import normalizer, subgroups, weyl_group
 
@@ -57,6 +57,28 @@ def first_associativity_failure(table):
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return f"associativity fails at ({a},{b},{c})"
+    return None
+
+
+def first_latin_failure(table):
+    """The entry-by-entry scan the constructor used before it checked the
+    columns over zip(*table): the message for the first failing row, column
+    or identity law, or None."""
+    n = len(table)
+    if n == 0:
+        return "empty table; the trivial group has order 1"
+    full = set(range(n))
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"row {i} has wrong length"
+        if set(row) != full:
+            return f"row {i} is not a permutation of 0..{n-1}"
+    for j in range(n):
+        if {table[i][j] for i in range(n)} != full:
+            return f"column {j} is not a permutation of 0..{n-1}"
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            return "element 0 is not a two-sided identity"
     return None
 
 
@@ -205,6 +227,55 @@ class TestBuilders:
         for x in range(6):
             assert g.mul(x, g.inv[x]) == 0
         assert g.conj(0, 3) == 3
+
+    @pytest.mark.parametrize("table,message", [
+        ([], "empty table; the trivial group has order 1"),
+        ([[0, 1], [1]], "row 1 has wrong length"),
+        ([[0, 1, 2], [1, 2], [2, 0, 1, 0]], "row 1 has wrong length"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of 0..1"),
+        ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "column 0 is not a permutation of 0..2"),
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 1]],
+         "column 2 is not a permutation of 0..3"),
+        ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "element 0 is not a two-sided identity"),
+    ], ids=["empty", "short row", "first short row", "row", "column 0", "column 2",
+            "no identity", "left identity only"])
+    def test_axiom_messages(self, table, message):
+        assert first_latin_failure(table) == message
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(table)
+        assert str(err.value) == message
+
+    def test_axiom_messages_match_the_scan_on_corrupted_tables(self):
+        """Group tables with an entry overwritten, two entries of a row
+        swapped or two rows swapped: the first failing row, column or
+        identity law is the one the entry-by-entry scan names."""
+        rng = random.Random(11)
+        checked = set()
+        for g in (cyclic_group(5), symmetric_group(3), dihedral_group(4), build_group("a4")):
+            for _ in range(60):
+                t = [list(row) for row in g.table]
+                a, b, c = (rng.randrange(g.order) for _ in range(3))
+                kind = rng.randrange(3)
+                if kind == 0:
+                    t[a][b] = c
+                elif kind == 1:
+                    t[a][b], t[a][c] = t[a][c], t[a][b]
+                else:
+                    t[a], t[b] = t[b], t[a]
+                expected = first_latin_failure(t)
+                if expected is None:
+                    continue
+                checked.add(expected.split(" is")[0])
+                with pytest.raises(ValueError) as err:
+                    FiniteGroup(t)
+                assert str(err.value) == expected
+        assert {m.split()[0] for m in checked} == {"row", "column", "element"}
+
+    def test_inverse_is_the_first_identity_in_the_row(self):
+        for g in (symmetric_group(4), dihedral_group(5), build_group("q8")):
+            assert g.inv == tuple(next(b for b in range(g.order) if g.table[a][b] == 0)
+                                  for a in range(g.order))
 
 
 class TestSubgroups:
@@ -413,7 +484,7 @@ def test_nu_needs_no_orbit_category(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("nu_matrix reached the orbit category")
 
-    monkeypatch.setattr(orbitcat, "orbit_category", refuse)
+    monkeypatch.setattr(fincat, "orbit_category", refuse)
     monkeypatch.setattr(moebius, "euler_characteristics", refuse)
     for spec in ("symmetric:4", "dihedral:8", "q8"):
         g = build_group(spec)
@@ -445,6 +516,76 @@ def test_s5_lattice():
         assert m.get(0, i) == 120 // len(c.representative)
 
 
+S5 = build_group("symmetric:5", cap=120)
+S6 = build_group("symmetric:6", cap=720)
+A5 = build_group("perm:[[1,2,0,3,4],[0,1,3,4,2]]", cap=120)
+F20 = build_group("perm:[[1,2,3,4,0],[0,2,4,1,3]]", cap=120)
+LARGER_GROUPS = [("S5", S5), ("A5", A5), ("F20", F20), ("S6", S6)]
+
+
+def test_larger_groups_have_their_orders():
+    assert [g.order for _, g in LARGER_GROUPS] == [120, 60, 20, 720]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in ORACLE_GROUPS] + random_perm_groups() + [g for _, g in LARGER_GROUPS],
+    ids=[name for name, _ in ORACLE_GROUPS]
+        + [f"perm{i}" for i in range(len(random_perm_groups()))]
+        + [name for name, _ in LARGER_GROUPS],
+)
+def test_lattice_matches_the_cyclic_join_route(g):
+    """One join per normaliser orbit and one conjugation per coset of the
+    normaliser find the classes that joining every cyclic subgroup and
+    conjugating by every element find."""
+    classes = subgroup_classes(g)
+    expected = lattice_oracle.cyclic_join_classes(g)
+    assert [c.conjugates for c in classes] == [e[0] for e in expected]
+    assert [c.representative for c in classes] == [e[0][0] for e in expected]
+    assert [c.normalizer for c in classes] == [e[2] for e in expected]
+    assert [c.weyl_order for c in classes] == [len(e[2]) // len(e[0][0]) for e in expected]
+    for c in classes:
+        assert closure(g, c.generators) == c.representative
+    assert [list(row) for row in grouptheory.marks(g)] == \
+        lattice_oracle.marks_by_formula(g, expected)
+
+
+def _perms(g):
+    """The permutations of a group built from permutations of at most ten
+    points, read back from their names."""
+    return [tuple(map(int, name)) for name in g.names]
+
+
+@pytest.mark.parametrize(
+    "g", [symmetric_group(n) for n in range(1, 6)] + random_perm_groups()
+    + [A5, F20, S6, build_group("q8"), build_group("a4")],
+    ids=[f"sym:{n}" for n in range(1, 6)]
+        + [f"perm{i}" for i in range(len(random_perm_groups()))]
+        + ["A5", "F20", "S6", "q8", "a4"],
+)
+def test_table_matches_all_pairs(g):
+    perms = _perms(g)
+    assert perms == sorted(perms) and perms[0] == tuple(range(len(perms[0])))
+    assert [list(row) for row in g.table] == lattice_oracle.table_by_all_pairs(perms)
+
+
+@pytest.mark.parametrize("g,bound", [(S5, 300), (S6, 3000)], ids=["S5", "S6"])
+def test_lattice_closure_count(monkeypatch, g, bound):
+    """One join per normaliser orbit keeps the closures few: the route
+    that joined every cyclic subgroup closed 1,198 times on S5 and 19,747
+    times on S6."""
+    calls = [0]
+    orig = grouptheory.closure
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(grouptheory, "closure", counted)
+    classes = grouptheory._subgroup_classes_cached.__wrapped__(g)
+    assert len(classes) == {120: 19, 720: 56}[g.order]
+    assert 0 < calls[0] <= bound
+
+
 def test_build_group_cap():
     with pytest.raises(CapExceeded, match="cap 10"):
         build_group("sym:4", cap=10)
@@ -463,7 +604,7 @@ def test_symmetric_cap_before_the_table(monkeypatch):
     cap, so a huge degree is refused at once.  A degree below 1 stays a
     malformed spec whatever the cap."""
 
-    def refuse(elems):
+    def refuse(elems, gens):
         raise AssertionError("the symmetric group was built")
 
     monkeypatch.setattr(grouptheory, "_group_from_perms", refuse)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from catrank import corpus, leinster, moebius
 from catrank.exactq import QMatrix, QVector, solve_linear
-from catrank.fincat import classify, delooping, opposite, poset_category, product
+from catrank.fincat import classify, delooping, opposite, orbit_category, poset_category, product
 from catrank.grouptheory import build_group
 from catrank.leinster import (
     chi_L,
@@ -18,7 +18,6 @@ from catrank.leinster import (
     zeta_matrix,
 )
 from catrank.moebius import euler_characteristics
-from catrank.orbitcat import orbit_category
 
 from genrandom import poset_of_groups, random_biset, random_free_ei_category, random_inflation
 from rref_oracle import mat_invert

@@ -16,7 +16,7 @@ import pytest
 
 import assembly_oracle as oracle
 import test_fuzz
-from catrank import cli, fincat, orbitcat
+from catrank import cli, fincat
 from catrank.cli import main
 from test_cli import MALFORMED_FIELDS
 
@@ -171,7 +171,7 @@ def test_row_path_builds_no_dict_view(monkeypatch, capsys, tmp_path):
         raise AssertionError("compose_table view built")
 
     monkeypatch.setattr(fincat, "_table_view", refuse)
-    orbitcat.orbit_category.cache_clear()  # a cached Or(G) may hold a built view
+    fincat.orbit_category.cache_clear()  # a cached Or(G) may hold a built view
     text = json.dumps(emit(capsys, "group", "orbitcat", "symmetric:4"))
     with pytest.raises(AssertionError):
         fincat.from_json(json.loads(text)).compose_table

@@ -20,6 +20,7 @@ from catrank.fincat import (
     delooping,
     from_json,
     opposite,
+    orbit_category,
     poset_category,
     product,
     validate,
@@ -27,7 +28,6 @@ from catrank.fincat import (
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics, iso_order, omega_bar2
-from catrank.orbitcat import orbit_category
 
 import genrandom
 import chain_oracle

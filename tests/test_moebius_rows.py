@@ -10,11 +10,10 @@ import pytest
 
 from catrank import corpus, leinster, moebius
 from catrank.exactq import QVector, solve_linear
-from catrank.fincat import biset_category, classify, delooping, opposite, product
+from catrank.fincat import biset_category, classify, delooping, opposite, orbit_category, product
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting, zeta_matrix
 from catrank.moebius import euler_characteristics, omega_bar2
-from catrank.orbitcat import orbit_category
 
 import genrandom
 from chain_oracle import chain_sums, walk_sums

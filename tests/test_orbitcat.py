@@ -2,13 +2,15 @@
 
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catrank.exactq import QVector
-from catrank.fincat import classify, validate
+from catrank.fincat import classify, orbit_category, validate
 from catrank.grouptheory import (
     CapExceeded,
     build_group,
@@ -22,7 +24,6 @@ from catrank.orbitcat import (
     chi_G,
     fixed_point_euler,
     gcw_from_json,
-    orbit_category,
     verify_omega_relation,
 )
 
@@ -267,3 +268,15 @@ def test_census_lookup_on_every_subset(spec):
                 x._class_index(subset)
     with pytest.raises(ValueError, match=r"not a subgroup: \[0, 99\]"):
         x._class_index([99, 0])
+
+
+def test_group_layer_loads_no_category_engine():
+    """Groups and censuses import neither the category engine nor the
+    invariants computed on it, nor the command line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, catrank.grouptheory, catrank.orbitcat\n"
+                               "print(*sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"catrank.grouptheory", "catrank.orbitcat", "catrank.exactq"} <= loaded
+    assert not loaded & {"catrank.fincat", "catrank.moebius", "catrank.leinster", "catrank.cli"}

@@ -16,9 +16,8 @@ import pytest
 import loader_oracle
 from catrank import cli, corpus
 from catrank.cli import main
-from catrank.fincat import from_json
+from catrank.fincat import from_json, orbit_category
 from catrank.grouptheory import build_group
-from catrank.orbitcat import orbit_category
 from json_oracle import emitted
 
 C2_4 = "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2"
