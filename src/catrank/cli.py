@@ -19,7 +19,7 @@ except ImportError:
 
 from . import corpus
 from .exactq import rat_str
-from .fincat import canonical_json, classify, from_json, orbit_category, validate
+from .fincat import _write, canonical_json, classify, from_json, orbit_category, validate
 from .grouptheory import (
     CapExceeded,
     DEFAULT_CAP,
@@ -59,12 +59,11 @@ def _mat(m) -> dict:
 
 def _emit(doc, stream=None, indent=None) -> None:
     """Writes doc as one line of JSON (or indented) and a newline to stream,
-    stdout by default.  sys.stdout is looked up at call time, so a replaced
-    stdout is honoured; json.dump streams, so no copy of the whole text is
-    held."""
-    stream = sys.stdout if stream is None else stream
-    json.dump(doc, stream, indent=indent)
-    stream.write("\n")
+    stdout by default, as ``json.dump`` would.  sys.stdout is looked up at
+    call time, so a replaced stdout is honoured.  The encoder's tokens go
+    through ``_write`` in batches, so no copy of the whole text is held."""
+    _write(sys.stdout if stream is None else stream,
+           json.JSONEncoder(indent=indent).iterencode(doc), ["\n"])
 
 
 def _read_source(path: str) -> tuple[bytes, str]:
@@ -203,10 +202,6 @@ def cmd_euler(args) -> int:
     return 0
 
 
-def _group_report(g, spec: str) -> dict:
-    return {"input": _input_stanza(spec.encode(), spec), "group_order": g.order}
-
-
 def _error(message: str, code: int) -> int:
     _emit({"error": message}, sys.stderr)
     return code
@@ -237,7 +232,7 @@ def cmd_group(args) -> int:
         canonical_json(orbit_category(g).category, sys.stdout)
         return 0
     classes = subgroup_classes(g)
-    doc = _group_report(g, args.group)
+    doc = {"input": _input_stanza(args.group.encode(), args.group), "group_order": g.order}
     doc["classes"] = [_fmt_label(c.label) for c in classes]
     moduli = [c.weyl_order for c in classes]
 
@@ -300,8 +295,7 @@ def cmd_equivariant(args) -> int:
     doc = {"input": stanza, "group_order": x.group.order,
            "classes": labels, "cells": len(x.cells)}
     if args.random is not None:
-        doc["census"] = [{"dim": d, "stabilizer": sorted(x.classes[ci].representative)}
-                         for d, ci in x.cells]
+        doc["census"] = census
     doc["invariants"] = {
         "chi_G": _vec(chi_G(x)),
         "fixed_point_euler": {"labels": labels,

@@ -147,13 +147,6 @@ class QMatrix:
                for i in range(self.rows) for col in columns]
         return QMatrix(self.rows, other.cols, out, self.row_labels, other.col_labels)
 
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            return self.mul(other)
-        if isinstance(other, QVector):
-            return self.mul_vec(other)
-        return NotImplemented
-
     def mul_vec(self, v: QVector) -> QVector:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")

@@ -443,9 +443,10 @@ def classify(cat: FiniteCategory) -> PredicateReport:
     is_df = holds("is_directly_finite",
                   ((u, v) for u in ms for v in cat.hom(cod[u], dom[u])
                    if rows[u][at[v]] == ident[dom[u]] and rows[v][at[u]] != ident[cod[u]]))
-    # an idempotent p on x splits when p = i r with r i = 1 for some z
+    # an idempotent p on x splits when p = i r with r i = 1 for some z; an
+    # identity splits through its own object (i = r = p), so it is not searched
     is_cc = holds("is_cauchy_complete",
-                  ((p,) for p in ms if dom[p] == cod[p] and rows[p][at[p]] == p
+                  ((p,) for p in ms if p != ident[dom[p]] and dom[p] == cod[p] and rows[p][at[p]] == p
                    and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
                                for z in objs for i in cat.hom(z, dom[p])
                                for r in cat.hom(dom[p], z))))
@@ -929,35 +930,43 @@ def from_json(doc: dict) -> FiniteCategory:
     return FiniteCategory._from_records(objects, dom, cod, identity, doc["composition"])
 
 
-_CHUNK = 4096  # records per write of canonical_json
+_CHUNK = 256  # strings per write of _write
+
+
+def _write(out: IO[str], *parts: Iterable[str]) -> None:
+    """Write the strings of each part in turn to the text stream out,
+    ``_CHUNK`` per write: the package's only write to a stream."""
+    pieces = (text for part in parts for text in part)
+    for batch in iter(lambda: list(islice(pieces, _CHUNK)), []):
+        out.write("".join(batch))
 
 
 def canonical_json(cat: FiniteCategory, out: IO[str]) -> None:
     """Write the category document to the text stream out, byte-identical to
     ``json.dumps(doc, indent=2) + "\n"``: each record is formatted straight
-    from the tables, and records are written ``_CHUNK`` at a time."""
+    from the tables, and the document goes through ``_write``."""
     def value(v, depth):  # json's text for v on a line indented depth levels
         return json.dumps(v, indent=2).replace("\n", "\n" + "  " * depth)
 
     def section(key, records, brackets="[]", lead=","):
-        out.write(f'{lead}\n  "{key}": ')
+        # each record comes with its leading ",\n"; the first one's comma goes
         first = next(records, None)
         if first is None:
-            out.write(brackets)
+            yield f'{lead}\n  "{key}": {brackets}'
             return
-        out.write(brackets[0] + "\n" + first)
-        for batch in iter(lambda: list(islice(records, _CHUNK)), []):
-            out.write(",\n" + ",\n".join(batch))
-        out.write("\n  " + brackets[1])
+        yield f'{lead}\n  "{key}": {brackets[0]}{first[1:]}'
+        yield from records
+        yield "\n  " + brackets[1]
 
     names = [value(o, 3) for o in cat.objects]
     identities = {str(o): i for o, i in zip(cat.objects, cat.identity)}
-    section("objects", ("    " + value(o, 2) for o in cat.objects), lead="{")
-    section("morphisms", ('    {\n      "id": %d,\n      "dom": %s,\n      "cod": %s\n    }'
-                          % (m, names[d], names[c])
-                          for m, (d, c) in enumerate(zip(cat.dom, cat.cod))))
-    section("identities", ("    %s: %d" % (encode_basestring_ascii(k), i)
-                           for k, i in identities.items()), "{}")
-    section("composition", ("    [\n      %d,\n      %d,\n      %d\n    ]" % rec
-                            for rec in _pairs(cat)))
-    out.write("\n}\n")
+    _write(out,
+           section("objects", (",\n    " + value(o, 2) for o in cat.objects), lead="{"),
+           section("morphisms", (',\n    {\n      "id": %d,\n      "dom": %s,\n      "cod": %s\n    }'
+                                 % (m, names[d], names[c])
+                                 for m, (d, c) in enumerate(zip(cat.dom, cat.cod)))),
+           section("identities", (",\n    %s: %d" % (encode_basestring_ascii(k), i)
+                                  for k, i in identities.items()), "{}"),
+           section("composition", (",\n    [\n      %d,\n      %d,\n      %d\n    ]" % rec
+                                   for rec in _pairs(cat))),
+           ["\n}\n"])

@@ -44,7 +44,7 @@ def test_empty_category():
         '  "composition": []\n}\n')
 
 
-@pytest.mark.parametrize("q", range(8))
+@pytest.mark.parametrize("q", range(9))
 def test_subsets_q(q):
     cat = corpus.build("subsets-q", q=q)
     assert emitted(cat) == indent_json(cat)

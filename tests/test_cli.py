@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from catrank import cli, grouptheory, orbitcat
+from catrank import cli, corpus, fincat, grouptheory, orbitcat
 from catrank.cli import main
 from catrank.exactq import rat_str
-from catrank.fincat import classify, from_json, opposite, orbit_category
+from catrank.fincat import canonical_json, classify, from_json, opposite, orbit_category
 from catrank.grouptheory import build_group
 
 from chain_oracle import walk_sums
 from json_oracle import emitted
+from test_canonical_json import Recorder
+from test_fincat import retract_pair
 
 
 def run(capsys, *argv):
@@ -557,3 +559,66 @@ def test_euler_on_or_s5_end_to_end():
     for i in range(k):
         assert [sum(mu[i][j] * omega[j][c] for j in range(k)) for c in range(k)] == \
             [Fraction(i == c) for c in range(k)]
+
+
+# ----------------------------------------------------------- the one writer
+
+C2_S3 = "product:cyclic:2+symmetric:3"
+
+
+def _report_argvs(tmp_path):
+    """One argv per report subcommand and per path to stderr, with the
+    documents they read written to tmp_path."""
+    for name, cat in (("span", corpus.build("span")), ("q4", corpus.build("subsets-q", q=4)),
+                      ("retract", retract_pair())):
+        with open(tmp_path / f"{name}.json", "w") as fh:
+            canonical_json(cat, fh)
+    (tmp_path / "bad.json").write_text('{"objects": 3}')
+    (tmp_path / "cells.json").write_text(json.dumps(
+        {"group": "symmetric:3", "cells": [{"dim": 0, "stabilizer": [0]}, {"dim": 1, "stabilizer": [0]}]}))
+    paths = [str(tmp_path / f"{name}.json") for name in ("span", "q4", "retract", "bad")]
+    return ([[sub, p] for sub in ("validate", "euler") for p in paths]
+            + [["validate", str(tmp_path / "missing.json")]]
+            + [["group", sub, C2_S3] for sub in ("marks", "nu")]
+            + [["group", "burnside", "symmetric:3", "--xi", xi] for xi in ("6,3,2,1", "1,1,1,1", "1,a")]
+            + [["--seed", "5", "group", "equivariant", "--random", C2_S3, "--cells", "9"],
+               ["group", "equivariant", str(tmp_path / "cells.json")],
+               ["--cap", "5", "group", "marks", "symmetric:3"],
+               ["examples", "list"]])
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "pretty"])
+def test_reports_are_json_dumps_of_their_documents(tmp_path, capsys, monkeypatch, indent):
+    """What a report subcommand prints on stdout and stderr is
+    ``json.dumps(doc, indent=indent) + "\\n"`` of each document it emits."""
+    emitted_docs = []
+    real_emit = cli._emit
+
+    def recording_emit(doc, stream=None, indent=None):
+        emitted_docs.append((json.dumps(doc, indent=indent) + "\n", stream is sys.stderr))
+        real_emit(doc, stream, indent)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    for argv in _report_argvs(tmp_path):
+        emitted_docs.clear()
+        main((["--pretty"] if indent else []) + argv)
+        out, err = capsys.readouterr()
+        assert emitted_docs, argv
+        assert out == "".join(text for text, to_err in emitted_docs if not to_err), argv
+        assert err == "".join(text for text, to_err in emitted_docs if to_err), argv
+
+
+def test_report_writes_are_batched(tmp_path, monkeypatch):
+    """The euler report of subsets-q 6 arrives in at most one write per
+    ``_CHUNK`` encoder tokens, plus one: not one write per token."""
+    path = tmp_path / "q6.json"
+    with open(path, "w") as fh:
+        canonical_json(corpus.build("subsets-q", q=6), fh)
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["euler", str(path)]) == 0
+    text = "".join(out.writes)
+    tokens = sum(1 for _ in json.JSONEncoder().iterencode(json.loads(text)))
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert tokens > 30000
+    assert len(out.writes) <= -(-tokens // fincat._CHUNK) + 1

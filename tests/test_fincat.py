@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catrank import corpus
 from catrank.fincat import (
     FiniteCategory,
     FunctorData,
@@ -20,6 +21,7 @@ from catrank.fincat import (
     is_isofibration,
     iso_classes,
     opposite,
+    orbit_category,
     poset_category,
     product,
     skeleton,
@@ -31,6 +33,7 @@ from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 import genrandom
 from aut_groups import aut_group
 from json_oracle import emitted, to_json
+from test_grouptheory import ORACLE_GROUPS
 
 
 # the walking retract pair: u: x -> y, v: y -> x with nontrivial idempotents
@@ -556,3 +559,42 @@ def test_witnesses_are_first_counterexamples(seed):
     assert rep.witnesses == expected
     assert {k for k, v in rep.flags().items() if not v} == set(expected) | (
         {"is_free"} if free else set())
+
+
+def _cauchy_by_full_scan(cat):
+    """classify's is_cauchy_complete flag and witness with every idempotent
+    searched for a splitting, identities included."""
+    rows, at, ident, dom, cod = cat.rows, cat.at, cat.identity, cat.dom, cat.cod
+    found = next(((p,) for p in range(cat.n_morphisms) if dom[p] == cod[p] and rows[p][at[p]] == p
+                  and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
+                              for z in range(cat.n_objects) for i in cat.hom(z, dom[p])
+                              for r in cat.hom(dom[p], z))), None)
+    return found is None, found
+
+
+def _cauchy_cases():
+    yield from ((name, corpus.build(name)) for name in corpus.names())
+    yield "retract-pair", retract_pair()
+    draws = [genrandom.random_dag_category, genrandom.random_poset_category,
+             genrandom.poset_of_groups, genrandom.random_free_ei_category,
+             genrandom.random_orbit_subcategory,
+             lambda r: genrandom.random_inflation(r, genrandom.random_poset_category(r))[0],
+             lambda r: genrandom.action_groupoid(genrandom.random_group(r, 8), (0,))[0]]
+    rng = random.Random(11)
+    for k in range(12):
+        for i, make in enumerate(draws):
+            yield f"random-{k}-{i}", make(rng)
+    for name, g in ORACLE_GROUPS:
+        yield f"Or({name})", orbit_category(g).category
+
+
+def test_cauchy_scan_skips_identities_without_changing_the_verdict():
+    seen = set()
+    for name, cat in _cauchy_cases():
+        for c in (cat, opposite(cat)):
+            rep = classify(c)
+            flag, witness = _cauchy_by_full_scan(c)
+            assert rep.is_cauchy_complete == flag, name
+            assert rep.witnesses.get("is_cauchy_complete") == witness, name
+            seen.add(flag)
+    assert seen == {True, False}

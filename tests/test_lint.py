@@ -208,3 +208,44 @@ def test_hashlib_import_is_found():
               "try:\n    from _sha256 import sha224\nexcept Exception:\n    import hashlib\n"
               "def f():\n    import os, hashlib as h\n")
     assert hashlib_imports(source) == [1, 9, 13, 15]
+
+
+def stream_writes(source: str, writer: str | None = None) -> list[int]:
+    """Lines that write to a stream outside the function named writer: a
+    read of an attribute named write or writelines, a call of print, and a
+    use or import of json.dump."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == writer
+              for node in ast.walk(fn)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in ("write", "writelines"):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "dump"
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                alias.name == "dump" for alias in node.names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_one_write_site():
+    found = {path.name: stream_writes(path.read_text(), "_write" if path.name == "fincat.py" else None)
+             for path in SRC}
+    assert found == {name: [] for name in found}
+
+
+def test_stream_write_is_found():
+    source = ("import json\nfrom json import dump, dumps\n"
+              "def _write(out, pieces):\n    for p in pieces:\n        out.write(p)\n"
+              "def f(out, doc):\n    json.dump(doc, out)\n    out.write('\\n')\n"
+              "def g(out, lines):\n    w = out.writelines\n    w(lines)\n    print('x', file=out)\n"
+              "def h(doc):\n    return json.dumps(doc)\n")
+    assert stream_writes(source, "_write") == [2, 7, 8, 10, 12]
+    assert stream_writes(source) == [2, 5, 7, 8, 10, 12]
