@@ -2,13 +2,15 @@
 
 Every command prints a single JSON document on stdout (indented with --pretty);
 validation problems go to stderr as JSON.  Exit codes: 0 success, 1 invalid
-input, 2 usage error, 3 internal assertion failure.
+input, 2 usage error, 3 internal assertion failure, 141 stdout closed by the
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -382,10 +384,18 @@ def main(argv=None) -> int:
     if args.cmd == "group" and args.cap < 1:
         return _error(f"--cap must be positive, got {args.cap}", 2)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return code
     except AssertionError as e:
         _emit({"error": "internal assertion failed", "detail": str(e)}, sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (catrank ... | head): point fd 1 at devnull
+        # so the flush at exit cannot raise again, and exit as a writer
+        # killed by SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

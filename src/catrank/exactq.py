@@ -66,9 +66,6 @@ class QVector:
             and self.labels == other.labels
         )
 
-    def __hash__(self):
-        return hash((self.entries, self.labels))
-
     def __repr__(self) -> str:
         body = ", ".join(f"{l}: {rat_str(v)}" for l, v in zip(self.labels, self.entries))
         return f"QVector({body})"
@@ -172,9 +169,6 @@ class QMatrix:
             and self.row_labels == other.row_labels
             and self.col_labels == other.col_labels
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries, self.row_labels, self.col_labels))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_str(v) for v in self.row(i)) for i in range(self.rows))

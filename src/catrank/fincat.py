@@ -10,17 +10,17 @@ morphism g of ``morphisms_from(cod f)``, and at[g] is that place p of g.
 Morphism ids are dense 0..m-1 and constructors always put the identities
 first, in object order, so golden outputs stay stable.
 
-One pass (``FiniteCategory._load``) fills the rows from [g, f, g o f]
-records and checks their type, range and uniqueness; records whose
-endpoints do not meet are kept aside for ``validate``.  ``from_json`` feeds
-it the document's records, the constructor a (g, f) dict's items, and
-``_build`` the composable pairs of every constructed category: it buckets
-the morphisms by codomain once and composes only those pairs.  Full
-subcategories and fibers are restrictions through it: (new dom, new cod,
-old id) descriptors composed in the parent.  ``opposite`` feeds it the
-pairs reversed, and ``canonical_json`` streams the rows out in (g, f)
-order as the JSON document.  ``compose_table`` is a (g, f) dict view, built
-only when a caller asks for it.
+The constructor, ``FiniteCategory(objects, dom, cod, identity, records)``,
+is the one way a category is built: one pass fills the rows from
+[g, f, g o f] records and checks their type, range and uniqueness; records
+whose endpoints do not meet are kept aside for ``validate``.  ``from_json``
+feeds it the document's records, and ``_build`` the composable pairs of
+every constructed category: it buckets the morphisms by codomain once and
+composes only those pairs.  Full subcategories and fibers are restrictions
+through it: (new dom, new cod, old id) descriptors composed in the parent.
+``opposite`` feeds it the pairs reversed, and ``canonical_json`` streams the
+rows out in (g, f) order as the JSON document.  ``compose(g, f)`` reads a
+single composite.
 
 ``validate`` checks associativity by Light's test (Clifford & Preston 1961,
 The Algebraic Theory of Semigroups, vol. 1, section 1.2): only the morphisms
@@ -35,8 +35,7 @@ import json
 from functools import lru_cache, wraps
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .grouptheory import FiniteGroup, _maps
 
@@ -45,26 +44,10 @@ class FiniteCategory:
     __slots__ = ("objects", "dom", "cod", "identity", "rows", "at", "_extra",
                  "_obj_index", "_hom", "_inverse", "_from_obj", "_memo")
 
-    def __init__(
-        self,
-        objects: Sequence,
-        dom: Sequence[int],
-        cod: Sequence[int],
-        identity: Sequence[int],
-        compose_table: dict[tuple[int, int], int],
-    ):
-        self._load(objects, dom, cod, identity,
-                   ((g, f, c) for (g, f), c in compose_table.items()))
-
-    @classmethod
-    def _from_records(cls, objects, dom, cod, identity, records: Iterable) -> FiniteCategory:
-        """The category whose composition is given as [g, f, g o f] records."""
-        cat = cls.__new__(cls)
-        cat._load(objects, dom, cod, identity, records)
-        return cat
-
-    def _load(self, objects, dom, cod, identity, records: Iterable) -> None:
-        """Check the tables and fill the rows from the records in one pass.
+    def __init__(self, objects: Sequence, dom: Sequence[int], cod: Sequence[int],
+                 identity: Sequence[int], records: Iterable):
+        """The category whose composition is given as [g, f, g o f] records:
+        the tables are checked and the rows filled in one pass.
 
         Each record is checked for shape, type and range, and for repeating
         an earlier pair; a composable pair fills its slot, and a pair whose
@@ -145,13 +128,6 @@ class FiniteCategory:
             raise KeyError((g, f))
         return c
 
-    @property
-    def compose_table(self) -> Mapping[tuple[int, int], int]:
-        """The composition as a read-only dict keyed by (g, f), in (g, f)
-        order, records kept aside included; built on demand, for callers
-        that want a dict."""
-        return _table_view(self)
-
     def hom(self, i: int, j: int) -> tuple[int, ...]:
         """Morphism ids from object index i to object index j."""
         if self._hom is None:
@@ -199,10 +175,6 @@ class FiniteCategory:
             and self._extra == other._extra
         )
 
-    def __hash__(self):
-        return hash((self.objects, self.dom, self.cod, self.identity,
-                     tuple(map(tuple, self.rows))))
-
     def __repr__(self) -> str:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
@@ -234,13 +206,6 @@ def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:
             c = rows[f][p]
             if c is not None:
                 yield g, f, c
-
-
-@_once
-def _table_view(cat: FiniteCategory) -> Mapping[tuple[int, int], int]:
-    table = {(g, f): c for g, f, c in _pairs(cat)}
-    table.update(cat._extra)
-    return MappingProxyType(table)
 
 
 # ------------------------------------------------------------------ validate
@@ -565,8 +530,8 @@ def _build(objects, morphs, identity_of, compose):
         into.setdefault(fd[1], []).append((fi, fd))
     records = ((gi, fi, index[compose(gd, fd)])
                for gi, gd in enumerate(ordered) for fi, fd in into.get(gd[0], ()))
-    cat = FiniteCategory._from_records(objects, [d[0] for d in ordered],
-                                       [d[1] for d in ordered], [index[d] for d in ids], records)
+    cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
+                         [index[d] for d in ids], records)
     return cat, ordered
 
 
@@ -594,8 +559,8 @@ def _restrict(cat: FiniteCategory, objs: Sequence[int], keep: Callable[[int], bo
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:
     """Same objects and morphism ids with dom/cod and composition reversed."""
-    return FiniteCategory._from_records(cat.objects, cat.cod, cat.dom, cat.identity,
-                                        ((f, g, c) for g, f, c in _pairs(cat)))
+    return FiniteCategory(cat.objects, cat.cod, cat.dom, cat.identity,
+                          ((f, g, c) for g, f, c in _pairs(cat)))
 
 
 def full_subcategory(cat: FiniteCategory, objs: Sequence) -> tuple[FiniteCategory, FunctorData]:
@@ -662,13 +627,13 @@ def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
     return _build(objects, morphs, identity_of, compose)[0]
 
 
-def delooping(g: FiniteGroup, obj="*") -> FiniteCategory:
-    """One object whose endomorphisms are the group; g o f = table[g][f]."""
+def delooping(g: FiniteGroup) -> FiniteCategory:
+    """One object, "*", whose endomorphisms are the group; g o f = table[g][f]."""
     def compose(gd, fd):
         return (0, 0, g.table[gd[2]][fd[2]])
 
     morphs = [(0, 0, a) for a in range(g.order)]
-    return _build([obj], morphs, lambda o: (0, 0, 0), compose)[0]
+    return _build(["*"], morphs, lambda o: (0, 0, 0), compose)[0]
 
 
 def poset_category(elements: Sequence, leq: Callable[[Any, Any], bool] | Iterable[tuple]) -> FiniteCategory:
@@ -777,9 +742,6 @@ class OrbitCategory:
         self.category = category
         self.classes = classes
         self.coset_of_morphism = coset_of_morphism
-
-    def object_of_class(self, i: int) -> str:
-        return f"G/{i}"
 
     def __repr__(self) -> str:
         return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
@@ -927,7 +889,7 @@ def from_json(doc: dict) -> FiniteCategory:
         if type(mid) is not int or not (0 <= mid < m):
             raise ValueError(f"identity of {o!r} references unknown morphism")
         identity[obj_index[o]] = mid
-    return FiniteCategory._from_records(objects, dom, cod, identity, doc["composition"])
+    return FiniteCategory(objects, dom, cod, identity, doc["composition"])
 
 
 _CHUNK = 256  # strings per write of _write

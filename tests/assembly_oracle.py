@@ -8,7 +8,21 @@ composable set the same way. They share no code with ``fincat._build``,
 with the row loader or with ``fincat.validate``.
 """
 
-from catrank.fincat import FiniteCategory, FunctorData, iso_classes
+from catrank.fincat import FiniteCategory, FunctorData, _pairs, iso_classes
+
+
+def from_table(objects, dom, cod, identity, table):
+    """The category whose composition is the dict table keyed by (g, f)."""
+    return FiniteCategory(objects, dom, cod, identity,
+                          ((g, f, c) for (g, f), c in table.items()))
+
+
+def table_of(cat):
+    """The composition of cat as a dict keyed by (g, f), in (g, f) order;
+    the records whose endpoints do not meet come last."""
+    table = {(g, f): c for g, f, c in _pairs(cat)}
+    table.update(cat._extra)
+    return table
 
 
 class DictCategory(FiniteCategory):
@@ -18,7 +32,8 @@ class DictCategory(FiniteCategory):
     __slots__ = ("table",)
 
     def __init__(self, objects, dom, cod, identity, table):
-        super().__init__(objects, dom, cod, identity, table)
+        super().__init__(objects, dom, cod, identity,
+                         ((g, f, c) for (g, f), c in table.items()))
         self.table = dict(table)
 
 
@@ -36,7 +51,7 @@ def build(objects, morphs, identity_of, compose):
         for fi, fd in enumerate(ordered):
             if fd[1] == gd[0]:
                 table[(gi, fi)] = index[compose(gd, fd)]
-    return FiniteCategory(objects, dom, cod, [index[d] for d in ids], table), ordered
+    return from_table(objects, dom, cod, [index[d] for d in ids], table), ordered
 
 
 def full_subcategory(cat, objs):
@@ -53,13 +68,14 @@ def full_subcategory(cat, objs):
     obj_new = {i: k for k, i in enumerate(keep)}
     dom = [obj_new[cat.dom[m]] for m in ordered]
     cod = [obj_new[cat.cod[m]] for m in ordered]
+    comp = table_of(cat)
     table = {}
     for gi, g_old in enumerate(ordered):
         for fi, f_old in enumerate(ordered):
             if cod[fi] == dom[gi]:
-                table[(gi, fi)] = new_of_old[cat.compose_table[(g_old, f_old)]]
-    sub = FiniteCategory([cat.objects[i] for i in keep], dom, cod,
-                         list(range(len(keep))), table)
+                table[(gi, fi)] = new_of_old[comp[(g_old, f_old)]]
+    sub = from_table([cat.objects[i] for i in keep], dom, cod,
+                     list(range(len(keep))), table)
     inc = FunctorData(sub, cat, {cat.objects[i]: cat.objects[i] for i in keep},
                       {new: old for old, new in new_of_old.items()})
     return sub, inc
@@ -89,12 +105,13 @@ def fiber_category(p, b_obj):
     obj_new = {src.obj_index(o): k for k, o in enumerate(objs)}
     dom = [obj_new[src.dom[m]] for m in ordered]
     cod = [obj_new[src.cod[m]] for m in ordered]
+    comp = table_of(src)
     table = {}
     for gi, go in enumerate(ordered):
         for fi, fo in enumerate(ordered):
             if cod[fi] == dom[gi]:
-                table[(gi, fi)] = new_of_old[src.compose_table[(go, fo)]]
-    return FiniteCategory(objs, dom, cod, list(range(len(objs))), table)
+                table[(gi, fi)] = new_of_old[comp[(go, fo)]]
+    return from_table(objs, dom, cod, list(range(len(objs))), table)
 
 
 def from_json(doc: dict) -> DictCategory:
@@ -156,10 +173,10 @@ def from_json(doc: dict) -> DictCategory:
 
 def validate(cat):
     """Every violation, scanning the dict a ``DictCategory`` keeps (any other
-    category's ``compose_table``) in its item order."""
+    category's ``table_of``) in its item order."""
     out = []
     m = cat.n_morphisms
-    table = cat.table if isinstance(cat, DictCategory) else cat.compose_table
+    table = cat.table if isinstance(cat, DictCategory) else table_of(cat)
     for x in range(cat.n_objects):
         e = cat.identity[x]
         if cat.dom[e] != x or cat.cod[e] != x:

@@ -3,6 +3,8 @@
 from catrank.fincat import FiniteCategory
 from catrank.grouptheory import FiniteGroup
 
+from assembly_oracle import table_of
+
 
 class CayleyGroupRef:
     """An automorphism group extracted from a category object, with the
@@ -22,5 +24,6 @@ def aut_group(cat: FiniteCategory, obj) -> CayleyGroupRef:
     auts.remove(cat.identity[i])
     ids = [cat.identity[i]] + auts
     index = {m: k for k, m in enumerate(ids)}
-    table = [[index[cat.compose_table[(a, b)]] for b in ids] for a in ids]
+    comp = table_of(cat)
+    table = [[index[comp[(a, b)]] for b in ids] for a in ids]
     return CayleyGroupRef(FiniteGroup(table, [str(m) for m in ids]), tuple(ids), obj)

@@ -30,6 +30,8 @@ from catrank.exactq import QVector
 from catrank.fincat import classify
 from catrank.moebius import IsoPoset, iso_order
 
+from assembly_oracle import table_of
+
 
 class Chain:
     """A strictly increasing tuple of class indices in an IsoPoset."""
@@ -240,7 +242,7 @@ def walk_sums(cat, max_chain_length=None):
     poset = iso_order(cat)
     k = poset.size
     cap = k if max_chain_length is None else max_chain_length
-    comp = cat.compose_table
+    comp = table_of(cat)
     auts = [cat.aut(r) for r in poset.reps]
     leq = class_relation(cat, poset)
     above = [[j for j in range(k) if j != i and leq[i][j]] for i in range(k)]

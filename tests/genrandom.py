@@ -25,6 +25,7 @@ from catrank.grouptheory import (
     symmetric_group,
     product_group,
 )
+from assembly_oracle import from_table, table_of
 from subgroup_helpers import subgroups, weyl_group_with_cosets
 
 
@@ -63,7 +64,7 @@ def action_groupoid(g: FiniteGroup, h) -> tuple[FiniteCategory, FunctorData]:
         for fi, fd in enumerate(ordered):
             if fd[1] == gd[0]:
                 table[(gi, fi)] = index[(fd[0], gd[1], g.table[gd[2]][fd[2]])]
-    cat = FiniteCategory(objects, dom, cod, [index[d] for d in ids], table)
+    cat = from_table(objects, dom, cod, [index[d] for d in ids], table)
     base = delooping(g)
     p = FunctorData(cat, base, {o: "*" for o in objects},
                     {index[d]: d[2] for d in ordered})
@@ -169,8 +170,7 @@ def random_dag_category(rng: random.Random, max_nodes: int = 6, cap: int = 70) -
         for fi, fp in enumerate(ordered):
             if fp[2] == gp[1]:
                 table[(gi, fi)] = index[(fp[0] + gp[0], fp[1], gp[2])]
-    return FiniteCategory([str(i) for i in range(n)], dom, cod,
-                          list(range(n)), table)
+    return from_table([str(i) for i in range(n)], dom, cod, list(range(n)), table)
 
 
 def random_poset_category(rng: random.Random, max_nodes: int = 7) -> FiniteCategory:
@@ -235,9 +235,9 @@ def poset_of_groups(rng: random.Random, max_nodes: int = 4) -> FiniteCategory:
                 else:
                     e = b
                 table[(gi, fi)] = index[(x, z, e)]
-    return FiniteCategory([str(i) for i in range(n)],
-                          [d[0] for d in ordered], [d[1] for d in ordered],
-                          [index[d] for d in ids], table)
+    return from_table([str(i) for i in range(n)],
+                      [d[0] for d in ordered], [d[1] for d in ordered],
+                      [index[d] for d in ids], table)
 
 
 def random_orbit_subcategory(rng: random.Random, max_order: int = 12) -> FiniteCategory:
@@ -292,13 +292,14 @@ def random_inflation(rng: random.Random, cat: FiniteCategory, max_copies: int = 
     rest = [d for d in descr if d not in set(ids)]
     ordered = ids + rest
     index = {d: k for k, d in enumerate(ordered)}
+    comp = table_of(cat)
     table = {}
     for gi, gd in enumerate(ordered):
         for fi, fd in enumerate(ordered):
             if fd[1] == gd[0]:
-                table[(gi, fi)] = index[(fd[0], gd[1], cat.compose_table[(gd[2], fd[2])])]
-    infl = FiniteCategory(objs, [d[0] for d in ordered], [d[1] for d in ordered],
-                          [index[d] for d in ids], table)
+                table[(gi, fi)] = index[(fd[0], gd[1], comp[(gd[2], fd[2])])]
+    infl = from_table(objs, [d[0] for d in ordered], [d[1] for d in ordered],
+                      [index[d] for d in ids], table)
     proj = FunctorData(infl, cat,
                        {objs[k]: cat.objects[back[k]] for k in range(len(objs))},
                        {index[d]: d[2] for d in ordered})

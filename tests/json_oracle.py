@@ -8,6 +8,8 @@ import json
 
 from catrank.fincat import canonical_json
 
+from assembly_oracle import table_of
+
 
 def to_json(cat) -> dict:
     return {
@@ -17,7 +19,7 @@ def to_json(cat) -> dict:
             for m in range(cat.n_morphisms)
         ],
         "identities": {str(cat.objects[x]): cat.identity[x] for x in range(cat.n_objects)},
-        "composition": [[g, f, c] for (g, f), c in sorted(cat.compose_table.items())],
+        "composition": [[g, f, c] for (g, f), c in sorted(table_of(cat).items())],
     }
 
 

@@ -95,7 +95,7 @@ def test_fiber_category_matches_oracle():
 
 def mutate(rng: random.Random, cat: FiniteCategory) -> oracle.DictCategory:
     """Drop, add or redirect a few composites, or move an identity."""
-    table = dict(cat.compose_table)
+    table = oracle.table_of(cat)
     identity = list(cat.identity)
     m = cat.n_morphisms
     for _ in range(rng.randint(1, 3)):
@@ -133,13 +133,13 @@ def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> oracle.DictC
     associativity check can see it.  None when no such composite has a hom-set
     with a second morphism (posets)."""
     ids = set(cat.identity)
-    keys = [key for key, c in cat.compose_table.items()
+    table = oracle.table_of(cat)
+    keys = [key for key, c in table.items()
             if ids.isdisjoint(key) and len(cat.hom(cat.dom[c], cat.cod[c])) > 1]
     if not keys:
         return None
     key = rng.choice(keys)
-    c = cat.compose_table[key]
-    table = dict(cat.compose_table)
+    c = table[key]
     table[key] = rng.choice([x for x in cat.hom(cat.dom[c], cat.cod[c]) if x != c])
     return oracle.DictCategory(cat.objects, cat.dom, cat.cod, cat.identity, table)
 
@@ -191,8 +191,9 @@ def _closure(cat: FiniteCategory, gens) -> set[int]:
     """The identities and gens closed under composition, by repeated passes
     over the whole composition table."""
     got = set(cat.identity) | set(gens)
+    table = oracle.table_of(cat)
     while True:
-        new = {c for (g, f), c in cat.compose_table.items() if g in got and f in got} - got
+        new = {c for (g, f), c in table.items() if g in got and f in got} - got
         if not new:
             return got
         got |= new
@@ -205,7 +206,8 @@ def test_generating_set_is_the_greedy_one():
                              for spec in ("q8", "product:cyclic:2+symmetric:3")]
     for name, cat in cases:
         ids = set(cat.identity)
-        composite = {c for (g, f), c in cat.compose_table.items() if g not in ids and f not in ids}
+        composite = {c for (g, f), c in oracle.table_of(cat).items()
+                     if g not in ids and f not in ids}
         everything = list(range(cat.n_morphisms))
         expected: list[int] = []
         got = _closure(cat, expected)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -470,6 +471,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert from_json(json.loads(proc.stdout)).n_objects == 3
+
+
+def child_env(unbuffered: bool) -> dict:
+    """This environment with PYTHONUNBUFFERED set to 1, or removed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.fixture(scope="module")
+def subsets_q6(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pipe") / "q6.json"
+    with open(path, "w") as fh:
+        canonical_json(corpus.build("subsets-q", q=6), fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["euler", "Q6"], ["examples", "emit", "subsets-q", "--q", "6"],
+                                  ["group", "orbitcat", "symmetric:4"]], ids=" ".join)
+def test_closed_stdout_exits_141_quietly(subsets_q6, argv, unbuffered):
+    """A reader that closes the pipe after 10 bytes (catrank ... | head -c 10)
+    gets no traceback: stderr stays empty and the exit code is 141, as for a
+    writer killed by SIGPIPE.  Each output is larger than a 64 KiB pipe
+    buffer, so a write in ``_write`` meets the closed pipe, with the stream
+    buffered or not."""
+    argv = [subsets_q6 if a == "Q6" else a for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "catrank", *argv], env=child_env(unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b"" and len(head) == 10
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_stdout_closed_before_the_first_write(unbuffered):
+    """A short report into a pipe whose reader is already gone: buffered, it
+    waits in the buffer until ``main`` flushes it, so the closed pipe is met
+    there too, and the flush at exit, now into devnull, raises nothing."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "catrank", "examples", "list"],
+                              env=child_env(unbuffered),
+                              stdout=w, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_equivariant_random_census_is_seeded(capsys):

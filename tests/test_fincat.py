@@ -31,6 +31,7 @@ from catrank.fincat import (
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 
 import genrandom
+from assembly_oracle import from_table, table_of
 from aut_groups import aut_group
 from json_oracle import emitted, to_json
 from test_grouptheory import ORACLE_GROUPS
@@ -66,7 +67,7 @@ def retract_pair() -> FiniteCategory:
 
 def indiscrete_pair() -> FiniteCategory:
     # two objects, exactly one morphism in every hom set
-    return FiniteCategory(
+    return from_table(
         ["0", "1"],
         [0, 1, 0, 1],
         [0, 1, 1, 0],
@@ -90,7 +91,7 @@ def has_nonidentity_idempotent(cat: FiniteCategory) -> bool:
     the EI lemma."""
     return any(
         cat.dom[p] == cat.cod[p]
-        and cat.compose_table[(p, p)] == p
+        and cat.compose(p, p) == p
         and p != cat.identity[cat.dom[p]]
         for p in range(cat.n_morphisms)
     )
@@ -136,20 +137,20 @@ class TestValidate:
     def test_associativity_broken(self):
         # composition of the indiscrete pair rerouted: (3 o 2) no longer id
         cat = indiscrete_pair()
-        table = dict(cat.compose_table)
+        table = table_of(cat)
         table[(3, 2)] = 0
         table[(2, 3)] = 1
         # make it still total but associativity must now fail somewhere:
-        bad = FiniteCategory(cat.objects, cat.dom, cat.cod, cat.identity, table)
+        bad = from_table(cat.objects, cat.dom, cat.cod, cat.identity, table)
         assert validate(bad) == []  # this particular reroute is still lawful
-        table2 = dict(cat.compose_table)
+        table2 = table_of(cat)
         table2[(0, 3)] = 0  # wrong endpoints
-        bad2 = FiniteCategory(cat.objects, cat.dom, cat.cod, cat.identity, table2)
+        bad2 = from_table(cat.objects, cat.dom, cat.cod, cat.identity, table2)
         assert any(v["kind"] == "composite_endpoints" for v in validate(bad2))
 
     def test_identity_endpoints(self):
-        bad = FiniteCategory(["a", "b"], [0, 1, 0], [0, 1, 1], [0, 2],
-                             {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2})
+        bad = from_table(["a", "b"], [0, 1, 0], [0, 1, 1], [0, 2],
+                         {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2})
         assert any(v["kind"] == "identity_endpoints" for v in validate(bad))
 
     def test_real_associativity_violation(self):
@@ -158,8 +159,25 @@ class TestValidate:
             (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
             (1, 1): 2, (1, 2): 0, (2, 1): 1, (2, 2): 0,
         }
-        bad = FiniteCategory(["x"], [0, 0, 0], [0, 0, 0], [0], table)
+        bad = from_table(["x"], [0, 0, 0], [0, 0, 0], [0], table)
         assert any(v["kind"] == "associativity" for v in validate(bad))
+
+
+class TestConstructor:
+    def test_records_are_the_one_form(self):
+        records = [(g, f, c) for (g, f), c in table_of(indiscrete_pair()).items()]
+        cat = FiniteCategory(["0", "1"], [0, 1, 0, 1], [0, 1, 1, 0], [0, 1], records)
+        assert cat == indiscrete_pair() and validate(cat) == []
+
+    def test_a_dict_is_refused(self):
+        # a (g, f) dict iterates as its (g, f) keys, pairs and not records
+        table = table_of(indiscrete_pair())
+        with pytest.raises(ValueError, match=r"malformed composition record: \(0, 0\)"):
+            FiniteCategory(["0", "1"], [0, 1, 0, 1], [0, 1, 1, 0], [0, 1], table)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(indiscrete_pair())
 
 
 class TestJson:
@@ -244,7 +262,7 @@ class TestClassify:
         assert rep.has_trivial_endomorphisms
 
     def test_empty_category(self):
-        cat = FiniteCategory([], [], [], [], {})
+        cat = FiniteCategory([], [], [], [], [])
         rep = classify(cat)
         assert all(rep.flags().values())
         assert validate(cat) == []
@@ -507,7 +525,7 @@ def test_random_categories_are_lawful(seed):
 def _first_counterexamples(cat) -> dict:
     """Each predicate's first counterexample in index order, by brute force
     over the composition table (is_free's comes from the library's search)."""
-    comp, ident, dom, cod = cat.compose_table, cat.identity, cat.dom, cat.cod
+    comp, ident, dom, cod = table_of(cat), cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
 
     def iso(m):

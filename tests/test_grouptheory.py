@@ -462,7 +462,7 @@ def nu_via_orbit_category(g):
     """D mu_bar2 D^-1 over subgroup classes, D = diag(|W_G H|), with mu_bar2
     from the chain walk on Or(G), reordered from object to class order."""
     oc = orbit_category(g)
-    order = [oc.object_of_class(i) for i in range(len(oc.classes))]
+    order = list(oc.category.objects)
     mu = reorder(euler_characteristics(oc.category).mu_bar2, order, order)
     weyl = [c.weyl_order for c in oc.classes]
     n = len(weyl)

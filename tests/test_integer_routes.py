@@ -76,7 +76,7 @@ def omega_lhs_oracle(x):
     oc = orbit_category(x.group)
     om = omega_bar2(oc.category)
     v = chi_G(x)
-    obj_order = [oc.object_of_class(i) for i in range(len(x.classes))]
+    obj_order = list(oc.category.objects)
     v_iso = QVector([v[obj_order.index(lbl)] for lbl in om.col_labels], labels=om.col_labels)
     image = om.mul_vec(v_iso)
     return [image.at(obj) for obj in obj_order]

@@ -11,6 +11,7 @@ from catrank.cli import _parser
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "catrank").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,8 +65,9 @@ def test_nested_import_is_found():
 
 
 def compose_table_reads(source: str) -> list[int]:
-    """Lines that read an attribute named compose_table: the (g, f) dict
-    view that ``fincat`` builds on demand for callers outside the library."""
+    """Lines that read an attribute named compose_table: a (g, f) dict view
+    of the composition, which the library does not keep; the tests build
+    that dict with ``assembly_oracle.table_of``."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr == "compose_table"]
 
@@ -149,6 +151,62 @@ def test_unused_public_name_is_found():
                "def g():\n    pass\n"]
     callers = ["from x import a\nprint(a())\n"]
     assert unused_public_names(library, callers, "See `g` and f_ or f.") == ["C", "b"]
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """The names of the attributes a module reads, except a def's reads of
+    its own name (a method calling itself)."""
+    own = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == fn.name}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in own}
+
+
+def unused_public_methods(library: list[str], callers: list[str], doc: str) -> list[str]:
+    """Public methods and properties of the public top-level classes of the
+    library modules, as Class.name, whose name no library module or caller
+    reads as an attribute (outside the method's own body) and the doc does
+    not name as a word.  Dunder and _-prefixed names are exempt.
+
+    The check goes by name only, not by type: a method is counted as read
+    when any attribute of that name is, so ``QMatrix.identity`` passes on
+    the reads of ``cat.identity``."""
+    trees = [ast.parse(source) for source in library]
+    defined = [(cls.name, fn.name) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not fn.name.startswith("_")]
+    used = set(re.findall(r"\w+", doc))
+    for tree in trees + [ast.parse(source) for source in callers]:
+        used |= _attribute_reads(tree)
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in used)
+
+
+def test_no_public_method_that_nothing_calls():
+    library = [path.read_text() for path in SRC]
+    callers = [path.read_text() for path in DEMOS + PERFBENCH]
+    assert unused_public_methods(library, callers, (ROOT / "README.md").read_text()) == []
+
+
+def test_unused_public_method_is_found():
+    # C.a is read by a caller, C.b only by itself, C.c in another library
+    # module, C.d named in the doc, C.e only written; _C, _f and __len__ are
+    # exempt
+    library = ["class C:\n"
+               "    def a(self):\n        pass\n"
+               "    def b(self):\n        return self.b()\n"
+               "    @property\n    def c(self):\n        return 1\n"
+               "    def d(self):\n        pass\n"
+               "    def e(self):\n        pass\n"
+               "    def _f(self):\n        pass\n"
+               "    def __len__(self):\n        return 0\n"
+               "class _C:\n    def g(self):\n        pass\n"
+               "def e(x):\n    x.e = 1\n    return e\n",
+               "def h(x):\n    return x.c\n"]
+    callers = ["from x import C\nC().a()\n"]
+    assert unused_public_methods(library, callers, "See `d`.") == ["C.b", "C.e"]
 
 
 def documented_flags(markdown: str) -> set[str]:

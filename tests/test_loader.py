@@ -163,20 +163,3 @@ def test_associativity_triples_in_pair_order(bases):
     assert len(order) > 1 and order == sorted(order)
     ref = oracle.validate(oracle.from_json(doc))
     assert ref != found and pair_order(ref) == found
-
-
-def test_row_path_builds_no_dict_view(monkeypatch, capsys, tmp_path):
-    """euler, validate and group orbitcat never build the (g, f) dict."""
-    def refuse(cat):
-        raise AssertionError("compose_table view built")
-
-    monkeypatch.setattr(fincat, "_table_view", refuse)
-    fincat.orbit_category.cache_clear()  # a cached Or(G) may hold a built view
-    text = json.dumps(emit(capsys, "group", "orbitcat", "symmetric:4"))
-    with pytest.raises(AssertionError):
-        fincat.from_json(json.loads(text)).compose_table
-    path = tmp_path / "or-s4.json"
-    path.write_text(text)
-    for argv in (["euler", str(path)], ["validate", str(path)]):
-        assert main(argv) == 0, capsys.readouterr()[1]
-        capsys.readouterr()

@@ -30,6 +30,7 @@ from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics, iso_order, omega_bar2
 
 import genrandom
+from assembly_oracle import from_table, table_of
 import chain_oracle
 import class_table_oracle
 from chain_oracle import (
@@ -48,14 +49,14 @@ from test_fincat import retract_pair, indiscrete_pair, divisor_poset
 
 
 def span_category() -> FiniteCategory:
-    return FiniteCategory(
+    return from_table(
         ["0", "1", "2"], [0, 1, 2, 0, 0], [0, 1, 2, 1, 2], [0, 1, 2],
         {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (1, 3): 3, (4, 0): 4, (2, 4): 4},
     )
 
 
 def parallel_pair() -> FiniteCategory:
-    return FiniteCategory(
+    return from_table(
         ["0", "1"], [0, 1, 0, 0], [0, 1, 1, 1], [0, 1],
         {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 0): 3, (1, 3): 3},
     )
@@ -74,7 +75,7 @@ def collapsed_action_category() -> FiniteCategory:
     """x < y < z with aut(y) of order 2 acting trivially on mor(x, y) and on
     mor(y, z): EI but not free, so chain inversion and matrix inversion of
     omega genuinely part ways."""
-    return FiniteCategory(
+    return from_table(
         ["x", "y", "z"],
         [0, 1, 2, 1, 0, 1, 0],
         [0, 1, 2, 1, 1, 2, 2],
@@ -187,9 +188,9 @@ def _ids_reversed(cat) -> FiniteCategory:
     """cat with its morphism ids in reverse order, so that every identity
     comes after the other endomorphisms of its object."""
     last = cat.n_morphisms - 1
-    return FiniteCategory(
+    return from_table(
         cat.objects, cat.dom[::-1], cat.cod[::-1], [last - m for m in cat.identity],
-        {(last - g, last - f): last - c for (g, f), c in cat.compose_table.items()})
+        {(last - g, last - f): last - c for (g, f), c in table_of(cat).items()})
 
 
 def _table_cases():
@@ -476,7 +477,7 @@ class TestEuler:
             assert rep.chi2 == Fraction(1, g.order)
 
     def test_orbit_poset_of_order_two(self):
-        cat = FiniteCategory(
+        cat = from_table(
             ["a", "b"], [0, 1, 0, 0], [0, 1, 0, 1], [0, 1],
             {(0, 0): 0, (1, 1): 1, (2, 2): 0, (0, 2): 2, (2, 0): 2,
              (3, 0): 3, (3, 2): 3, (1, 3): 3},

@@ -121,7 +121,7 @@ def test_omega_scaled_by_weyl_orders_is_table_of_marks():
         g = build_group(spec)
         oc = orbit_category(g)
         om = omega_bar2(oc.category)
-        order = [oc.object_of_class(i) for i in range(len(oc.classes))]
+        order = list(oc.category.objects)
         om = reorder(om, order, order)
         marks = table_of_marks(g).matrix
         n = len(oc.classes)
