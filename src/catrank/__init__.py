@@ -3,6 +3,24 @@
 Subpackages compute Euler characteristics (nerve, functorial, L2, weighting-based),
 Moebius inversion matrices over the iso-class poset, orbit categories, tables of
 marks and Burnside congruences. All arithmetic is exact rational.
+
+The package body holds what every command needs whatever layer it runs: the
+group order cap and the one writer.
 """
 
+from itertools import islice
+from typing import IO, Iterable
+
 __version__ = "0.1.0"
+
+DEFAULT_CAP = 64  # largest group order accepted unless a caller sets its own cap
+
+_CHUNK = 256  # strings per write of _write
+
+
+def _write(out: IO[str], *parts: Iterable[str]) -> None:
+    """Write the strings of each part in turn to the text stream out,
+    ``_CHUNK`` per write: the package's only write to a stream."""
+    pieces = (text for part in parts for text in part)
+    for batch in iter(lambda: list(islice(pieces, _CHUNK)), []):
+        out.write("".join(batch))

@@ -4,11 +4,23 @@ Every command prints a single JSON document on stdout (indented with --pretty);
 validation problems go to stderr as JSON.  Exit codes: 0 success, 1 invalid
 input, 2 usage error, 3 internal assertion failure, 141 stdout closed by the
 reader.
+
+Each subcommand runs only the modules of its layer: they are bound below as
+deferred modules (``_lazy``), and ``main`` runs those its parser names,
+largest first, after the usage checks and before any input is read.
+Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``, a read-only
+install) an import compiles the module's source, and most of that compile
+goes on the category engine and ``corpus``, which ``group marks``, ``nu``
+and ``burnside`` never call.  A layer run after the input would add its
+compile to the document's peak, and ``fincat`` compiled after the smaller
+modules leaves a larger heap; hence the order.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import json
 import os
 import random
@@ -19,27 +31,32 @@ try:  # CPython's own SHA-256: hashlib would load OpenSSL into every run
 except ImportError:
     from hashlib import sha256
 
-from . import corpus
-from .exactq import rat_str
-from .fincat import _write, canonical_json, classify, from_json, orbit_category, validate
-from .grouptheory import (
-    CapExceeded,
-    DEFAULT_CAP,
-    build_group,
-    burnside_congruences,
-    nu_matrix,
-    subgroup_classes,
-    table_of_marks,
-)
-from .leinster import chi_L, coweighting, weighting
-from .moebius import euler_characteristics, omega_bar2
-from .orbitcat import (
-    GCWComplex,
-    chi_G,
-    fixed_point_euler,
-    gcw_from_json,
-    verify_omega_relation,
-)
+from . import DEFAULT_CAP, _write
+
+
+def _lazy(name: str):
+    """The module called name, bound now and run at the first read of one
+    of its attributes (the ``importlib.util.LazyLoader`` recipe); the module
+    in ``sys.modules`` when there is one, so a name never has two modules."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)  # as an import binds a submodule
+    return module
+
+
+corpus = _lazy("catrank.corpus")
+exactq = _lazy("catrank.exactq")
+fincat = _lazy("catrank.fincat")
+grouptheory = _lazy("catrank.grouptheory")
+leinster = _lazy("catrank.leinster")
+moebius = _lazy("catrank.moebius")
+orbitcat = _lazy("catrank.orbitcat")
 
 
 def _fmt_label(l) -> str:
@@ -50,13 +67,13 @@ def _fmt_label(l) -> str:
 
 def _vec(v) -> dict:
     return {"labels": [_fmt_label(l) for l in v.labels],
-            "entries": [rat_str(x) for x in v]}
+            "entries": [exactq.rat_str(x) for x in v]}
 
 
 def _mat(m) -> dict:
     return {"row_labels": [_fmt_label(l) for l in m.row_labels],
             "col_labels": [_fmt_label(l) for l in m.col_labels],
-            "entries": [[rat_str(x) for x in m.row(i)] for i in range(m.rows)]}
+            "entries": [[exactq.rat_str(x) for x in m.row(i)] for i in range(m.rows)]}
 
 
 def _emit(doc, stream=None, indent=None) -> None:
@@ -126,10 +143,10 @@ def _load_category(path: str):
     if error is not None:
         return stub, None, [{"kind": "not_json", "detail": error}]
     try:
-        cat = from_json(doc)
+        cat = fincat.from_json(doc)
     except ValueError as e:
         return stub, None, [{"kind": "malformed", "detail": str(e)}]
-    violations = validate(cat)
+    violations = fincat.validate(cat)
     return stub, (None if violations else cat), violations
 
 
@@ -156,30 +173,30 @@ def cmd_euler(args) -> int:
     if cat is None:
         _emit({"violations": violations}, sys.stderr)
         return 1
-    rep = classify(cat)
+    rep = fincat.classify(cat)
     invariants: dict = {}
     warnings: list[str] = []
 
-    w = weighting(cat)
+    w = leinster.weighting(cat)
     if w.consistent:
         invariants["weighting"] = dict(_vec(w.solution), kernel_dim=w.kernel_dim)
     else:
         warnings.append("weighting omitted: the system zeta . k = 1 is inconsistent")
-    cw = coweighting(cat)
+    cw = leinster.coweighting(cat)
     if cw.consistent:
         invariants["coweighting"] = dict(_vec(cw.solution), kernel_dim=cw.kernel_dim)
     else:
         warnings.append("coweighting omitted: the system zeta . k = 1 on the opposite is inconsistent")
-    chi = chi_L(cat, w, cw)
-    invariants["chi_L"] = rat_str(chi) if chi != "undefined" else "undefined"
+    chi = leinster.chi_L(cat, w, cw)
+    invariants["chi_L"] = exactq.rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:
-        er = euler_characteristics(cat)
+        er = moebius.euler_characteristics(cat)
         invariants["chi_f"] = _vec(er.chi_f)
-        invariants["chi"] = rat_str(er.chi)
+        invariants["chi"] = exactq.rat_str(er.chi)
         invariants["chi_f2"] = _vec(er.chi_f2)
-        invariants["chi2"] = rat_str(er.chi2)
-        invariants["omega_bar2"] = _mat(omega_bar2(cat))
+        invariants["chi2"] = exactq.rat_str(er.chi2)
+        invariants["omega_bar2"] = _mat(moebius.omega_bar2(cat))
         invariants["mu_bar2"] = _mat(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
@@ -218,8 +235,8 @@ def _group_arg(spec: str, cap: int):
     """(build_group(spec, cap), 0), or (None, exit code) once the reason is
     reported: 1 above the cap, 2 for a malformed spec."""
     try:
-        return build_group(spec, cap), 0
-    except CapExceeded as e:
+        return grouptheory.build_group(spec, cap), 0
+    except grouptheory.CapExceeded as e:
         return None, _error(str(e), 1)
     except (ValueError, RecursionError) as e:
         return None, _error(str(e), 2)
@@ -231,29 +248,30 @@ def cmd_group(args) -> int:
         return code
     if args.group_cmd == "orbitcat":
         # raw category document so the output pipes into euler/validate
-        canonical_json(orbit_category(g).category, sys.stdout)
+        fincat.canonical_json(fincat.orbit_category(g).category, sys.stdout)
         return 0
-    classes = subgroup_classes(g)
+    classes = grouptheory.subgroup_classes(g)
     doc = {"input": _input_stanza(args.group.encode(), args.group), "group_order": g.order}
     doc["classes"] = [_fmt_label(c.label) for c in classes]
     moduli = [c.weyl_order for c in classes]
 
     if args.group_cmd == "marks":
-        doc["invariants"] = {"marks": _mat(table_of_marks(g).matrix), "weyl_orders": moduli}
+        doc["invariants"] = {"marks": _mat(grouptheory.table_of_marks(g).matrix),
+                             "weyl_orders": moduli}
     elif args.group_cmd == "nu":
-        doc["invariants"] = {"nu": _mat(nu_matrix(g)), "moduli": moduli}
+        doc["invariants"] = {"nu": _mat(grouptheory.nu_matrix(g)), "moduli": moduli}
     elif args.group_cmd == "burnside":
         try:
             xi = [int(s) for s in args.xi.split(",")]
         except ValueError:
             return _error(f"malformed xi: {args.xi!r}", 2)
         try:
-            image, satisfied = burnside_congruences(g, xi)
+            image, satisfied = grouptheory.burnside_congruences(g, xi)
         except ValueError as e:
             return _error(str(e), 2)
         doc["invariants"] = {"burnside": {
             "xi": xi,
-            "nu_xi": [rat_str(v) for v in image],
+            "nu_xi": [exactq.rat_str(v) for v in image],
             "moduli": moduli,
             "satisfied": satisfied,
         }}
@@ -269,14 +287,14 @@ def cmd_equivariant(args) -> int:
         if g is None:
             return code
         rng = random.Random(args.seed)
-        classes = subgroup_classes(g)
+        classes = grouptheory.subgroup_classes(g)
         census = [{"dim": rng.randrange(0, 4),
                    "stabilizer": sorted(rng.choice(classes).representative)}
                   for _ in range(args.cells)]
         doc_in = {"group": args.random, "cells": census}
         stanza = _input_stanza(json.dumps(doc_in, sort_keys=True).encode(),
                                f"<random seed={args.seed}>")
-        x = GCWComplex(g, [(c["dim"], c["stabilizer"]) for c in census])
+        x = orbitcat.GCWComplex(g, [(c["dim"], c["stabilizer"]) for c in census])
     else:
         if args.path is None:
             return _error("equivariant needs a path or --random <group>", 2)
@@ -287,24 +305,24 @@ def cmd_equivariant(args) -> int:
         if error is not None:
             return _violation("malformed", error)
         try:
-            x = gcw_from_json(doc_in, args.cap)
-        except CapExceeded as e:
+            x = orbitcat.gcw_from_json(doc_in, args.cap)
+        except grouptheory.CapExceeded as e:
             return _error(str(e), 1)
         except (ValueError, RecursionError) as e:
             return _violation("malformed", str(e))
-    ok, lhs, rhs = verify_omega_relation(x)
+    ok, lhs, rhs = orbitcat.verify_omega_relation(x)
     labels = [_fmt_label(c.label) for c in x.classes]
     doc = {"input": stanza, "group_order": x.group.order,
            "classes": labels, "cells": len(x.cells)}
     if args.random is not None:
         doc["census"] = census
     doc["invariants"] = {
-        "chi_G": _vec(chi_G(x)),
+        "chi_G": _vec(orbitcat.chi_G(x)),
         "fixed_point_euler": {"labels": labels,
-                              "entries": [fixed_point_euler(x, c) for c in x.classes]},
+                              "entries": [orbitcat.fixed_point_euler(x, c) for c in x.classes]},
         "omega_relation": {
-            "lhs": [rat_str(v) for v in lhs],
-            "rhs": [rat_str(v) for v in rhs],
+            "lhs": [exactq.rat_str(v) for v in lhs],
+            "rhs": [exactq.rat_str(v) for v in rhs],
             "holds": ok,
         },
     }
@@ -320,7 +338,7 @@ def cmd_examples(args) -> int:
         cat = corpus.build(args.name, q=args.q)
     except ValueError as e:
         return _error(str(e), 2)
-    canonical_json(cat, sys.stdout)
+    fincat.canonical_json(cat, sys.stdout)
     return 0
 
 
@@ -340,11 +358,11 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a category document")
     v.add_argument("path", help="category JSON file, or - for stdin")
-    v.set_defaults(fn=cmd_validate)
+    v.set_defaults(fn=cmd_validate, layer=(fincat,))
 
     e = sub.add_parser("euler", help="compute every applicable invariant")
     e.add_argument("path", help="category JSON file, or - for stdin")
-    e.set_defaults(fn=cmd_euler)
+    e.set_defaults(fn=cmd_euler, layer=(fincat, leinster, moebius))
 
     gp = sub.add_parser("group", help="finite group computations")
     gsub = gp.add_subparsers(dest="group_cmd", required=True)
@@ -357,7 +375,8 @@ def _parser() -> argparse.ArgumentParser:
         if name == "burnside":
             gs.add_argument("--xi", required=True,
                             help="comma-separated integers, one per subgroup class")
-        gs.set_defaults(fn=cmd_group)
+        gs.set_defaults(fn=cmd_group,
+                        layer=(fincat, grouptheory) if name == "orbitcat" else (grouptheory,))
     geq = gsub.add_parser("equivariant", help="invariants of an equivariant cell census")
     geq.add_argument("path", nargs="?", default=None,
                      help="cell complex JSON file, or - for stdin")
@@ -366,15 +385,16 @@ def _parser() -> argparse.ArgumentParser:
                           "(deterministic for a given --seed)")
     geq.add_argument("--cells", type=int, default=6,
                      help="cell count for --random, nonnegative (default 6)")
-    geq.set_defaults(fn=cmd_equivariant, group_cmd="equivariant")
+    geq.set_defaults(fn=cmd_equivariant, group_cmd="equivariant", layer=(orbitcat,))
 
     ex = sub.add_parser("examples", help="list or emit bundled example categories")
     esub = ex.add_subparsers(dest="examples_cmd", required=True)
-    esub.add_parser("list", help="names of all bundled examples").set_defaults(fn=cmd_examples)
+    esub.add_parser("list", help="names of all bundled examples").set_defaults(
+        fn=cmd_examples, layer=(corpus,))
     em = esub.add_parser("emit", help="print one example as category JSON")
     em.add_argument("name")
     em.add_argument("--q", type=int, default=1, help="size parameter for subsets-q")
-    em.set_defaults(fn=cmd_examples)
+    em.set_defaults(fn=cmd_examples, layer=(corpus,))
 
     return p
 
@@ -383,6 +403,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.cmd == "group" and args.cap < 1:
         return _error(f"--cap must be positive, got {args.cap}", 2)
+    # the parser's actions point back at their containers: free that cycle
+    # first, or the layer's compile lands on top of it and raises the peak;
+    # it is young, so generation 1 holds it at a tenth of a full collection
+    gc.collect(1)
+    for module in args.layer:
+        vars(module)  # the first attribute read runs a deferred module's body
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout is met here, not at exit

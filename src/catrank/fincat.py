@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache, wraps
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
+from . import _write
 from .grouptheory import FiniteGroup, _maps
 
 
@@ -890,17 +890,6 @@ def from_json(doc: dict) -> FiniteCategory:
             raise ValueError(f"identity of {o!r} references unknown morphism")
         identity[obj_index[o]] = mid
     return FiniteCategory(objects, dom, cod, identity, doc["composition"])
-
-
-_CHUNK = 256  # strings per write of _write
-
-
-def _write(out: IO[str], *parts: Iterable[str]) -> None:
-    """Write the strings of each part in turn to the text stream out,
-    ``_CHUNK`` per write: the package's only write to a stream."""
-    pieces = (text for part in parts for text in part)
-    for batch in iter(lambda: list(islice(pieces, _CHUNK)), []):
-        out.write("".join(batch))
 
 
 def canonical_json(cat: FiniteCategory, out: IO[str]) -> None:

@@ -45,9 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import DEFAULT_CAP
 from .exactq import QMatrix
-
-DEFAULT_CAP = 64
 
 
 class CapExceeded(ValueError):

@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import DEFAULT_CAP
 from .exactq import QVector
 from .grouptheory import (
-    DEFAULT_CAP,
     FiniteGroup,
     SubgroupClass,
     _is_int,

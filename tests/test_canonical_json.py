@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from catrank import corpus, fincat
+import catrank
+from catrank import corpus
 from catrank.cli import main
 from catrank.fincat import FiniteCategory, canonical_json, from_json, opposite, orbit_category
 from catrank.grouptheory import build_group
@@ -93,7 +94,7 @@ def test_python_object_ids():
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1000])
 def test_chunk_size_changes_no_byte(monkeypatch, chunk):
-    monkeypatch.setattr(fincat, "_CHUNK", chunk)
+    monkeypatch.setattr(catrank, "_CHUNK", chunk)
     cat = corpus.build("subsets-q", q=3)
     out = Recorder()
     canonical_json(cat, out)

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from catrank import cli, corpus, fincat, grouptheory, orbitcat
+import catrank
+from catrank import cli, corpus, grouptheory, orbitcat
 from catrank.cli import main
 from catrank.exactq import rat_str
 from catrank.fincat import canonical_json, classify, from_json, opposite, orbit_category
@@ -328,7 +329,7 @@ def test_group_cap_below_one_is_a_usage_error(capsys, monkeypatch, cap, sub):
 
     monkeypatch.setattr(sys, "stdin", None)
     monkeypatch.setattr("catrank.cli._read_source", lambda path: no_input())
-    monkeypatch.setattr("catrank.cli.build_group", lambda spec, cap: no_input())
+    monkeypatch.setattr("catrank.grouptheory.build_group", lambda spec, cap: no_input())
     code, out, err = run(capsys, "--cap", cap, "group", *sub)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": f"--cap must be positive, got {cap}"}
@@ -549,7 +550,7 @@ def test_equivariant_random_builds_its_group_once(capsys, monkeypatch):
         built.append(spec)
         return build_group(spec, *rest)
 
-    monkeypatch.setattr(cli, "build_group", counted)
+    monkeypatch.setattr(grouptheory, "build_group", counted)
     monkeypatch.setattr(orbitcat, "build_group", counted)
     code, out, _ = run(capsys, "--seed", "3", "group", "equivariant", "--random", "dihedral:4")
     assert code == 0 and json.loads(out)["invariants"]["omega_relation"]["holds"] is True
@@ -674,4 +675,84 @@ def test_report_writes_are_batched(tmp_path, monkeypatch):
     tokens = sum(1 for _ in json.JSONEncoder().iterencode(json.loads(text)))
     assert text == json.dumps(json.loads(text)) + "\n"
     assert tokens > 30000
-    assert len(out.writes) <= -(-tokens // fincat._CHUNK) + 1
+    assert len(out.writes) <= -(-tokens // catrank._CHUNK) + 1
+
+
+# ------------------------------------------------------------- the layers
+
+EXECUTED = """\
+import sys, types
+from catrank.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, *sorted(name for name, m in sys.modules.items()
+                    if name.startswith("catrank.") and type(m) is types.ModuleType),
+      file=sys.stderr)
+"""
+
+# argv ("DOC" for a category document) -> the modules besides cli it runs
+LAYERS = {
+    ("validate", "DOC"): {"exactq", "fincat", "grouptheory"},
+    ("euler", "DOC"): {"exactq", "fincat", "grouptheory", "leinster", "moebius"},
+    ("group", "marks", "symmetric:3"): {"exactq", "grouptheory"},
+    ("group", "nu", "symmetric:3"): {"exactq", "grouptheory"},
+    ("group", "burnside", "symmetric:3", "--xi", "6,3,2,1"): {"exactq", "grouptheory"},
+    ("group", "orbitcat", "symmetric:3"): {"exactq", "fincat", "grouptheory"},
+    ("group", "equivariant", "--random", "symmetric:3", "--cells", "3"):
+        {"exactq", "grouptheory", "orbitcat"},
+    ("examples", "list"): {"corpus", "exactq", "fincat", "grouptheory"},
+    ("examples", "emit", "span"): {"corpus", "exactq", "fincat", "grouptheory"},
+    ("--cap", "0", "group", "nu", "symmetric:3"): set(),  # refused before any layer
+}
+
+
+@pytest.fixture(scope="module")
+def or_s3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("layers") / "or-s3.json"
+    with open(path, "w") as fh:
+        canonical_json(orbit_category(build_group("symmetric:3")).category, fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", LAYERS, ids=" ".join)
+def test_each_subcommand_runs_only_its_layer(or_s3, argv):
+    """A module counts once its body has run: a deferred module that nothing
+    read is still of the lazy loader's module type."""
+    proc = subprocess.run([sys.executable, "-c", EXECUTED,
+                           *(or_s3 if a == "DOC" else a for a in argv)],
+                          capture_output=True, text=True, timeout=60)
+    code, *executed = proc.stderr.splitlines()[-1].split()
+    assert int(code) == (2 if argv[0] == "--cap" else 0)
+    assert set(executed) == {f"catrank.{name}" for name in LAYERS[argv] | {"cli"}}
+
+
+ONE_OBJECT = """\
+import sys
+{before}
+import catrank
+from catrank import cli
+{after}
+code = cli.main(["euler", sys.argv[1]])
+imported = {{"fincat": fincat, "grouptheory": grouptheory}}
+for name in ("exactq", "fincat", "grouptheory", "leinster", "moebius"):
+    module = sys.modules["catrank." + name]
+    assert getattr(cli, name) is module is getattr(catrank, name) is imported.get(name, module), name
+assert cli.fincat.FiniteGroup is cli.grouptheory.FiniteGroup
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("cli_first", [False, True], ids=["cli-after", "cli-before"])
+@pytest.mark.parametrize("order", [("fincat", "grouptheory"), ("grouptheory", "fincat")],
+                         ids="-".join)
+def test_one_module_object_per_layer(or_s3, cli_first, order):
+    """Layer modules imported before or after cli are cli's modules, and
+    euler prints the same bytes as ``python -m catrank`` either way."""
+    imports = "\n".join(f"import catrank.{name} as {name}" for name in order)
+    script = ONE_OBJECT.format(before="" if cli_first else imports,
+                               after=imports if cli_first else "")
+    proc = subprocess.run([sys.executable, "-c", script, or_s3], capture_output=True, timeout=60)
+    plain = subprocess.run([sys.executable, "-m", "catrank", "euler", or_s3],
+                           capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == plain.stdout and plain.returncode == 0

@@ -294,7 +294,7 @@ def stream_writes(source: str, writer: str | None = None) -> list[int]:
 
 
 def test_one_write_site():
-    found = {path.name: stream_writes(path.read_text(), "_write" if path.name == "fincat.py" else None)
+    found = {path.name: stream_writes(path.read_text(), "_write" if path.name == "__init__.py" else None)
              for path in SRC}
     assert found == {name: [] for name in found}
 
@@ -307,3 +307,81 @@ def test_stream_write_is_found():
               "def h(doc):\n    return json.dumps(doc)\n")
     assert stream_writes(source, "_write") == [2, 7, 8, 10, 12]
     assert stream_writes(source) == [2, 5, 7, 8, 10, 12]
+
+
+LOADER_MACHINERY = {"importlib", "LazyLoader", "module_from_spec", "find_spec", "exec_module",
+                    "import_module", "__import__"}
+
+
+def loader_uses(source: str, lazy: str | None = None) -> list[int]:
+    """Lines that use importlib's loader machinery outside the function
+    named lazy: a name or attribute in ``LOADER_MACHINERY``, or an import
+    from importlib.  ``import importlib.util`` alone uses nothing."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == lazy
+              for node in ast.walk(fn)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Name) and node.id in LOADER_MACHINERY:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in LOADER_MACHINERY:
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "importlib":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def deferred_bindings(source: str, lazy: str = "_lazy") -> tuple[dict[str, str], list[int]]:
+    """({name: module} of the header's ``name = lazy("module")`` statements,
+    lines of the calls of lazy that are not one).  The header ends at the
+    first def or class other than lazy's own."""
+    tree = ast.parse(source)
+    bindings, declared = {}, set()
+    for stmt in tree.body:
+        if isinstance(stmt, DEFS) and stmt.name != lazy:
+            break
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name) and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == lazy
+                and len(stmt.value.args) == 1 and isinstance(stmt.value.args[0], ast.Constant)):
+            bindings[stmt.targets[0].id] = stmt.value.args[0].value
+            declared.add(id(stmt.value))
+    faults = sorted(node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == lazy and id(node) not in declared)
+    return bindings, faults
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_loader_machinery_only_in_lazy(path):
+    assert loader_uses(path.read_text(), "_lazy" if path.name == "cli.py" else None) == []
+
+
+def test_layers_are_deferred_in_the_cli_header():
+    """cli binds every layer module, under its own name, by a header
+    assignment; nothing else calls ``_lazy``."""
+    layers = {path.stem for path in SRC} - {"__init__", "__main__", "cli"}
+    bindings, faults = deferred_bindings((ROOT / "src" / "catrank" / "cli.py").read_text())
+    assert faults == []
+    assert bindings == {name: f"catrank.{name}" for name in layers}
+
+
+def test_loader_use_and_stray_lazy_call_are_found():
+    source = ("import importlib.util\n"
+              "from importlib import import_module\n"
+              "def _lazy(name):\n"
+              "    spec = importlib.util.find_spec(name)\n"
+              "    return importlib.util.module_from_spec(spec)\n"
+              "a = _lazy('x.a')\n"
+              "d = [_lazy('x.d')]\n"
+              "def f():\n"
+              "    b = _lazy('x.b')\n"
+              "    return importlib.import_module('x.c')\n"
+              "c = _lazy('x.c')\n"
+              "e = __import__('x.e')\n")
+    assert loader_uses(source, "_lazy") == [2, 10, 12]
+    assert loader_uses(source) == [2, 4, 5, 10, 12]
+    assert deferred_bindings(source) == ({"a": "x.a"}, [7, 9, 11])

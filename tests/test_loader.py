@@ -16,7 +16,7 @@ import pytest
 
 import assembly_oracle as oracle
 import test_fuzz
-from catrank import cli, fincat
+from catrank import fincat
 from catrank.cli import main
 from test_cli import MALFORMED_FIELDS
 
@@ -43,8 +43,8 @@ def both_routes(monkeypatch, capsys, tmp_path, doc, commands=("validate", "euler
     for route in ("rows", "oracle"):
         with monkeypatch.context() as m:
             if route == "oracle":
-                m.setattr(cli, "from_json", oracle.from_json)
-                m.setattr(cli, "validate", oracle.validate)
+                m.setattr(fincat, "from_json", oracle.from_json)
+                m.setattr(fincat, "validate", oracle.validate)
             for cmd in commands:
                 code = main([cmd, str(path)])
                 results.append((code, *capsys.readouterr()))
