@@ -11,9 +11,19 @@ largest first, after the usage checks and before any input is read.
 Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``, a read-only
 install) an import compiles the module's source, and most of that compile
 goes on the category engine and ``corpus``, which ``group marks``, ``nu``
-and ``burnside`` never call.  A layer run after the input would add its
+and ``burnside`` never call.  The category engine imports no group layer,
+so ``validate`` runs ``fincat`` alone and ``euler`` adds ``leinster``,
+``moebius`` and ``exactq``.  A layer run after the input would add its
 compile to the document's peak, and ``fincat`` compiled after the smaller
 modules leaves a larger heap; hence the order.
+
+Every document leaves through ``_emit``, written as ``json.dump`` would
+write it.  A report matrix is held as integer rows (``_Rows``: per row
+the numerators, sparse or dense, and one denominator), and each row is
+written as one string, "0" tokens with the nonzero entries patched in, in
+lowest terms.  ``euler`` reads the rows off the class table and the
+recurrence, ``group marks`` and ``nu`` off their integer rows: no
+``Fraction`` matrix is built for a report.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import argparse
 import gc
 import importlib.util
 import json
+import math
 import os
 import random
 import sys
@@ -30,6 +41,8 @@ try:  # CPython's own SHA-256: hashlib would load OpenSSL into every run
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
+
+from json.encoder import encode_basestring_ascii
 
 from . import DEFAULT_CAP, _write
 
@@ -70,19 +83,72 @@ def _vec(v) -> dict:
             "entries": [exactq.rat_str(x) for x in v]}
 
 
-def _mat(m) -> dict:
-    return {"row_labels": [_fmt_label(l) for l in m.row_labels],
-            "col_labels": [_fmt_label(l) for l in m.col_labels],
-            "entries": [[exactq.rat_str(x) for x in m.row(i)] for i in range(m.rows)]}
+def _ratio(p: int, q: int) -> str:
+    """``exactq.rat_str(Fraction(p, q))`` for q > 0, on ints."""
+    d = math.gcd(p, q)
+    return str(p // d) if d == q else f"{p // d}/{q // d}"
+
+
+class _Rows:
+    """The entries of a square report matrix as integers: per row i its
+    entries p, as a sparse dict {j: p} or a tuple, over the denominator
+    dens[i] > 0.  ``_encode`` writes it row by row."""
+
+    __slots__ = ("rows", "dens")
+
+    def __init__(self, rows, dens):
+        self.rows = rows
+        self.dens = dens
+
+
+def _matrix(names: list[str], rows, dens) -> dict:
+    return {"row_labels": names, "col_labels": names, "entries": _Rows(rows, dens)}
+
+
+def _encode(value, indent, depth=0):
+    """The text of ``json.dumps(value, indent=indent)``, met depth levels
+    down, in pieces: a dict member by member, ``_Rows`` one row per piece,
+    any other value whole.  A row starts as "0" tokens, and its nonzero
+    entries are patched in as "p" or "p/q" in lowest terms."""
+    pad = "\n" + " " * (indent * depth) if indent else ""
+    inner = "\n" + " " * (indent * (depth + 1)) if indent else ""
+    sep = "," + inner if indent else ", "
+    if type(value) is _Rows:
+        if not value.rows:
+            yield "[]"
+            return
+        row_pad = "\n" + " " * (indent * (depth + 2)) if indent else ""
+        row_sep = "," + row_pad if indent else ", "
+        zeros = ['"0"'] * len(value.rows)
+        lead = "[" + inner
+        for row, q in zip(value.rows, value.dens):
+            cells = zeros.copy()
+            for j, p in (row.items() if type(row) is dict else enumerate(row)):
+                if p:
+                    cells[j] = '"' + _ratio(p, q) + '"'
+            yield lead + "[" + row_pad + row_sep.join(cells) + inner + "]"
+            lead = sep
+        yield pad + "]"
+    elif type(value) is dict and value:
+        lead = "{" + inner
+        for key, member in value.items():
+            yield lead + encode_basestring_ascii(key) + ": "
+            yield from _encode(member, indent, depth + 1)
+            lead = sep
+        yield pad + "}"
+    else:
+        text = json.dumps(value, indent=indent)
+        yield text.replace("\n", pad) if indent and depth else text
 
 
 def _emit(doc, stream=None, indent=None) -> None:
     """Writes doc as one line of JSON (or indented) and a newline to stream,
-    stdout by default, as ``json.dump`` would.  sys.stdout is looked up at
-    call time, so a replaced stdout is honoured.  The encoder's tokens go
-    through ``_write`` in batches, so no copy of the whole text is held."""
-    _write(sys.stdout if stream is None else stream,
-           json.JSONEncoder(indent=indent).iterencode(doc), ["\n"])
+    stdout by default, as ``json.dump`` would, a ``_Rows`` member as the
+    list of lists of entry strings it holds.  sys.stdout is looked up at
+    call time, so a replaced stdout is honoured.  The pieces of
+    ``_encode`` go through ``_write`` in batches, so no copy of the whole
+    text is held."""
+    _write(sys.stdout if stream is None else stream, _encode(doc, indent), ["\n"])
 
 
 def _read_source(path: str) -> tuple[bytes, str]:
@@ -191,13 +257,18 @@ def cmd_euler(args) -> int:
     invariants["chi_L"] = exactq.rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:
+        # omega_bar2 and mu_bar2 as integer rows over |aut rep i|, the
+        # diagonal of the class table: no fraction is formed
+        homs = moebius.iso_order(cat).homs
         er = moebius.euler_characteristics(cat)
-        invariants["chi_f"] = _vec(er.chi_f)
+        names = [_fmt_label(l) for l in er.labels]
+        invariants["chi_f"] = {"labels": names, "entries": [str(n) for n in er.orbits]}
         invariants["chi"] = exactq.rat_str(er.chi)
-        invariants["chi_f2"] = _vec(er.chi_f2)
+        invariants["chi_f2"] = {"labels": names,
+                                "entries": list(map(_ratio, er.fixed, er.sizes))}
         invariants["chi2"] = exactq.rat_str(er.chi2)
-        invariants["omega_bar2"] = _mat(moebius.omega_bar2(cat))
-        invariants["mu_bar2"] = _mat(er.mu_bar2)
+        invariants["omega_bar2"] = _matrix(names, homs, er.sizes)
+        invariants["mu_bar2"] = _matrix(names, er.rows, er.sizes)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
             warnings.append(f"{name} omitted: not an EI category")
@@ -252,14 +323,17 @@ def cmd_group(args) -> int:
         return 0
     classes = grouptheory.subgroup_classes(g)
     doc = {"input": _input_stanza(args.group.encode(), args.group), "group_order": g.order}
-    doc["classes"] = [_fmt_label(c.label) for c in classes]
+    doc["classes"] = names = [_fmt_label(c.label) for c in classes]
     moduli = [c.weyl_order for c in classes]
 
     if args.group_cmd == "marks":
-        doc["invariants"] = {"marks": _mat(grouptheory.table_of_marks(g).matrix),
+        rows = grouptheory.table_of_marks(g).rows
+        doc["invariants"] = {"marks": _matrix(names, rows, [1] * len(rows)),
                              "weyl_orders": moduli}
     elif args.group_cmd == "nu":
-        doc["invariants"] = {"nu": _mat(grouptheory.nu_matrix(g)), "moduli": moduli}
+        rows = grouptheory._nu_rows(g)
+        doc["invariants"] = {"nu": _matrix(names, rows, [1] * len(rows)),
+                             "moduli": moduli}
     elif args.group_cmd == "burnside":
         try:
             xi = [int(s) for s in args.xi.split(",")]

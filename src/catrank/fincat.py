@@ -34,10 +34,12 @@ from __future__ import annotations
 import json
 from functools import lru_cache, wraps
 from json.encoder import encode_basestring_ascii
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import _write
-from .grouptheory import FiniteGroup, _maps
+
+if TYPE_CHECKING:  # the group layer is read through the groups passed in
+    from .grouptheory import FiniteGroup
 
 
 class FiniteCategory:
@@ -751,9 +753,9 @@ class OrbitCategory:
 def orbit_category(g: FiniteGroup) -> OrbitCategory:
     """Build Or(G) with one object per subgroup class (``build_group`` caps
     the order of the groups it builds), its maps enumerated by
-    ``grouptheory._maps``; composition follows the right-translation law
-    R_g2 o R_g1 = R_(g1 g2)."""
-    classes, named, maps = _maps(g)
+    ``grouptheory._maps``, which g reaches (``_coset_maps``); composition
+    follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
+    classes, named, maps = g._coset_maps()
     objects = [f"G/{i}" for i in range(len(classes))]
     # least[j][x] is the name of the coset x K_j
     least = [[0] * g.order for _ in classes]

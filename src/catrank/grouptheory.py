@@ -21,7 +21,7 @@ subgroups of M24, or how to compute the table of marks of a finite group):
 - Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
 - ``_maps`` lists, for the orbit category, the cosets gK with g^-1 H g
   inside K; the omega relation counts them and ``fincat.orbit_category``
-  composes them.
+  composes them, reached through ``FiniteGroup._coset_maps``.
 
 Permutation groups get their Cayley table from one right-multiplication map
 per generator, not from all |G|^2 permutation products.
@@ -91,6 +91,11 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         """g h g^-1."""
         return self.table[self.table[g][h]][self.inv[g]]
+
+    def _coset_maps(self):
+        """``_maps(self)``: the orbit category reaches the maps through the
+        group it is given, so ``fincat`` imports no group layer."""
+        return _maps(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table

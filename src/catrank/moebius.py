@@ -9,7 +9,9 @@ consecutive slots.  The automorphisms of the two endpoint objects still act on
 the quotient, and all the invariants below are signed sums of orbit counts of
 those actions:
 
-  - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular.
+  - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular, as a
+    ``QMatrix`` built on request from the class table, whose integer rows
+    are all the ``euler`` report reads.
   - euler_characteristics: the per-class functorial values (double orbits of
     S(c), integers), their rank-weighted counterparts (left orbits /
     |aut y|), the totals, and mu_bar2 (sum over chains of +/- |S(c)| /
@@ -22,7 +24,8 @@ those actions:
     its special case in which every automorphism group acts freely, so only
     the values at 1 of the rows are needed; when every endomorphism is an
     identity the rows are the classical Moebius function of the class poset
-    (Rota 1964).
+    (Rota 1964).  The report keeps these integers and builds its
+    vectors and mu_bar2 as ``QVector`` and ``QMatrix`` only when read.
 """
 
 from __future__ import annotations
@@ -232,17 +235,41 @@ def omega_bar2(cat: FiniteCategory) -> QMatrix:
 
 class EulerReport:
     """chi_f, chi, chi_f2, chi2 and mu_bar2 of an EI category (see
-    ``euler_characteristics``)."""
+    ``euler_characteristics``), kept as integers per class i: the orbit
+    count chi_f[i], f_i(1), the sparse row h_i(1) and |A_i|.  The vectors
+    chi_f and chi_f2 and the matrix mu_bar2 are built from them when read."""
 
-    __slots__ = ("labels", "chi_f", "chi", "chi_f2", "chi2", "mu_bar2")
+    __slots__ = ("labels", "orbits", "fixed", "rows", "sizes", "chi", "chi2")
 
-    def __init__(self, labels, chi_f: QVector, chi, chi_f2: QVector, chi2, mu_bar2: QMatrix):
+    def __init__(self, labels, orbits: list[int], fixed: list[int],
+                 rows: list[dict[int, int]], sizes: list[int]):
         self.labels = labels
-        self.chi_f = chi_f
-        self.chi = chi
-        self.chi_f2 = chi_f2
-        self.chi2 = chi2
-        self.mu_bar2 = mu_bar2
+        self.orbits = orbits
+        self.fixed = fixed
+        self.rows = rows
+        self.sizes = sizes
+        self.chi = Fraction(sum(orbits))
+        self.chi2 = sum(map(Fraction, fixed, sizes), Fraction(0))
+
+    @property
+    def chi_f(self) -> QVector:
+        return QVector(self.orbits, self.labels)
+
+    @property
+    def chi_f2(self) -> QVector:
+        return QVector(list(map(Fraction, self.fixed, self.sizes)), self.labels)
+
+    @property
+    def mu_bar2(self) -> QMatrix:
+        """mu_bar2[i][j] = h_i(1)[j] / |A_i|."""
+        zero = Fraction(0)
+        mu_rows = []
+        for hi, ai in zip(self.rows, self.sizes):
+            row = [zero] * len(self.rows)
+            for j, v in hi.items():
+                row[j] = Fraction(v, ai)
+            mu_rows.append(row)
+        return QMatrix.from_rows(mu_rows, self.labels, self.labels)
 
     def __repr__(self) -> str:
         return f"EulerReport(chi={self.chi}, chi2={self.chi2})"
@@ -254,21 +281,13 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     chi_f[i] = sum over b of f_i(b) / |A_i| (Burnside's lemma),
     chi_f2[i] = f_i(1) / |A_i| and mu_bar2[i][j] = h_i(1)[j] / |A_i|.  One
     integer back-substitution from the top class down, free or not; no
-    chain is visited."""
+    chain is visited, and no rational vector or matrix is built until one
+    is read."""
     labels = iso_order(cat).labels
     f, rows = _back_substitute(cat)
-    zero = Fraction(0)
-    chi_f, chi_f2, mu_rows = [], [], []
-    for i, (fi, hi) in enumerate(zip(f, rows)):
-        ai = len(fi)
-        orbits, rest = divmod(sum(fi), ai)
-        assert rest == 0, f"chi_f not integral at class {labels[i]}: {Fraction(sum(fi), ai)}"
-        chi_f.append(Fraction(orbits))
-        chi_f2.append(Fraction(fi[0], ai))
-        row = [zero] * len(f)
-        for j, v in hi.items():
-            row[j] = Fraction(v, ai)
-        mu_rows.append(row)
-    return EulerReport(labels, QVector(chi_f, labels), sum(chi_f, zero),
-                       QVector(chi_f2, labels), sum(chi_f2, zero),
-                       QMatrix.from_rows(mu_rows, labels, labels))
+    orbits = []
+    for i, fi in enumerate(f):
+        n, rest = divmod(sum(fi), len(fi))
+        assert rest == 0, f"chi_f not integral at class {labels[i]}: {Fraction(sum(fi), len(fi))}"
+        orbits.append(n)
+    return EulerReport(labels, orbits, [fi[0] for fi in f], rows, [len(fi) for fi in f])

@@ -1,0 +1,139 @@
+"""The report writer of catrank.cli against the dense route of
+``json_oracle``: every matrix and vector member expanded to dense
+``rat_str`` lists of the library's QMatrix and QVector views and written by
+``json.JSONEncoder``.  The bytes must agree, compact and indented."""
+
+import io
+import json
+
+import pytest
+
+from catrank import cli, corpus, moebius
+from catrank.cli import main
+from catrank.exactq import QMatrix
+from catrank.fincat import (FiniteCategory, canonical_json, from_json, opposite, orbit_category,
+                            poset_category)
+from catrank.grouptheory import build_group, nu_matrix, table_of_marks
+
+from json_oracle import mat, report_text, vec
+from test_grouptheory import ORACLE_GROUPS
+
+CAP = "120"
+GROUPS = [spec for spec, _ in ORACLE_GROUPS] + ["symmetric:5"]
+# object ids with a quote, a backslash, a newline and non-ASCII letters
+ESCAPES = ['a"b', "c\\d", "é∂", "x\ny"]
+
+
+def escapes_poset():
+    below = {('a"b', "c\\d"), ("c\\d", "é∂"), ('a"b', "é∂")}
+    return poset_category(ESCAPES, lambda a, b: a == b or (a, b) in below)
+
+
+def _categories():
+    """(id, builder) for every category whose euler report is compared."""
+    for name in corpus.names():
+        if name != "subsets-q":
+            yield name, lambda name=name: corpus.build(name)
+    for q in range(9):
+        yield f"subsets-q-{q}", lambda q=q: corpus.build("subsets-q", q=q)
+    for spec in GROUPS:
+        yield f"Or({spec})", lambda spec=spec: orbit_category(build_group(spec, int(CAP))).category
+        yield f"Or({spec})^op", lambda spec=spec: opposite(
+            orbit_category(build_group(spec, int(CAP))).category)
+    yield "escapes", escapes_poset
+    yield "empty", lambda: FiniteCategory([], [], [], [], [])
+
+
+CATEGORIES = dict(_categories())
+
+
+def _report(monkeypatch, capsys, argv) -> tuple[str, dict]:
+    """(stdout, the document emitted to it) of one CLI call."""
+    docs = []
+    real_emit = cli._emit
+
+    def recording_emit(doc, stream=None, indent=None):
+        docs.append(doc)
+        real_emit(doc, stream, indent)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(docs) == 1
+    return out, docs[0]
+
+
+def _pretty(doc) -> str:
+    out = io.StringIO()
+    cli._emit(doc, out, indent=2)
+    return out.getvalue()
+
+
+def _assert_dense_route(out, doc, dense):
+    """The report printed compact, and the same document indented, are the
+    encoder's text of dense, the document with dense matrices and vectors."""
+    assert out == report_text(dense)
+    assert _pretty(doc) == report_text(dense, indent=2)
+
+
+@pytest.mark.parametrize("name", CATEGORIES)
+def test_euler_report_is_the_dense_route(tmp_path, monkeypatch, capsys, name):
+    path = tmp_path / "doc.json"
+    with open(path, "w") as fh:
+        canonical_json(CATEGORIES[name](), fh)
+    out, doc = _report(monkeypatch, capsys, ["euler", str(path)])
+    invariants = dict(doc["invariants"])
+    if doc["predicates"]["is_ei"]:
+        cat = from_json(json.loads(path.read_text()))
+        er = moebius.euler_characteristics(cat)
+        invariants.update(chi_f=vec(er.chi_f), chi_f2=vec(er.chi_f2),
+                          omega_bar2=mat(moebius.omega_bar2(cat)), mu_bar2=mat(er.mu_bar2))
+    else:
+        assert "mu_bar2" not in invariants
+    _assert_dense_route(out, doc, dict(doc, invariants=invariants))
+
+
+@pytest.mark.parametrize("sub", ["marks", "nu"])
+@pytest.mark.parametrize("spec", GROUPS)
+def test_group_matrix_is_the_dense_route(monkeypatch, capsys, spec, sub):
+    out, doc = _report(monkeypatch, capsys, ["--cap", CAP, "group", sub, spec])
+    g = build_group(spec, int(CAP))
+    matrix = table_of_marks(g).matrix if sub == "marks" else nu_matrix(g)
+    invariants = dict(doc["invariants"], **{sub: mat(matrix)})
+    _assert_dense_route(out, doc, dict(doc, invariants=invariants))
+
+
+def test_labels_are_escaped_as_json_dumps_does(tmp_path, capsys):
+    """Labels are written as ``json.dumps`` writes strings by default, in
+    ASCII: the quote and backslash escaped, the rest as \\u escapes."""
+    path = tmp_path / "escapes.json"
+    with open(path, "w") as fh:
+        canonical_json(escapes_poset(), fh)
+    assert main(["euler", str(path)]) == 0
+    invariants = json.loads(capsys.readouterr().out)["invariants"]
+    labels = json.dumps(ESCAPES)
+    assert labels == '["a\\"b", "c\\\\d", "\\u00e9\\u2202", "x\\ny"]'
+    for name in ("omega_bar2", "mu_bar2"):
+        assert sorted(invariants[name]["row_labels"]) == sorted(ESCAPES)
+    out = io.StringIO()
+    cli._emit({"m": cli._matrix(ESCAPES, [{0: 1}, {1: 2}, {2: -3}, {3: 4}], [1, 2, 6, 8])}, out)
+    assert out.getvalue() == ('{"m": {"row_labels": %s, "col_labels": %s, "entries": '
+                              '[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+                              '["0", "0", "-1/2", "0"], ["0", "0", "0", "1/2"]]}}\n'
+                              % (labels, labels))
+
+
+@pytest.mark.parametrize("name", ["subsets-q-6", "Or(product:cyclic:2+cyclic:2+cyclic:2+cyclic:2)"])
+def test_euler_builds_no_fraction_matrix(tmp_path, monkeypatch, capsys, name):
+    """The report's matrices go from integer rows to text: no QMatrix, and
+    so no dense Fraction matrix, is built on the way."""
+    path = tmp_path / "doc.json"
+    with open(path, "w") as fh:
+        canonical_json(CATEGORIES[name](), fh)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("euler built a QMatrix")
+
+    monkeypatch.setattr(QMatrix, "__init__", refuse)
+    assert main(["euler", str(path)]) == 0
+    assert '"mu_bar2"' in capsys.readouterr().out
