@@ -6,26 +6,25 @@ their common total is chi_L, and it is the same no matter which solutions
 the solver happened to pick.
 """
 
-from fractions import Fraction
-
 from catrank import corpus
-from catrank.exactq import rat_str
+from catrank.exactq import ratio, rat_str
 from catrank.leinster import chi_L, coweighting, weighting, weighting_from_cells, zeta_matrix
 
 
 def show(name, cat):
     z = zeta_matrix(cat)
     print(f"== {name} ({cat.n_objects} objects, {cat.n_morphisms} morphisms)")
-    for i, lbl in enumerate(z.row_labels):
-        print(f"   zeta[{lbl}] = {[int(v) for v in z.row(i)]}")
+    for lbl, row in zip(z.labels, z.rows):
+        print(f"   zeta[{lbl}] = {list(row)}")
     w = weighting(cat)
     cw = coweighting(cat)
+    # a solution is its numerators over one denominator per object
     if w.consistent:
-        print("   weighting  ", {str(l): rat_str(w.solution.at(l)) for l in z.col_labels})
+        print("   weighting  ", dict(zip(z.labels, map(ratio, w.solution, w.dens))))
     else:
         print("   weighting   none: the system zeta . k = 1 is inconsistent")
     if cw.consistent:
-        print("   coweighting", {str(l): rat_str(cw.solution.at(l)) for l in z.col_labels})
+        print("   coweighting", dict(zip(z.labels, map(ratio, cw.solution, cw.dens))))
     else:
         print("   coweighting none")
     print("   chi_L =", chi_L(cat) if chi_L(cat) == "undefined" else rat_str(chi_L(cat)))
@@ -46,9 +45,9 @@ show("no-weighting category", corpus.build("leinster-A"))
 # over the cells based at each object is a weighting with no solving
 cat = corpus.subsets(2)
 cells = [(len(obj) - 1, obj) for obj in cat.objects]
-vec, ok = weighting_from_cells(cat, cells)
+k, ok = weighting_from_cells(cat, cells)
 print("== nonempty subsets of {0,1,2}, weighting read off a cell model")
 print("   cells:", cells)
-print("   k =", {str(l): rat_str(vec.at(l)) for l in cat.objects}, "valid:", ok)
-assert ok and sum(vec[i] for i in range(len(vec))) == Fraction(1)
-print("   total =", rat_str(sum(vec[i] for i in range(len(vec)))), "(chi_L of a cone is 1)")
+print("   k =", {str(l): str(v) for l, v in zip(cat.objects, k)}, "valid:", ok)
+assert ok and sum(k) == 1
+print("   total =", sum(k), "(chi_L of a cone is 1)")

@@ -6,7 +6,9 @@ unit upper triangular, and D . omega_bar2 (D = diagonal of Weyl group
 orders) is the classical table of marks.
 """
 
-from catrank.exactq import rat_str
+from fractions import Fraction
+
+from catrank.exactq import ratio
 from catrank.fincat import classify, orbit_category
 from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_of_marks
 from catrank.moebius import euler_characteristics, omega_bar2
@@ -25,33 +27,44 @@ for c in oc.classes:
     print(f"   {c.label!s:14s} |H| = {len(c.representative)}   |W(H)| = {c.weyl_order}")
 print()
 
+# each matrix is integer rows, row i over the denominator dens[i]
 om = omega_bar2(cat)
 mu = euler_characteristics(cat).mu_bar2
+n = len(om.rows)
+
+
+def entries(m):
+    return [[Fraction(m.get(i, j), m.dens[i]) for j in range(n)] for i in range(n)]
+
+
 print("omega_bar2 rows:")
-for i in range(om.rows):
-    print("  ", [rat_str(v) for v in om.row(i)])
+for i in range(n):
+    print("  ", [ratio(om.get(i, j), om.dens[i]) for j in range(n)])
 print("mu_bar2 rows (inverse, via alternating chain sums):")
-for i in range(mu.rows):
-    print("  ", [rat_str(v) for v in mu.row(i)])
-assert om.mul(mu).is_identity() and mu.mul(om).is_identity()
+for i in range(n):
+    print("  ", [ratio(mu.get(i, j), mu.dens[i]) for j in range(n)])
+identity = [[int(i == j) for j in range(n)] for i in range(n)]
+for a, b in ((om, mu), (mu, om)):
+    a, b = entries(a), entries(b)
+    assert [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)] == identity
 print("product = identity both ways")
 print()
 
 marks = table_of_marks(g)
 print("table of marks (rows: acting subgroup, cols: coset space):")
-for i in range(marks.matrix.rows):
-    print("  ", [int(v) for v in marks.matrix.row(i)])
+for row in marks.matrix.rows:
+    print("  ", list(row))
 
 # D . omega_bar2 equals the marks table after aligning the orders
 weyl = [c.weyl_order for c in oc.classes]
-for i in range(om.rows):
-    row = [weyl[i] * v for v in om.row(i)]
-    assert row == list(marks.matrix.row(i))
+for i, row in enumerate(entries(om)):
+    assert [weyl[i] * v for v in row] == list(marks.matrix.rows[i])
 print("equals diag(Weyl orders) . omega_bar2, entry for entry")
 print()
 
 nu = nu_matrix(g)
 print("nu matrix (integral, the Burnside congruence coefficients):")
-for i in range(nu.rows):
-    print("  ", [int(v) for v in nu.row(i)])
-assert nu.is_integral()
+for row in nu.rows:
+    print("  ", list(row))
+assert set(nu.dens) == {1}

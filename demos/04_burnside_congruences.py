@@ -20,7 +20,7 @@ nu = nu_matrix(g)
 
 print("G = Z/6, subgroup classes:", [c.label for c in classes])
 print("moduli |W(H)|:", [c.weyl_order for c in classes])
-print("nu rows:", [[int(v) for v in nu.row(i)] for i in range(nu.rows)])
+print("nu rows:", [list(row) for row in nu.rows])
 print()
 
 # an honest G-set: the disjoint union G/1 + G/(Z/3).  Fixed points of H

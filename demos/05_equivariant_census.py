@@ -34,7 +34,7 @@ x = GCWComplex(g, cells)
 v = chi_G(x)
 print("census (dim, stabilizer):", [(d, set(s)) for d, s in cells])
 print("chi_G signed orbit counts per class:",
-      {str(l): int(v.at(l)) for l in v.labels})
+      {str(c.label): n for c, n in zip(classes, v)})
 print()
 
 print("fixed-point Euler characteristics:")

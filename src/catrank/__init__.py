@@ -5,7 +5,7 @@ Moebius inversion matrices over the iso-class poset, orbit categories, tables of
 marks and Burnside congruences. All arithmetic is exact rational.
 
 The package body holds what every command needs whatever layer it runs: the
-group order cap and the one writer.
+group order cap, the one matrix type and the one writer.
 """
 
 from itertools import islice
@@ -16,6 +16,28 @@ __version__ = "0.1.0"
 DEFAULT_CAP = 64  # largest group order accepted unless a caller sets its own cap
 
 _CHUNK = 256  # strings per write of _write
+
+
+class Rows:
+    """A square matrix of rationals held as integers, the form each one is
+    computed in: row i is its numerators, a sparse dict {j: p} or a dense
+    tuple, over the one denominator dens[i] > 0.  Rows and columns are
+    indexed alike, by labels."""
+
+    __slots__ = ("labels", "rows", "dens")
+
+    def __init__(self, labels, rows, dens):
+        self.labels = labels
+        self.rows = rows
+        self.dens = dens
+
+    def get(self, i: int, j: int) -> int:
+        """The numerator of entry (i, j), over dens[i]."""
+        row = self.rows[i]
+        return row.get(j, 0) if type(row) is dict else row[j]
+
+    def __repr__(self) -> str:
+        return f"Rows({len(self.rows)}x{len(self.rows)})"
 
 
 def _write(out: IO[str], *parts: Iterable[str]) -> None:

@@ -18,12 +18,12 @@ compile to the document's peak, and ``fincat`` compiled after the smaller
 modules leaves a larger heap; hence the order.
 
 Every document leaves through ``_emit``, written as ``json.dump`` would
-write it.  A report matrix is held as integer rows (``_Rows``: per row
-the numerators, sparse or dense, and one denominator), and each row is
-written as one string, "0" tokens with the nonzero entries patched in, in
-lowest terms.  ``euler`` reads the rows off the class table and the
-recurrence, ``group marks`` and ``nu`` off their integer rows: no
-``Fraction`` matrix is built for a report.
+write it.  Exact values reach it in the form the library computes them:
+a matrix as a ``catrank.Rows`` (per row the numerators, sparse or dense,
+and one denominator), written one row per string, "0" tokens with the
+nonzero entries patched in; a vector as numerators over denominators.
+Every entry is written by ``exactq.ratio``, in lowest terms, and no
+``Fraction`` vector or matrix is built for a report.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import argparse
 import gc
 import importlib.util
 import json
-import math
 import os
 import random
 import sys
@@ -44,7 +43,7 @@ except ImportError:
 
 from json.encoder import encode_basestring_ascii
 
-from . import DEFAULT_CAP, _write
+from . import DEFAULT_CAP, Rows, _write
 
 
 def _lazy(name: str):
@@ -78,42 +77,24 @@ def _fmt_label(l) -> str:
     return str(l)
 
 
-def _vec(v) -> dict:
-    return {"labels": [_fmt_label(l) for l in v.labels],
-            "entries": [exactq.rat_str(x) for x in v]}
+def _vec(names: list[str], nums, dens) -> dict:
+    return {"labels": names, "entries": list(map(exactq.ratio, nums, dens))}
 
 
-def _ratio(p: int, q: int) -> str:
-    """``exactq.rat_str(Fraction(p, q))`` for q > 0, on ints."""
-    d = math.gcd(p, q)
-    return str(p // d) if d == q else f"{p // d}/{q // d}"
-
-
-class _Rows:
-    """The entries of a square report matrix as integers: per row i its
-    entries p, as a sparse dict {j: p} or a tuple, over the denominator
-    dens[i] > 0.  ``_encode`` writes it row by row."""
-
-    __slots__ = ("rows", "dens")
-
-    def __init__(self, rows, dens):
-        self.rows = rows
-        self.dens = dens
-
-
-def _matrix(names: list[str], rows, dens) -> dict:
-    return {"row_labels": names, "col_labels": names, "entries": _Rows(rows, dens)}
+def _matrix(m: Rows) -> dict:
+    names = [_fmt_label(l) for l in m.labels]
+    return {"row_labels": names, "col_labels": names, "entries": m}
 
 
 def _encode(value, indent, depth=0):
     """The text of ``json.dumps(value, indent=indent)``, met depth levels
-    down, in pieces: a dict member by member, ``_Rows`` one row per piece,
-    any other value whole.  A row starts as "0" tokens, and its nonzero
-    entries are patched in as "p" or "p/q" in lowest terms."""
+    down, in pieces: a dict member by member, the entries of a ``Rows`` one
+    row per piece, any other value whole.  A row starts as "0" tokens, and
+    its nonzero entries are patched in as "p" or "p/q" in lowest terms."""
     pad = "\n" + " " * (indent * depth) if indent else ""
     inner = "\n" + " " * (indent * (depth + 1)) if indent else ""
     sep = "," + inner if indent else ", "
-    if type(value) is _Rows:
+    if type(value) is Rows:
         if not value.rows:
             yield "[]"
             return
@@ -121,11 +102,12 @@ def _encode(value, indent, depth=0):
         row_sep = "," + row_pad if indent else ", "
         zeros = ['"0"'] * len(value.rows)
         lead = "[" + inner
+        ratio = exactq.ratio
         for row, q in zip(value.rows, value.dens):
             cells = zeros.copy()
             for j, p in (row.items() if type(row) is dict else enumerate(row)):
                 if p:
-                    cells[j] = '"' + _ratio(p, q) + '"'
+                    cells[j] = '"' + ratio(p, q) + '"'
             yield lead + "[" + row_pad + row_sep.join(cells) + inner + "]"
             lead = sep
         yield pad + "]"
@@ -143,8 +125,8 @@ def _encode(value, indent, depth=0):
 
 def _emit(doc, stream=None, indent=None) -> None:
     """Writes doc as one line of JSON (or indented) and a newline to stream,
-    stdout by default, as ``json.dump`` would, a ``_Rows`` member as the
-    list of lists of entry strings it holds.  sys.stdout is looked up at
+    stdout by default, as ``json.dump`` would, a ``Rows`` member as the
+    list of lists of its entry strings.  sys.stdout is looked up at
     call time, so a replaced stdout is honoured.  The pieces of
     ``_encode`` go through ``_write`` in batches, so no copy of the whole
     text is held."""
@@ -243,14 +225,17 @@ def cmd_euler(args) -> int:
     invariants: dict = {}
     warnings: list[str] = []
 
+    objects = [str(o) for o in cat.objects]
     w = leinster.weighting(cat)
     if w.consistent:
-        invariants["weighting"] = dict(_vec(w.solution), kernel_dim=w.kernel_dim)
+        invariants["weighting"] = dict(_vec(objects, w.solution, w.dens),
+                                       kernel_dim=w.kernel_dim)
     else:
         warnings.append("weighting omitted: the system zeta . k = 1 is inconsistent")
     cw = leinster.coweighting(cat)
     if cw.consistent:
-        invariants["coweighting"] = dict(_vec(cw.solution), kernel_dim=cw.kernel_dim)
+        invariants["coweighting"] = dict(_vec(objects, cw.solution, cw.dens),
+                                         kernel_dim=cw.kernel_dim)
     else:
         warnings.append("coweighting omitted: the system zeta . k = 1 on the opposite is inconsistent")
     chi = leinster.chi_L(cat, w, cw)
@@ -259,16 +244,14 @@ def cmd_euler(args) -> int:
     if rep.is_ei:
         # omega_bar2 and mu_bar2 as integer rows over |aut rep i|, the
         # diagonal of the class table: no fraction is formed
-        homs = moebius.iso_order(cat).homs
         er = moebius.euler_characteristics(cat)
         names = [_fmt_label(l) for l in er.labels]
         invariants["chi_f"] = {"labels": names, "entries": [str(n) for n in er.orbits]}
-        invariants["chi"] = exactq.rat_str(er.chi)
-        invariants["chi_f2"] = {"labels": names,
-                                "entries": list(map(_ratio, er.fixed, er.sizes))}
+        invariants["chi"] = str(er.chi)
+        invariants["chi_f2"] = _vec(names, er.fixed, er.sizes)
         invariants["chi2"] = exactq.rat_str(er.chi2)
-        invariants["omega_bar2"] = _matrix(names, homs, er.sizes)
-        invariants["mu_bar2"] = _matrix(names, er.rows, er.sizes)
+        invariants["omega_bar2"] = _matrix(moebius.omega_bar2(cat))
+        invariants["mu_bar2"] = _matrix(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):
             warnings.append(f"{name} omitted: not an EI category")
@@ -327,13 +310,10 @@ def cmd_group(args) -> int:
     moduli = [c.weyl_order for c in classes]
 
     if args.group_cmd == "marks":
-        rows = grouptheory.table_of_marks(g).rows
-        doc["invariants"] = {"marks": _matrix(names, rows, [1] * len(rows)),
+        doc["invariants"] = {"marks": _matrix(grouptheory.table_of_marks(g).matrix),
                              "weyl_orders": moduli}
     elif args.group_cmd == "nu":
-        rows = grouptheory._nu_rows(g)
-        doc["invariants"] = {"nu": _matrix(names, rows, [1] * len(rows)),
-                             "moduli": moduli}
+        doc["invariants"] = {"nu": _matrix(grouptheory.nu_matrix(g)), "moduli": moduli}
     elif args.group_cmd == "burnside":
         try:
             xi = [int(s) for s in args.xi.split(",")]
@@ -345,7 +325,7 @@ def cmd_group(args) -> int:
             return _error(str(e), 2)
         doc["invariants"] = {"burnside": {
             "xi": xi,
-            "nu_xi": [exactq.rat_str(v) for v in image],
+            "nu_xi": [str(v) for v in image],
             "moduli": moduli,
             "satisfied": satisfied,
         }}
@@ -391,12 +371,12 @@ def cmd_equivariant(args) -> int:
     if args.random is not None:
         doc["census"] = census
     doc["invariants"] = {
-        "chi_G": _vec(orbitcat.chi_G(x)),
+        "chi_G": {"labels": labels, "entries": [str(c) for c in orbitcat.chi_G(x)]},
         "fixed_point_euler": {"labels": labels,
                               "entries": [orbitcat.fixed_point_euler(x, c) for c in x.classes]},
         "omega_relation": {
-            "lhs": [exactq.rat_str(v) for v in lhs],
-            "rhs": [exactq.rat_str(v) for v in rhs],
+            "lhs": list(map(exactq.ratio, *lhs)),
+            "rhs": list(map(exactq.ratio, *rhs)),
             "holds": ok,
         },
     }

@@ -1,213 +1,74 @@
-"""Exact rational scalars, dense matrices/vectors, and one exact solver.
+"""Exact rationals as integers over positive denominators, and one exact
+solver.
 
 Every invariant in this package is an exact rational; there is no floating
-point mode. Scalars are fractions.Fraction (arbitrary precision, reduced,
-positive denominator) and matrices are dense and row-major. Every linear
-system is eliminated once, on Python integers (after Bareiss 1968), to its
-reduced row echelon form, which is unique: solutions and kernels do not
-depend on the order of the elimination.
+point mode.  A scalar is a fractions.Fraction (arbitrary precision, reduced,
+positive denominator).  A vector is its integer numerators with one positive
+denominator per entry, and a matrix is a ``catrank.Rows``: integer rows,
+one denominator per row.  ``ratio`` writes one entry in lowest terms.
+Every linear system is integral here and is eliminated once, on Python
+integers (after Bareiss 1968), to its reduced row echelon form, which is
+unique: solutions and kernels do not depend on the order of the elimination.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Sequence, Union
-
-RatLike = Union[int, Fraction]
+from typing import Sequence
 
 
-def rat_str(q: RatLike) -> str:
-    """Canonical serialization: "p/q" in lowest terms with q > 0, "p" if q == 1."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def ratio(p: int, q: int = 1) -> str:
+    """Canonical serialization of p/q, q > 0: "p/q" in lowest terms, "p" if
+    q divides p."""
+    d = math.gcd(p, q)
+    return str(p // d) if d == q else f"{p // d}/{q // d}"
 
 
-def _as_frac_row(row: Sequence[RatLike]) -> tuple[Fraction, ...]:
-    """The entries as Fractions; entries that already are one are kept."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+def rat_str(q) -> str:
+    """``ratio`` of an int or a Fraction."""
+    return ratio(q.numerator, q.denominator)
 
 
-class QVector:
-    """Immutable labeled vector of exact rationals."""
-
-    __slots__ = ("entries", "labels")
-
-    def __init__(self, entries: Sequence[RatLike], labels: Sequence | None = None):
-        self.entries: tuple[Fraction, ...] = _as_frac_row(entries)
-        if labels is None:
-            labels = range(len(self.entries))
-        self.labels: tuple = tuple(labels)
-        if len(self.labels) != len(self.entries):
-            raise ValueError("label count does not match entry count")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def at(self, label) -> Fraction:
-        return self.entries[self.labels.index(label)]
-
-    def sum(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QVector)
-            and self.entries == other.entries
-            and self.labels == other.labels
-        )
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{l}: {rat_str(v)}" for l, v in zip(self.labels, self.entries))
-        return f"QVector({body})"
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.entries)
-
-
-class QMatrix:
-    """Immutable labeled dense matrix of exact rationals (row-major)."""
-
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels")
-
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        entries: Sequence[RatLike],
-        row_labels: Sequence | None = None,
-        col_labels: Sequence | None = None,
-    ):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimension")
-        self.rows = rows
-        self.cols = cols
-        self.entries: tuple[Fraction, ...] = _as_frac_row(entries)
-        if len(self.entries) != rows * cols:
-            raise ValueError("entry count does not match rows*cols")
-        self.row_labels: tuple = tuple(row_labels) if row_labels is not None else tuple(range(rows))
-        self.col_labels: tuple = tuple(col_labels) if col_labels is not None else tuple(range(cols))
-        if len(self.row_labels) != rows or len(self.col_labels) != cols:
-            raise ValueError("label count does not match dimension")
-        if len(set(self.row_labels)) != rows or len(set(self.col_labels)) != cols:
-            raise ValueError("duplicate labels")
-
-    @classmethod
-    def from_rows(
-        cls,
-        data: Sequence[Sequence[RatLike]],
-        row_labels: Sequence | None = None,
-        col_labels: Sequence | None = None,
-    ) -> "QMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        flat: list[RatLike] = []
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(rows, cols, flat, row_labels, col_labels)
-
-    @classmethod
-    def identity(cls, n: int, labels: Sequence | None = None) -> "QMatrix":
-        ent = [Fraction(int(i == j)) for i in range(n) for j in range(n)]
-        return cls(n, n, ent, labels, labels)
-
-    def get(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        return self.entries[i * self.cols + j]
-
-    def at(self, row_label, col_label) -> Fraction:
-        return self.get(self.row_labels.index(row_label), self.col_labels.index(col_label))
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        columns = [other.entries[j::other.cols] for j in range(other.cols)]
-        out = [sum(map(operator.mul, self.row(i), col), Fraction(0))
-               for i in range(self.rows) for col in columns]
-        return QMatrix(self.rows, other.cols, out, self.row_labels, other.col_labels)
-
-    def mul_vec(self, v: QVector) -> QVector:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch in matrix-vector product")
-        out = [sum(map(operator.mul, self.row(i), v.entries), Fraction(0))
-               for i in range(self.rows)]
-        return QVector(out, self.row_labels)
-
-    def is_identity(self) -> bool:
-        # the diagonal is every (n + 1)-th entry; n nonzero entries leave
-        # none off it
-        n, e = self.rows, self.entries
-        return n == self.cols and all(v == 1 for v in e[::n + 1]) and sum(map(bool, e)) == n
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(rat_str(v) for v in self.row(i)) for i in range(self.rows))
-        return f"QMatrix({self.rows}x{self.cols}: {body})"
+def sum_ratios(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
+    """The sum of nums[i] / dens[i], over one common denominator."""
+    den = math.lcm(*dens)
+    return Fraction(sum(p * (den // q) for p, q in zip(nums, dens)), den)
 
 
 class SolutionReport:
     """Outcome of solve_linear, read off one elimination: consistency, one
-    particular solution and a kernel basis.
+    particular solution x[c] = solution[c] / dens[c] in lowest terms and a
+    kernel basis of primitive integer vectors.
 
     The particular solution sets every free variable (non-pivot column of the
-    RREF) to zero, and the kernel has one vector per free column, so both are
-    deterministic for a given system.
+    RREF) to zero, and the kernel has one vector per free column, positive
+    there, so both are deterministic for a given system.
     """
 
-    __slots__ = ("consistent", "solution", "kernel", "kernel_dim")
+    __slots__ = ("consistent", "solution", "dens", "kernel", "kernel_dim")
 
-    def __init__(self, consistent: bool, solution: QVector | None, kernel: list[QVector]):
+    def __init__(self, consistent: bool, solution: list[int] | None,
+                 dens: list[int] | None, kernel: list[list[int]]):
         self.consistent = consistent
         self.solution = solution
+        self.dens = dens
         self.kernel = kernel
         self.kernel_dim = len(kernel)
 
     def __repr__(self) -> str:
-        return f"SolutionReport(consistent={self.consistent}, solution={self.solution}, kernel_dim={self.kernel_dim})"
+        return f"SolutionReport(consistent={self.consistent}, kernel_dim={self.kernel_dim})"
 
 
-def _rref(data: list[list[RatLike]], ncols_reduce: int) -> tuple[list[list[Fraction]], list[int]]:
-    """RREF over the first ncols_reduce columns; returns (rows, pivot cols).
+def _rref(rows: list[list[int]], ncols_reduce: int) -> tuple[list[list[int]], list[int]]:
+    """RREF over the first ncols_reduce columns, on integers; returns (rows,
+    pivot cols).
 
-    Rows are cleared of denominators, combined as p*row_i - a*row_r and
-    divided by their gcd, so each stays a positive multiple of the row a
-    rational elimination would hold; pivot rows are divided by their pivots
-    at the end.
+    Rows are combined as p*row_i - a*row_r and divided by their gcd, so
+    each stays a multiple of the row a rational elimination would hold:
+    pivot row r is that row times its pivot, rows[r][pivots[r]], and the
+    rows past the pivots are zero in the reduced columns.
     """
-    rows = []
-    for row in data:
-        den = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (den // v.denominator) for v in row])
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -228,22 +89,32 @@ def _rref(data: list[list[RatLike]], ncols_reduce: int) -> tuple[list[list[Fract
         r += 1
         if r == nrows:
             break
-    out = [[Fraction(x, rows[i][c]) for x in rows[i]] for i, c in enumerate(pivots)]
-    return out + [[Fraction(x) for x in row] for row in rows[r:]], pivots
+    return rows, pivots
 
 
-def solve_linear(a: QMatrix, b: QVector) -> SolutionReport:
-    """Solve a x = b exactly in one elimination of [a | b]: consistency, a
-    particular solution and a basis of the kernel of a."""
-    if a.rows != len(b):
+def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int], cols: int) -> SolutionReport:
+    """Solve a x = b exactly, a given as integer rows of cols entries, in one
+    elimination of [a | b]: consistency, a particular solution and a basis
+    of the kernel of a."""
+    if len(a) != len(b):
         raise ValueError("solve_linear: right-hand side length does not match row count")
-    n = a.cols
-    aug, pivots = _rref([list(a.row(i)) + [b[i]] for i in range(a.rows)], n)
+    aug, pivots = _rref([list(row) + [v] for row, v in zip(a, b)], cols)
     row_of = {c: r for r, c in enumerate(pivots)}
-    kernel = [QVector([-aug[row_of[c]][f] if c in row_of else Fraction(c == f) for c in range(n)],
-                      a.col_labels) for f in range(n) if f not in row_of]
+    scale = math.lcm(*(aug[r][c] for r, c in enumerate(pivots)))
+    kernel = []
+    for f in range(cols):
+        if f not in row_of:
+            # x[c] = -aug[r][f] / aug[r][c] at each pivot c, 1 at f, times scale
+            v = [-aug[row_of[c]][f] * (scale // aug[row_of[c]][c]) if c in row_of
+                 else scale * (c == f) for c in range(cols)]
+            d = math.gcd(*v)
+            kernel.append([x // d for x in v])
     # inconsistent iff a row reduces to (0 ... 0 | nonzero)
-    if any(row[n] for row in aug[len(pivots):]):
-        return SolutionReport(False, None, kernel)
-    x = [aug[row_of[c]][n] if c in row_of else Fraction(0) for c in range(n)]
-    return SolutionReport(True, QVector(x, a.col_labels), kernel)
+    if any(row[cols] for row in aug[len(pivots):]):
+        return SolutionReport(False, None, None, kernel)
+    x, dens = [0] * cols, [1] * cols
+    for r, c in enumerate(pivots):
+        p, q = aug[r][cols], aug[r][c]  # x[c] = p / q, put in lowest terms
+        d = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+        x[c], dens[c] = p // d, q // d
+    return SolutionReport(True, x, dens, kernel)

@@ -120,9 +120,6 @@ class FiniteCategory:
     def obj_index(self, obj) -> int:
         return self._obj_index[obj]
 
-    def is_identity(self, m: int) -> bool:
-        return self.identity[self.dom[m]] == m or self.identity[self.cod[m]] == m
-
     def compose(self, g: int, f: int) -> int:
         """g after f; raises KeyError when the pair is not composable."""
         c = self.rows[f][self.at[g]] if self.cod[f] == self.dom[g] else None

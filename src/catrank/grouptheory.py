@@ -41,12 +41,11 @@ import itertools
 import json
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import DEFAULT_CAP
-from .exactq import QMatrix
+from . import DEFAULT_CAP, Rows
+from .exactq import ratio
 
 
 class CapExceeded(ValueError):
@@ -565,14 +564,13 @@ def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, fro
 
 class MarksMatrix:
     """Fixed-point counts |(G/K)^H|: row (H), column (K), canonical class
-    order, as integer rows and as a QMatrix."""
+    order, as a ``catrank.Rows`` of integer rows over ones, labelled by the
+    classes."""
 
-    __slots__ = ("rows", "matrix", "classes")
+    __slots__ = ("matrix", "classes")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], classes: tuple[SubgroupClass, ...]):
-        labels = [c.label for c in classes]
-        self.rows = rows
-        self.matrix = QMatrix.from_rows(rows, labels, labels)
+        self.matrix = Rows([c.label for c in classes], rows, (1,) * len(rows))
         self.classes = classes
 
     def __repr__(self) -> str:
@@ -595,7 +593,7 @@ def table_of_marks(g: FiniteGroup) -> MarksMatrix:
 
 def marks(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The integer rows of ``table_of_marks``."""
-    return _marks_cached(g).rows
+    return _marks_cached(g).matrix.rows
 
 
 @lru_cache(maxsize=8)
@@ -631,7 +629,7 @@ def _nu_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             if k > i and acc[k]:
                 row[k], r = divmod(-acc[k], m[k][k])
                 assert r == 0, (f"nu matrix entry not integral at {(i, k)}: "
-                                f"{Fraction(-acc[k], m[k][k])}")
+                                f"{ratio(-acc[k], m[k][k])}")
             if row[k]:
                 for t, entry in above[k]:
                     acc[t] += row[k] * entry
@@ -639,15 +637,16 @@ def _nu_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def nu_matrix(g: FiniteGroup) -> QMatrix:
+def nu_matrix(g: FiniteGroup) -> Rows:
     """Integer matrix nu = D M^-1 = D mu_bar2 D^-1 over subgroup classes, M the
-    table of marks and D = diag(|W_G H|): omega_bar2(Or G) = D^-1 M."""
-    labels = [c.label for c in subgroup_classes(g)]
-    return QMatrix.from_rows(_nu_rows(g), labels, labels)
+    table of marks and D = diag(|W_G H|): omega_bar2(Or G) = D^-1 M.  Its
+    rows are over ones."""
+    rows = _nu_rows(g)
+    return Rows([c.label for c in subgroup_classes(g)], rows, (1,) * len(rows))
 
 
-def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[Fraction], bool]:
-    """nu(xi), one integer entry per subgroup class (as Fractions), and whether
+def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[int], bool]:
+    """nu(xi), one integer entry per subgroup class, and whether
     it vanishes mod |W_G H| at every class (H).  The dot products and the
     congruences are taken on Python integers, against the rows of nu built
     once per group."""
@@ -657,7 +656,7 @@ def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[Fracti
     xs = [int(v) for v in xi]
     image = [sum(map(operator.mul, row, xs)) for row in _nu_rows(g)]
     satisfied = all(v % c.weyl_order == 0 for v, c in zip(image, classes))
-    return [Fraction(v) for v in image], satisfied
+    return image, satisfied
 
 
 def burnside_check(g: FiniteGroup, xi: Sequence[int]) -> bool:

@@ -14,20 +14,21 @@ category).  Two routes:
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import operator
 
-from .exactq import QMatrix, QVector, SolutionReport, solve_linear
+from . import Rows
+from .exactq import SolutionReport, solve_linear, sum_ratios
 from .fincat import FiniteCategory, ei_witness
 from .moebius import iso_order
 
 
-def zeta_matrix(cat: FiniteCategory) -> QMatrix:
+def zeta_matrix(cat: FiniteCategory) -> Rows:
     """Hom-count matrix: entry (x, y) = |mor(x, y)| in object order, rows
-    indexed by the source object."""
+    indexed by the source object, labelled by str of the objects."""
     n = cat.n_objects
-    entries = [Fraction(len(cat.hom(i, j))) for i in range(n) for j in range(n)]
-    labels = [str(o) for o in cat.objects]
-    return QMatrix(n, n, entries, row_labels=labels, col_labels=labels)
+    rows = [tuple(len(cat.hom(i, j)) for j in range(n)) for i in range(n)]
+    return Rows([str(o) for o in cat.objects], rows, [1] * n)
 
 
 def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
@@ -39,43 +40,46 @@ def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
     column repeats its representative's.  The pivots carry the unique
     solution of the system on the representatives, the class table
     ``iso_order(cat).homs``, upper triangular with diagonal |aut i|: its
-    rows from the top class down, or its columns from the bottom class up,
-    on Python integers while each division by |aut i| is exact.  Every
-    other member m is a free variable set to 0, with kernel vector
-    e_m - e_rep."""
+    rows from the top class down, or its columns from the bottom class up.
+    Each value is solved as an integer over a positive denominator, in
+    lowest terms: the rest 1 - sum h w_t over the lcm of the denominators
+    of the w_t, divided by |aut i|.  Every other member m is a free
+    variable set to 0, with kernel vector e_m - e_rep."""
     poset = iso_order(cat)
     k, homs = poset.size, poset.homs
     table = list(zip(*homs)) if columns else homs
-    w: list = [0] * k
+    w, q = [0] * k, [1] * k  # w[i] / q[i]
     for i in (range(k) if columns else reversed(range(k))):
         # every t related to i is solved before it; w[i] itself is still 0
-        rest = 1 - sum(h * wt for h, wt in zip(table[i], w) if h)
-        d = homs[i][i]
-        w[i] = rest // d if rest % d == 0 else Fraction(rest, d)
+        related = [(t, h) for t, h in enumerate(table[i]) if h]
+        den = math.lcm(*(q[t] for t, _ in related))
+        rest = den - sum(h * w[t] * (den // q[t]) for t, h in related)
+        den *= homs[i][i]
+        d = math.gcd(rest, den)
+        w[i], q[i] = rest // d, den // d
     n = cat.n_objects
-    x, rep_of = [0] * n, list(range(n))
-    for r, wi, members in zip(poset.reps, w, poset.members):
-        x[r] = wi
+    x, dens, rep_of = [0] * n, [1] * n, list(range(n))
+    for r, wi, qi, members in zip(poset.reps, w, q, poset.members):
+        x[r], dens[r] = wi, qi
         for o in members:
             rep_of[cat.obj_index(o)] = r
-    labels = [str(o) for o in cat.objects]
-    zeros, kernel = [Fraction(0)] * n, []
+    kernel = []
     for m, r in enumerate(rep_of):
         if m != r:
-            v = zeros.copy()
-            v[m], v[r] = Fraction(1), Fraction(-1)
-            kernel.append(QVector(v, labels))
-    return SolutionReport(True, QVector(x, labels), kernel)
+            v = [0] * n
+            v[m], v[r] = 1, -1
+            kernel.append(v)
+    return SolutionReport(True, x, dens, kernel)
 
 
 def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
     if ei_witness(cat) is None:
         return _ei(cat, columns)
-    z = zeta_matrix(cat)
+    z = zeta_matrix(cat).rows
     if columns:
-        # the zeta matrix of the opposite category
-        z = QMatrix.from_rows(list(zip(*z.to_lists())), z.col_labels, z.row_labels)
-    return solve_linear(z, QVector([Fraction(1)] * cat.n_objects))
+        z = list(zip(*z))  # the zeta matrix of the opposite category
+    n = cat.n_objects
+    return solve_linear(z, [1] * n, n)
 
 
 def weighting(cat: FiniteCategory) -> SolutionReport:
@@ -102,9 +106,9 @@ def chi_L(cat: FiniteCategory, w: SolutionReport | None = None,
         cw = coweighting(cat)
     if not w.consistent or not cw.consistent:
         return "undefined"
-    total = w.solution.sum()
-    assert total == cw.solution.sum()
-    assert all(v.sum() == 0 for v in w.kernel + cw.kernel)
+    total = sum_ratios(w.solution, w.dens)
+    assert total == sum_ratios(cw.solution, cw.dens)
+    assert all(sum(v) == 0 for v in w.kernel + cw.kernel)
     return total
 
 
@@ -119,21 +123,18 @@ def _iter_cells(cells):
             yield dim, base
 
 
-def weighting_from_cells(cat: FiniteCategory, cells) -> tuple[QVector, bool]:
+def weighting_from_cells(cat: FiniteCategory, cells) -> tuple[list[int], bool]:
     """Candidate weighting from a cell census: k^y = sum over cells based at y
-    of (-1)^dim.  Returns the vector and whether zeta . k = 1 holds.
+    of (-1)^dim, in object order.  Returns k and whether zeta . k = 1 holds,
+    checked on integers.
 
     cells: {"cells": [{"dim": n, "base": object}, ...]} or (dim, base) pairs.
     """
-    n = cat.n_objects
-    k = [Fraction(0)] * n
+    k = [0] * cat.n_objects
     index = {str(o): i for i, o in enumerate(cat.objects)}
     for dim, base in _iter_cells(cells):
         if str(base) not in index:
             raise ValueError(f"cell based at unknown object: {base!r}")
-        k[index[str(base)]] += Fraction(-1) ** dim
-    vec = QVector(k, labels=[str(o) for o in cat.objects])
-    z = zeta_matrix(cat)
-    image = z.mul_vec(vec)
-    ok = all(image[i] == 1 for i in range(n))
-    return vec, ok
+        k[index[str(base)]] += -1 if dim % 2 else 1
+    ok = all(sum(map(operator.mul, row, k)) == 1 for row in zeta_matrix(cat).rows)
+    return k, ok

@@ -9,9 +9,8 @@ consecutive slots.  The automorphisms of the two endpoint objects still act on
 the quotient, and all the invariants below are signed sums of orbit counts of
 those actions:
 
-  - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular, as a
-    ``QMatrix`` built on request from the class table, whose integer rows
-    are all the ``euler`` report reads.
+  - omega_bar2: |mor(y, x)| / |aut y|, unit upper triangular: the class
+    table's integer rows over its diagonal, as a ``catrank.Rows``.
   - euler_characteristics: the per-class functorial values (double orbits of
     S(c), integers), their rank-weighted counterparts (left orbits /
     |aut y|), the totals, and mu_bar2 (sum over chains of +/- |S(c)| /
@@ -24,16 +23,16 @@ those actions:
     its special case in which every automorphism group acts freely, so only
     the values at 1 of the rows are needed; when every endomorphism is an
     identity the rows are the classical Moebius function of the class poset
-    (Rota 1964).  The report keeps these integers and builds its
-    vectors and mu_bar2 as ``QVector`` and ``QMatrix`` only when read.
+    (Rota 1964).  The report keeps these integers, and mu_bar2 is its rows
+    over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .exactq import QMatrix, QVector
+from . import Rows
+from .exactq import ratio, sum_ratios
 from .fincat import FiniteCategory, _once, ei_witness, iso_classes
 
 
@@ -220,14 +219,13 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
 # ------------------------------------------------------------------ matrices
 
 
-def omega_bar2(cat: FiniteCategory) -> QMatrix:
-    """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|, read
-    off the class table (|aut y| = |hom(y, y)| in an EI category)."""
+def omega_bar2(cat: FiniteCategory) -> Rows:
+    """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|, the
+    class table's rows over its diagonal (|aut y| = |hom(y, y)| in an EI
+    category)."""
     poset = iso_order(cat)
-    zero = Fraction(0)
-    rows = [[Fraction(h, row[i]) if h else zero for h in row]
-            for i, row in enumerate(poset.homs)]
-    return QMatrix.from_rows(rows, poset.labels, poset.labels)
+    homs = poset.homs
+    return Rows(poset.labels, homs, [row[i] for i, row in enumerate(homs)])
 
 
 # --------------------------------------------------------------------- euler
@@ -236,8 +234,9 @@ def omega_bar2(cat: FiniteCategory) -> QMatrix:
 class EulerReport:
     """chi_f, chi, chi_f2, chi2 and mu_bar2 of an EI category (see
     ``euler_characteristics``), kept as integers per class i: the orbit
-    count chi_f[i], f_i(1), the sparse row h_i(1) and |A_i|.  The vectors
-    chi_f and chi_f2 and the matrix mu_bar2 are built from them when read."""
+    count chi_f[i] (``orbits``), f_i(1) (``fixed``), the sparse row h_i(1)
+    (``rows``) and |A_i| (``sizes``).  chi_f2[i] is fixed[i] / sizes[i],
+    and mu_bar2 the rows over the sizes."""
 
     __slots__ = ("labels", "orbits", "fixed", "rows", "sizes", "chi", "chi2")
 
@@ -248,28 +247,13 @@ class EulerReport:
         self.fixed = fixed
         self.rows = rows
         self.sizes = sizes
-        self.chi = Fraction(sum(orbits))
-        self.chi2 = sum(map(Fraction, fixed, sizes), Fraction(0))
+        self.chi = sum(orbits)
+        self.chi2 = sum_ratios(fixed, sizes)
 
     @property
-    def chi_f(self) -> QVector:
-        return QVector(self.orbits, self.labels)
-
-    @property
-    def chi_f2(self) -> QVector:
-        return QVector(list(map(Fraction, self.fixed, self.sizes)), self.labels)
-
-    @property
-    def mu_bar2(self) -> QMatrix:
+    def mu_bar2(self) -> Rows:
         """mu_bar2[i][j] = h_i(1)[j] / |A_i|."""
-        zero = Fraction(0)
-        mu_rows = []
-        for hi, ai in zip(self.rows, self.sizes):
-            row = [zero] * len(self.rows)
-            for j, v in hi.items():
-                row[j] = Fraction(v, ai)
-            mu_rows.append(row)
-        return QMatrix.from_rows(mu_rows, self.labels, self.labels)
+        return Rows(self.labels, self.rows, self.sizes)
 
     def __repr__(self) -> str:
         return f"EulerReport(chi={self.chi}, chi2={self.chi2})"
@@ -281,13 +265,12 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     chi_f[i] = sum over b of f_i(b) / |A_i| (Burnside's lemma),
     chi_f2[i] = f_i(1) / |A_i| and mu_bar2[i][j] = h_i(1)[j] / |A_i|.  One
     integer back-substitution from the top class down, free or not; no
-    chain is visited, and no rational vector or matrix is built until one
-    is read."""
+    chain is visited, and no rational vector or matrix is built."""
     labels = iso_order(cat).labels
     f, rows = _back_substitute(cat)
     orbits = []
     for i, fi in enumerate(f):
         n, rest = divmod(sum(fi), len(fi))
-        assert rest == 0, f"chi_f not integral at class {labels[i]}: {Fraction(sum(fi), len(fi))}"
+        assert rest == 0, f"chi_f not integral at class {labels[i]}: {ratio(sum(fi), len(fi))}"
         orbits.append(n)
     return EulerReport(labels, orbits, [fi[0] for fi in f], rows, [len(fi) for fi in f])

@@ -5,11 +5,9 @@ category is built here; ``fincat.orbit_category`` builds Or(G) itself."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import DEFAULT_CAP
-from .exactq import QVector
 from .grouptheory import (
     FiniteGroup,
     SubgroupClass,
@@ -81,9 +79,9 @@ def gcw_from_json(doc: dict, cap: int = DEFAULT_CAP) -> GCWComplex:
     return GCWComplex(group, cells)
 
 
-def chi_G(x: GCWComplex) -> QVector:
-    """Signed count of cells per stabilizer class."""
-    return QVector(x.counts, labels=[c.label for c in x.classes])
+def chi_G(x: GCWComplex) -> tuple[int, ...]:
+    """Signed count of cells per stabilizer class, in class order."""
+    return x.counts
 
 
 def _marks_times_counts(x: GCWComplex, rows) -> list[int]:
@@ -116,15 +114,16 @@ def verify_omega_relation(x: GCWComplex):
     sum_K |hom(G/H, G/K)| c_K / |aut(G/H)|, counts the hom sets of Or(G)
     as ``_maps`` enumerates them, without composing any; the right side,
     sum_K c_K |(G/K)^H| / |W_G H|, reads the marks formula and the lattice's
-    Weyl orders.  Each entry is summed on integers and divided once.
+    Weyl orders.  Each entry is summed on integers and kept over its
+    denominator, and the sides are compared crosswise on integers.
 
-    Returns (equal, left side, right side), both sides in subgroup class order."""
+    Returns (equal, left side, right side), each side a pair (numerators,
+    denominators) in subgroup class order."""
     maps = _maps(x.group)[2]
     support = [(j, c) for j, c in enumerate(x.counts) if c]
     # every endomorphism in Or(G) is invertible, so aut(G/H) = hom(G/H, G/H)
-    lhs = [Fraction(sum(c * len(row[j]) for j, c in support), len(row[i]))
-           for i, row in enumerate(maps)]
-    fixed = _marks_times_counts(x, marks(x.group))
-    rhs = [Fraction(f, cls.weyl_order) for f, cls in zip(fixed, x.classes)]
-    labels = [c.label for c in x.classes]
-    return lhs == rhs, QVector(lhs, labels=labels), QVector(rhs, labels=labels)
+    lhs = ([sum(c * len(row[j]) for j, c in support) for row in maps],
+           [len(row[i]) for i, row in enumerate(maps)])
+    rhs = (_marks_times_counts(x, marks(x.group)), [cls.weyl_order for cls in x.classes])
+    equal = all(p * s == r * q for p, q, r, s in zip(*lhs, *rhs))
+    return equal, lhs, rhs

@@ -26,11 +26,11 @@ import itertools
 import operator
 from fractions import Fraction
 
-from catrank.exactq import QVector
 from catrank.fincat import classify
 from catrank.moebius import IsoPoset, iso_order
 
 from assembly_oracle import table_of
+from dense import QVector
 
 
 class Chain:
@@ -331,7 +331,8 @@ def nerve_by_listing_chains(cat):
     """Alternating count of the chains of composable nonidentity morphisms,
     listed one by one; None when a chain is longer than an acyclic category
     allows (then the nonidentity morphisms form a cycle)."""
-    nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
+    ids = set(cat.identity)
+    nonid = [m for m in range(cat.n_morphisms) if m not in ids]
     chi = cat.n_objects
     chains = [(m,) for m in nonid]
     sign = -1

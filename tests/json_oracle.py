@@ -5,17 +5,17 @@ document as a dict, written by json's two-space indent encoder.
 ``emitted`` reads the streamed writer back through a StringIO.
 
 Reports, the reference for the report writer of catrank.cli: every matrix
-and vector member as the dense lists of ``exactq.rat_str`` of its
-``QMatrix`` or ``QVector`` entries (``mat``, ``vec``), written by
-``json.JSONEncoder.iterencode`` (``report_text``).  ``expand_rows`` turns a
-row member of a report document into those lists, through ``Fraction``.
+and vector member as the dense lists of the ``str`` of its entries, the
+``Fraction`` entries of a ``dense.QMatrix`` or ``dense.QVector`` (``mat``,
+``vec``), written by ``json.JSONEncoder.iterencode`` (``report_text``).
+``expand_rows`` turns a ``catrank.Rows`` member of a report document into
+those lists, through ``Fraction``.  No catrank formatter is used.
 """
 
 import io
 import json
 from fractions import Fraction
 
-from catrank.exactq import rat_str
 from catrank.fincat import canonical_json
 
 from assembly_oracle import table_of
@@ -51,24 +51,24 @@ def _label(l) -> str:
 
 def vec(v) -> dict:
     return {"labels": [_label(l) for l in v.labels],
-            "entries": [rat_str(x) for x in v]}
+            "entries": [str(x) for x in v]}
 
 
 def mat(m) -> dict:
     return {"row_labels": [_label(l) for l in m.row_labels],
             "col_labels": [_label(l) for l in m.col_labels],
-            "entries": [[rat_str(x) for x in m.row(i)] for i in range(m.rows)]}
+            "entries": [[str(x) for x in m.row(i)] for i in range(m.rows)]}
 
 
 def expand_rows(rows) -> list:
-    """The entry strings of a ``cli._Rows``, row by row, through dense
+    """The entry strings of a ``catrank.Rows``, row by row, through dense
     Fraction rows: the ``default`` of ``json.dumps`` for report documents."""
     out = []
     for row, q in zip(rows.rows, rows.dens):
         dense = [Fraction(0)] * len(rows.rows)
         for j, p in (row.items() if isinstance(row, dict) else enumerate(row)):
             dense[j] = Fraction(p, q)
-        out.append([rat_str(x) for x in dense])
+        out.append([str(x) for x in dense])
     return out
 
 

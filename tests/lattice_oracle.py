@@ -13,13 +13,13 @@ subgroup and conjugates every new subgroup by every element, and
 ``table_by_all_pairs`` multiplies every pair of permutations.
 
 The module reads only the Cayley table and inverses of a group and shares
-no code with ``catrank.grouptheory``; only the QMatrix container is
-borrowed.
+no code with catrank; its matrices are the dense ``QMatrix`` of the test
+helper ``dense``.
 """
 
 from fractions import Fraction
 
-from catrank.exactq import QMatrix
+from dense import QMatrix
 
 
 def closure(g, elems):

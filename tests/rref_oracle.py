@@ -1,17 +1,18 @@
 """Rational Gauss-Jordan elimination, the reference for catrank.exactq.
 
 Every operation is done in Fraction arithmetic and every pivot row is
-normalised as soon as it is chosen, so this shares no elimination code with
-the integer route in ``catrank.exactq._rref``.  Only the QMatrix and QVector
-containers are borrowed.  ``reorder`` permutes a matrix into another label
-order for tests that compare matrices indexed differently.
+normalised as soon as it is chosen, so this shares no code with the integer
+route in ``catrank.exactq._rref``; its containers are the dense ``QMatrix``
+and ``QVector`` of the test helper ``dense``.  ``reorder`` permutes a
+matrix into another label order for tests that compare matrices indexed
+differently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from catrank.exactq import QMatrix, QVector
+from dense import QMatrix, QVector
 
 
 class SolutionReport:

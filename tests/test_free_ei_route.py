@@ -21,6 +21,7 @@ from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting
 from catrank.moebius import euler_characteristics
 
+import dense
 import genrandom
 from chain_oracle import chain_sums, walk_sums
 from test_moebius import recording_memo
@@ -93,8 +94,7 @@ CASES = _cases()
 
 
 def _report_sums(rep):
-    return (list(rep.chi_f), list(rep.chi_f2),
-            [list(rep.mu_bar2.row(i)) for i in range(rep.mu_bar2.rows)])
+    return rep.orbits, list(dense.chi_f2(rep)), dense.mu_bar2(rep).to_lists()
 
 
 def test_cases_cover_both_routes_and_nontrivial_groups():

@@ -170,8 +170,8 @@ def unused_public_methods(library: list[str], callers: list[str], doc: str) -> l
     not name as a word.  Dunder and _-prefixed names are exempt.
 
     The check goes by name only, not by type: a method is counted as read
-    when any attribute of that name is, so ``QMatrix.identity`` passes on
-    the reads of ``cat.identity``."""
+    when any attribute of that name is, so ``Rows.get`` would pass on the
+    reads of ``dict.get`` elsewhere in the library."""
     trees = [ast.parse(source) for source in library]
     defined = [(cls.name, fn.name) for tree in trees for cls in tree.body
                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")

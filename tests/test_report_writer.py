@@ -1,16 +1,18 @@
 """The report writer of catrank.cli against the dense route of
-``json_oracle``: every matrix and vector member expanded to dense
-``rat_str`` lists of the library's QMatrix and QVector views and written by
-``json.JSONEncoder``.  The bytes must agree, compact and indented."""
+``json_oracle``: every matrix and vector member expanded to the dense
+Fraction vectors and matrices of the test helper ``dense``, written as
+lists of entry strings by ``json.JSONEncoder``.  The bytes must agree,
+compact and indented."""
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from catrank import cli, corpus, moebius
+import dense
+from catrank import Rows, cli, corpus, leinster, moebius
 from catrank.cli import main
-from catrank.exactq import QMatrix
 from catrank.fincat import (FiniteCategory, canonical_json, from_json, opposite, orbit_category,
                             poset_category)
 from catrank.grouptheory import build_group, nu_matrix, table_of_marks
@@ -69,11 +71,12 @@ def _pretty(doc) -> str:
     return out.getvalue()
 
 
-def _assert_dense_route(out, doc, dense):
+def _assert_dense_route(out, doc, expanded):
     """The report printed compact, and the same document indented, are the
-    encoder's text of dense, the document with dense matrices and vectors."""
-    assert out == report_text(dense)
-    assert _pretty(doc) == report_text(dense, indent=2)
+    encoder's text of expanded, the document with dense matrices and
+    vectors."""
+    assert out == report_text(expanded)
+    assert _pretty(doc) == report_text(expanded, indent=2)
 
 
 @pytest.mark.parametrize("name", CATEGORIES)
@@ -83,11 +86,17 @@ def test_euler_report_is_the_dense_route(tmp_path, monkeypatch, capsys, name):
         canonical_json(CATEGORIES[name](), fh)
     out, doc = _report(monkeypatch, capsys, ["euler", str(path)])
     invariants = dict(doc["invariants"])
+    cat = from_json(json.loads(path.read_text()))
+    objects = [str(o) for o in cat.objects]
+    for name, solve in (("weighting", leinster.weighting), ("coweighting", leinster.coweighting)):
+        if name in invariants:
+            rep = solve(cat)
+            invariants[name] = dict(vec(dense.solution(rep, objects)), kernel_dim=rep.kernel_dim)
     if doc["predicates"]["is_ei"]:
-        cat = from_json(json.loads(path.read_text()))
         er = moebius.euler_characteristics(cat)
-        invariants.update(chi_f=vec(er.chi_f), chi_f2=vec(er.chi_f2),
-                          omega_bar2=mat(moebius.omega_bar2(cat)), mu_bar2=mat(er.mu_bar2))
+        invariants.update(chi_f=vec(dense.chi_f(er)), chi_f2=vec(dense.chi_f2(er)),
+                          omega_bar2=mat(dense.matrix(moebius.omega_bar2(cat))),
+                          mu_bar2=mat(dense.mu_bar2(er)))
     else:
         assert "mu_bar2" not in invariants
     _assert_dense_route(out, doc, dict(doc, invariants=invariants))
@@ -99,7 +108,7 @@ def test_group_matrix_is_the_dense_route(monkeypatch, capsys, spec, sub):
     out, doc = _report(monkeypatch, capsys, ["--cap", CAP, "group", sub, spec])
     g = build_group(spec, int(CAP))
     matrix = table_of_marks(g).matrix if sub == "marks" else nu_matrix(g)
-    invariants = dict(doc["invariants"], **{sub: mat(matrix)})
+    invariants = dict(doc["invariants"], **{sub: mat(dense.matrix(matrix))})
     _assert_dense_route(out, doc, dict(doc, invariants=invariants))
 
 
@@ -116,7 +125,8 @@ def test_labels_are_escaped_as_json_dumps_does(tmp_path, capsys):
     for name in ("omega_bar2", "mu_bar2"):
         assert sorted(invariants[name]["row_labels"]) == sorted(ESCAPES)
     out = io.StringIO()
-    cli._emit({"m": cli._matrix(ESCAPES, [{0: 1}, {1: 2}, {2: -3}, {3: 4}], [1, 2, 6, 8])}, out)
+    cli._emit({"m": cli._matrix(Rows(ESCAPES, [{0: 1}, {1: 2}, {2: -3}, {3: 4}], [1, 2, 6, 8]))},
+              out)
     assert out.getvalue() == ('{"m": {"row_labels": %s, "col_labels": %s, "entries": '
                               '[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
                               '["0", "0", "-1/2", "0"], ["0", "0", "0", "1/2"]]}}\n'
@@ -125,15 +135,24 @@ def test_labels_are_escaped_as_json_dumps_does(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["subsets-q-6", "Or(product:cyclic:2+cyclic:2+cyclic:2+cyclic:2)"])
 def test_euler_builds_no_fraction_matrix(tmp_path, monkeypatch, capsys, name):
-    """The report's matrices go from integer rows to text: no QMatrix, and
-    so no dense Fraction matrix, is built on the way."""
+    """The report's vectors and matrices go from integers to text: euler
+    builds fewer Fractions than there are classes (k), the scalars chi_L and
+    chi2 only, so neither omega_bar2, with its k diagonal entries, nor
+    mu_bar2 is expanded into rationals, densely (k x k) or not."""
+    cat = CATEGORIES[name]()
+    k = moebius.iso_order(cat).size
     path = tmp_path / "doc.json"
     with open(path, "w") as fh:
-        canonical_json(CATEGORIES[name](), fh)
+        canonical_json(cat, fh)
+    built = []
+    new = Fraction.__new__
 
-    def refuse(*args, **kwargs):
-        raise RuntimeError("euler built a QMatrix")
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(QMatrix, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", counting)
     assert main(["euler", str(path)]) == 0
+    monkeypatch.undo()
     assert '"mu_bar2"' in capsys.readouterr().out
+    assert 0 < len(built) < k, (len(built), k)
