@@ -6,8 +6,8 @@ their common total is chi_L, and it is the same no matter which solutions
 the solver happened to pick.
 """
 
-from catrank import corpus
-from catrank.exactq import ratio, rat_str
+from catrank import corpus, ratio
+from catrank.exactq import rat_str
 from catrank.leinster import chi_L, coweighting, weighting, weighting_from_cells, zeta_matrix
 
 

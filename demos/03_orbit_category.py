@@ -8,7 +8,7 @@ orders) is the classical table of marks.
 
 from fractions import Fraction
 
-from catrank.exactq import ratio
+from catrank import ratio
 from catrank.fincat import classify, orbit_category
 from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_of_marks
 from catrank.moebius import euler_characteristics, omega_bar2

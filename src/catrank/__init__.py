@@ -5,9 +5,15 @@ Moebius inversion matrices over the iso-class poset, orbit categories, tables of
 marks and Burnside congruences. All arithmetic is exact rational.
 
 The package body holds what every command needs whatever layer it runs: the
-group order cap, the one matrix type and the one writer.
+group order cap, the one matrix type, the one writer with its one entry
+formatter (``ratio``), and ``_lazy``, which binds a module whose body runs
+only when it is first read, so each command compiles only the layers it
+calls.
 """
 
+import importlib.util
+import math
+import sys
 from itertools import islice
 from typing import IO, Iterable
 
@@ -38,6 +44,30 @@ class Rows:
 
     def __repr__(self) -> str:
         return f"Rows({len(self.rows)}x{len(self.rows)})"
+
+
+def ratio(p: int, q: int = 1) -> str:
+    """Canonical serialization of p/q, q > 0: "p/q" in lowest terms, "p" if
+    q divides p."""
+    d = math.gcd(p, q)
+    return str(p // d) if d == q else f"{p // d}/{q // d}"
+
+
+def _lazy(name: str):
+    """The module called name, bound now and run at the first read of one
+    of its attributes (the ``importlib.util.LazyLoader`` recipe); the module
+    in ``sys.modules`` when there is one, so a name never has two modules."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:  # as an import binds a submodule
+        setattr(sys.modules[package], child, module)
+    return module
 
 
 def _write(out: IO[str], *parts: Iterable[str]) -> None:

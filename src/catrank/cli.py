@@ -6,23 +6,31 @@ input, 2 usage error, 3 internal assertion failure, 141 stdout closed by the
 reader.
 
 Each subcommand runs only the modules of its layer: they are bound below as
-deferred modules (``_lazy``), and ``main`` runs those its parser names,
-largest first, after the usage checks and before any input is read.
+deferred modules (``catrank._lazy``), and ``main`` runs those its parser
+names, largest first, after the usage checks and before any input is read.
 Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``, a read-only
-install) an import compiles the module's source, and most of that compile
-goes on the category engine and ``corpus``, which ``group marks``, ``nu``
-and ``burnside`` never call.  The category engine imports no group layer,
-so ``validate`` runs ``fincat`` alone and ``euler`` adds ``leinster``,
-``moebius`` and ``exactq``.  A layer run after the input would add its
-compile to the document's peak, and ``fincat`` compiled after the smaller
-modules leaves a larger heap; hence the order.
+install) an import compiles the module's source, so a module a command
+never calls is not run:
+
+- ``examples list`` runs ``corpus`` alone, and ``examples emit`` adds
+  ``fincat``, and ``grouptheory`` for the examples built from groups;
+  ``corpus`` defers both as this module does.
+- ``group marks``, ``nu`` and ``burnside`` run ``grouptheory`` alone,
+  ``orbitcat`` adds ``fincat``, and ``equivariant`` runs ``grouptheory``
+  and ``orbitcat``; ``random`` is run only for ``--random``.
+- ``validate`` runs ``fincat`` alone, and ``euler`` adds ``leinster``,
+  ``moebius`` and ``exactq``.
+
+A layer run after the input would add its compile to the document's peak,
+and ``fincat`` compiled after the smaller modules leaves a larger heap;
+hence the order.
 
 Every document leaves through ``_emit``, written as ``json.dump`` would
 write it.  Exact values reach it in the form the library computes them:
 a matrix as a ``catrank.Rows`` (per row the numerators, sparse or dense,
 and one denominator), written one row per string, "0" tokens with the
 nonzero entries patched in; a vector as numerators over denominators.
-Every entry is written by ``exactq.ratio``, in lowest terms, and no
+Every entry is written by ``catrank.ratio``, in lowest terms, and no
 ``Fraction`` vector or matrix is built for a report.
 """
 
@@ -30,10 +38,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib.util
 import json
 import os
-import random
 import sys
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL into every run
@@ -43,24 +49,7 @@ except ImportError:
 
 from json.encoder import encode_basestring_ascii
 
-from . import DEFAULT_CAP, Rows, _write
-
-
-def _lazy(name: str):
-    """The module called name, bound now and run at the first read of one
-    of its attributes (the ``importlib.util.LazyLoader`` recipe); the module
-    in ``sys.modules`` when there is one, so a name never has two modules."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)  # as an import binds a submodule
-    return module
-
+from . import DEFAULT_CAP, Rows, _lazy, _write, ratio
 
 corpus = _lazy("catrank.corpus")
 exactq = _lazy("catrank.exactq")
@@ -69,6 +58,7 @@ grouptheory = _lazy("catrank.grouptheory")
 leinster = _lazy("catrank.leinster")
 moebius = _lazy("catrank.moebius")
 orbitcat = _lazy("catrank.orbitcat")
+random = _lazy("random")  # only equivariant --random draws
 
 
 def _fmt_label(l) -> str:
@@ -78,7 +68,7 @@ def _fmt_label(l) -> str:
 
 
 def _vec(names: list[str], nums, dens) -> dict:
-    return {"labels": names, "entries": list(map(exactq.ratio, nums, dens))}
+    return {"labels": names, "entries": list(map(ratio, nums, dens))}
 
 
 def _matrix(m: Rows) -> dict:
@@ -102,7 +92,6 @@ def _encode(value, indent, depth=0):
         row_sep = "," + row_pad if indent else ", "
         zeros = ['"0"'] * len(value.rows)
         lead = "[" + inner
-        ratio = exactq.ratio
         for row, q in zip(value.rows, value.dens):
             cells = zeros.copy()
             for j, p in (row.items() if type(row) is dict else enumerate(row)):
@@ -375,8 +364,8 @@ def cmd_equivariant(args) -> int:
         "fixed_point_euler": {"labels": labels,
                               "entries": [orbitcat.fixed_point_euler(x, c) for c in x.classes]},
         "omega_relation": {
-            "lhs": list(map(exactq.ratio, *lhs)),
-            "rhs": list(map(exactq.ratio, *rhs)),
+            "lhs": list(map(ratio, *lhs)),
+            "rhs": list(map(ratio, *rhs)),
             "holds": ok,
         },
     }
@@ -448,7 +437,7 @@ def _parser() -> argparse.ArgumentParser:
     em = esub.add_parser("emit", help="print one example as category JSON")
     em.add_argument("name")
     em.add_argument("--q", type=int, default=1, help="size parameter for subsets-q")
-    em.set_defaults(fn=cmd_examples, layer=(corpus,))
+    em.set_defaults(fn=cmd_examples, layer=(fincat, corpus))
 
     return p
 

@@ -1,17 +1,24 @@
-"""Named example categories shipped with the command line tool."""
+"""Named example categories shipped with the command line tool.
+
+The category engine and the group layer are bound as deferred modules
+(``catrank._lazy``) and run when an example is built, so listing the names
+runs neither.
+"""
 
 from __future__ import annotations
 
-from .fincat import FiniteCategory, _build, biset_category, delooping, poset_category
-from .grouptheory import build_group
+from . import _lazy
+
+fincat = _lazy("catrank.fincat")
+grouptheory = _lazy("catrank.grouptheory")
 
 
-def span() -> FiniteCategory:
+def span() -> fincat.FiniteCategory:
     """One source object with a single arrow into each of two sinks."""
-    return poset_category(["a", "x", "y"], [("a", "x"), ("a", "y")])
+    return fincat.poset_category(["a", "x", "y"], [("a", "x"), ("a", "y")])
 
 
-def parallel_pair() -> FiniteCategory:
+def parallel_pair() -> fincat.FiniteCategory:
     """Two objects joined by two parallel arrows u, v: x -> y."""
     morphs = [(0, 0, "id"), (1, 1, "id"), (0, 1, "u"), (0, 1, "v")]
 
@@ -24,10 +31,10 @@ def parallel_pair() -> FiniteCategory:
         assert gd[2] == "id"
         return fd
 
-    return _build(["x", "y"], morphs, identity_of, compose)[0]
+    return fincat._build(["x", "y"], morphs, identity_of, compose)[0]
 
 
-def subsets(q: int = 1) -> FiniteCategory:
+def subsets(q: int = 1) -> fincat.FiniteCategory:
     """Nonempty subsets of {0,...,q}, with one arrow J -> K whenever K is
     contained in J.  Objects are named by their sorted digit strings."""
     if not 0 <= q <= 8:
@@ -40,10 +47,10 @@ def subsets(q: int = 1) -> FiniteCategory:
         for k in masks
         if j != k and j & k == k
     ]
-    return poset_category([label[m] for m in masks], pairs)
+    return fincat.poset_category([label[m] for m in masks], pairs)
 
 
-def retract_pair() -> FiniteCategory:
+def retract_pair() -> fincat.FiniteCategory:
     """Two objects x, y with arrows u: x -> y and v: y -> x subject to
     uvu = u and vuv = v, so vu and uv are nonidentity idempotents."""
 
@@ -66,10 +73,10 @@ def retract_pair() -> FiniteCategory:
             w = "" if fd[0] == 0 else "!"
         return (fd[0], gd[1], w)
 
-    return _build(["x", "y"], morphs, identity_of, compose)[0]
+    return fincat._build(["x", "y"], morphs, identity_of, compose)[0]
 
 
-def no_weighting() -> FiniteCategory:
+def no_weighting() -> fincat.FiniteCategory:
     """A four object category with no weighting: hom counts put inconsistent
     constraints on any solution of zeta . k = 1, while a coweighting still
     exists.  Every idempotent splits but vu = id does not force uv = id."""
@@ -97,10 +104,10 @@ def no_weighting() -> FiniteCategory:
             return (i, i, "id")
         return (i, k, f"f{i + 1}{k + 1}")
 
-    return _build(objs, morphs, identity_of, compose)[0]
+    return fincat._build(objs, morphs, identity_of, compose)[0]
 
 
-def indiscrete_pair() -> FiniteCategory:
+def indiscrete_pair() -> fincat.FiniteCategory:
     """Two objects with exactly one morphism in each direction; a connected
     groupoid with trivial automorphism groups."""
     morphs = [(0, 0, "id"), (1, 1, "id"), (0, 1, "s"), (1, 0, "t")]
@@ -111,27 +118,27 @@ def indiscrete_pair() -> FiniteCategory:
     def compose(gd, fd):
         return (fd[0], gd[1], "id" if fd[0] == gd[1] else ("s" if fd[0] == 0 else "t"))
 
-    return _build(["0", "1"], morphs, identity_of, compose)[0]
+    return fincat._build(["0", "1"], morphs, identity_of, compose)[0]
 
 
-def _biset_regular_c2() -> FiniteCategory:
-    g = build_group("cyclic:2")
-    h = build_group("trivial")
+def _biset_regular_c2() -> fincat.FiniteCategory:
+    g = grouptheory.build_group("cyclic:2")
+    h = grouptheory.build_group("trivial")
     left = [[g.table[a][s] for s in range(2)] for a in range(2)]
     right = [[s] for s in range(2)]
-    return biset_category(g, h, left, right)
+    return fincat.biset_category(g, h, left, right)
 
 
-def _biset_point(n: int) -> FiniteCategory:
-    g = build_group(f"cyclic:{n}")
-    h = build_group("trivial")
-    return biset_category(g, h, [[0]] * n, [[0]])
+def _biset_point(n: int) -> fincat.FiniteCategory:
+    g = grouptheory.build_group(f"cyclic:{n}")
+    h = grouptheory.build_group("trivial")
+    return fincat.biset_category(g, h, [[0]] * n, [[0]])
 
 
-def _biset_trivial_c2_c2() -> FiniteCategory:
+def _biset_trivial_c2_c2() -> fincat.FiniteCategory:
     # both actions trivial on a two point set: the left action is not free
-    g = build_group("cyclic:2")
-    return biset_category(g, g, [[0, 1], [0, 1]], [[0, 0], [1, 1]])
+    g = grouptheory.build_group("cyclic:2")
+    return fincat.biset_category(g, g, [[0, 1], [0, 1]], [[0, 0], [1, 1]])
 
 
 PRESETS = {
@@ -145,9 +152,9 @@ PRESETS = {
     "biset-point-c2": lambda: _biset_point(2),
     "biset-point-c3": lambda: _biset_point(3),
     "biset-trivial-c2-c2": _biset_trivial_c2_c2,
-    "delooping-c2": lambda: delooping(build_group("cyclic:2")),
-    "delooping-c3": lambda: delooping(build_group("cyclic:3")),
-    "delooping-s3": lambda: delooping(build_group("symmetric:3")),
+    "delooping-c2": lambda: fincat.delooping(grouptheory.build_group("cyclic:2")),
+    "delooping-c3": lambda: fincat.delooping(grouptheory.build_group("cyclic:3")),
+    "delooping-s3": lambda: fincat.delooping(grouptheory.build_group("symmetric:3")),
 }
 
 
@@ -155,7 +162,7 @@ def names() -> list[str]:
     return list(PRESETS)
 
 
-def build(name: str, q: int = 1) -> FiniteCategory:
+def build(name: str, q: int = 1) -> fincat.FiniteCategory:
     if name not in PRESETS:
         raise ValueError(f"unknown example: {name}")
     if name == "subsets-q":

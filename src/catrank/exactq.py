@@ -5,10 +5,11 @@ Every invariant in this package is an exact rational; there is no floating
 point mode.  A scalar is a fractions.Fraction (arbitrary precision, reduced,
 positive denominator).  A vector is its integer numerators with one positive
 denominator per entry, and a matrix is a ``catrank.Rows``: integer rows,
-one denominator per row.  ``ratio`` writes one entry in lowest terms.
-Every linear system is integral here and is eliminated once, on Python
-integers (after Bareiss 1968), to its reduced row echelon form, which is
-unique: solutions and kernels do not depend on the order of the elimination.
+one denominator per row.  ``catrank.ratio`` writes one entry in lowest
+terms, and ``rat_str`` a scalar.  Every linear system is integral here and
+is eliminated once, on Python integers (after Bareiss 1968), to its reduced
+row echelon form, which is unique: solutions and kernels do not depend on
+the order of the elimination.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-
-def ratio(p: int, q: int = 1) -> str:
-    """Canonical serialization of p/q, q > 0: "p/q" in lowest terms, "p" if
-    q divides p."""
-    d = math.gcd(p, q)
-    return str(p // d) if d == q else f"{p // d}/{q // d}"
+from . import ratio
 
 
 def rat_str(q) -> str:
-    """``ratio`` of an int or a Fraction."""
+    """``catrank.ratio`` of an int or a Fraction."""
     return ratio(q.numerator, q.denominator)
 
 

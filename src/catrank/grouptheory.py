@@ -19,9 +19,10 @@ subgroups of M24, or how to compute the table of marks of a finite group):
   subgroup is conjugated once per left coset of the normalizer, which gives
   its conjugates and the generators of the representative.
 - Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
-- ``_maps`` lists, for the orbit category, the cosets gK with g^-1 H g
-  inside K; the omega relation counts them and ``fincat.orbit_category``
-  composes them, reached through ``FiniteGroup._coset_maps``.
+- ``_maps`` lists, for the orbit category, the cosets xK with x^-1 H x
+  inside K, that is with H inside x K x^-1: K is conjugated once per coset.
+  The omega relation counts them and ``fincat.orbit_category`` composes
+  them, reached through ``FiniteGroup._coset_maps``.
 
 Permutation groups get their Cayley table from one right-multiplication map
 per generator, not from all |G|^2 permutation products.
@@ -44,8 +45,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import DEFAULT_CAP, Rows
-from .exactq import ratio
+from . import DEFAULT_CAP, Rows, ratio
 
 
 class CapExceeded(ValueError):
@@ -541,24 +541,26 @@ def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, fro
     """(classes, named, maps): the subgroup classes; named[j], which maps the
     name of each left coset of K_j (the representative of class j), its least
     element, to the coset; and maps[i][j], the names, in named[j]'s order, of
-    the cosets g0*K_j that qualify as maps G/H_i -> G/K_j in the orbit
+    the cosets x*K_j that qualify as maps G/H_i -> G/K_j in the orbit
     category.
 
-    A coset g0*K qualifies iff g0^-1 H g0 is inside K, that is iff
-    g0^-1 s g0 is in K for each of H's generators s, and only when |H|
-    divides |K|."""
+    A coset x*K qualifies iff x^-1 H x is inside K, that is iff H is inside
+    x K x^-1, which depends on the coset alone, and only when |H| divides
+    |K|.  So K is conjugated once per coset, and each representative H is
+    tested against each distinct conjugate by one subset test.  The marks
+    count the conjugates of H inside K; these lists, the conjugates of K
+    over H: the omega relation compares the two."""
     classes = tuple(subgroup_classes(g))
     reps = [c.representative for c in classes]
     named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
-
-    def qualifies(h: SubgroupClass, x: int, k: frozenset[int]) -> bool:
-        xi = g.inv[x]
-        return all(g.table[g.table[xi][s]][x] in k for s in h.generators)
-
-    maps = [[[lo for lo in named[j] if qualifies(h, lo, k)]
-             if len(k) % len(h.representative) == 0 else []
-             for j, k in enumerate(reps)]
-            for h in classes]
+    maps: list[list[list[int]]] = [[[] for _ in reps] for _ in reps]
+    for j, k in enumerate(reps):
+        conj = {lo: conjugate_subgroup(g, k, lo) for lo in named[j]}
+        distinct = set(conj.values())
+        for i, h in enumerate(reps):
+            if len(k) % len(h) == 0:
+                over = {c for c in distinct if h <= c}
+                maps[i][j] = [lo for lo, c in conj.items() if c in over]
     return classes, named, maps
 
 
@@ -567,11 +569,10 @@ class MarksMatrix:
     order, as a ``catrank.Rows`` of integer rows over ones, labelled by the
     classes."""
 
-    __slots__ = ("matrix", "classes")
+    __slots__ = ("matrix",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], classes: tuple[SubgroupClass, ...]):
         self.matrix = Rows([c.label for c in classes], rows, (1,) * len(rows))
-        self.classes = classes
 
     def __repr__(self) -> str:
         return f"MarksMatrix({self.matrix!r})"

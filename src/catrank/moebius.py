@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import Rows
-from .exactq import ratio, sum_ratios
+from . import Rows, ratio
+from .exactq import sum_ratios
 from .fincat import FiniteCategory, _once, ei_witness, iso_classes
 
 

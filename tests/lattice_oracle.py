@@ -104,6 +104,16 @@ def _left_cosets(g, k):
     return {frozenset(g.table[x][e] for e in k) for x in range(g.order)}
 
 
+def coset_maps(g):
+    """maps[i][j]: the least elements, ascending, of the left cosets xK of
+    K = K_j with x^-1 H x inside K for H = H_i, each element of H
+    conjugated by the coset's least element and looked up in K."""
+    reps = [c[0][0] for c in classes(g)]
+    return [[sorted(min(c) for c in _left_cosets(g, k)
+                    if all(_conjugate(g, [e], g.inv[min(c)]) <= k for e in h))
+             for k in reps] for h in reps]
+
+
 def nu_matrix_via_chains(g):
     """nu by alternating sums over chains of subgroup classes.
 

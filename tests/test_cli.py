@@ -696,14 +696,15 @@ print(code, *sorted(name for name, m in sys.modules.items()
 LAYERS = {
     ("validate", "DOC"): {"fincat"},
     ("euler", "DOC"): {"exactq", "fincat", "leinster", "moebius"},
-    ("group", "marks", "symmetric:3"): {"exactq", "grouptheory"},
-    ("group", "nu", "symmetric:3"): {"exactq", "grouptheory"},
-    ("group", "burnside", "symmetric:3", "--xi", "6,3,2,1"): {"exactq", "grouptheory"},
-    ("group", "orbitcat", "symmetric:3"): {"exactq", "fincat", "grouptheory"},
+    ("group", "marks", "symmetric:3"): {"grouptheory"},
+    ("group", "nu", "symmetric:3"): {"grouptheory"},
+    ("group", "burnside", "symmetric:3", "--xi", "6,3,2,1"): {"grouptheory"},
+    ("group", "orbitcat", "symmetric:3"): {"fincat", "grouptheory"},
     ("group", "equivariant", "--random", "symmetric:3", "--cells", "3"):
-        {"exactq", "grouptheory", "orbitcat"},
-    ("examples", "list"): {"corpus", "exactq", "fincat", "grouptheory"},
-    ("examples", "emit", "span"): {"corpus", "exactq", "fincat", "grouptheory"},
+        {"grouptheory", "orbitcat"},
+    ("examples", "list"): {"corpus"},
+    ("examples", "emit", "span"): {"corpus", "fincat"},
+    ("examples", "emit", "delooping-s3"): {"corpus", "fincat", "grouptheory"},
     ("--cap", "0", "group", "nu", "symmetric:3"): set(),  # refused before any layer
 }
 
@@ -759,3 +760,51 @@ def test_one_module_object_per_layer(or_s3, cli_first, order):
                            capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == plain.stdout and plain.returncode == 0
+
+
+ADDED_MODULES = """\
+import sys
+before = set(sys.modules)
+from catrank.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [("group", "marks", "symmetric:3"),
+                                  ("group", "nu", "symmetric:4"),
+                                  ("group", "burnside", "symmetric:3", "--xi", "6,3,2,1")],
+                         ids=lambda argv: argv[1])
+def test_group_commands_import_no_fractions(argv):
+    """marks, nu and burnside build no Fraction, so they import neither
+    ``fractions`` nor the ``decimal`` it pulls in."""
+    proc = subprocess.run([sys.executable, "-c", ADDED_MODULES, *argv],
+                          capture_output=True, text=True, timeout=60)
+    code, *added = proc.stderr.splitlines()[-1].split()
+    assert int(code) == 0 and "catrank.grouptheory" in added
+    assert not {"fractions", "decimal"} & set(added)
+
+
+SHARED = """\
+import sys
+{imports}
+from catrank import cli, corpus
+for name in ("fincat", "grouptheory"):
+    module = sys.modules["catrank." + name]
+    assert getattr(corpus, name) is getattr(cli, name) is module, name
+cat = corpus.build("delooping-s3")
+assert isinstance(cat, cli.fincat.FiniteCategory) and cat.n_morphisms == 6
+"""
+
+
+@pytest.mark.parametrize("first", [("corpus", "cli"), ("cli", "corpus"),
+                                   ("fincat", "corpus", "cli"), ("grouptheory", "cli", "corpus")],
+                         ids="-".join)
+def test_corpus_and_cli_share_the_layer_modules(first):
+    """corpus and cli defer fincat and grouptheory to the same module
+    objects, whichever of them, or of the layers, is imported first."""
+    imports = "\n".join(f"import catrank.{name}" for name in first)
+    proc = subprocess.run([sys.executable, "-c", SHARED.format(imports=imports)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 import dense
 import rref_oracle
-from catrank.exactq import _rref, ratio, rat_str, solve_linear, sum_ratios
+from catrank import ratio
+from catrank.exactq import _rref, rat_str, solve_linear, sum_ratios
 from dense import QMatrix, QVector
 from rref_oracle import mat_invert
 

@@ -459,6 +459,25 @@ def test_lattice_matches_oracle(g):
     assert [[m.get(i, j) for j in range(n)] for i in range(n)] == lattice_oracle.marks(g)
 
 
+@pytest.mark.parametrize(
+    "g", [g for _, g in ORACLE_GROUPS] + random_perm_groups(),
+    ids=[name for name, _ in ORACLE_GROUPS]
+        + [f"perm{i}" for i in range(len(random_perm_groups()))],
+)
+def test_coset_maps_match_oracle(g):
+    """``_maps`` tests H against the conjugates of K; the oracle conjugates
+    every element of H into K, coset by coset.  Each list's length is the
+    mark, which counts the conjugates of H inside K instead."""
+    classes, named, maps = grouptheory._maps(g)
+    assert [list(names) for names in named] == [
+        sorted(min(c) for c in left_cosets(g, c.representative)) for c in classes]
+    assert maps == lattice_oracle.coset_maps(g)
+    n = len(classes)
+    m = table_of_marks(g).matrix
+    assert [[len(maps[i][j]) for j in range(n)] for i in range(n)] == \
+        [[m.get(i, j) for j in range(n)] for i in range(n)]
+
+
 def nu_via_orbit_category(g):
     """D mu_bar2 D^-1 over subgroup classes, D = diag(|W_G H|), with mu_bar2
     from the chain walk on Or(G), reordered from object to class order."""

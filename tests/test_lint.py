@@ -357,16 +357,26 @@ def deferred_bindings(source: str, lazy: str = "_lazy") -> tuple[dict[str, str],
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_loader_machinery_only_in_lazy(path):
-    assert loader_uses(path.read_text(), "_lazy" if path.name == "cli.py" else None) == []
+    assert loader_uses(path.read_text(), "_lazy" if path.name == "__init__.py" else None) == []
 
 
 def test_layers_are_deferred_in_the_cli_header():
-    """cli binds every layer module, under its own name, by a header
-    assignment; nothing else calls ``_lazy``."""
+    """cli binds every layer module, under its own name, and ``random`` by
+    a header assignment, and calls ``_lazy`` nowhere else."""
     layers = {path.stem for path in SRC} - {"__init__", "__main__", "cli"}
     bindings, faults = deferred_bindings((ROOT / "src" / "catrank" / "cli.py").read_text())
     assert faults == []
-    assert bindings == {name: f"catrank.{name}" for name in layers}
+    assert bindings == {name: f"catrank.{name}" for name in layers} | {"random": "random"}
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_corpus_defers_besides_the_cli(path):
+    """corpus binds the category engine and the group layer by header
+    assignments; no other module calls ``_lazy``."""
+    bindings, faults = deferred_bindings(path.read_text())
+    assert faults == []
+    expected = ("fincat", "grouptheory") if path.name == "corpus.py" else ()
+    assert bindings == {name: f"catrank.{name}" for name in expected}
 
 
 def test_loader_use_and_stray_lazy_call_are_found():
