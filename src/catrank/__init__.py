@@ -6,14 +6,15 @@ marks and Burnside congruences. All arithmetic is exact rational.
 
 The package body holds what every command needs whatever layer it runs: the
 group order cap, the one matrix type, the one writer with its one entry
-formatter (``ratio``), and ``_lazy``, which binds a module whose body runs
-only when it is first read, so each command compiles only the layers it
-calls.
+formatter (``ratio``), the one memo decorator (``_once``), and ``_lazy``,
+which binds a module whose body runs only when it is first read, so each
+command compiles only the layers it calls.
 """
 
 import importlib.util
 import math
 import sys
+from functools import wraps
 from itertools import islice
 from typing import IO, Iterable
 
@@ -51,6 +52,21 @@ def ratio(p: int, q: int = 1) -> str:
     q divides p."""
     d = math.gcd(p, q)
     return str(p // d) if d == q else f"{p // d}/{q // d}"
+
+
+# Decorator: build(x) is computed once per category or group x and kept in
+# x's memo under build's name; callers call the decorated build by name.
+def _once(build):
+    key = build.__name__
+
+    @wraps(build)
+    def once(x):
+        memo = x._memo
+        if key not in memo:
+            memo[key] = build(x)
+        return memo[key]
+
+    return once
 
 
 def _lazy(name: str):

@@ -32,11 +32,10 @@ when that check, or an identity law, fails.
 from __future__ import annotations
 
 import json
-from functools import lru_cache, wraps
 from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from . import _write
+from . import _once, _write
 
 if TYPE_CHECKING:  # the group layer is read through the groups passed in
     from .grouptheory import FiniteGroup
@@ -176,21 +175,6 @@ class FiniteCategory:
 
     def __repr__(self) -> str:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
-
-
-# Decorator: build(cat) is computed once per category and kept in its memo
-# under build's name; callers call the decorated build by name.
-def _once(build):
-    key = build.__name__
-
-    @wraps(build)
-    def once(cat):
-        memo = cat._memo
-        if key not in memo:
-            memo[key] = build(cat)
-        return memo[key]
-
-    return once
 
 
 def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:
@@ -746,12 +730,12 @@ class OrbitCategory:
         return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
 
 
-@lru_cache(maxsize=8)
+@_once
 def orbit_category(g: FiniteGroup) -> OrbitCategory:
-    """Build Or(G) with one object per subgroup class (``build_group`` caps
-    the order of the groups it builds), its maps enumerated by
-    ``grouptheory._maps``, which g reaches (``_coset_maps``); composition
-    follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
+    """Build Or(G), once per group (``_once``), with one object per subgroup
+    class (``build_group`` caps the order of the groups it builds), its maps
+    enumerated by ``grouptheory._maps``, which g reaches (``_coset_maps``);
+    composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
     classes, named, maps = g._coset_maps()
     objects = [f"G/{i}" for i in range(len(classes))]
     # least[j][x] is the name of the coset x K_j

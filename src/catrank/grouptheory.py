@@ -30,6 +30,9 @@ per generator, not from all |G|^2 permutation products.
 The nu matrix D mu_bar2 D^-1, D = diag(|W_G H|), is D M^-1 for the table of
 marks M, so no orbit category is built for it.
 
+The package's ``_once`` builds each table derived from a group once and
+keeps it on the group; strings that parse alike share one group per cap.
+
 Group orders are capped, and the cap is the only limit: ``build_group``
 raises ``CapExceeded`` (a ValueError) above its ``cap``, before any lattice
 work and, where the order is known from the spec (``symmetric:n`` for any
@@ -45,7 +48,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import DEFAULT_CAP, Rows, ratio
+from . import DEFAULT_CAP, Rows, _once, ratio
 
 
 class CapExceeded(ValueError):
@@ -56,7 +59,7 @@ class FiniteGroup:
     """A group given by its Cayley table; the constructor checks every group
     axiom and raises ValueError on the first that fails."""
 
-    __slots__ = ("order", "table", "names", "inv")
+    __slots__ = ("order", "table", "names", "inv", "_memo")
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
         self._fill(table, names)
@@ -83,6 +86,7 @@ class FiniteGroup:
         _check_latin_with_identity(self.table)
         # a Latin row holds the identity once, at the inverse
         self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
+        self._memo: dict[str, object] = {}  # derived tables, kept by ``_once``
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -98,9 +102,6 @@ class FiniteGroup:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -301,7 +302,17 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
     "perm:[[...],[...]]", plus the aliases trivial, klein, a4, q8.
     """
     if isinstance(spec, str):
-        spec = _parse_group_string(spec)
+        return _built(json.dumps(_parse_group_string(spec)), cap)
+    return _from_spec(spec, cap)
+
+
+@lru_cache(maxsize=8)
+def _built(spec: str, cap: int) -> FiniteGroup:
+    """The group of the dict spec whose JSON text is spec: one per (spec, cap)."""
+    return _from_spec(json.loads(spec), cap)
+
+
+def _from_spec(spec, cap: int) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"malformed group spec: {spec!r}")
     kind = spec["kind"]
@@ -330,7 +341,9 @@ def build_group(spec, cap: int = DEFAULT_CAP) -> FiniteGroup:
     elif kind == "product":
         if not isinstance(spec.get("factors"), list) or not spec["factors"]:
             raise ValueError("product needs a nonempty list of factors")
-        factors = [build_group(f, cap) for f in spec["factors"]]
+        # a dict factor is built in place, one frame less per level of nesting
+        factors = [build_group(f, cap) if isinstance(f, str) else _from_spec(f, cap)
+                   for f in spec["factors"]]
         _check_cap(math.prod(f.order for f in factors), cap)
         g = factors[0]
         for f in factors[1:]:
@@ -461,15 +474,8 @@ def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -
     y N_G(J), so J is conjugated once per coset, by the coset's least
     element, the least y giving that conjugate; the least conjugate takes
     over J's normaliser and generators, conjugated by its y."""
-    norm = [y for y in range(g.order) if all(g.conj(y, s) in j for s in gens)]
-    first: dict[frozenset[int], int] = {}
-    covered = bytearray(g.order)
-    for y in range(g.order):
-        if not covered[y]:
-            row = g.table[y]
-            for n in norm:
-                covered[row[n]] = 1
-            first[conjugate_subgroup(g, j, y)] = y
+    norm = frozenset(y for y in range(g.order) if all(g.conj(y, s) in j for s in gens))
+    first = {conjugate_subgroup(g, j, y): y for y in map(min, left_cosets(g, norm))}
     conjugates = tuple(sorted(first, key=_subgroup_key))
     y = first[conjugates[0]]
     return SubgroupClass(conjugates, tuple(g.conj(y, x) for x in gens),
@@ -480,7 +486,7 @@ def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
     return list(_subgroup_classes_cached(g))
 
 
-@lru_cache(maxsize=8)
+@_once
 def _subgroup_classes_cached(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
     """The lattice up to conjugacy, class by class (after Pfeiffer 1997).
 
@@ -535,7 +541,7 @@ def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
     return sorted(cosets, key=min)
 
 
-@lru_cache(maxsize=8)
+@_once
 def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, frozenset[int]]],
                                    list[list[list[int]]]]:
     """(classes, named, maps): the subgroup classes; named[j], which maps the
@@ -586,31 +592,26 @@ def mark(h: SubgroupClass, k: frozenset[int]) -> int:
     return count
 
 
+@_once
 def table_of_marks(g: FiniteGroup) -> MarksMatrix:
-    """Marks |(G/K)^H| over the subgroup classes, from ``mark``; built once
-    per group and shared by every caller."""
-    return _marks_cached(g)
-
-
-def marks(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """The integer rows of ``table_of_marks``."""
-    return _marks_cached(g).matrix.rows
-
-
-@lru_cache(maxsize=8)
-def _marks_cached(g: FiniteGroup) -> MarksMatrix:
-    # below the diagonal the marks vanish: a class later in the canonical
-    # order is never subconjugate to an earlier one
+    """Marks |(G/K)^H| over the subgroup classes, from ``mark``.  Below the
+    diagonal they vanish: a class later in the canonical order is never
+    subconjugate to an earlier one."""
     classes = tuple(subgroup_classes(g))
     rows = tuple((0,) * i + tuple(mark(ch, ck.representative) for ck in classes[i:])
                  for i, ch in enumerate(classes))
     return MarksMatrix(rows, classes)
 
 
+def marks(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of ``table_of_marks``."""
+    return table_of_marks(g).matrix.rows
+
+
 # ------------------------------------------------------- nu and congruences
 
 
-@lru_cache(maxsize=8)
+@_once
 def _nu_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """nu = D M^-1 as integer rows, by back-substitution on ints.  The marks
     M are upper triangular in class order with diagonal |W_G H|, so nu M = D
@@ -654,7 +655,12 @@ def burnside_congruences(g: FiniteGroup, xi: Sequence[int]) -> tuple[list[int], 
     classes = subgroup_classes(g)
     if len(xi) != len(classes):
         raise ValueError(f"xi needs {len(classes)} entries, got {len(xi)}")
-    xs = [int(v) for v in xi]
+    try:
+        if any(isinstance(v, bool) for v in xi):
+            raise TypeError
+        xs = [operator.index(v) for v in xi]
+    except TypeError:
+        raise ValueError(f"xi entries must be integers, got {list(xi)!r}") from None
     image = [sum(map(operator.mul, row, xs)) for row in _nu_rows(g)]
     satisfied = all(v % c.weyl_order == 0 for v, c in zip(image, classes))
     return image, satisfied

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import Rows, ratio
+from . import Rows, _once, ratio
 from .exactq import sum_ratios
-from .fincat import FiniteCategory, _once, ei_witness, iso_classes
+from .fincat import FiniteCategory, ei_witness, iso_classes
 
 
 class IsoPoset(namedtuple("IsoPoset", "labels members reps homs auts lengths")):

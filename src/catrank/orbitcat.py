@@ -1,13 +1,12 @@
 """Equivariant cell censuses: chi_G, fixed-point Euler characteristics and
 the omega relation of the orbit category, all read off the subgroup lattice,
-the table of marks and the hom-set sizes of ``grouptheory._maps``.  No
-category is built here; ``fincat.orbit_category`` builds Or(G) itself."""
+the table of marks and the hom-set sizes of ``grouptheory._maps``, each
+built once per group by ``_once``.  No category is built here;
+``fincat.orbit_category`` builds Or(G) itself."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from . import DEFAULT_CAP
+from . import DEFAULT_CAP, _once
 from .grouptheory import (
     FiniteGroup,
     SubgroupClass,
@@ -19,7 +18,7 @@ from .grouptheory import (
 )
 
 
-@lru_cache(maxsize=8)
+@_once
 def _class_of(g: FiniteGroup) -> dict[frozenset[int], int]:
     """The class index of every subgroup of g, read off the lattice once."""
     return {c: i for i, cls in enumerate(subgroup_classes(g)) for c in cls.conjugates}
@@ -96,13 +95,8 @@ def fixed_point_euler(x: GCWComplex, h) -> int:
     contributes (-1)^dim |(G/K)^H|, read off the group's table of marks
     against the census's signed counts."""
     if isinstance(h, SubgroupClass):
-        i = next((i for i, c in enumerate(x.classes) if c is h), None)
-        if i is None:
-            i = x._class_index(h.representative)
-    elif isinstance(h, int):
-        i = h
-    else:
-        i = x._class_index(h)
+        h = h.representative
+    i = h if isinstance(h, int) else x._class_index(h)
     return _marks_times_counts(x, [marks(x.group)[i]])[0]
 
 

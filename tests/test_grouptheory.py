@@ -29,6 +29,7 @@ from catrank.grouptheory import (
     nu_matrix,
 )
 from catrank.moebius import euler_characteristics
+from catrank.orbitcat import GCWComplex
 from rref_oracle import reorder
 from subgroup_helpers import normalizer, subgroups, weyl_group
 
@@ -508,11 +509,46 @@ def test_nu_needs_no_orbit_category(monkeypatch):
     monkeypatch.setattr(moebius, "euler_characteristics", refuse)
     for spec in ("symmetric:4", "dihedral:8", "q8"):
         g = build_group(spec)
-        grouptheory._nu_rows.cache_clear()
-        nu = [list(row) for row in nu_matrix(g).rows]
+        # new groups, equal to g, start with empty memos
+        nu = [list(row) for row in nu_matrix(FiniteGroup(g.table, g.names)).rows]
         assert nu == lattice_oracle.nu_matrix_via_chains(g).to_lists()
-        grouptheory._nu_rows.cache_clear()
-        assert burnside_congruences(g, [1] * len(nu))[0] == [sum(row) for row in nu]
+        ones = burnside_congruences(FiniteGroup(g.table, g.names), [1] * len(nu))[0]
+        assert ones == [sum(row) for row in nu]
+
+
+def test_spec_strings_that_parse_alike_share_one_group():
+    assert build_group("sym:4") is build_group("symmetric:4") is build_group(" s:4")
+    assert build_group("klein") is build_group("product:cyclic:2+cyclic:2")
+    assert build_group("sym:4", cap=120) is not build_group("sym:4")
+    assert build_group({"kind": "symmetric", "n": 4}) is not build_group("sym:4")
+
+
+def test_repeated_calls_write_each_memo_key_once():
+    from test_moebius import recording_memo  # test_moebius imports this module
+
+    g = symmetric_group(4)
+    memo = recording_memo(g)
+    for _ in range(3):
+        subgroup_classes(g)
+        table_of_marks(g)
+        nu_matrix(g)
+        burnside_congruences(g, [1] * len(subgroup_classes(g)))
+        orbit_category(g)
+        GCWComplex(g, [(0, [0])])
+    assert memo.builds == ["_subgroup_classes_cached", "table_of_marks", "_nu_rows", "_maps",
+                           "orbit_category", "_class_of"]
+
+
+def test_a_group_from_a_table_keeps_its_own_memo():
+    g = build_group("dihedral:4")
+    table_of_marks(g)
+    h = FiniteGroup(g.table, g.names)
+    assert h == g and h._memo == {}
+    assert table_of_marks(h) is not table_of_marks(g)
+    assert table_of_marks(h).matrix.rows == table_of_marks(g).matrix.rows
+    assert list(h._memo) == ["_subgroup_classes_cached", "table_of_marks"]
+    with pytest.raises(TypeError):  # equal groups share no value-keyed cache
+        hash(h)
 
 
 @pytest.mark.parametrize("g", [symmetric_group(4), dihedral_group(6), build_group("q8")],

@@ -9,6 +9,7 @@ import pytest
 
 from catrank import exactq, fincat, grouptheory, orbitcat
 from catrank.grouptheory import (
+    FiniteGroup,
     build_group,
     burnside_check,
     burnside_congruences,
@@ -195,15 +196,28 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
             table_of_marks(g)
             fixed_point_euler(x, 0)
     assert calls == {"_rref": 0, "mark": 0, "_build": 0, "left_cosets": 0}
-    # the wrappers see a cold enumeration
-    grouptheory._marks_cached.cache_clear()
-    grouptheory._nu_rows.cache_clear()
-    grouptheory._maps.cache_clear()
-    orbit_category.cache_clear()
-    g, xi, x = work[0]
-    burnside_check(g, xi)
-    verify_omega_relation(x)
+    # the wrappers see a cold enumeration: a new group, equal to the first,
+    # starts with an empty memo
+    g = FiniteGroup(work[0][0].table, work[0][0].names)
+    burnside_check(g, work[0][1])
+    verify_omega_relation(GCWComplex(g, _census(g, random.Random(specs[0]), 20)))
     # nu is a back-substitution on the integer marks: nothing is eliminated;
     # the omega relation counts the enumerated maps and composes none
     assert calls["_rref"] == 0 and calls["mark"] > 0
     assert calls["_build"] == 0 and calls["left_cosets"] > 0
+
+
+class _Six:
+    def __index__(self):
+        return 6
+
+
+@pytest.mark.parametrize("entry", [6.9, 6.0, "6", True, None, Fraction(6)], ids=repr)
+def test_burnside_refuses_entries_that_are_not_integers(entry):
+    """An entry that is not an integer is refused, not truncated: 6.9 is
+    not read as 6, nor True as 1."""
+    g = build_group("symmetric:3")
+    for check in (burnside_congruences, burnside_check):
+        with pytest.raises(ValueError, match="must be integers"):
+            check(g, [entry, 3, 2, 1])
+    assert burnside_congruences(g, [_Six(), 3, 2, 1]) == burnside_congruences(g, [6, 3, 2, 1])

@@ -84,28 +84,46 @@ def test_compose_table_read_is_found():
     assert compose_table_reads(source) == [6]
 
 
-def memo_accesses(source: str) -> list[int]:
-    """Lines that read or write an attribute named _memo: the store of the
-    tables derived from a category, which ``fincat._once`` keeps."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "_memo")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def test_memo_lives_in_fincat():
-    found = {path.name: memo_accesses(path.read_text()) for path in SRC}
-    assert found.pop("fincat.py")
-    assert found == {name: [] for name in found}
+def memo_accesses(source: str) -> list[tuple[str, str, int]]:
+    """(where, "read" or "write", line) for each attribute named _memo: the
+    store of the tables derived from a category or a group, which
+    ``catrank._once`` keeps.  where is the dotted path of the defs and
+    classes around the access; deleting counts as writing."""
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                walk(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_memo":
+                kind = "read" if isinstance(child.ctx, ast.Load) else "write"
+                found.append((".".join(where), kind, child.lineno))
+            walk(child, where)
+
+    walk(ast.parse(source), [])
+    return sorted(found, key=lambda access: access[2])
+
+
+def test_only_once_reads_the_memo_and_the_constructors_make_it():
+    found = {(path.name, where, kind)
+             for path in SRC for where, kind, _ in memo_accesses(path.read_text())}
+    assert found == {("__init__.py", "_once.once", "read"),
+                     ("fincat.py", "FiniteCategory.__init__", "write"),
+                     ("grouptheory.py", "FiniteGroup._fill", "write")}
 
 
 def test_memo_access_is_found():
     source = ("class C:\n    __slots__ = ('_memo',)\n"
               "def f(cat):\n    return cat._memo['iso_order']\n"
               "def g(cat):\n    cat._memo = {}\n    del cat._memo\n"
-              "def h(cat):\n    return getattr(cat, '_memo')\n")
-    assert memo_accesses(source) == [4, 6, 7]
-
-
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+              "def h(cat):\n    return getattr(cat, '_memo')\n"
+              "class D:\n    def m(self):\n        self._memo = {}\n")
+    assert memo_accesses(source) == [("f", "read", 4), ("g", "write", 6), ("g", "write", 7),
+                                     ("D.m", "write", 12)]
 
 
 def _reads(tree: ast.Module) -> set[str]:
