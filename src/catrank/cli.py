@@ -5,25 +5,16 @@ validation problems go to stderr as JSON.  Exit codes: 0 success, 1 invalid
 input, 2 usage error, 3 internal assertion failure, 141 stdout closed by the
 reader.
 
-Each subcommand runs only the modules of its layer: they are bound below as
-deferred modules (``catrank._lazy``), and ``main`` runs those its parser
-names, largest first, after the usage checks and before any input is read.
-Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``, a read-only
-install) an import compiles the module's source, so a module a command
-never calls is not run:
-
-- ``examples list`` runs ``corpus`` alone, and ``examples emit`` adds
-  ``fincat``, and ``grouptheory`` for the examples built from groups;
-  ``corpus`` defers both as this module does.
-- ``group marks``, ``nu`` and ``burnside`` run ``grouptheory`` alone,
-  ``orbitcat`` adds ``fincat``, and ``equivariant`` runs ``grouptheory``
-  and ``orbitcat``; ``random`` is run only for ``--random``.
-- ``validate`` runs ``fincat`` alone, and ``euler`` adds ``leinster``,
-  ``moebius`` and ``exactq``.
-
-A layer run after the input would add its compile to the document's peak,
-and ``fincat`` compiled after the smaller modules leaves a larger heap;
-hence the order.
+Each subcommand runs only the modules it reads: they are bound below as
+deferred modules (``catrank._lazy``), and a module's body runs at the first
+read of one of its names, so a command that stops on a usage or input
+error runs less.  Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``,
+a read-only install) an import compiles the module's source, so a module a
+command never reads is never compiled.  One order is kept: a layer compiled
+while a document is held adds its compile to the document's peak, so
+``_load_category`` reads ``fincat.from_json`` before the document, and the
+layers ``euler`` reads after it compile once the document is freed.
+``tests/test_cli.py::LAYERS`` lists the modules each command runs.
 
 Every document leaves through ``_emit``, written as ``json.dump`` would
 write it.  Exact values reach it in the form the library computes them:
@@ -172,6 +163,7 @@ def _load_category(path: str):
     read; otherwise it holds the input stanza, and the document is read by
     ``_read_json``: not_json when it does not parse, malformed when
     ``from_json`` refuses it, and the ``validate`` violations else."""
+    from_json = fincat.from_json  # the engine compiles before the document exists
     try:
         stanza, doc, error = _read_json(path)
     except OSError as e:
@@ -180,7 +172,7 @@ def _load_category(path: str):
     if error is not None:
         return stub, None, [{"kind": "not_json", "detail": error}]
     try:
-        cat = fincat.from_json(doc)
+        cat = from_json(doc)
     except ValueError as e:
         return stub, None, [{"kind": "malformed", "detail": str(e)}]
     violations = fincat.validate(cat)
@@ -361,8 +353,8 @@ def cmd_equivariant(args) -> int:
         doc["census"] = census
     doc["invariants"] = {
         "chi_G": {"labels": labels, "entries": [str(c) for c in orbitcat.chi_G(x)]},
-        "fixed_point_euler": {"labels": labels,
-                              "entries": [orbitcat.fixed_point_euler(x, c) for c in x.classes]},
+        # the fixed-point Euler characteristics are the right side's numerators
+        "fixed_point_euler": {"labels": labels, "entries": rhs[0]},
         "omega_relation": {
             "lhs": list(map(ratio, *lhs)),
             "rhs": list(map(ratio, *rhs)),
@@ -401,11 +393,11 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a category document")
     v.add_argument("path", help="category JSON file, or - for stdin")
-    v.set_defaults(fn=cmd_validate, layer=(fincat,))
+    v.set_defaults(fn=cmd_validate)
 
     e = sub.add_parser("euler", help="compute every applicable invariant")
     e.add_argument("path", help="category JSON file, or - for stdin")
-    e.set_defaults(fn=cmd_euler, layer=(fincat, leinster, moebius))
+    e.set_defaults(fn=cmd_euler)
 
     gp = sub.add_parser("group", help="finite group computations")
     gsub = gp.add_subparsers(dest="group_cmd", required=True)
@@ -418,8 +410,7 @@ def _parser() -> argparse.ArgumentParser:
         if name == "burnside":
             gs.add_argument("--xi", required=True,
                             help="comma-separated integers, one per subgroup class")
-        gs.set_defaults(fn=cmd_group,
-                        layer=(fincat, grouptheory) if name == "orbitcat" else (grouptheory,))
+        gs.set_defaults(fn=cmd_group)
     geq = gsub.add_parser("equivariant", help="invariants of an equivariant cell census")
     geq.add_argument("path", nargs="?", default=None,
                      help="cell complex JSON file, or - for stdin")
@@ -428,16 +419,15 @@ def _parser() -> argparse.ArgumentParser:
                           "(deterministic for a given --seed)")
     geq.add_argument("--cells", type=int, default=6,
                      help="cell count for --random, nonnegative (default 6)")
-    geq.set_defaults(fn=cmd_equivariant, group_cmd="equivariant", layer=(orbitcat,))
+    geq.set_defaults(fn=cmd_equivariant, group_cmd="equivariant")
 
     ex = sub.add_parser("examples", help="list or emit bundled example categories")
     esub = ex.add_subparsers(dest="examples_cmd", required=True)
-    esub.add_parser("list", help="names of all bundled examples").set_defaults(
-        fn=cmd_examples, layer=(corpus,))
+    esub.add_parser("list", help="names of all bundled examples").set_defaults(fn=cmd_examples)
     em = esub.add_parser("emit", help="print one example as category JSON")
     em.add_argument("name")
     em.add_argument("--q", type=int, default=1, help="size parameter for subsets-q")
-    em.set_defaults(fn=cmd_examples, layer=(fincat, corpus))
+    em.set_defaults(fn=cmd_examples)
 
     return p
 
@@ -447,11 +437,10 @@ def main(argv=None) -> int:
     if args.cmd == "group" and args.cap < 1:
         return _error(f"--cap must be positive, got {args.cap}", 2)
     # the parser's actions point back at their containers: free that cycle
-    # first, or the layer's compile lands on top of it and raises the peak;
-    # it is young, so generation 1 holds it at a tenth of a full collection
+    # first, or the command's compiles and input land on top of it and raise
+    # the peak; it is young, so generation 1 holds it at a tenth of a full
+    # collection
     gc.collect(1)
-    for module in args.layer:
-        vars(module)  # the first attribute read runs a deferred module's body
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout is met here, not at exit

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # the group layer is read through the groups passed in
 
 class FiniteCategory:
     __slots__ = ("objects", "dom", "cod", "identity", "rows", "at", "_extra",
-                 "_obj_index", "_hom", "_inverse", "_from_obj", "_memo")
+                 "_obj_index", "_from_obj", "_memo")
 
     def __init__(self, objects: Sequence, dom: Sequence[int], cod: Sequence[int],
                  identity: Sequence[int], records: Iterable):
@@ -101,8 +101,6 @@ class FiniteCategory:
         self.rows = rows
         self._extra = extra
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        self._hom: dict[tuple[int, int], tuple[int, ...]] | None = None
-        self._inverse: tuple | None = None
         # tables derived from this (immutable) category, kept by ``_once``
         self._memo: dict[str, Any] = {}
 
@@ -128,32 +126,14 @@ class FiniteCategory:
 
     def hom(self, i: int, j: int) -> tuple[int, ...]:
         """Morphism ids from object index i to object index j."""
-        if self._hom is None:
-            hom: dict[tuple[int, int], list[int]] = {}
-            for m in range(self.n_morphisms):
-                hom.setdefault((self.dom[m], self.cod[m]), []).append(m)
-            self._hom = {k: tuple(v) for k, v in hom.items()}
-        return self._hom.get((i, j), ())
+        return _hom_sets(self).get((i, j), ())
 
     def morphisms_from(self, i: int) -> tuple[int, ...]:
         """Morphism ids out of object index i, ascending: the slots of a row."""
         return self._from_obj[i]
 
     def inverse(self, m: int) -> int | None:
-        if self._inverse is None:
-            inv: list[int | None] = [None] * self.n_morphisms
-            rows, at = self.rows, self.at
-            for f in range(self.n_morphisms):
-                if inv[f] is not None:
-                    continue
-                x, y = self.dom[f], self.cod[f]
-                for g in self.hom(y, x):
-                    if rows[f][at[g]] == self.identity[x] and rows[g][at[f]] == self.identity[y]:
-                        inv[f] = g
-                        inv[g] = f
-                        break
-            self._inverse = tuple(inv)
-        return self._inverse[m]
+        return _inverses(self)[m]
 
     def is_iso(self, m: int) -> bool:
         return self.inverse(m) is not None
@@ -175,6 +155,32 @@ class FiniteCategory:
 
     def __repr__(self) -> str:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
+
+
+@_once
+def _hom_sets(cat: FiniteCategory) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The morphism ids of each nonempty hom set, keyed by (dom, cod)."""
+    hom: dict[tuple[int, int], list[int]] = {}
+    for m in range(cat.n_morphisms):
+        hom.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
+    return {k: tuple(v) for k, v in hom.items()}
+
+
+@_once
+def _inverses(cat: FiniteCategory) -> tuple[int | None, ...]:
+    """The inverse of each morphism, None where it has none."""
+    inv: list[int | None] = [None] * cat.n_morphisms
+    rows, at, ident = cat.rows, cat.at, cat.identity
+    for f in range(cat.n_morphisms):
+        if inv[f] is not None:
+            continue
+        x, y = cat.dom[f], cat.cod[f]
+        for g in cat.hom(y, x):
+            if rows[f][at[g]] == ident[x] and rows[g][at[f]] == ident[y]:
+                inv[f] = g
+                inv[g] = f
+                break
+    return tuple(inv)
 
 
 def _pairs(cat: FiniteCategory) -> Iterator[tuple[int, int, int]]:

@@ -692,7 +692,9 @@ print(code, *sorted(name for name, m in sys.modules.items()
       file=sys.stderr)
 """
 
-# argv ("DOC" for a category document) -> the modules besides cli it runs
+# argv -> the modules besides cli it runs, where DOC stands for a category
+# document, MISSING for a path that names no file and NOTJSON for a file that
+# is not JSON
 LAYERS = {
     ("validate", "DOC"): {"fincat"},
     ("euler", "DOC"): {"exactq", "fincat", "leinster", "moebius"},
@@ -706,6 +708,21 @@ LAYERS = {
     ("examples", "emit", "span"): {"corpus", "fincat"},
     ("examples", "emit", "delooping-s3"): {"corpus", "fincat", "grouptheory"},
     ("--cap", "0", "group", "nu", "symmetric:3"): set(),  # refused before any layer
+    ("euler", "MISSING"): {"fincat"},  # the engine compiles before the read
+    ("euler", "NOTJSON"): {"fincat"},
+    ("group", "orbitcat", "perm:5"): {"grouptheory"},
+    ("--cap", "4", "group", "orbitcat", "symmetric:3"): {"grouptheory"},
+    ("group", "equivariant", "MISSING"): set(),
+}
+
+# the exit code of each LAYERS argv that fails; the others exit 0
+CODES = {
+    ("--cap", "0", "group", "nu", "symmetric:3"): 2,
+    ("euler", "MISSING"): 1,
+    ("euler", "NOTJSON"): 1,
+    ("group", "orbitcat", "perm:5"): 2,
+    ("--cap", "4", "group", "orbitcat", "symmetric:3"): 1,
+    ("group", "equivariant", "MISSING"): 1,
 }
 
 
@@ -717,15 +734,23 @@ def or_s3(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def layer_paths(or_s3, tmp_path_factory):
+    root = tmp_path_factory.mktemp("layer-errors")
+    (root / "not.json").write_text("not json\n")
+    return {"DOC": or_s3, "MISSING": str(root / "missing.json"),
+            "NOTJSON": str(root / "not.json")}
+
+
 @pytest.mark.parametrize("argv", LAYERS, ids=" ".join)
-def test_each_subcommand_runs_only_its_layer(or_s3, argv):
+def test_each_subcommand_runs_only_its_layer(layer_paths, argv):
     """A module counts once its body has run: a deferred module that nothing
     read is still of the lazy loader's module type."""
     proc = subprocess.run([sys.executable, "-c", EXECUTED,
-                           *(or_s3 if a == "DOC" else a for a in argv)],
+                           *(layer_paths.get(a, a) for a in argv)],
                           capture_output=True, text=True, timeout=60)
     code, *executed = proc.stderr.splitlines()[-1].split()
-    assert int(code) == (2 if argv[0] == "--cap" else 0)
+    assert int(code) == CODES.get(argv, 0)
     assert set(executed) == {f"catrank.{name}" for name in LAYERS[argv] | {"cli"}}
 
 

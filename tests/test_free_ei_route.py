@@ -167,15 +167,17 @@ def test_route_asserts_integral_coset_averages(monkeypatch):
 
 def test_memo_keeps_only_the_class_functions_and_rows():
     """The orbits and demand sets are local to the recurrence: the memo holds
-    the EI verdict, the class table, f on every A_i and the sparse integer
-    rows h_i(1), each built once, nothing per pair."""
+    the hom sets, the inverses, the EI verdict, the class table, f on every
+    A_i and the sparse integer rows h_i(1), each built once, nothing per
+    pair."""
     cat = opposite(orbit_category(build_group("dihedral:4")).category)
     memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
     euler_characteristics(cat)
-    assert memo.builds == ["ei_witness", "iso_order", "_back_substitute"]
+    assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
+                           "_back_substitute"]
     assert memo["ei_witness"] is None
     f, rows = memo["_back_substitute"]
     poset = memo["iso_order"]
