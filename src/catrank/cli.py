@@ -219,7 +219,7 @@ def cmd_euler(args) -> int:
                                          kernel_dim=cw.kernel_dim)
     else:
         warnings.append("coweighting omitted: the system zeta . k = 1 on the opposite is inconsistent")
-    chi = leinster.chi_L(cat, w, cw)
+    chi = leinster.chi_L(cat)
     invariants["chi_L"] = exactq.rat_str(chi) if chi != "undefined" else "undefined"
 
     if rep.is_ei:

@@ -22,6 +22,10 @@ through it: (new dom, new cod, old id) descriptors composed in the parent.
 rows out in (g, f) order as the JSON document.  ``compose(g, f)`` reads a
 single composite.
 
+A construction checks only the shape of its input: ``_build`` decides
+closure under composition, and ``validate`` the identity and associativity
+laws, for every category alike.
+
 ``validate`` checks associativity by Light's test (Clifford & Preston 1961,
 The Algebraic Theory of Semigroups, vol. 1, section 1.2): only the morphisms
 of a greedy generating set are checked as the right-hand factor, and the
@@ -508,7 +512,7 @@ def _build(objects, morphs, identity_of, compose):
     compose: callable on a composable (g, f) descriptor pair. Returns the
     category and its descriptors in morphism id order. Morphisms are bucketed
     by codomain once, so compose runs only on composable pairs, visited in
-    (g, f) id order.
+    (g, f) id order; a composite that is no descriptor raises ValueError.
     """
     ids = [identity_of(i) for i in range(len(objects))]
     id_set = set(ids)
@@ -519,8 +523,11 @@ def _build(objects, morphs, identity_of, compose):
         into.setdefault(fd[1], []).append((fi, fd))
     records = ((gi, fi, index[compose(gd, fd)])
                for gi, gd in enumerate(ordered) for fi, fd in into.get(gd[0], ()))
-    cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
-                         [index[d] for d in ids], records)
+    try:
+        cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
+                             [index[d] for d in ids], records)
+    except KeyError as key:
+        raise ValueError(f"not closed: the composite {key.args[0]!r} is not a morphism") from None
     return cat, ordered
 
 
@@ -625,26 +632,21 @@ def delooping(g: FiniteGroup) -> FiniteCategory:
     return _build(["*"], morphs, lambda o: (0, 0, 0), compose)[0]
 
 
-def poset_category(elements: Sequence, leq: Callable[[Any, Any], bool] | Iterable[tuple]) -> FiniteCategory:
-    """At most one morphism x -> y, present iff x <= y; leq must be a partial order."""
+def poset_category(elements: Sequence, leq: Iterable[tuple]) -> FiniteCategory:
+    """At most one morphism x -> y, present iff x <= y: a pair (x, y) of leq
+    or x = y.  The pairs must name elements and be antisymmetric; ``_build``
+    decides transitivity, as closure under composition."""
     elems = list(elements)
     n = len(elems)
-    if callable(leq):
-        rel = {(i, j) for i in range(n) for j in range(n) if leq(elems[i], elems[j])}
-    else:
-        byidx = {e: i for i, e in enumerate(elems)}
+    byidx = {e: i for i, e in enumerate(elems)}
+    try:
         rel = {(byidx[a], byidx[b]) for a, b in leq}
-        rel |= {(i, i) for i in range(n)}
-    for i in range(n):
-        if (i, i) not in rel:
-            raise ValueError("relation is not reflexive")
+    except KeyError as unknown:
+        raise ValueError(f"relation names an unknown element: {unknown.args[0]!r}") from None
+    rel |= {(i, i) for i in range(n)}
     for i, j in rel:
         if (j, i) in rel and i != j:
             raise ValueError(f"relation is not antisymmetric at {elems[i]}, {elems[j]}")
-    for i, j in list(rel):
-        for k in range(n):
-            if (j, k) in rel and (i, k) not in rel:
-                raise ValueError(f"relation is not transitive at {elems[i]}, {elems[j]}, {elems[k]}")
 
     morphs = sorted(rel, key=lambda p: (p[0] != p[1], p))
 
@@ -652,6 +654,9 @@ def poset_category(elements: Sequence, leq: Callable[[Any, Any], bool] | Iterabl
         return (i, i)
 
     def compose(gd, fd):
+        if (fd[0], gd[1]) not in rel:
+            raise ValueError(f"relation is not transitive at {elems[fd[0]]}, {elems[fd[1]]}, "
+                             f"{elems[gd[1]]}")
         return (fd[0], gd[1])
 
     return _build(elems, morphs, identity_of, compose)[0]
@@ -665,34 +670,19 @@ def biset_category(
 ) -> FiniteCategory:
     """Two objects x, y with end(x) = H, end(y) = G, mor(x,y) = S, mor(y,x) empty.
 
-    left[a][s] is the left G-action, right[s][b] the right H-action; the two
-    must commute, and composition is s o b = s.b and a o s = a.s.
+    left[a][s] is the left G-action, right[s][b] the right H-action, and
+    composition is s o b = s.b and a o s = a.s.  The tables are commuting
+    actions exactly when the category is lawful, so ``validate`` decides
+    them, and the first law broken is raised: identity, G-action, H-action,
+    commuting.
     """
     size = len(right)
     if len(left) != g.order or any(len(row) != size for row in left):
         raise ValueError("left action table must be |G| x |S|")
     if any(len(row) != h.order for row in right):
         raise ValueError("right action table must be |S| x |H|")
-    for s in range(size):
-        if left[0][s] != s or right[s][0] != s:
-            raise ValueError("identity must act trivially")
-    for a1 in range(g.order):
-        for a2 in range(g.order):
-            prod = g.table[a1][a2]
-            for s in range(size):
-                if left[a1][left[a2][s]] != left[prod][s]:
-                    raise ValueError("left table is not a G-action")
-    for b1 in range(h.order):
-        for b2 in range(h.order):
-            prod = h.table[b1][b2]
-            for s in range(size):
-                if right[right[s][b1]][b2] != right[s][prod]:
-                    raise ValueError("right table is not an H-action")
-    for a in range(g.order):
-        for b in range(h.order):
-            for s in range(size):
-                if left[a][right[s][b]] != right[left[a][s]][b]:
-                    raise ValueError("biset actions do not commute")
+    if any(not 0 <= s < size for table in (left, right) for row in table for s in row):
+        raise ValueError("action table entries must lie in 0..|S|-1")
 
     # morphism descriptors: ('h', b) endo of x, ('g', a) endo of y, ('s', s) x -> y
     objects = ["x", "y"]
@@ -716,7 +706,18 @@ def biset_category(
             return (0, 1, "s", left[gd[3]][fd[3]])
         raise AssertionError("non-composable descriptor pair")
 
-    return _build(objects, morphs, identity_of, compose)[0]
+    cat = _build(objects, morphs, identity_of, compose)[0]
+    # rank each violation by the law it breaks: identity 0; a failing triple
+    # h g f holds one element of S (the groups are associative), which as f
+    # breaks the G-action 1, as h the H-action 2, and as g commuting 3
+    broken = [0 if v["kind"] == "identity_law" else
+              (2, 3, 1)[[cat.dom[m] != cat.cod[m] for m in v["triple"]].index(True)]
+              for v in validate(cat)]
+    if broken:
+        raise ValueError(("identity must act trivially", "left table is not a G-action",
+                          "right table is not an H-action", "biset actions do not commute")
+                         [min(broken)])
+    return cat
 
 
 class OrbitCategory:

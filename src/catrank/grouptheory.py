@@ -88,9 +88,6 @@ class FiniteGroup:
         self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self._memo: dict[str, object] = {}  # derived tables, kept by ``_once``
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conj(self, g: int, h: int) -> int:
         """g h g^-1."""
         return self.table[self.table[g][h]][self.inv[g]]

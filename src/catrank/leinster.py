@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 
-from . import Rows
+from . import Rows, _once
 from .exactq import SolutionReport, solve_linear, sum_ratios
 from .fincat import FiniteCategory, ei_witness
 from .moebius import iso_order
@@ -82,28 +82,25 @@ def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
     return solve_linear(z, [1] * n, n)
 
 
+@_once
 def weighting(cat: FiniteCategory) -> SolutionReport:
     """A weighting assigns k^y to each object with sum_y |mor(x,y)| k^y = 1
-    for every x; solved exactly, inconsistency reported in-band."""
+    for every x; solved exactly, once per category, inconsistency in-band."""
     return _solve(cat, columns=False)
 
 
+@_once
 def coweighting(cat: FiniteCategory) -> SolutionReport:
-    """A weighting of the opposite category."""
+    """A weighting of the opposite category, solved once per category."""
     return _solve(cat, columns=True)
 
 
-def chi_L(cat: FiniteCategory, w: SolutionReport | None = None,
-          cw: SolutionReport | None = None):
+def chi_L(cat: FiniteCategory):
     """Common sum of a weighting and a coweighting; the string "undefined"
     when either fails to exist.  The value does not depend on which solution
     the solver picked: both sums agree and every kernel vector sums to 0,
-    as asserted here.  A caller that has already solved for the weighting w
-    or the coweighting cw of cat passes it in, so nothing is solved again."""
-    if w is None:
-        w = weighting(cat)
-    if cw is None:
-        cw = coweighting(cat)
+    as asserted here.  Both reports are read from the category's memo."""
+    w, cw = weighting(cat), coweighting(cat)
     if not w.consistent or not cw.consistent:
         return "undefined"
     total = sum_ratios(w.solution, w.dens)

@@ -4,8 +4,11 @@
 These are the earlier, independent routes: every composition table here is
 filled by testing all m^2 morphism pairs, ``from_json`` reads the records
 into a dict keyed by (g, f), and ``validate`` scans that dict, building its
-composable set the same way. They share no code with ``fincat._build``,
-with the row loader or with ``fincat.validate``.
+composable set the same way.  ``biset_law`` and ``poset_law`` check the
+inputs of ``fincat.biset_category`` and ``fincat.poset_category`` with loops
+of their own, where the library builds the category and lets ``_build`` and
+``validate`` decide.  They share no code with ``fincat._build``, with the
+row loader or with ``fincat.validate``.
 """
 
 from catrank.fincat import FiniteCategory, FunctorData, _pairs, iso_classes
@@ -206,3 +209,52 @@ def validate(cat):
                 if table[(h, gf)] != table[(table[(h, g)], f)]:
                     out.append({"kind": "associativity", "triple": [h, g, f]})
     return out
+
+
+def biset_law(g, h, left, right):
+    """The message ``fincat.biset_category`` raises for action tables of the
+    right shape, with entries in S, or None when they are commuting
+    actions: the first law that fails, in the order identity, G-action,
+    H-action, commuting, each checked on every element of S."""
+    size = len(right)
+    for s in range(size):
+        if left[0][s] != s or right[s][0] != s:
+            return "identity must act trivially"
+    for a1 in range(g.order):
+        for a2 in range(g.order):
+            prod = g.table[a1][a2]
+            for s in range(size):
+                if left[a1][left[a2][s]] != left[prod][s]:
+                    return "left table is not a G-action"
+    for b1 in range(h.order):
+        for b2 in range(h.order):
+            prod = h.table[b1][b2]
+            for s in range(size):
+                if right[right[s][b1]][b2] != right[s][prod]:
+                    return "right table is not an H-action"
+    for a in range(g.order):
+        for b in range(h.order):
+            for s in range(size):
+                if left[a][right[s][b]] != right[left[a][s]][b]:
+                    return "biset actions do not commute"
+    return None
+
+
+def poset_law(elements, pairs):
+    """The message ``fincat.poset_category`` raises for the (x, y) pairs
+    over elements, with the identities added, or None when they form a
+    partial order: antisymmetry first, then transitivity, found by scanning
+    every pair (i, j) of the relation, in set order, against every k."""
+    elems = list(elements)
+    n = len(elems)
+    byidx = {e: i for i, e in enumerate(elems)}
+    rel = {(byidx[a], byidx[b]) for a, b in pairs}
+    rel |= {(i, i) for i in range(n)}
+    for i, j in rel:
+        if (j, i) in rel and i != j:
+            return f"relation is not antisymmetric at {elems[i]}, {elems[j]}"
+    for i, j in list(rel):
+        for k in range(n):
+            if (j, k) in rel and (i, k) not in rel:
+                return f"relation is not transitive at {elems[i]}, {elems[j]}, {elems[k]}"
+    return None

@@ -13,7 +13,8 @@ import pytest
 import assembly_oracle as oracle
 import genrandom
 from catrank import corpus, fincat
-from catrank.fincat import FiniteCategory, fiber_category, full_subcategory, skeleton, validate
+from catrank.fincat import (FiniteCategory, biset_category, fiber_category, full_subcategory,
+                            poset_category, skeleton, validate)
 from catrank.grouptheory import build_group, cyclic_group, subgroup_classes
 
 
@@ -225,3 +226,100 @@ def test_poset_generators_are_the_hasse_edges():
              if len(cat.objects[cat.dom[f]]) == len(cat.objects[cat.cod[f]]) + 1]
     assert (len(kept), cat.n_morphisms) == (441, 2059)
     assert kept == hasse
+
+
+def biset_draws(rng: random.Random, count: int):
+    """count (g, h, left, right) inputs of the right shape, entries in S, in
+    turn: random tables (each element acting by a permutation of S or by
+    any map, the identities mostly by the identity), a
+    ``genrandom.random_biset`` draw with entries set anew, and such a draw
+    with its right action conjugated by a random permutation of S, which
+    keeps it an H-action but seldom one that commutes."""
+    for k in range(count):
+        if k % 3 == 0:
+            g, h = genrandom.random_group(rng, 4), genrandom.random_group(rng, 4)
+            size = rng.randint(1, 4)
+
+            def maps(order):
+                return [list(range(size)) if x == 0 and rng.random() < 0.9
+                        else rng.sample(range(size), size) if rng.random() < 0.5
+                        else [rng.randrange(size) for _ in range(size)] for x in range(order)]
+
+            left = maps(g.order)
+            right = [list(col) for col in zip(*maps(h.order))]
+        else:
+            g, h, left, right, _ = genrandom.random_biset(rng)
+            size = len(right)
+            if k % 3 == 1:
+                row = rng.choice(rng.choice((left, right)))
+                row[:] = [rng.randrange(size) if rng.random() < 0.3 else s for s in row]
+            else:
+                sigma = rng.sample(range(size), size)
+                inv = {t: s for s, t in enumerate(sigma)}
+                right = [[sigma[t] for t in right[inv[s]]] for s in range(size)]
+        yield g, h, left, right
+
+
+def test_biset_category_gives_the_oracle_verdict():
+    """Each draw is refused with the oracle's message, law by law, or built
+    when the oracle finds commuting actions; the draws reach every law."""
+    rng = random.Random(407)
+    reached = set()
+    for g, h, left, right in biset_draws(rng, 1200):
+        want = oracle.biset_law(g, h, left, right)
+        reached.add(want)
+        if want is None:
+            assert validate(biset_category(g, h, left, right)) == []
+            continue
+        with pytest.raises(ValueError) as err:
+            biset_category(g, h, left, right)
+        assert str(err.value) == want
+    assert len(reached) == 5
+
+
+def relation_draws(rng: random.Random, count: int):
+    """count (elements, pairs): up to 7 letters in a random order, pairs
+    drawn upward in a second random order of them, so antisymmetric; in
+    turn left as drawn, closed transitively with one pair then dropped, or
+    joined by one pair in any direction."""
+    for k in range(count):
+        elements = rng.sample("abcdefg", rng.randint(1, 7))
+        up = rng.sample(elements, len(elements))
+        pairs = {(a, b) for i, a in enumerate(up) for b in up[i + 1:] if rng.random() < 0.4}
+        if k % 3 == 1:
+            pairs |= {(a, a) for a in elements}
+            while True:
+                more = {(a, c) for a, b in pairs for b2, c in pairs if b == b2} - pairs
+                if not more:
+                    break
+                pairs |= more
+            pairs.discard(rng.choice(sorted(pairs)))
+        elif k % 3 == 2:
+            pairs.add((rng.choice(elements), rng.choice(elements)))
+        yield elements, rng.sample(sorted(pairs), len(pairs))
+
+
+def test_poset_category_gives_the_oracle_verdict():
+    """Each relation is built when the oracle finds a partial order, and
+    refused with its antisymmetry message; a transitivity failure may name
+    another triple than the oracle's scan, but always a real one."""
+    rng = random.Random(408)
+    reached = set()
+    for elements, pairs in relation_draws(rng, 1200):
+        want = oracle.poset_law(elements, pairs)
+        reached.add(want and want.split(" at ")[0])
+        if want is None:
+            cat = poset_category(elements, pairs)
+            assert cat.n_morphisms == len(set(pairs) | {(a, a) for a in elements})
+            continue
+        with pytest.raises(ValueError) as err:
+            poset_category(elements, pairs)
+        if want.startswith("relation is not antisymmetric"):
+            assert str(err.value) == want
+            continue
+        head, triple = str(err.value).split(" at ")
+        a, b, c = triple.split(", ")
+        rel = set(pairs) | {(e, e) for e in elements}
+        assert head == "relation is not transitive"
+        assert (a, b) in rel and (b, c) in rel and (a, c) not in rel
+    assert reached == {None, "relation is not antisymmetric", "relation is not transitive"}

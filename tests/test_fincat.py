@@ -83,7 +83,7 @@ def indiscrete_pair() -> FiniteCategory:
 def divisor_poset(n: int) -> FiniteCategory:
     divs = [d for d in range(1, n + 1) if n % d == 0]
     return poset_category([str(d) for d in divs],
-                          lambda a, b: int(b) % int(a) == 0)
+                          [(str(a), str(b)) for a in divs for b in divs if b % a == 0])
 
 
 def has_nonidentity_idempotent(cat: FiniteCategory) -> bool:
@@ -333,6 +333,12 @@ class TestConstructions:
         with pytest.raises(ValueError, match="transitive"):
             poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
+    def test_poset_category_rejects_unknown_elements(self):
+        with pytest.raises(ValueError, match="relation names an unknown element: 'z'"):
+            poset_category(["a"], [("a", "z")])
+        with pytest.raises(ValueError, match="relation names an unknown element: 'y'"):
+            poset_category(["a", "b"], [("a", "b"), ("y", "a")])
+
     def test_aut_group_delooping(self):
         g = symmetric_group(3)
         ref = aut_group(delooping(g), "*")
@@ -415,6 +421,13 @@ class TestBiset:
         with pytest.raises(ValueError, match="act trivially"):
             biset_category(g, g, [[1, 0], [0, 1]], [[0, 1], [1, 0]])
 
+    def test_entries_out_of_range_rejected(self):
+        g, h = cyclic_group(2), build_group("trivial")
+        for left, right in (([[0, 1], [5, 0]], [[0], [1]]), ([[0, 1], [-1, 0]], [[0], [1]]),
+                            ([[0, 1], [1, 0]], [[0], [2]])):
+            with pytest.raises(ValueError, match=r"entries must lie in 0\.\.\|S\|-1"):
+                biset_category(g, h, left, right)
+
 
 class TestFunctors:
     def test_validate_functor_catches_breakage(self):
@@ -494,6 +507,14 @@ class TestIsofibrations:
         cat, p = genrandom.action_groupoid(cyclic_group(4), (0, 2))
         fib = fiber_category(p, "*")
         assert fib.n_objects == 2 and fib.n_morphisms == 2
+
+    def test_fiber_of_a_non_functor_is_refused(self):
+        # 1 maps to the identity but 1 o 1 = 2 does not: the morphisms over
+        # the identity are not closed under composition
+        c3 = delooping(cyclic_group(3))
+        p = FunctorData(c3, c3, {"*": "*"}, {0: 0, 1: 0, 2: 1})
+        with pytest.raises(ValueError, match=r"the composite \(0, 0, 2\) is not a morphism"):
+            fiber_category(p, "*")
 
     def test_quotient_of_action_groupoid(self):
         # C4 acting on C4/H, pushed down to C4/N: fiber has both objects and

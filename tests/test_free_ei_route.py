@@ -177,7 +177,7 @@ def test_memo_keeps_only_the_class_functions_and_rows():
     euler_characteristics(cat)
     euler_characteristics(cat)
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "_back_substitute"]
+                           "weighting", "coweighting", "_back_substitute"]
     assert memo["ei_witness"] is None
     f, rows = memo["_back_substitute"]
     poset = memo["iso_order"]

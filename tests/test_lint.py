@@ -173,12 +173,16 @@ def test_unused_public_name_is_found():
 
 def _attribute_reads(tree: ast.Module) -> set[str]:
     """The names of the attributes a module reads, except a def's reads of
-    its own name (a method calling itself)."""
+    its own name (a method calling itself) and reads off a name that an
+    import binds (``operator.mul`` is a module's function, not a method)."""
     own = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
            for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == fn.name}
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and id(node) not in own}
+            and id(node) not in own
+            and not (isinstance(node.value, ast.Name) and node.value.id in imported)}
 
 
 def unused_public_methods(library: list[str], callers: list[str], doc: str) -> list[str]:
@@ -210,8 +214,8 @@ def test_no_public_method_that_nothing_calls():
 
 def test_unused_public_method_is_found():
     # C.a is read by a caller, C.b only by itself, C.c in another library
-    # module, C.d named in the doc, C.e only written; _C, _f and __len__ are
-    # exempt
+    # module, C.d named in the doc, C.e only written, C.i only off names an
+    # import binds; _C, _f and __len__ are exempt
     library = ["class C:\n"
                "    def a(self):\n        pass\n"
                "    def b(self):\n        return self.b()\n"
@@ -220,11 +224,13 @@ def test_unused_public_method_is_found():
                "    def e(self):\n        pass\n"
                "    def _f(self):\n        pass\n"
                "    def __len__(self):\n        return 0\n"
+               "    def i(self):\n        pass\n"
                "class _C:\n    def g(self):\n        pass\n"
                "def e(x):\n    x.e = 1\n    return e\n",
-               "def h(x):\n    return x.c\n"]
-    callers = ["from x import C\nC().a()\n"]
-    assert unused_public_methods(library, callers, "See `d`.") == ["C.b", "C.e"]
+               "import operator\nimport os.path as p\n"
+               "def h(x):\n    return x.c, operator.i, p.i\n"]
+    callers = ["from x import C\nfrom y import z\nC().a()\nz.i()\n"]
+    assert unused_public_methods(library, callers, "See `d`.") == ["C.b", "C.e", "C.i"]
 
 
 def documented_flags(markdown: str) -> set[str]:

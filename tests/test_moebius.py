@@ -70,7 +70,7 @@ def subsets_category(q: int) -> FiniteCategory:
     for mask in range(1, 1 << (q + 1)):
         elems.append(mask)
     return poset_category([str(m) for m in elems],
-                          lambda a, b: (int(a) | int(b)) == int(a))
+                          [(str(a), str(b)) for a in elems for b in elems if a | b == a])
 
 
 def collapsed_action_category() -> FiniteCategory:

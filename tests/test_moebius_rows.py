@@ -164,7 +164,7 @@ def test_back_substitution_runs_once_per_category():
     omega_bar2(cat)
     euler_characteristics(cat)
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "_back_substitute"]
+                           "weighting", "coweighting", "_back_substitute"]
 
 
 def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
@@ -179,7 +179,7 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
     moebius.iso_order(cat)
     euler_characteristics(cat)
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "_back_substitute"]
+                           "weighting", "coweighting", "_back_substitute"]
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for name in ("section8", "leinster-A"):
         other = corpus.build(name)

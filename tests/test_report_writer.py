@@ -27,8 +27,7 @@ ESCAPES = ['a"b', "c\\d", "é∂", "x\ny"]
 
 
 def escapes_poset():
-    below = {('a"b', "c\\d"), ("c\\d", "é∂"), ('a"b', "é∂")}
-    return poset_category(ESCAPES, lambda a, b: a == b or (a, b) in below)
+    return poset_category(ESCAPES, [('a"b', "c\\d"), ("c\\d", "é∂"), ('a"b', "é∂")])
 
 
 def _categories():
