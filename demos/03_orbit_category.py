@@ -14,8 +14,8 @@ from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_
 from catrank.moebius import euler_characteristics, omega_bar2
 
 g = build_group("symmetric:3")
-oc = orbit_category(g)
-cat = oc.category
+cat = orbit_category(g)
+classes = subgroup_classes(g)  # object G/i is class i
 
 print("Or(S3):", cat.n_objects, "objects,", cat.n_morphisms, "morphisms")
 rep = classify(cat)
@@ -23,7 +23,7 @@ print("predicates:", ", ".join(k for k, v in rep.flags().items() if v))
 print()
 
 print("subgroup classes (representative elements / Weyl order):")
-for c in oc.classes:
+for c in classes:
     print(f"   {c.label!s:14s} |H| = {len(c.representative)}   |W(H)| = {c.weyl_order}")
 print()
 
@@ -57,7 +57,7 @@ for row in marks.matrix.rows:
     print("  ", list(row))
 
 # D . omega_bar2 equals the marks table after aligning the orders
-weyl = [c.weyl_order for c in oc.classes]
+weyl = [c.weyl_order for c in classes]
 for i, row in enumerate(entries(om)):
     assert [weyl[i] * v for v in row] == list(marks.matrix.rows[i])
 print("equals diag(Weyl orders) . omega_bar2, entry for entry")

@@ -283,7 +283,7 @@ def cmd_group(args) -> int:
         return code
     if args.group_cmd == "orbitcat":
         # raw category document so the output pipes into euler/validate
-        fincat.canonical_json(fincat.orbit_category(g).category, sys.stdout)
+        fincat.canonical_json(fincat.orbit_category(g), sys.stdout)
         return 0
     classes = grouptheory.subgroup_classes(g)
     doc = {"input": _input_stanza(args.group.encode(), args.group), "group_order": g.order}
@@ -315,6 +315,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
+    if args.path is not None and args.random is not None:
+        return _error("equivariant takes a path or --random <group>, not both", 2)
     if args.cells < 0:
         return _error(f"--cells must be nonnegative, got {args.cells}", 2)
     if args.random is not None:

@@ -720,37 +720,18 @@ def biset_category(
     return cat
 
 
-class OrbitCategory:
-    """The category of homogeneous spaces G/H with equivariant maps.
-
-    One object per conjugacy class of subgroups; the morphisms G/H -> G/K are
-    the cosets gK with g^-1 H g inside K, acting by right translation."""
-
-    __slots__ = ("category", "classes", "coset_of_morphism")
-
-    def __init__(self, category, classes, coset_of_morphism):
-        self.category = category
-        self.classes = classes
-        self.coset_of_morphism = coset_of_morphism
-
-    def __repr__(self) -> str:
-        return f"OrbitCategory({len(self.classes)} classes, {self.category.n_morphisms} maps)"
-
-
 @_once
-def orbit_category(g: FiniteGroup) -> OrbitCategory:
-    """Build Or(G), once per group (``_once``), with one object per subgroup
-    class (``build_group`` caps the order of the groups it builds), its maps
-    enumerated by ``grouptheory._maps``, which g reaches (``_coset_maps``);
-    composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
-    classes, named, maps = g._coset_maps()
-    objects = [f"G/{i}" for i in range(len(classes))]
-    # least[j][x] is the name of the coset x K_j
-    least = [[0] * g.order for _ in classes]
-    for row, cosets in zip(least, named):
-        for lo, coset in cosets.items():
-            for x in coset:
-                row[x] = lo
+def orbit_category(g: FiniteGroup) -> FiniteCategory:
+    """Build Or(G), the category of homogeneous spaces G/H with equivariant
+    maps, once per group (``_once``; ``build_group`` caps the order of the
+    groups it builds).  Object G/i is subgroup class i; the maps
+    G/H_i -> G/K_j are the cosets x*K_j with x^-1 H_i x inside K_j, as
+    ``grouptheory._maps`` enumerates them and g reaches them
+    (``_coset_maps``): morphism (i, j, lo) is the coset named by its least
+    element lo, in ``_build``'s order, identities (i, i, 0) first.
+    Composition follows the right-translation law R_g2 o R_g1 = R_(g1 g2)."""
+    least, maps = g._coset_maps()
+    objects = [f"G/{i}" for i in range(len(maps))]
     morphs = [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row) for lo in los]
 
     def identity_of(i):
@@ -760,8 +741,7 @@ def orbit_category(g: FiniteGroup) -> OrbitCategory:
         # fd: G/H0 -> G/H1 as g1*H1, gd: G/H1 -> G/H2 as g2*H2; result g1*g2*H2
         return (fd[0], gd[1], least[gd[1]][g.table[fd[2]][gd[2]]])
 
-    cat, ordered = _build(objects, morphs, identity_of, compose)
-    return OrbitCategory(cat, classes, {m: named[d[1]][d[2]] for m, d in enumerate(ordered)})
+    return _build(objects, morphs, identity_of, compose)[0]
 
 
 # ------------------------------------------------------ coverings and fibers
@@ -833,12 +813,15 @@ def fiber_category(p: FunctorData, b_obj) -> FiniteCategory:
 # ------------------------------------------------------------------- JSON io
 
 
+_ID_TYPES = (str, int, float)  # the types of an object id, as JSON parses it
+
+
 def from_json(doc: dict) -> FiniteCategory:
     """Parse the category schema; raises ValueError naming the first format problem.
 
-    Object ids must be strings or numbers and morphism ids of type int, as
-    JSON parses them: null, and true/false (bool is an int subclass), are
-    refused."""
+    Object ids, and the dom and cod that name them, must be strings or
+    numbers, and morphism ids of type int, as JSON parses them: null, and
+    true/false (bool is an int subclass), are refused."""
     if not isinstance(doc, dict):
         raise ValueError("category document must be a JSON object")
     for key in ("objects", "morphisms", "identities", "composition"):
@@ -850,7 +833,7 @@ def from_json(doc: dict) -> FiniteCategory:
     if not isinstance(doc["identities"], dict):
         raise ValueError("identities must be a JSON object")
     objects = list(doc["objects"])
-    if any(type(o) not in (str, int, float) for o in objects):
+    if any(type(o) not in _ID_TYPES for o in objects):
         raise ValueError("object ids must be strings or numbers")
     if len(set(map(str, objects))) != len(objects):
         raise ValueError("duplicate object ids")
@@ -867,7 +850,8 @@ def from_json(doc: dict) -> FiniteCategory:
         if type(mid) is not int or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
-        if str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index:
+        if (type(rec["dom"]) not in _ID_TYPES or type(rec["cod"]) not in _ID_TYPES
+                or str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index):
             raise ValueError(f"morphism {mid} references unknown object")
         dom[mid] = obj_index[str(rec["dom"])]
         cod[mid] = obj_index[str(rec["cod"])]

@@ -21,8 +21,10 @@ subgroups of M24, or how to compute the table of marks of a finite group):
 - Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
 - ``_maps`` lists, for the orbit category, the cosets xK with x^-1 H x
   inside K, that is with H inside x K x^-1: K is conjugated once per coset.
-  The omega relation counts them and ``fincat.orbit_category`` composes
-  them, reached through ``FiniteGroup._coset_maps``.
+  Each coset is named by its least element, and one table per class gives
+  the name of the coset of every element.  The omega relation counts the
+  maps, and ``fincat.orbit_category``, which reaches them through
+  ``FiniteGroup._coset_maps``, composes them through that table.
 
 Permutation groups get their Cayley table from one right-multiplication map
 per generator, not from all |G|^2 permutation products.
@@ -63,7 +65,7 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
         self._fill(table, names)
-        _check_associative(self.table)
+        _check_associative(self)
 
     @classmethod
     def _associative(cls, table: Sequence[Sequence[int]],
@@ -93,8 +95,9 @@ class FiniteGroup:
         return self.table[self.table[g][h]][self.inv[g]]
 
     def _coset_maps(self):
-        """``_maps(self)``: the orbit category reaches the maps through the
-        group it is given, so ``fincat`` imports no group layer."""
+        """``_maps(self)``, the coset names and the maps of Or(G): the orbit
+        category reaches them through the group it is given, so ``fincat``
+        imports no group layer."""
         return _maps(self)
 
     def __eq__(self, other) -> bool:
@@ -122,15 +125,16 @@ def _check_latin_with_identity(table: tuple[tuple[int, ...], ...]) -> None:
         raise ValueError("element 0 is not a two-sided identity")
 
 
-def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
+def _check_associative(g: FiniteGroup) -> None:
     """Light's test (Clifford & Preston 1961, section 1.2): the elements c
     with (a b) c = a (b c) for all a, b are closed under products and hold
     the identity, so checking c on a generating set decides associativity,
     in O(n^2 |generators|).  On a failure the full O(n^3) scan names the
     lexicographically first failing triple."""
-    n = len(table)
+    table = g.table
+    n = g.order
     if not all(table[table[a][b]][c] == table[a][table[b][c]]
-               for c in _right_generators(table) for a in range(n) for b in range(n)):
+               for c in _right_generators(g) for a in range(n) for b in range(n)):
         for a in range(n):
             ta = table[a]
             for b in range(n):
@@ -141,27 +145,18 @@ def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
 
 
-def _right_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
+def _right_generators(g: FiniteGroup) -> list[int]:
     """Elements whose left-normed products ((g1 g2) g3)... reach every
-    element of a Latin square with identity 0: a breadth-first search from 0
-    under right multiplication by those kept, keeping, in index order, each
-    element it has not reached yet."""
-    n = len(table)
-    reached = [False] * n
-    reached[0] = True
-    seen = [0]
+    element: in index order, each element that ``closure`` of those kept
+    has not reached.  Its search from the identity under right
+    multiplication reaches exactly those products, so a table that is not
+    yet known to be associative may be passed."""
     gens: list[int] = []
-    for s in range(1, n):
-        if reached[s]:
-            continue
-        gens.append(s)
-        frontier = [table[x][s] for x in seen]
-        while frontier:
-            y = frontier.pop()
-            if not reached[y]:
-                reached[y] = True
-                seen.append(y)
-                frontier += [table[y][t] for t in gens]
+    reached = closure(g, gens)
+    for s in range(1, g.order):
+        if s not in reached:
+            gens.append(s)
+            reached = closure(g, gens)
     return gens
 
 
@@ -479,12 +474,8 @@ def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -
                          frozenset(g.conj(y, n) for n in norm))
 
 
-def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
-    return list(_subgroup_classes_cached(g))
-
-
 @_once
-def _subgroup_classes_cached(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
+def subgroup_classes(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
     """The lattice up to conjugacy, class by class (after Pfeiffer 1997).
 
     Every subgroup is reached by a chain of joins with cyclic subgroups;
@@ -539,13 +530,11 @@ def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
 
 
 @_once
-def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, frozenset[int]]],
-                                   list[list[list[int]]]]:
-    """(classes, named, maps): the subgroup classes; named[j], which maps the
-    name of each left coset of K_j (the representative of class j), its least
-    element, to the coset; and maps[i][j], the names, in named[j]'s order, of
-    the cosets x*K_j that qualify as maps G/H_i -> G/K_j in the orbit
-    category.
+def _maps(g: FiniteGroup) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """(least, maps): least[j][x], the least element of the left coset
+    x*K_j of the representative K_j of class j, which names that coset;
+    and maps[i][j], the names, ascending, of the cosets x*K_j that qualify
+    as maps G/H_i -> G/K_j in the orbit category.
 
     A coset x*K qualifies iff x^-1 H x is inside K, that is iff H is inside
     x K x^-1, which depends on the coset alone, and only when |H| divides
@@ -553,18 +542,25 @@ def _maps(g: FiniteGroup) -> tuple[tuple[SubgroupClass, ...], list[dict[int, fro
     tested against each distinct conjugate by one subset test.  The marks
     count the conjugates of H inside K; these lists, the conjugates of K
     over H: the omega relation compares the two."""
-    classes = tuple(subgroup_classes(g))
-    reps = [c.representative for c in classes]
-    named = [{min(coset): coset for coset in left_cosets(g, k)} for k in reps]
+    reps = [c.representative for c in subgroup_classes(g)]
+    least = []
+    for k in reps:
+        # x ascending meets each coset first at its least element
+        row = [-1] * g.order
+        for x, tx in enumerate(g.table):
+            if row[x] < 0:
+                for e in k:
+                    row[tx[e]] = x
+        least.append(row)
     maps: list[list[list[int]]] = [[[] for _ in reps] for _ in reps]
     for j, k in enumerate(reps):
-        conj = {lo: conjugate_subgroup(g, k, lo) for lo in named[j]}
+        conj = {x: conjugate_subgroup(g, k, x) for x, lo in enumerate(least[j]) if x == lo}
         distinct = set(conj.values())
         for i, h in enumerate(reps):
             if len(k) % len(h) == 0:
                 over = {c for c in distinct if h <= c}
                 maps[i][j] = [lo for lo, c in conj.items() if c in over]
-    return classes, named, maps
+    return least, maps
 
 
 class MarksMatrix:
@@ -594,7 +590,7 @@ def table_of_marks(g: FiniteGroup) -> MarksMatrix:
     """Marks |(G/K)^H| over the subgroup classes, from ``mark``.  Below the
     diagonal they vanish: a class later in the canonical order is never
     subconjugate to an earlier one."""
-    classes = tuple(subgroup_classes(g))
+    classes = subgroup_classes(g)
     rows = tuple((0,) * i + tuple(mark(ch, ck.representative) for ck in classes[i:])
                  for i, ch in enumerate(classes))
     return MarksMatrix(rows, classes)

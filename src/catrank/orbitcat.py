@@ -35,7 +35,7 @@ class GCWComplex:
 
     def __init__(self, group: FiniteGroup, cells):
         self.group = group
-        self.classes = tuple(subgroup_classes(group))
+        self.classes = subgroup_classes(group)
         norm = []
         for dim, stab in cells:
             if not _is_int(dim) or dim < 0:
@@ -113,7 +113,7 @@ def verify_omega_relation(x: GCWComplex):
 
     Returns (equal, left side, right side), each side a pair (numerators,
     denominators) in subgroup class order."""
-    maps = _maps(x.group)[2]
+    maps = _maps(x.group)[1]
     support = [(j, c) for j, c in enumerate(x.counts) if c]
     # every endomorphism in Or(G) is invertible, so aut(G/H) = hom(G/H, G/H)
     lhs = ([sum(c * len(row[j]) for j, c in support) for row in maps],

@@ -148,7 +148,8 @@ def from_json(doc: dict) -> DictCategory:
         if type(mid) is not int or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
-        if str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index:
+        if (type(rec["dom"]) not in (str, int, float) or type(rec["cod"]) not in (str, int, float)
+                or str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index):
             raise ValueError(f"morphism {mid} references unknown object")
         dom[mid] = obj_index[str(rec["dom"])]
         cod[mid] = obj_index[str(rec["cod"])]

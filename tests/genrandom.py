@@ -123,6 +123,30 @@ def random_group(rng: random.Random, max_order: int = 12) -> FiniteGroup:
     return rng.choice(pool)
 
 
+def random_loop_table(rng: random.Random, n: int) -> list[list[int]]:
+    """A random reduced Latin square of order n, row and column 0 in
+    natural order, so 0 is a two-sided identity; most are not associative.
+    The other cells are filled row by row, each with its unused values in a
+    random order, backtracking from a cell that has none left."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in rng.sample([v for v in range(n) if v not in used], n - len(used)):
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
 # ------------------------------------------------------- random DAG categories
 
 
@@ -244,8 +268,7 @@ def random_orbit_subcategory(rng: random.Random, max_order: int = 12) -> FiniteC
     from catrank.fincat import orbit_category
 
     g = random_group(rng, max_order=max_order)
-    oc = orbit_category(g)
-    cat = oc.category
+    cat = orbit_category(g)
     k = rng.randint(1, cat.n_objects)
     objs = sorted(rng.sample(list(cat.objects), k))
     sub, _ = full_subcategory(cat, objs)

@@ -7,10 +7,12 @@ class is found by conjugating it, and marks count fixed cosets one by one.
 ``nu_matrix_via_chains`` sums over chains of subgroup classes instead of
 inverting the marks.
 
-Two later routes the library replaced are kept here too:
+Three later routes the library replaced are kept here too:
 ``cyclic_join_classes`` joins every class representative with every cyclic
-subgroup and conjugates every new subgroup by every element, and
-``table_by_all_pairs`` multiplies every pair of permutations.
+subgroup and conjugates every new subgroup by every element,
+``table_by_all_pairs`` multiplies every pair of permutations, and
+``right_generators`` grows the generators of a Latin square's left-normed
+products by one incremental search.
 
 The module reads only the Cayley table and inverses of a group and shares
 no code with catrank; its matrices are the dense ``QMatrix`` of the test
@@ -20,6 +22,30 @@ helper ``dense``.
 from fractions import Fraction
 
 from dense import QMatrix
+
+
+def right_generators(table):
+    """Elements whose left-normed products ((g1 g2) g3)... reach every
+    element of a Latin square with identity 0: a breadth-first search from 0
+    under right multiplication by those kept, keeping, in index order, each
+    element it has not reached yet."""
+    n = len(table)
+    reached = [False] * n
+    reached[0] = True
+    seen = [0]
+    gens = []
+    for s in range(1, n):
+        if reached[s]:
+            continue
+        gens.append(s)
+        frontier = [table[x][s] for x in seen]
+        while frontier:
+            y = frontier.pop()
+            if not reached[y]:
+                reached[y] = True
+                seen.append(y)
+                frontier += [table[y][t] for t in gens]
+    return gens
 
 
 def closure(g, elems):

@@ -159,7 +159,7 @@ def test_05_rational_moebius_inversion():
     for spec in specs:
         g = build_group(spec)
         assert g.order <= 24
-        cat = orbit_category(g).category
+        cat = orbit_category(g)
         om, mu = dense.matrix(omega_bar2(cat)), dense.mu_bar2(euler_characteristics(cat))
         assert mu.mul(om).is_identity() and om.mul(mu).is_identity(), spec
 
@@ -339,7 +339,7 @@ def test_13_equivariant_fixed_point_relation_and_eta_route():
         assert ok, (i, list(lhs), list(rhs))
 
     for spec in ("cyclic:2", "cyclic:6", "klein", "symmetric:3", "dihedral:4", "q8"):
-        cat = orbit_category(build_group(spec)).category
+        cat = orbit_category(build_group(spec))
         assert list(dense.chi_f2(euler_characteristics(cat))) == list(chi_f2_via_eta(cat))
     for name in corpus.names():
         cat = corpus.build(name)

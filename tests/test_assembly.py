@@ -41,11 +41,9 @@ GROUPS = ["symmetric:3", "symmetric:4", "dihedral:4", "q8",
 @pytest.mark.parametrize("spec", GROUPS)
 def test_orbit_category_matches_oracle(monkeypatch, spec):
     g = build_group(spec)
-    oc = fincat.orbit_category.__wrapped__(g)
+    cat = fincat.orbit_category.__wrapped__(g)
     monkeypatch.setattr(fincat, "_build", oracle.build)
-    ref = fincat.orbit_category.__wrapped__(g)
-    assert_same(oc.category, ref.category)
-    assert oc.coset_of_morphism == ref.coset_of_morphism
+    assert_same(cat, fincat.orbit_category.__wrapped__(g))
 
 
 def random_categories(rng: random.Random, count: int):
@@ -147,7 +145,7 @@ def redirect_within_hom(rng: random.Random, cat: FiniteCategory) -> oracle.DictC
 def light_cases():
     """Orbit categories, posets and the draws of
     test_validate_matches_oracle_on_mutations."""
-    cases = [(f"Or({spec})", fincat.orbit_category(build_group(spec)).category)
+    cases = [(f"Or({spec})", fincat.orbit_category(build_group(spec)))
              for spec in ("symmetric:3", "symmetric:4", "dihedral:4")]
     cases += [(f"subsets-q {q}", corpus.subsets(q)) for q in (3, 4, 5)]
     cases += [(f"draw {i}", cat) for i, cat in enumerate(random_categories(random.Random(406), 10))]
@@ -179,7 +177,7 @@ def test_valid_categories_skip_the_full_associativity_scan(monkeypatch):
 
     monkeypatch.setattr(fincat, "_associativity_violations", counted)
     cats = [cat for _, cat in corpus_entries() + light_cases()]
-    cats += [fincat.orbit_category(build_group(spec)).category for spec in GROUPS]
+    cats += [fincat.orbit_category(build_group(spec)) for spec in GROUPS]
     for cat in cats:
         assert validate(cat) == []
     assert calls == []
@@ -202,7 +200,7 @@ def _closure(cat: FiniteCategory, gens) -> set[int]:
 def test_generating_set_is_the_greedy_one():
     """Indecomposables first, then each morphism, in id order, that the
     closure of those kept before it misses; together they generate."""
-    cases = light_cases() + [(spec, fincat.orbit_category(build_group(spec)).category)
+    cases = light_cases() + [(spec, fincat.orbit_category(build_group(spec)))
                              for spec in ("q8", "product:cyclic:2+symmetric:3")]
     for name, cat in cases:
         ids = set(cat.identity)

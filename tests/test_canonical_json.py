@@ -57,7 +57,7 @@ def test_subsets_q(q):
 
 @pytest.mark.parametrize("spec", ORBIT_GROUPS)
 def test_orbit_categories_and_opposites(spec):
-    cat = orbit_category(build_group(spec)).category
+    cat = orbit_category(build_group(spec))
     for c in (cat, opposite(cat)):
         assert emitted(c) == indent_json(c)
 
@@ -103,7 +103,7 @@ def test_chunk_size_changes_no_byte(monkeypatch, chunk):
 
 
 def test_writes_are_bounded():
-    cat = orbit_category(build_group(C2_4)).category
+    cat = orbit_category(build_group(C2_4))
     out = Recorder()
     canonical_json(cat, out)
     text = "".join(out.writes)

@@ -155,7 +155,7 @@ def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
     """Or(C2^3 x C4)^op, 118 classes and not free, read from a file: chi_f,
     chi_f2 and mu_bar2 are the walk oracle's."""
     spec = "product:cyclic:2+cyclic:2+cyclic:2+cyclic:4"
-    cat = opposite(orbit_category(build_group(spec)).category)
+    cat = opposite(orbit_category(build_group(spec)))
     assert not classify(cat).is_free
     path = tmp_path / "or-op.json"
     path.write_text(emitted(cat))
@@ -205,11 +205,21 @@ BOOL_OBJECT_DOC = {"objects": [True, False],
                    "identities": {"True": 0, "False": 1}, "composition": [[0, 0, 0], [1, 1, 1]]}
 
 
+# endpoints that are JSON null, true and an array, naming objects spelled as str() spells them
+NULL_DOM_DOC = {"objects": ["None"], "morphisms": [{"id": 0, "dom": None, "cod": "None"}],
+                "identities": {"None": 0}, "composition": [[0, 0, 0]]}
+BOOL_COD_DOC = {"objects": ["True"], "morphisms": [{"id": 0, "dom": "True", "cod": True}],
+                "identities": {"True": 0}, "composition": [[0, 0, 0]]}
+LIST_DOM_DOC = {"objects": ["[1]"], "morphisms": [{"id": 0, "dom": [1], "cod": "[1]"}],
+                "identities": {"[1]": 0}, "composition": [[0, 0, 0]]}
+
+
 # keys of the span's document replaced, each making it malformed
 MALFORMED_FIELDS = {"objects": {"objects": 3}, "morphisms": {"morphisms": 5},
                     "identities": {"identities": 5}, "composition": {"composition": 7},
                     "list-id": LIST_OBJECT_DOC, "bool-id": BOOL_ID_DOC,
-                    "null-object-id": NULL_OBJECT_DOC, "bool-object-id": BOOL_OBJECT_DOC}
+                    "null-object-id": NULL_OBJECT_DOC, "bool-object-id": BOOL_OBJECT_DOC,
+                    "null-dom": NULL_DOM_DOC, "bool-cod": BOOL_COD_DOC, "list-dom": LIST_DOM_DOC}
 
 
 @pytest.mark.parametrize("patch", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS))
@@ -297,10 +307,11 @@ GROUP_SUBCOMMANDS = (("marks", "sym:4"), ("nu", "sym:4"), ("orbitcat", "sym:4"),
 
 @pytest.fixture
 def no_lattice(monkeypatch):
-    def fail(g):
+    def fail(*args):
         raise AssertionError("subgroup lattice computed above the cap")
 
-    monkeypatch.setattr(grouptheory, "_subgroup_classes_cached", fail)
+    # every lattice starts with the class of the trivial subgroup
+    monkeypatch.setattr(grouptheory, "_conjugacy_class", fail)
 
 
 @pytest.mark.parametrize("sub", GROUP_SUBCOMMANDS, ids=[s[0] for s in GROUP_SUBCOMMANDS])
@@ -713,6 +724,7 @@ LAYERS = {
     ("group", "orbitcat", "perm:5"): {"grouptheory"},
     ("--cap", "4", "group", "orbitcat", "symmetric:3"): {"grouptheory"},
     ("group", "equivariant", "MISSING"): set(),
+    ("group", "equivariant", "MISSING", "--random", "symmetric:3"): set(),  # refused unread
 }
 
 # the exit code of each LAYERS argv that fails; the others exit 0
@@ -723,6 +735,7 @@ CODES = {
     ("group", "orbitcat", "perm:5"): 2,
     ("--cap", "4", "group", "orbitcat", "symmetric:3"): 1,
     ("group", "equivariant", "MISSING"): 1,
+    ("group", "equivariant", "MISSING", "--random", "symmetric:3"): 2,
 }
 
 
@@ -730,7 +743,7 @@ CODES = {
 def or_s3(tmp_path_factory):
     path = tmp_path_factory.mktemp("layers") / "or-s3.json"
     with open(path, "w") as fh:
-        canonical_json(orbit_category(build_group("symmetric:3")).category, fh)
+        canonical_json(orbit_category(build_group("symmetric:3")), fh)
     return str(path)
 
 

@@ -18,7 +18,7 @@ from json_oracle import emitted
 
 SPAN = emitted(corpus.build("span")).encode()
 OR_C2_4 = emitted(orbit_category(
-    build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2")).category).encode()
+    build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2"))).encode()
 
 
 def stanza(capsys, argv) -> dict:

@@ -53,12 +53,12 @@ def _cases():
         if classify(cat).is_ei:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     for spec in ORBIT_SPECS:
-        cases.append((f"Or({spec})", orbit_category(build_group(spec, 120)).category))
+        cases.append((f"Or({spec})", orbit_category(build_group(spec, 120))))
     # without its terminal object G/G, the automorphisms of the lower classes
     # act on the upper chains with varying fixed points, so chi_f depends on
     # f_t(a) at every a, not on f_t(1) alone
     for spec in PROPER_SPECS[:3]:
-        proper = _proper(orbit_category(build_group(spec)).category)
+        proper = _proper(orbit_category(build_group(spec)))
         cases += [(f"Or({spec}) proper", proper), (f"Or({spec}) proper^op", opposite(proper))]
     rng = random.Random(1989)
     for i in range(40):
@@ -70,9 +70,9 @@ def _cases():
     # an opposite orbit category is not free: the Weyl groups of the upper
     # classes fix morphisms, so stabilisers and demand sets grow
     for spec in ORBIT_SPECS:
-        cases.append((f"Or({spec})^op", opposite(orbit_category(build_group(spec, 120)).category)))
+        cases.append((f"Or({spec})^op", opposite(orbit_category(build_group(spec, 120)))))
     for spec in PROPER_SPECS[3:]:
-        proper = _proper(orbit_category(build_group(spec)).category)
+        proper = _proper(orbit_category(build_group(spec)))
         cases += [(f"Or({spec}) proper", proper), (f"Or({spec}) proper^op", opposite(proper))]
     rng = random.Random(2012)
     for i in range(30):
@@ -82,7 +82,7 @@ def _cases():
         for kind, cat in (("dag", genrandom.random_dag_category(rng)),
                           ("poset of groups", genrandom.poset_of_groups(rng))):
             cases += [(f"{kind} {i}", cat), (f"{kind} {i}^op", opposite(cat))]
-    s3op = opposite(orbit_category(build_group("symmetric:3")).category)
+    s3op = opposite(orbit_category(build_group("symmetric:3")))
     cases.append(("Or(symmetric:3)^op x Or(symmetric:3)^op", product(s3op, s3op)))
     for i in range(4):
         biset = biset_category(*genrandom.random_biset(rng)[:4])
@@ -153,7 +153,7 @@ def test_route_asserts_integral_chi_f(monkeypatch):
 def test_route_asserts_integral_coset_averages(monkeypatch):
     """Each coset average is an integer; an operator whose cosets are not
     cosets of the stabiliser breaks that and is caught."""
-    cat = opposite(orbit_category(build_group("symmetric:3")).category)
+    cat = opposite(orbit_category(build_group("symmetric:3")))
     inner = moebius._orbits
 
     def skewed(comp, hom, at):
@@ -170,7 +170,7 @@ def test_memo_keeps_only_the_class_functions_and_rows():
     the hom sets, the inverses, the EI verdict, the class table, f on every
     A_i and the sparse integer rows h_i(1), each built once, nothing per
     pair."""
-    cat = opposite(orbit_category(build_group("dihedral:4")).category)
+    cat = opposite(orbit_category(build_group("dihedral:4")))
     memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
@@ -189,7 +189,7 @@ def test_memo_keeps_only_the_class_functions_and_rows():
 def test_orbit_category_only_the_route_reaches():
     """Or(C2^3 x C4), 118 classes: the walk takes about half a second, the
     back-substitution a few hundredths; both give the same report."""
-    cat = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:4")).category
+    cat = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:4"))
     assert moebius.iso_order(cat).size == 118
     rep = euler_characteristics(cat)
     chi_f, chi_f2, mu_rows, truncated = walk_sums(cat)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import dense
+import genrandom
 import lattice_oracle
 from catrank import fincat, grouptheory, moebius
 from catrank.fincat import orbit_category
@@ -211,6 +212,28 @@ class TestBuilders:
             with pytest.raises(ValueError) as err:
                 FiniteGroup(table)
             assert str(err.value) == expected
+
+    def test_right_generators_match_the_incremental_search(self):
+        """The generators of Light's test, closure by closure, against the
+        one incremental search they replaced, on random reduced Latin
+        squares and builder groups: the same lists, and the verdict and
+        message of the full scan."""
+        rng = random.Random(32)
+        tables = [genrandom.random_loop_table(rng, rng.randint(4, 7)) for _ in range(400)]
+        tables += [g.table for g in genrandom.small_group_pool() + [symmetric_group(4)]]
+        failures = 0
+        for table in tables:
+            g = FiniteGroup._associative(table)
+            assert grouptheory._right_generators(g) == lattice_oracle.right_generators(g.table)
+            expected = first_associativity_failure(table)
+            if expected is None:
+                assert FiniteGroup(table) == g
+            else:
+                failures += 1
+                with pytest.raises(ValueError) as err:
+                    FiniteGroup(table)
+                assert str(err.value) == expected
+        assert failures >= 200  # most reduced Latin squares are no group tables
 
     def test_builder_tables_pass_the_full_check(self):
         # the builders skip the associativity check, so their tables
@@ -466,14 +489,18 @@ def test_lattice_matches_oracle(g):
         + [f"perm{i}" for i in range(len(random_perm_groups()))],
 )
 def test_coset_maps_match_oracle(g):
-    """``_maps`` tests H against the conjugates of K; the oracle conjugates
-    every element of H into K, coset by coset.  Each list's length is the
-    mark, which counts the conjugates of H inside K instead."""
-    classes, named, maps = grouptheory._maps(g)
-    assert [list(names) for names in named] == [
-        sorted(min(c) for c in left_cosets(g, c.representative)) for c in classes]
+    """``_maps`` names each coset of K by its least element and tests H
+    against the conjugates of K; the oracle conjugates every element of H
+    into K, coset by coset.  Each list's length is the mark, which counts
+    the conjugates of H inside K instead."""
+    least, maps = grouptheory._maps(g)
+    classes = subgroup_classes(g)
+    assert len(least) == len(classes)
+    for row, cls in zip(least, classes):
+        cosets = lattice_oracle._left_cosets(g, cls.representative)
+        assert row == [min(c) for x in range(g.order) for c in cosets if x in c]
     assert maps == lattice_oracle.coset_maps(g)
-    n = len(classes)
+    n = len(maps)
     m = table_of_marks(g).matrix
     assert [[len(maps[i][j]) for j in range(n)] for i in range(n)] == \
         [[m.get(i, j) for j in range(n)] for i in range(n)]
@@ -482,12 +509,12 @@ def test_coset_maps_match_oracle(g):
 def nu_via_orbit_category(g):
     """D mu_bar2 D^-1 over subgroup classes, D = diag(|W_G H|), with mu_bar2
     from the chain walk on Or(G), reordered from object to class order."""
-    oc = orbit_category(g)
-    order = list(oc.category.objects)
-    mu = reorder(dense.mu_bar2(euler_characteristics(oc.category)), order, order)
-    weyl = [c.weyl_order for c in oc.classes]
+    cat = orbit_category(g)
+    order = list(cat.objects)
+    mu = reorder(dense.mu_bar2(euler_characteristics(cat)), order, order)
+    weyl = [c.weyl_order for c in subgroup_classes(g)]
     n = len(weyl)
-    labels = [c.label for c in oc.classes]
+    labels = [c.label for c in subgroup_classes(g)]
     return dense.QMatrix(n, n, [Fraction(weyl[i]) * mu.get(i, j) / weyl[j]
                                 for i in range(n) for j in range(n)], labels, labels)
 
@@ -519,6 +546,9 @@ def test_nu_needs_no_orbit_category(monkeypatch):
 def test_spec_strings_that_parse_alike_share_one_group():
     assert build_group("sym:4") is build_group("symmetric:4") is build_group(" s:4")
     assert build_group("klein") is build_group("product:cyclic:2+cyclic:2")
+    assert build_group("c:3") is build_group("cyclic:3")
+    assert build_group("d:4") is build_group("dihedral:4")
+    assert build_group("prod:c:2+c:2") is build_group("product:cyclic:2+cyclic:2")
     assert build_group("sym:4", cap=120) is not build_group("sym:4")
     assert build_group({"kind": "symmetric", "n": 4}) is not build_group("sym:4")
 
@@ -535,7 +565,7 @@ def test_repeated_calls_write_each_memo_key_once():
         burnside_congruences(g, [1] * len(subgroup_classes(g)))
         orbit_category(g)
         GCWComplex(g, [(0, [0])])
-    assert memo.builds == ["_subgroup_classes_cached", "table_of_marks", "_nu_rows", "_maps",
+    assert memo.builds == ["subgroup_classes", "table_of_marks", "_nu_rows", "_maps",
                            "orbit_category", "_class_of"]
 
 
@@ -546,7 +576,7 @@ def test_a_group_from_a_table_keeps_its_own_memo():
     assert h == g and h._memo == {}
     assert table_of_marks(h) is not table_of_marks(g)
     assert table_of_marks(h).matrix.rows == table_of_marks(g).matrix.rows
-    assert list(h._memo) == ["_subgroup_classes_cached", "table_of_marks"]
+    assert list(h._memo) == ["subgroup_classes", "table_of_marks"]
     with pytest.raises(TypeError):  # equal groups share no value-keyed cache
         hash(h)
 
@@ -637,7 +667,7 @@ def test_lattice_closure_count(monkeypatch, g, bound):
         return orig(*args)
 
     monkeypatch.setattr(grouptheory, "closure", counted)
-    classes = grouptheory._subgroup_classes_cached.__wrapped__(g)
+    classes = grouptheory.subgroup_classes.__wrapped__(g)
     assert len(classes) == {120: 19, 720: 56}[g.order]
     assert 0 < calls[0] <= bound
 

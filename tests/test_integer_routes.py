@@ -75,10 +75,10 @@ def _census(g, rng, cells=30):
 def omega_lhs_oracle(x):
     """omega_bar2 of Or(G) as a Fraction matrix in iso order, applied to
     chi_G through the translation between class order and object order."""
-    oc = orbit_category(x.group)
-    om = dense.matrix(omega_bar2(oc.category))
+    cat = orbit_category(x.group)
+    om = dense.matrix(omega_bar2(cat))
     v = chi_G(x)
-    obj_order = list(oc.category.objects)
+    obj_order = list(cat.objects)
     v_iso = QVector([v[obj_order.index(lbl)] for lbl in om.col_labels], labels=om.col_labels)
     image = om.mul_vec(v_iso)
     return [image.at(obj) for obj in obj_order]

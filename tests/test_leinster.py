@@ -202,7 +202,7 @@ def test_cells_accumulate_per_object():
 def _skeletal_ei_cases():
     """Orbit categories, their opposites and the skeletal free EI draws of a
     seeded genrandom run, all with nontrivial automorphisms somewhere."""
-    cats = [orbit_category(build_group(spec)).category
+    cats = [orbit_category(build_group(spec))
             for spec in ("symmetric:3", "symmetric:4", "dihedral:4", "q8",
                          "product:cyclic:2+symmetric:3",
                          "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2")]
@@ -260,8 +260,8 @@ def _non_skeletal_ei_cases():
     and products with indiscrete-2: every class past the first member adds
     a free variable and a kernel vector."""
     ind = corpus.build("indiscrete-2")
-    ors3 = orbit_category(build_group("symmetric:3")).category
-    ord8 = orbit_category(build_group("dihedral:4")).category
+    ors3 = orbit_category(build_group("symmetric:3"))
+    ord8 = orbit_category(build_group("dihedral:4"))
     bisets = [corpus.build(name) for name in corpus.names() if name.startswith("biset")]
     bisets = [cat for cat in bisets if not classify(cat).is_free]
     assert len(bisets) == 3
@@ -293,7 +293,7 @@ def test_ei_weightings_of_a_large_product(monkeypatch):
     """Or(C2^4) x indiscrete-2, 134 objects in 67 classes of two: the
     weighting of a product is the product of the weightings, and each
     (x, b) is a free variable with kernel vector e_(x,b) - e_(x,a)."""
-    orc = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2")).category
+    orc = orbit_category(build_group("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2"))
     ind = corpus.build("indiscrete-2")
     cat = product(orc, ind)
     assert (cat.n_objects, moebius.iso_order(cat).size) == (134, 67)

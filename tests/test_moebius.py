@@ -207,7 +207,7 @@ def _table_cases():
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     cases += [(f"subsets-q {q}", corpus.build("subsets-q", q=q)) for q in range(6)]
     for spec in ("symmetric:3", "dihedral:4", "q8"):
-        cat = orbit_category(build_group(spec)).category
+        cat = orbit_category(build_group(spec))
         cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
     rng = random.Random(47)
     for i in range(6):
@@ -243,7 +243,7 @@ def _sparse_route_cases():
     the corpus entries that are not EI, with their opposites."""
     cases = list(TABLE_CASES) + [("subsets-q 6", corpus.build("subsets-q", q=6))]
     for spec in ("symmetric:4", "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2"):
-        cat = orbit_category(build_group(spec)).category
+        cat = orbit_category(build_group(spec))
         cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
     for name in corpus.names():
         cat = corpus.build(name)
@@ -282,7 +282,7 @@ def test_table_cases_cover_inflations_and_automorphisms():
 
 def test_invariants_do_not_depend_on_morphism_ids():
     for spec in ("symmetric:3", "dihedral:4"):
-        cat = opposite(orbit_category(build_group(spec)).category)
+        cat = opposite(orbit_category(build_group(spec)))
         a, b = euler_characteristics(cat), euler_characteristics(_ids_reversed(cat))
         assert (a.orbits, a.fixed, a.rows, a.sizes) == (b.orbits, b.fixed, b.rows, b.sizes)
         assert dense.matrix(omega_bar2(cat)) == dense.matrix(omega_bar2(_ids_reversed(cat)))
@@ -649,7 +649,7 @@ def _oracle_cases():
         if classify(cat).is_ei:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     for spec in ("symmetric:3", "dihedral:4", "q8"):
-        cases.append((f"Or({spec})", orbit_category(build_group(spec)).category))
+        cases.append((f"Or({spec})", orbit_category(build_group(spec))))
     rng = random.Random(31)
     for i in range(12):
         base = genrandom.random_free_ei_category(rng)

@@ -118,7 +118,7 @@ def test_nontrivial_automorphisms_take_the_same_route():
     """Free EI categories with nontrivial automorphisms and non-free ones
     get the report the walk oracle gives without a cut, and the walk cuts
     exactly below the longest chain."""
-    free = [orbit_category(build_group("symmetric:3")).category,
+    free = [orbit_category(build_group("symmetric:3")),
             product(delooping(build_group("cyclic:2")), divisor_poset(4))]
     for cat in free:
         assert not _trivial_endos(cat) and classify(cat).is_free
@@ -145,7 +145,7 @@ def test_weighting_route_needs_skeletal_and_trivial_endomorphisms(monkeypatch):
     back-substitution; only non-EI categories reach the general solver."""
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for cat in (corpus.build("subsets-q", q=5), delooping(build_group("cyclic:2")),
-                orbit_category(build_group("symmetric:3")).category,
+                orbit_category(build_group("symmetric:3")),
                 corpus.build("indiscrete-2")):
         weighting(cat)
         coweighting(cat)

@@ -29,47 +29,61 @@ from catrank.orbitcat import (
 import dense
 from aut_groups import aut_group
 from chain_oracle import chi_f2_via_eta
-from lattice_oracle import fixed_point_count, nu_matrix_via_chains
+from lattice_oracle import coset_maps, fixed_point_count, nu_matrix_via_chains
 from rref_oracle import reorder
 from genrandom import random_gcw
 from subgroup_helpers import weyl_group_with_cosets
 
 
 def test_orbit_category_of_c2():
-    oc = orbit_category(build_group("cyclic:2"))
-    cat = oc.category
+    g = build_group("cyclic:2")
+    cat = orbit_category(g)
     assert validate(cat) == []
     assert [[len(cat.hom(i, j)) for j in range(2)] for i in range(2)] == [[2, 1], [0, 1]]
-    assert [c.label for c in oc.classes] == [(0,), (0, 1)]
+    assert [c.label for c in subgroup_classes(g)] == [(0,), (0, 1)]
 
 
 def test_orbit_category_of_trivial_group():
-    cat = orbit_category(build_group("trivial")).category
+    cat = orbit_category(build_group("trivial"))
     assert cat.n_objects == 1 and cat.n_morphisms == 1
 
 
 def test_orbit_category_is_free_ei():
     for spec in ("cyclic:4", "klein", "symmetric:3", "dihedral:4"):
-        rep = classify(orbit_category(build_group(spec)).category)
+        rep = classify(orbit_category(build_group(spec)))
         assert rep.is_ei and rep.is_free and rep.is_skeletal
 
 
 def test_orbit_category_s3_shape():
-    oc = orbit_category(build_group("symmetric:3"))
-    assert oc.category.n_objects == 4
-    auts = [len(oc.category.aut(i)) for i in range(4)]
-    assert auts == [c.weyl_order for c in oc.classes] == [6, 1, 2, 1]
+    g = build_group("symmetric:3")
+    cat = orbit_category(g)
+    assert cat.n_objects == 4
+    auts = [len(cat.aut(i)) for i in range(4)]
+    assert auts == [c.weyl_order for c in subgroup_classes(g)] == [6, 1, 2, 1]
+
+
+def coset_of_morphism(g):
+    """The coset x*K_j of each morphism of Or(G), by id: the morphisms in
+    the documented order, the identities (i, i, 0) first, in object order,
+    then each (i, j, lo) in the order of the oracle's lists, lo*K_j for
+    (i, j, lo)."""
+    maps = coset_maps(g)
+    ids = [(i, i, 0) for i in range(len(maps))]
+    ordered = ids + [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row)
+                     for lo in los if (i, j, lo) not in ids]
+    reps = [c.representative for c in subgroup_classes(g)]
+    return [frozenset(g.table[lo][e] for e in reps[j]) for _, j, lo in ordered]
 
 
 def test_aut_is_weyl_group_via_inverse_relabeling():
     # cosets wH in N(H)/H correspond to automorphisms R_(w^-1); on a
     # nonabelian group this must be a homomorphism, and w -> R_w must not be
     g = build_group("symmetric:3")
-    oc = orbit_category(g)
-    cat = oc.category
-    h = oc.classes[0].representative  # trivial subgroup: W = G
+    cat = orbit_category(g)
+    h = subgroup_classes(g)[0].representative  # trivial subgroup: W = G
     w, cosets = weyl_group_with_cosets(g, h)
-    morph_of_coset = {oc.coset_of_morphism[m]: m for m in cat.aut(0)}
+    coset_of = coset_of_morphism(g)
+    morph_of_coset = {coset_of[m]: m for m in cat.aut(0)}
 
     def r_of(elem):
         # the automorphism R_(elem^-1) as a morphism id
@@ -90,17 +104,17 @@ def test_aut_is_weyl_group_via_inverse_relabeling():
 
 def test_composition_follows_translation_law():
     g = build_group("symmetric:3")
-    oc = orbit_category(g)
-    cat = oc.category
+    cat = orbit_category(g)
+    coset_of = coset_of_morphism(g)
     for f in range(cat.n_morphisms):
         for h in range(cat.n_morphisms):
             if cat.dom[h] != cat.cod[f]:
                 continue
             c = cat.compose(h, f)
-            g1, g2 = min(oc.coset_of_morphism[f]), min(oc.coset_of_morphism[h])
+            g1, g2 = min(coset_of[f]), min(coset_of[h])
             prod = g.table[g1][g2]
-            target_rep = oc.classes[cat.cod[h]].representative
-            assert oc.coset_of_morphism[c] == frozenset(g.table[prod][e] for e in target_rep)
+            target_rep = subgroup_classes(g)[cat.cod[h]].representative
+            assert coset_of[c] == frozenset(g.table[prod][e] for e in target_rep)
 
 
 def test_cap_exceeded():
@@ -111,7 +125,7 @@ def test_cap_exceeded():
 
 def test_mu_inverts_omega_on_orbit_categories():
     for spec in ("cyclic:6", "dihedral:4", "q8"):
-        cat = orbit_category(build_group(spec)).category
+        cat = orbit_category(build_group(spec))
         om, mu = dense.matrix(omega_bar2(cat)), dense.mu_bar2(euler_characteristics(cat))
         assert mu.mul(om).is_identity() and om.mul(mu).is_identity()
 
@@ -119,24 +133,25 @@ def test_mu_inverts_omega_on_orbit_categories():
 def test_omega_scaled_by_weyl_orders_is_table_of_marks():
     for spec in ("symmetric:3", "dihedral:4", "cyclic:6"):
         g = build_group(spec)
-        oc = orbit_category(g)
-        om = dense.matrix(omega_bar2(oc.category))
-        order = list(oc.category.objects)
+        cat = orbit_category(g)
+        om = dense.matrix(omega_bar2(cat))
+        order = list(cat.objects)
         om = reorder(om, order, order)
         marks = table_of_marks(g).matrix
-        n = len(oc.classes)
+        classes = subgroup_classes(g)
+        n = len(classes)
         for i in range(n):
-            w = oc.classes[i].weyl_order
+            w = classes[i].weyl_order
             assert [w * om.get(i, j) for j in range(n)] == list(marks.rows[i])
 
 
 def test_euler_characteristics_of_orbit_category():
-    oc = orbit_category(build_group("cyclic:2"))
-    rep = euler_characteristics(oc.category)
+    cat = orbit_category(build_group("cyclic:2"))
+    rep = euler_characteristics(cat)
     assert rep.orbits == [0, 1]
     assert list(dense.chi_f2(rep)) == [0, 1]
     assert rep.chi == 1 and rep.chi2 == 1
-    assert list(chi_f2_via_eta(oc.category)) == [0, 1]
+    assert list(chi_f2_via_eta(cat)) == [0, 1]
 
 
 def test_nu_routes_agree():
@@ -246,7 +261,7 @@ def test_omega_relation_randomized(rng):
 @given(st.randoms(use_true_random=False))
 def test_chi_f2_eta_route_on_orbit_categories(rng):
     g = build_group(rng.choice(["cyclic:4", "cyclic:6", "klein", "symmetric:3"]))
-    cat = orbit_category(g).category
+    cat = orbit_category(g)
     assert list(dense.chi_f2(euler_characteristics(cat))) == list(chi_f2_via_eta(cat))
 
 

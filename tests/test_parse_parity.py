@@ -123,7 +123,7 @@ def _documents() -> dict[str, str]:
     docs = {name: emitted(corpus.build(name)) for name in corpus.names()}
     docs.update({f"subsets-q {q}": emitted(corpus.build("subsets-q", q=q)) for q in range(7)})
     for spec in ("symmetric:3", "symmetric:4", "dihedral:4", "q8", C2_4):
-        docs[f"Or({spec})"] = emitted(orbit_category(build_group(spec)).category)
+        docs[f"Or({spec})"] = emitted(orbit_category(build_group(spec)))
     return docs
 
 

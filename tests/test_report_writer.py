@@ -38,9 +38,9 @@ def _categories():
     for q in range(9):
         yield f"subsets-q-{q}", lambda q=q: corpus.build("subsets-q", q=q)
     for spec in GROUPS:
-        yield f"Or({spec})", lambda spec=spec: orbit_category(build_group(spec, int(CAP))).category
+        yield f"Or({spec})", lambda spec=spec: orbit_category(build_group(spec, int(CAP)))
         yield f"Or({spec})^op", lambda spec=spec: opposite(
-            orbit_category(build_group(spec, int(CAP))).category)
+            orbit_category(build_group(spec, int(CAP))))
     yield "escapes", escapes_poset
     yield "empty", lambda: FiniteCategory([], [], [], [], [])
 
