@@ -136,6 +136,10 @@ class _Ints(dict):
         return n
 
 
+def _no_constant(name: str):  # parse_constant: NaN, Infinity, -Infinity
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_json(path: str) -> tuple[dict, object, str | None]:
     """(input stanza, document, None) of the JSON file at path, or - for
     stdin; (input stanza, None, reason) when it is not JSON.  Raises OSError
@@ -145,14 +149,15 @@ def _read_json(path: str) -> tuple[dict, object, str | None]:
     ``json.loads(bytes)`` decodes them (``json.detect_encoding``,
     "surrogatepass") and dropped, so the parse holds the text alone.  The
     text is parsed as ``json.loads`` parses it, except that the ints are
-    shared (``_Ints``), and that a BOM left after decoding is parsed as text,
-    as ``json.loads(bytes)`` does, rather than refused."""
+    shared (``_Ints``), NaN and the infinities are refused, and a BOM left
+    after decoding is parsed as text, as ``json.loads(bytes)`` does."""
     data, name = _read_source(path)
     stanza = _input_stanza(data, name)
     try:
         text = data.decode(json.detect_encoding(data), "surrogatepass")
         del data
-        return stanza, json.JSONDecoder(parse_int=_Ints().__getitem__).decode(text), None
+        decoder = json.JSONDecoder(parse_int=_Ints().__getitem__, parse_constant=_no_constant)
+        return stanza, decoder.decode(text), None
     except (ValueError, RecursionError) as e:  # RecursionError: nesting deeper than the stack
         return stanza, None, str(e)
 

@@ -1,7 +1,8 @@
-"""Finite categories as explicit tables: validation, classification predicates,
-and constructions (opposite, product, coproduct, delooping, poset, biset,
-orbit category, full subcategory, skeleton), plus functor data, coverings
-and isofibrations.
+"""Finite categories as explicit tables: validation, classification predicates
+(``is_free`` read off ``aut_orbits``, the one walk of the aut(y)-orbits on the
+hom sets, which ``moebius`` reads too), constructions (opposite, product,
+coproduct, delooping, poset, biset, orbit category, full subcategory,
+skeleton), functor data, coverings and isofibrations.
 
 A category is stored as: a tuple of object ids (strings by convention, so JSON
 round-trips), per-morphism dom/cod object indices, an identity morphism per
@@ -36,6 +37,7 @@ when that check, or an identity law, fails.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -143,8 +145,9 @@ class FiniteCategory:
         return self.inverse(m) is not None
 
     def aut(self, i: int) -> tuple[int, ...]:
-        """Automorphisms of the object with index i."""
-        return tuple(m for m in self.hom(i, i) if self.is_iso(m))
+        """Automorphisms of object index i: the identity first, then id order."""
+        e = self.identity[i]
+        return (e,) + tuple(m for m in self.hom(i, i) if m != e and self.is_iso(m))
 
     def __eq__(self, other) -> bool:
         return (
@@ -357,29 +360,40 @@ def ei_witness(cat: FiniteCategory) -> int | None:
                  if dom[m] == cod[m] and not cat.is_iso(m)), None)
 
 
-def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
-    """A nonidentity automorphism a and a morphism f with a o f = f, the
-    first found over targets, sources, morphisms and automorphisms in index
-    order; None when every automorphism group acts freely on the morphisms
-    into its object (the category is free).  Each aut(y)-orbit is visited
-    once, from its least element: the stabilisers along an orbit are
-    conjugate."""
+@_once
+def aut_orbits(cat: FiniteCategory) -> tuple[dict[tuple[int, int], list[int]], list[tuple]]:
+    """The aut(y)-orbits on every nonempty hom(x, y), walked once: per
+    (x, y) the first element of each orbit, in id order, and per morphism f
+    the first element x of its orbit with the positions in ``cat.aut(y)`` of
+    the a with a o x = f.  The identity is at position 0, so the positions
+    at x are its stabiliser and those at f a coset of it; for b in the
+    automorphisms of x's source, C(x, b) = {a : a o x = x o b} is the
+    positions at x o b when x o b lies in the orbit of x, and empty else."""
     rows, at = cat.rows, cat.at
-    for y in range(cat.n_objects):
-        auts = [a for a in cat.aut(y) if a != cat.identity[y]]
-        if not auts:
-            continue
-        for x in range(cat.n_objects):
-            seen = set()
-            for f in cat.hom(x, y):
-                if f in seen:
-                    continue
-                for a in auts:
-                    g = rows[f][at[a]]
-                    if g == f:
-                        return a, f
-                    seen.add(g)
-    return None
+    places = [[at[a] for a in cat.aut(y)] for y in range(cat.n_objects)]
+    firsts: dict[tuple[int, int], list[int]] = {}
+    fibre: list = [None] * cat.n_morphisms
+    for (x, y), hom in _hom_sets(cat).items():
+        xs = firsts[x, y] = []
+        for f in hom:
+            if fibre[f] is None:
+                xs.append(f)
+                row = rows[f]
+                for p, q in enumerate(places[y]):
+                    g = row[q]
+                    fibre[g] = (f, (p,) if fibre[g] is None else fibre[g][1] + (p,))
+    return firsts, fibre
+
+
+def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
+    """A nonidentity automorphism a of y and a morphism f into y with
+    a o f = f: f the first element of the first orbit of ``aut_orbits``, in
+    hom-set order, whose stabiliser holds more than the identity (along an
+    orbit the stabilisers are conjugate), and a its first member after the
+    identity; None when every aut(y) acts freely (the category is free)."""
+    firsts, fibre = aut_orbits(cat)
+    return next(((cat.aut(y)[fibre[f][1][1]], f) for (_, y), xs in firsts.items()
+                 for f in xs if len(fibre[f][1]) > 1), None)
 
 
 def classify(cat: FiniteCategory) -> PredicateReport:
@@ -813,15 +827,18 @@ def fiber_category(p: FunctorData, b_obj) -> FiniteCategory:
 # ------------------------------------------------------------------- JSON io
 
 
-_ID_TYPES = (str, int, float)  # the types of an object id, as JSON parses it
+def _name(v) -> str | None:
+    """str(v), the key object ids are looked up by, for a string or a finite
+    number as JSON parses them; None else (null, bool, NaN, an infinity)."""
+    ok = type(v) is str or type(v) is int or type(v) is float and math.isfinite(v)
+    return str(v) if ok else None
 
 
 def from_json(doc: dict) -> FiniteCategory:
     """Parse the category schema; raises ValueError naming the first format problem.
 
-    Object ids, and the dom and cod that name them, must be strings or
-    numbers, and morphism ids of type int, as JSON parses them: null, and
-    true/false (bool is an int subclass), are refused."""
+    Object ids, and the dom and cod that name them, must have a ``_name``,
+    and morphism ids be of type int, as JSON parses them."""
     if not isinstance(doc, dict):
         raise ValueError("category document must be a JSON object")
     for key in ("objects", "morphisms", "identities", "composition"):
@@ -833,11 +850,12 @@ def from_json(doc: dict) -> FiniteCategory:
     if not isinstance(doc["identities"], dict):
         raise ValueError("identities must be a JSON object")
     objects = list(doc["objects"])
-    if any(type(o) not in _ID_TYPES for o in objects):
+    names = [_name(o) for o in objects]
+    if None in names:
         raise ValueError("object ids must be strings or numbers")
-    if len(set(map(str, objects))) != len(objects):
+    if len(set(names)) != len(objects):
         raise ValueError("duplicate object ids")
-    obj_index = {str(o): i for i, o in enumerate(objects)}
+    obj_index = {k: i for i, k in enumerate(names)}
     morphs = doc["morphisms"]
     m = len(morphs)
     dom = [0] * m
@@ -850,13 +868,12 @@ def from_json(doc: dict) -> FiniteCategory:
         if type(mid) is not int or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
-        if (type(rec["dom"]) not in _ID_TYPES or type(rec["cod"]) not in _ID_TYPES
-                or str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index):
+        d, c = obj_index.get(_name(rec["dom"])), obj_index.get(_name(rec["cod"]))
+        if d is None or c is None:
             raise ValueError(f"morphism {mid} references unknown object")
-        dom[mid] = obj_index[str(rec["dom"])]
-        cod[mid] = obj_index[str(rec["cod"])]
+        dom[mid], cod[mid] = d, c
     identities = doc["identities"]
-    if set(identities) != set(map(str, objects)):
+    if identities.keys() != obj_index.keys():
         raise ValueError("identities must cover exactly the objects")
     identity = [0] * len(objects)
     for o, mid in identities.items():

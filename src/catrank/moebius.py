@@ -24,7 +24,8 @@ those actions:
     the values at 1 of the rows are needed; when every endomorphism is an
     identity the rows are the classical Moebius function of the class poset
     (Rota 1964).  The report keeps these integers, and mu_bar2 is its rows
-    over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built.
+    over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built,
+    and no orbit is walked here: ``fincat.aut_orbits`` lists them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import namedtuple
 
 from . import Rows, _once, ratio
 from .exactq import sum_ratios
-from .fincat import FiniteCategory, ei_witness, iso_classes
+from .fincat import FiniteCategory, _hom_sets, aut_orbits, ei_witness, iso_classes
 
 
 class IsoPoset(namedtuple("IsoPoset", "labels members reps homs auts lengths")):
@@ -65,16 +66,12 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     reps = [cat.obj_index(c[0]) for c in classes]
     k = len(classes)
     # the nonzero entries only: per class i, {j: |hom(rep i, rep j)|}, read
-    # off the morphisms out of rep i
+    # off the nonempty hom sets
     class_of = dict(zip(reps, range(k)))
-    counts: list[dict[int, int]] = []
-    for r in reps:
-        row: dict[int, int] = {}
-        for f in cat.morphisms_from(r):
-            j = class_of.get(cat.cod[f])
-            if j is not None:
-                row[j] = row.get(j, 0) + 1
-        counts.append(row)
+    counts: list[dict[int, int]] = [{} for _ in range(k)]
+    for (x, y), hom in _hom_sets(cat).items():
+        if x in class_of and y in class_of:
+            counts[class_of[x]][class_of[y]] = len(hom)
     below: list[list[int]] = [[] for _ in range(k)]
     for i, row in enumerate(counts):
         for j in row:
@@ -95,8 +92,7 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     for i, row in enumerate(counts):
         for j, n in row.items():
             homs[place[i]][place[j]] = n
-    # EI: the endomorphisms are the automorphisms; a stable sort puts 1 first
-    auts = [tuple(sorted(cat.hom(r, r), key=cat.identity[r].__ne__)) for r in reps]
+    auts = [cat.aut(r) for r in reps]
     return IsoPoset(
         tuple(cat.objects[reps[i]] for i in order),
         tuple(tuple(classes[i]) for i in order),
@@ -105,27 +101,6 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
         tuple(auts[i] for i in order),
         tuple(lengths[i] for i in order),
     )
-
-
-def _orbits(cat: FiniteCategory, hom, auts
-            ) -> tuple[list[int], dict[int, tuple[int, tuple[int, ...]]]]:
-    """The auts-orbits on hom: their first elements x, and for each y in hom
-    the x of its orbit with the positions in auts of the a with a o x = y.
-
-    For b in the automorphisms of the source, C(x, b) = {a : a o x = x o b}
-    is then the positions at x o b when x o b lies in the orbit of x, and
-    empty otherwise: a coset of the stabiliser of x, of size s_x."""
-    xs = []
-    fibre = {}
-    places = [cat.at[a] for a in auts]
-    for x in hom:
-        if x not in fibre:
-            xs.append(x)
-            row = cat.rows[x]
-            for p, q in enumerate(places):
-                y = row[q]
-                fibre[y] = (x, fibre[y][1] + (p,) if y in fibre else (p,))
-    return xs, fibre
 
 
 def _average(rows: dict[int, dict[int, int]], c: tuple[int, ...], label) -> dict[int, int]:
@@ -147,8 +122,9 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
     """(f, rows) of an EI category, filled from the top class down.
 
     With A_i = aut(rep i), listed with the identity first, x running over
-    representatives of the A_t-orbits on hom(i, t) for a class t above i,
-    and C(x, b) = {a in A_t : a o x = x o b} of size s_x when nonempty:
+    the first elements of the A_t-orbits on hom(i, t) for a class t above
+    i, and C(x, b) = {a in A_t : a o x = x o b} of size s_x when nonempty,
+    both read off ``fincat.aut_orbits``:
 
       f_i(b) = 1 - sum over t, x with C(x, b) nonempty of
                (1/s_x) sum over a in C(x, b) of f_t(a),
@@ -164,20 +140,21 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
     class functions, which is why the sum over A_t can be grouped by
     A_t-orbits on hom(i, t); each (t, x) term is an integer (the orbits of
     the stabiliser of x that the coset fixes), and that is asserted.  The
-    orbits and demand sets stay local; rows[i] is h_i(1).
+    demand sets stay local; rows[i] is h_i(1).
 
     On a free category every s_x is 1 and D_i = {1}, so h_i(1)[j] is |A_j|
     times the signed count of A_j \\ S(c) over the chains from i to j."""
     poset = iso_order(cat)
     k, reps, homs, auts, labels = poset.size, poset.reps, poset.homs, poset.auts, poset.labels
     rows, at = cat.rows, cat.at
-    orbits: list[dict[int, tuple]] = [{} for _ in range(k)]
+    firsts, fibre = aut_orbits(cat)
+    orbits: list[dict[int, list[int]]] = [{} for _ in range(k)]
     demand = [{0} for _ in range(k)]
     for i in range(k):
         # every class below i comes before it, so D_i is complete here
         for t in range(i + 1, k):
             if homs[i][t]:
-                xs, fibre = orbits[i][t] = _orbits(cat, cat.hom(reps[i], reps[t]), auts[t])
+                xs = orbits[i][t] = firsts[reps[i], reps[t]]
                 for b in demand[i]:
                     after_b = rows[auts[i][b]]
                     for x in xs:
@@ -190,7 +167,7 @@ def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[in
         fi = [1] * len(auts[i])
         hi = {b: {} for b in demand[i]}
         hi[0][i] = len(auts[i])
-        for t, (xs, fibre) in orbits[i].items():
+        for t, xs in orbits[i].items():
             ft, ht = f[t], h[t]
             for b, m in enumerate(auts[i]):
                 row = hi.get(b)

@@ -28,6 +28,15 @@ def table_of(cat):
     return table
 
 
+def ids_reversed(cat) -> FiniteCategory:
+    """cat with its morphism ids in reverse order, so that every identity
+    comes after the other endomorphisms of its object."""
+    last = cat.n_morphisms - 1
+    return from_table(
+        cat.objects, cat.dom[::-1], cat.cod[::-1], [last - m for m in cat.identity],
+        {(last - g, last - f): last - c for (g, f), c in table_of(cat).items()})
+
+
 class DictCategory(FiniteCategory):
     """A category that keeps the composition dict it was given, for
     ``validate`` below to scan."""
@@ -117,6 +126,11 @@ def fiber_category(p, b_obj):
     return from_table(objs, dom, cod, list(range(len(objs))), table)
 
 
+def _is_id(v) -> bool:
+    """A string or a finite number: v - v is 0 for no NaN or infinity."""
+    return type(v) in (str, int) or type(v) is float and v - v == 0
+
+
 def from_json(doc: dict) -> DictCategory:
     """The category schema read into a (g, f) dict, raising ValueError with
     the message ``fincat.from_json`` gives for the first format problem."""
@@ -131,7 +145,7 @@ def from_json(doc: dict) -> DictCategory:
     if not isinstance(doc["identities"], dict):
         raise ValueError("identities must be a JSON object")
     objects = list(doc["objects"])
-    if any(type(o) not in (str, int, float) for o in objects):
+    if not all(map(_is_id, objects)):
         raise ValueError("object ids must be strings or numbers")
     if len(set(map(str, objects))) != len(objects):
         raise ValueError("duplicate object ids")
@@ -148,7 +162,7 @@ def from_json(doc: dict) -> DictCategory:
         if type(mid) is not int or not (0 <= mid < m) or mid in seen:
             raise ValueError(f"morphism ids must be exactly 0..{m-1}: got {mid!r}")
         seen.add(mid)
-        if (type(rec["dom"]) not in (str, int, float) or type(rec["cod"]) not in (str, int, float)
+        if (not _is_id(rec["dom"]) or not _is_id(rec["cod"])
                 or str(rec["dom"]) not in obj_index or str(rec["cod"]) not in obj_index):
             raise ValueError(f"morphism {mid} references unknown object")
         dom[mid] = obj_index[str(rec["dom"])]

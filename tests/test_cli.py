@@ -246,6 +246,66 @@ def test_null_and_bool_object_ids_refused(tmp_path, capsys, doc):
             {"kind": "malformed", "detail": "object ids must be strings or numbers"}]
 
 
+def _one_object(obj: str, end: str, key: str) -> str:
+    """A one-object category document: obj and end are the JSON texts of the
+    object id and of both endpoints, key its identities key."""
+    return ('{"objects": [%s], "morphisms": [{"id": 0, "dom": %s, "cod": %s}], '
+            '"identities": {"%s": 0}, "composition": [[0, 0, 0]]}' % (obj, end, end, key))
+
+
+def _not_a_number(literal):
+    return "not_json", f"{literal} is not a JSON number"
+
+
+# each document was "valid": true before non-finite numbers were refused
+NON_FINITE = {
+    "NaN": (_one_object("NaN", "NaN", "nan"), *_not_a_number("NaN")),
+    "Infinity": (_one_object("Infinity", "Infinity", "inf"), *_not_a_number("Infinity")),
+    "-Infinity": (_one_object("-Infinity", "-Infinity", "-inf"), *_not_a_number("-Infinity")),
+    "NaN-endpoint": (_one_object('"nan"', "NaN", "nan"), *_not_a_number("NaN")),
+    "1e400": (_one_object("1e400", "1e400", "inf"),
+              "malformed", "object ids must be strings or numbers"),
+    "-1e400": (_one_object("-1e400", "-1e400", "-inf"),
+               "malformed", "object ids must be strings or numbers"),
+    "1e400-endpoint": (_one_object('"inf"', "1e400", "inf"),
+                       "malformed", "morphism 0 references unknown object"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_non_finite_numbers_are_refused(tmp_path, capsys, name):
+    text, kind, detail = NON_FINITE[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for cmd in ("validate", "euler"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 1
+        assert json.loads(err) == {"violations": [{"kind": kind, "detail": detail}]}
+        assert cmd == "euler" or json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("obj", ['"x"', "7", "1.5", "-2e300"])
+def test_finite_object_ids_are_read(tmp_path, capsys, obj):
+    """The documents of NON_FINITE with a finite id are valid."""
+    path = tmp_path / "doc.json"
+    path.write_text(_one_object(obj, obj, str(json.loads(obj))))
+    for cmd in ("validate", "euler"):
+        assert run(capsys, cmd, str(path))[0] == 0
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_equivariant_census_refuses_non_finite_numbers(tmp_path, capsys, literal):
+    """A non-finite constant is refused wherever it stands, here in a
+    member the census does not read."""
+    path = tmp_path / "census.json"
+    path.write_text('{"group": "cyclic:2", "cells": [{"dim": 0, "stabilizer": [0]}], '
+                    '"note": %s}' % literal)
+    code, out, err = run(capsys, "group", "equivariant", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"violations": [{"kind": "malformed",
+                                               "detail": f"{literal} is not a JSON number"}]}
+
+
 def test_group_marks_c5(capsys):
     code, out, err = run(capsys, "group", "marks", "cyclic:5")
     assert code == 0

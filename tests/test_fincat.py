@@ -10,6 +10,7 @@ from catrank import corpus
 from catrank.fincat import (
     FiniteCategory,
     FunctorData,
+    aut_orbits,
     biset_category,
     classify,
     coproduct,
@@ -31,7 +32,7 @@ from catrank.fincat import (
 from catrank.grouptheory import build_group, cyclic_group, symmetric_group
 
 import genrandom
-from assembly_oracle import from_table, table_of
+from assembly_oracle import from_table, ids_reversed, table_of
 from aut_groups import aut_group
 from json_oracle import emitted, to_json
 from test_grouptheory import ORACLE_GROUPS
@@ -637,3 +638,96 @@ def test_cauchy_scan_skips_identities_without_changing_the_verdict():
             assert rep.witnesses.get("is_cauchy_complete") == witness, name
             seen.add(flag)
     assert seen == {True, False}
+
+
+# ------------------------------------------------- the one orbit walk, by scan
+
+
+def _scan(cat):
+    """The nonempty hom sets by (dom, cod) and the automorphisms of each
+    object, found by a scan for two-sided inverses through ``compose``."""
+    homs: dict[tuple[int, int], list[int]] = {}
+    for m in range(cat.n_morphisms):
+        homs.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
+    auts = []
+    for y in range(cat.n_objects):
+        endos, e = homs[y, y], cat.identity[y]
+        auts.append([a for a in endos
+                     if any(cat.compose(a, b) == e == cat.compose(b, a) for b in endos)])
+    return homs, auts
+
+
+def assert_orbit_walk(cat):
+    """classify's is_free is the scan's verdict over every object pair,
+    automorphism and morphism, its witness is one, and each entry of
+    ``aut_orbits`` partitions its hom set into aut(y)-orbits, each listed
+    from its least element, with orbit size x stabiliser size = |aut(y)|
+    and the positions of every a o x within ``cat.aut(y)``."""
+    homs, auts = _scan(cat)
+    free = all(cat.compose(a, f) != f for (_, y), hom in homs.items() for f in hom
+               for a in auts[y] if a != cat.identity[y])
+    rep = classify(cat)
+    assert rep.is_free == free
+    if not free:
+        a, f = rep.witnesses["is_free"]
+        y = cat.cod[f]
+        assert a in auts[y] and a != cat.identity[y] and cat.compose(a, f) == f
+    firsts, fibre = aut_orbits(cat)
+    assert list(firsts) == list(homs)
+    for (x, y), hom in homs.items():
+        order = cat.aut(y)
+        assert order[0] == cat.identity[y] and sorted(order) == auts[y]
+        assert firsts[x, y] == sorted(firsts[x, y])
+        covered = []
+        for first in firsts[x, y]:
+            reached = [cat.compose(a, first) for a in order]
+            orbit = sorted(set(reached))
+            assert orbit[0] == first
+            assert len(orbit) * reached.count(first) == len(order)
+            for f in orbit:
+                assert fibre[f] == (first, tuple(p for p, g in enumerate(reached) if g == f))
+            covered += orbit
+        assert sorted(covered) == hom
+
+
+def _opposite_too(cases):
+    return [(f"{name}{op}", build) for name, build in cases
+            for op, build in (("", build), ("^op", lambda b=build: opposite(b())))]
+
+
+ORBIT_WALK_CASES = _opposite_too(
+    [(name, lambda n=name: corpus.build(n)) for name in corpus.names()]
+    + [("subsets-q 3", lambda: corpus.build("subsets-q", q=3))]
+    + [(f"Or({name})", lambda g=g: orbit_category(g)) for name, g in ORACLE_GROUPS])
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORBIT_WALK_CASES],
+                         ids=[name for name, _ in ORBIT_WALK_CASES])
+def test_orbit_walk_matches_the_scan(build):
+    assert_orbit_walk(build())
+
+
+def test_orbit_walk_matches_the_scan_on_random_categories():
+    """Seeded draws of every kind: free and non-free EI, skeletal or not,
+    groupoids, and non-EI categories, half with their ids reversed."""
+    rng = random.Random(20261021)
+    kinds = [
+        genrandom.random_dag_category,
+        genrandom.random_poset_category,
+        genrandom.poset_of_groups,
+        genrandom.random_free_ei_category,
+        lambda r: genrandom.random_inflation(r, genrandom.random_free_ei_category(r))[0],
+        lambda r: biset_category(*genrandom.random_biset(r)[:4]),
+        lambda r: genrandom.action_groupoid(genrandom.random_group(r, 8), (0,))[0],
+        lambda r: product(retract_pair(), delooping(genrandom.random_group(r, 4))),
+    ]
+    seen = {"free": 0, "non-free EI": 0, "non-EI": 0}
+    for _ in range(150):
+        cat = rng.choice(kinds)(rng)
+        if rng.random() < 0.5:  # every identity after the other endomorphisms
+            cat = ids_reversed(cat)
+        for c in (cat, opposite(cat)):
+            assert_orbit_walk(c)
+            rep = classify(c)
+            seen["non-EI" if not rep.is_ei else "free" if rep.is_free else "non-free EI"] += 1
+    assert min(seen.values()) >= 20, seen

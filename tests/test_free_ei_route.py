@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from catrank import corpus, moebius
+from catrank import corpus, fincat, moebius
 from catrank.fincat import (
     biset_category,
     classify,
@@ -132,9 +132,10 @@ def test_nonfree_orbits_stay_on_the_route():
     (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
                if i != t and cat.hom(poset.reps[i], poset.reps[t])]
     at = cat.aut(poset.reps[t])
-    xs, fibre = moebius._orbits(cat, cat.hom(poset.reps[i], poset.reps[t]), at)
-    assert {len(c) for _, c in fibre.values()} == {2}
-    assert len(xs) * len(at) > len(cat.hom(poset.reps[i], poset.reps[t]))
+    firsts, fibre = fincat.aut_orbits(cat)
+    hom = cat.hom(poset.reps[i], poset.reps[t])
+    assert {len(fibre[y][1]) for y in hom} == {2}
+    assert len(firsts[poset.reps[i], poset.reps[t]]) * len(at) > len(hom)
     rep = euler_characteristics(cat)
     assert _report_sums(rep) == walk_sums(cat)[:3]
 
@@ -150,26 +151,21 @@ def test_route_asserts_integral_chi_f(monkeypatch):
     assert f == [[1, 1, 1]] and rows == [{0: 3}]
 
 
-def test_route_asserts_integral_coset_averages(monkeypatch):
+def test_route_asserts_integral_coset_averages():
     """Each coset average is an integer; an operator whose cosets are not
     cosets of the stabiliser breaks that and is caught."""
     cat = opposite(orbit_category(build_group("symmetric:3")))
-    inner = moebius._orbits
-
-    def skewed(comp, hom, at):
-        xs, fibre = inner(comp, hom, at)
-        return xs, {y: (x, c if len(c) == 1 else c + c[:1]) for y, (x, c) in fibre.items()}
-
-    monkeypatch.setattr(moebius, "_orbits", skewed)
+    firsts, fibre = fincat.aut_orbits(cat)
+    cat._memo["aut_orbits"] = firsts, [(x, c if len(c) == 1 else c + c[:1]) for x, c in fibre]
     with pytest.raises(AssertionError, match="not integral at class"):
         moebius._back_substitute(cat)
 
 
 def test_memo_keeps_only_the_class_functions_and_rows():
-    """The orbits and demand sets are local to the recurrence: the memo holds
-    the hom sets, the inverses, the EI verdict, the class table, f on every
-    A_i and the sparse integer rows h_i(1), each built once, nothing per
-    pair."""
+    """The demand sets are local to the recurrence: the memo holds the hom
+    sets, the inverses, the EI verdict, the class table, the one orbit walk,
+    f on every A_i and the sparse integer rows h_i(1), each built once,
+    nothing per pair."""
     cat = opposite(orbit_category(build_group("dihedral:4")))
     memo = recording_memo(cat)
     weighting(cat)
@@ -177,7 +173,7 @@ def test_memo_keeps_only_the_class_functions_and_rows():
     euler_characteristics(cat)
     euler_characteristics(cat)
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "weighting", "coweighting", "_back_substitute"]
+                           "weighting", "coweighting", "aut_orbits", "_back_substitute"]
     assert memo["ei_witness"] is None
     f, rows = memo["_back_substitute"]
     poset = memo["iso_order"]

@@ -18,7 +18,7 @@ import assembly_oracle as oracle
 import test_fuzz
 from catrank import fincat
 from catrank.cli import main
-from test_cli import MALFORMED_FIELDS
+from test_cli import MALFORMED_FIELDS, NON_FINITE
 
 
 def emit(capsys, *argv) -> dict:
@@ -106,6 +106,20 @@ def test_malformed_fields_match_oracle(monkeypatch, capsys, tmp_path, bases):
         rows, ref = both_routes(monkeypatch, capsys, tmp_path, doc)
         assert rows == ref, name
         assert all(code == 1 for code, _, _ in rows)
+
+
+def test_non_finite_ids_match_oracle():
+    """Parsed by Python's json, which reads NaN, Infinity and 1e400 as
+    floats, every document of ``NON_FINITE`` is refused by both readers
+    with one message."""
+    for name, (text, _, _) in NON_FINITE.items():
+        doc = json.loads(text)
+        messages = []
+        for read in (fincat.from_json, oracle.from_json):
+            with pytest.raises(ValueError) as err:
+                read(doc)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], name
 
 
 def test_fuzzed_documents_match_oracle(monkeypatch, capsys, tmp_path, bases):

@@ -164,7 +164,7 @@ def test_back_substitution_runs_once_per_category():
     omega_bar2(cat)
     euler_characteristics(cat)
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "weighting", "coweighting", "_back_substitute"]
+                           "weighting", "coweighting", "aut_orbits", "_back_substitute"]
 
 
 def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
@@ -178,8 +178,8 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
     coweighting(cat)
     moebius.iso_order(cat)
     euler_characteristics(cat)
-    assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "weighting", "coweighting", "_back_substitute"]
+    assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits",
+                           "iso_order", "weighting", "coweighting", "_back_substitute"]
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
     for name in ("section8", "leinster-A"):
         other = corpus.build(name)
@@ -192,4 +192,4 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
             moebius.iso_order(other)
         assert str(err.value) == ("iso class order needs an EI category; "
                                   "morphism 4 is a non-invertible endomorphism")
-        assert memo.builds == ["_hom_sets", "_inverses", "ei_witness"]
+        assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits"]
