@@ -19,8 +19,8 @@ import operator
 
 from . import Rows, _once
 from .exactq import SolutionReport, solve_linear, sum_ratios
-from .fincat import FiniteCategory, ei_witness
-from .moebius import iso_order
+from .fincat import FiniteCategory, _name, ei_witness
+from .moebius import IsoPoset, iso_order
 
 
 def zeta_matrix(cat: FiniteCategory) -> Rows:
@@ -31,21 +31,12 @@ def zeta_matrix(cat: FiniteCategory) -> Rows:
     return Rows([str(o) for o in cat.objects], rows, [1] * n)
 
 
-def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
-    """``solve_linear``'s report on zeta k = 1 (or on its transpose) of an
-    EI category, without eliminating.
-
-    Each class representative (its least-index object) is a pivot, since
-    the representatives' columns are independent and every other member's
-    column repeats its representative's.  The pivots carry the unique
-    solution of the system on the representatives, the class table
-    ``iso_order(cat).homs``, upper triangular with diagonal |aut i|: its
-    rows from the top class down, or its columns from the bottom class up.
-    Each value is solved as an integer over a positive denominator, in
-    lowest terms: the rest 1 - sum h w_t over the lcm of the denominators
-    of the w_t, divided by |aut i|.  Every other member m is a free
-    variable set to 0, with kernel vector e_m - e_rep."""
-    poset = iso_order(cat)
+def _ei(poset: IsoPoset, columns: bool) -> tuple[list[int], list[int]]:
+    """The solution w[i] / q[i], in lowest terms, of zeta k = 1 (or of its
+    transpose) on the class representatives: the class table's ``homs``,
+    upper triangular with diagonal |aut i|, by its rows from the top class
+    down or its columns from the bottom class up, each value the rest
+    1 - sum h w_t over the lcm of the w_t's denominators, over |aut i|."""
     k, homs = poset.size, poset.homs
     table = list(zip(*homs)) if columns else homs
     w, q = [0] * k, [1] * k  # w[i] / q[i]
@@ -57,9 +48,24 @@ def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
         den *= homs[i][i]
         d = math.gcd(rest, den)
         w[i], q[i] = rest // d, den // d
+    return w, q
+
+
+def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
+    """``solve_linear``'s report on zeta k = 1 (or on its transpose), for an
+    EI category written down: each class representative (its least-index
+    object) is a pivot carrying ``_ei``'s value, as the representatives'
+    columns are independent and each other member's repeats its class's;
+    each other member m is free, set to 0, with kernel vector e_m - e_rep."""
     n = cat.n_objects
+    if ei_witness(cat) is not None:
+        z = zeta_matrix(cat).rows
+        if columns:
+            z = list(zip(*z))  # the zeta matrix of the opposite category
+        return solve_linear(z, [1] * n, n)
+    poset = iso_order(cat)
     x, dens, rep_of = [0] * n, [1] * n, list(range(n))
-    for r, wi, qi, members in zip(poset.reps, w, q, poset.members):
+    for r, wi, qi, members in zip(poset.reps, *_ei(poset, columns), poset.members):
         x[r], dens[r] = wi, qi
         for o in members:
             rep_of[cat.obj_index(o)] = r
@@ -70,16 +76,6 @@ def _ei(cat: FiniteCategory, columns: bool) -> SolutionReport:
             v[m], v[r] = 1, -1
             kernel.append(v)
     return SolutionReport(True, x, dens, kernel)
-
-
-def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:
-    if ei_witness(cat) is None:
-        return _ei(cat, columns)
-    z = zeta_matrix(cat).rows
-    if columns:
-        z = list(zip(*z))  # the zeta matrix of the opposite category
-    n = cat.n_objects
-    return solve_linear(z, [1] * n, n)
 
 
 @_once
@@ -110,14 +106,18 @@ def chi_L(cat: FiniteCategory):
 
 
 def _iter_cells(cells):
+    """(dim, object id) of each cell record; a record is refused, by name,
+    unless its dim is a nonnegative int (not a bool), as ``GCWComplex``
+    asks, and its base an object id as ``from_json`` reads one."""
     if isinstance(cells, dict):
         cells = cells["cells"]
     for cell in cells:
-        if isinstance(cell, dict):
-            yield cell["dim"], cell["base"]
-        else:
-            dim, base = cell
-            yield dim, base
+        dim, base = (cell.get("dim"), cell.get("base")) if isinstance(cell, dict) else cell
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"cell dimension must be a nonnegative integer: {cell!r}")
+        if (name := _name(base)) is None:
+            raise ValueError(f"cell base must be a string or a finite number: {cell!r}")
+        yield dim, name
 
 
 def weighting_from_cells(cat: FiniteCategory, cells) -> tuple[list[int], bool]:
@@ -130,8 +130,8 @@ def weighting_from_cells(cat: FiniteCategory, cells) -> tuple[list[int], bool]:
     k = [0] * cat.n_objects
     index = {str(o): i for i, o in enumerate(cat.objects)}
     for dim, base in _iter_cells(cells):
-        if str(base) not in index:
+        if base not in index:
             raise ValueError(f"cell based at unknown object: {base!r}")
-        k[index[str(base)]] += -1 if dim % 2 else 1
+        k[index[base]] += -1 if dim % 2 else 1
     ok = all(sum(map(operator.mul, row, k)) == 1 for row in zeta_matrix(cat).rows)
     return k, ok

@@ -25,7 +25,7 @@ those actions:
     identity the rows are the classical Moebius function of the class poset
     (Rota 1964).  The report keeps these integers, and mu_bar2 is its rows
     over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built,
-    and no orbit is walked here: ``fincat.aut_orbits`` lists them.
+    and all of them read only the class table, which ``iso_order`` builds.
 """
 
 from __future__ import annotations
@@ -37,12 +37,15 @@ from .exactq import sum_ratios
 from .fincat import FiniteCategory, _hom_sets, aut_orbits, ei_witness, iso_classes
 
 
-class IsoPoset(namedtuple("IsoPoset", "labels members reps homs auts lengths")):
+class IsoPoset(namedtuple("IsoPoset", "labels members reps homs acts")):
     """The class table of an EI category, which every class-level invariant
     reads: the iso classes in canonical order, ascending by (longest chain
     strictly below, representative = least-index object), homs[i][j] =
     |hom(rep i, rep j)|, nonzero exactly when class i lies at or below
-    class j, and auts[i] = aut(rep i) with the identity first."""
+    class j, and acts[i][t][b]: for t above i and b in A_i = aut(rep i)
+    (of order homs[i][i], identity first), the nonempty C(x, b) = {a in
+    A_t : a o x = x o b} as positions in A_t, over the first elements x
+    (in id order) of the A_t-orbits on hom(rep i, rep t)."""
 
     __slots__ = ()
 
@@ -88,18 +91,33 @@ def iso_order(cat: FiniteCategory) -> IsoPoset:
     place = [0] * k
     for p, i in enumerate(order):
         place[i] = p
+    # C(x, b) is what aut_orbits records at x o b, if x o b is in x's orbit
+    firsts, fibre = aut_orbits(cat)
+    rows, at = cat.rows, cat.at
     homs = [[0] * k for _ in range(k)]
-    for i, row in enumerate(counts):
-        for j, n in row.items():
+    acts: list[dict[int, tuple]] = [{} for _ in range(k)]
+    for i, above in enumerate(counts):
+        after = [rows[b] for b in cat.aut(reps[i])]
+        for j, n in above.items():
             homs[place[i]][place[j]] = n
-    auts = [cat.aut(r) for r in reps]
+            if j == i:
+                continue
+            xs = firsts[reps[i], reps[j]]
+            cs = []
+            for row in after:
+                fixed = []
+                for x in xs:
+                    y, c = fibre[row[at[x]]]
+                    if y == x:
+                        fixed.append(c)
+                cs.append(tuple(fixed))
+            acts[place[i]][place[j]] = tuple(cs)
     return IsoPoset(
         tuple(cat.objects[reps[i]] for i in order),
         tuple(tuple(classes[i]) for i in order),
         tuple(reps[i] for i in order),
         tuple(map(tuple, homs)),
-        tuple(auts[i] for i in order),
-        tuple(lengths[i] for i in order),
+        tuple(acts),
     )
 
 
@@ -117,66 +135,48 @@ def _average(rows: dict[int, dict[int, int]], c: tuple[int, ...], label) -> dict
     return total
 
 
-@_once
-def _back_substitute(cat: FiniteCategory) -> tuple[list[list[int]], list[dict[int, int]]]:
-    """(f, rows) of an EI category, filled from the top class down.
+def _back_substitute(poset: IsoPoset) -> tuple[list[list[int]], list[dict[int, int]]]:
+    """(f, rows) of an EI category's class table, filled from the top class
+    down, with C running over acts[i][t][b] for the classes t above i:
 
-    With A_i = aut(rep i), listed with the identity first, x running over
-    the first elements of the A_t-orbits on hom(i, t) for a class t above
-    i, and C(x, b) = {a in A_t : a o x = x o b} of size s_x when nonempty,
-    both read off ``fincat.aut_orbits``:
-
-      f_i(b) = 1 - sum over t, x with C(x, b) nonempty of
-               (1/s_x) sum over a in C(x, b) of f_t(a),
+      f_i(b) = 1 - sum over t, C of (1/|C|) sum over a in C of f_t(a),
       h_i(b) = |A_i| [b = 1] e_i - the same sum over h_t,
 
     f_i on all of A_i, h_i a sparse row over the classes j on a demand set
-    D_i only: 1 is in D_i, and D_t contains C(x, b) for every b in D_i and x
-    in hom(i, t), so the sets are grown from the bottom class up.
+    D_i only: 1 is in D_i, and D_t contains each C in acts[i][t][b] for
+    every b in D_i, so the sets are grown from the bottom class up.
 
     f_i(b) is the signed count, over the chains c out of i, of the points of
     A_top \\ S(c) that b fixes, and h_i(b)[j] the signed count of the
     points of S(c) that b fixes, over the chains from i to j.  Both are
     class functions, which is why the sum over A_t can be grouped by
     A_t-orbits on hom(i, t); each (t, x) term is an integer (the orbits of
-    the stabiliser of x that the coset fixes), and that is asserted.  The
-    demand sets stay local; rows[i] is h_i(1).
+    the stabiliser of x that the coset C(x, b) fixes), and that is asserted.
+    The demand sets stay local; rows[i] is h_i(1).
 
-    On a free category every s_x is 1 and D_i = {1}, so h_i(1)[j] is |A_j|
-    times the signed count of A_j \\ S(c) over the chains from i to j."""
-    poset = iso_order(cat)
-    k, reps, homs, auts, labels = poset.size, poset.reps, poset.homs, poset.auts, poset.labels
-    rows, at = cat.rows, cat.at
-    firsts, fibre = aut_orbits(cat)
-    orbits: list[dict[int, list[int]]] = [{} for _ in range(k)]
+    On a free category every C is one automorphism and D_i = {1}, so
+    h_i(1)[j] is |A_j| times the signed count of A_j \\ S(c) over the
+    chains from i to j."""
+    k, homs, acts, labels = poset.size, poset.homs, poset.acts, poset.labels
     demand = [{0} for _ in range(k)]
     for i in range(k):
         # every class below i comes before it, so D_i is complete here
-        for t in range(i + 1, k):
-            if homs[i][t]:
-                xs = orbits[i][t] = firsts[reps[i], reps[t]]
-                for b in demand[i]:
-                    after_b = rows[auts[i][b]]
-                    for x in xs:
-                        y, c = fibre[after_b[at[x]]]
-                        if y == x:
-                            demand[t].update(c)
+        for t, cs in acts[i].items():
+            for b in demand[i]:
+                for c in cs[b]:
+                    demand[t].update(c)
     f: list[list[int]] = [[]] * k
     h: list[dict[int, dict[int, int]]] = [{}] * k
     for i in reversed(range(k)):
-        fi = [1] * len(auts[i])
+        fi = [1] * homs[i][i]
         hi = {b: {} for b in demand[i]}
-        hi[0][i] = len(auts[i])
-        for t, xs in orbits[i].items():
+        hi[0][i] = homs[i][i]
+        for t, cs in acts[i].items():
             ft, ht = f[t], h[t]
-            for b, m in enumerate(auts[i]):
+            for b, fixed in enumerate(cs):
                 row = hi.get(b)
-                after_m = rows[m]
                 cosets: dict[tuple[int, ...], int] = {}
-                for x in xs:
-                    y, c = fibre[after_m[at[x]]]
-                    if y != x:
-                        continue
+                for c in fixed:
                     if len(c) == 1:  # a free orbit, where the average is one value
                         fi[b] -= ft[c[0]]
                     else:
@@ -243,11 +243,11 @@ def euler_characteristics(cat: FiniteCategory) -> EulerReport:
     chi_f2[i] = f_i(1) / |A_i| and mu_bar2[i][j] = h_i(1)[j] / |A_i|.  One
     integer back-substitution from the top class down, free or not; no
     chain is visited, and no rational vector or matrix is built."""
-    labels = iso_order(cat).labels
-    f, rows = _back_substitute(cat)
+    poset = iso_order(cat)
+    f, rows = _back_substitute(poset)
     orbits = []
     for i, fi in enumerate(f):
         n, rest = divmod(sum(fi), len(fi))
-        assert rest == 0, f"chi_f not integral at class {labels[i]}: {ratio(sum(fi), len(fi))}"
+        assert rest == 0, f"chi_f not integral at class {poset.labels[i]}: {ratio(sum(fi), len(fi))}"
         orbits.append(n)
-    return EulerReport(labels, orbits, [fi[0] for fi in f], rows, [len(fi) for fi in f])
+    return EulerReport(poset.labels, orbits, [fi[0] for fi in f], rows, [len(fi) for fi in f])

@@ -5,10 +5,11 @@ trivial and only the rows at 1 are needed) and on non-free ones, with guards
 on its assertions and on what it leaves in the category's memo."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from catrank import corpus, fincat, moebius
+from catrank import corpus, moebius
 from catrank.fincat import (
     biset_category,
     classify,
@@ -131,11 +132,10 @@ def test_nonfree_orbits_stay_on_the_route():
     poset = moebius.iso_order(cat)
     (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
                if i != t and cat.hom(poset.reps[i], poset.reps[t])]
-    at = cat.aut(poset.reps[t])
-    firsts, fibre = fincat.aut_orbits(cat)
-    hom = cat.hom(poset.reps[i], poset.reps[t])
-    assert {len(fibre[y][1]) for y in hom} == {2}
-    assert len(firsts[poset.reps[i], poset.reps[t]]) * len(at) > len(hom)
+    assert list(poset.acts[i]) == [t]
+    cosets = {c for cs in poset.acts[i][t] for c in cs}
+    assert {len(c) for c in cosets} == {2}
+    assert len(poset.acts[i][t][0]) * poset.homs[t][t] > poset.homs[i][t]
     rep = euler_characteristics(cat)
     assert _report_sums(rep) == walk_sums(cat)[:3]
 
@@ -144,42 +144,103 @@ def test_route_asserts_integral_chi_f(monkeypatch):
     """Burnside's lemma makes sum f_i(b) a multiple of |A_i|; a wrong class
     function is an internal error, not a silent fraction."""
     cat = corpus.build("delooping-c3")
-    f, rows = moebius._back_substitute(cat)
-    monkeypatch.setattr(moebius, "_back_substitute", lambda cat: ([[1, 1, 0]], rows))
+    f, rows = moebius._back_substitute(moebius.iso_order(cat))
+    monkeypatch.setattr(moebius, "_back_substitute", lambda poset: ([[1, 1, 0]], rows))
     with pytest.raises(AssertionError, match="chi_f not integral"):
         euler_characteristics(cat)
     assert f == [[1, 1, 1]] and rows == [{0: 3}]
 
 
 def test_route_asserts_integral_coset_averages():
-    """Each coset average is an integer; an operator whose cosets are not
+    """Each coset average is an integer; a class table whose cosets are not
     cosets of the stabiliser breaks that and is caught."""
-    cat = opposite(orbit_category(build_group("symmetric:3")))
-    firsts, fibre = fincat.aut_orbits(cat)
-    cat._memo["aut_orbits"] = firsts, [(x, c if len(c) == 1 else c + c[:1]) for x, c in fibre]
+    poset = moebius.iso_order(opposite(orbit_category(build_group("symmetric:3"))))
+    skewed = [{t: tuple(tuple(c if len(c) == 1 else c + c[:1] for c in cs) for cs in by_b)
+               for t, by_b in act.items()} for act in poset.acts]
     with pytest.raises(AssertionError, match="not integral at class"):
-        moebius._back_substitute(cat)
+        moebius._back_substitute(poset._replace(acts=tuple(skewed)))
 
 
-def test_memo_keeps_only_the_class_functions_and_rows():
-    """The demand sets are local to the recurrence: the memo holds the hom
-    sets, the inverses, the EI verdict, the class table, the one orbit walk,
-    f on every A_i and the sparse integer rows h_i(1), each built once,
-    nothing per pair."""
+def test_memo_keeps_only_the_class_table():
+    """The demand sets and the class functions are local to the recurrence:
+    the memo holds the hom sets, the inverses, the EI verdict, the one
+    orbit walk, the class table and the weightings, each built once,
+    nothing per pair; f on every A_i and the sparse integer rows h_i(1)
+    are computed afresh from the table."""
     cat = opposite(orbit_category(build_group("dihedral:4")))
     memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
     euler_characteristics(cat)
     euler_characteristics(cat)
-    assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "iso_order",
-                           "weighting", "coweighting", "aut_orbits", "_back_substitute"]
+    assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits", "iso_order",
+                           "weighting", "coweighting"]
     assert memo["ei_witness"] is None
-    f, rows = memo["_back_substitute"]
     poset = memo["iso_order"]
+    f, rows = moebius._back_substitute(poset)
     assert [len(fi) for fi in f] == [len(cat.aut(r)) for r in poset.reps]
     assert all(type(v) is int for fi in f for v in fi)
     assert all(type(j) is int and type(v) is int and v for hi in rows for j, v in hi.items())
+    assert moebius._back_substitute(poset) == (f, rows)
+
+
+def _identity_cases():
+    """The EI corpus entries, Or(G) and Or(G)^op for S4, D8, Q8, A4 and S5,
+    and, where f_i is not constant on A_i, Or(S4) without G/G and its
+    opposite and four seeded non-free bisets."""
+    cases = [(name, corpus.build(name)) for name in corpus.names()
+             if classify(corpus.build(name)).is_ei]
+    for spec in ("symmetric:4", "dihedral:4", "q8", "a4", "symmetric:5"):
+        cat = orbit_category(build_group(spec, 120))
+        cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
+    proper = _proper(orbit_category(build_group("symmetric:4")))
+    cases += [("Or(symmetric:4) proper", proper), ("Or(symmetric:4) proper^op", opposite(proper))]
+    rng = random.Random(5)
+    bisets = []
+    while len(bisets) < 4:
+        biset = biset_category(*genrandom.random_biset(rng)[:4])
+        if not classify(biset).is_free:
+            bisets.append(biset)
+    return cases + [(f"non-free biset {i}", biset) for i, biset in enumerate(bisets)]
+
+
+IDENTITY_CASES = _identity_cases()
+
+
+def test_identity_cases_count_their_pairs():
+    """580 pairs (i, b) of a class and one of its automorphisms on the
+    corpus and the orbit categories, and some where f_i is not constant."""
+    tables = [moebius.iso_order(cat) for _, cat in IDENTITY_CASES]
+    assert sum(p.homs[i][i] for p in tables[:21] for i in range(p.size)) == 580
+    varying = [fi for p in tables[21:] for fi in moebius._back_substitute(p)[0]
+               if len(set(fi)) > 1]
+    assert len(varying) >= 4
+
+
+@pytest.mark.parametrize("name,cat", IDENTITY_CASES, ids=[name for name, _ in IDENTITY_CASES])
+def test_class_functions_sum_to_one_over_the_classes_above(name, cat):
+    """For every class i and b in A_i, the class functions f that
+    _back_substitute returns satisfy
+    sum over t >= i of (1/|A_t|) sum over x in hom(rep i, rep t) and a in
+    A_t with a o x = x o b of f_t(a) = 1, checked over every x and every a,
+    each composite through cat.compose, with no orbit walk."""
+    poset = moebius.iso_order(cat)
+    f, _ = moebius._back_substitute(poset)
+    auts = [cat.aut(r) for r in poset.reps]
+    for i, r in enumerate(poset.reps):
+        # per x into a class t >= i, the positions of the a in A_t by a o x
+        terms = []
+        for t, s in enumerate(poset.reps):
+            for x in cat.hom(r, s):
+                reached = {}
+                for p, a in enumerate(auts[t]):
+                    reached.setdefault(cat.compose(a, x), []).append(p)
+                terms.append((t, x, reached))
+        for b in auts[i]:
+            sums = [0] * poset.size
+            for t, x, reached in terms:
+                sums[t] += sum(f[t][p] for p in reached.get(cat.compose(x, b), ()))
+            assert sum(Fraction(n, len(a)) for n, a in zip(sums, auts)) == 1, (name, i, b)
 
 
 def test_orbit_category_only_the_route_reaches():

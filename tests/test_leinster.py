@@ -1,6 +1,7 @@
 """Weightings, coweightings, chi_L, and cell-structure weightings."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -191,6 +192,42 @@ def test_weighting_from_cells_integer_bases():
     assert ok and k == [0, 1]
 
 
+MALFORMED_CELLS = [
+    ({"dim": 0, "base": True}, "base"),
+    ({"dim": 0, "base": None}, "base"),
+    ({"dim": 0, "base": float("nan")}, "base"),
+    ({"dim": 0, "base": ["1"]}, "base"),
+    ({"dim": 0}, "base"),
+    ({"dim": 1.5, "base": "1"}, "dimension"),
+    ({"dim": "0", "base": "1"}, "dimension"),
+    ({"dim": -1, "base": "1"}, "dimension"),
+    ({"dim": True, "base": "1"}, "dimension"),
+    ({"base": "1"}, "dimension"),
+    ((1.5, "1"), "dimension"),
+    ((0, None), "base"),
+]
+
+
+@pytest.mark.parametrize("cell,field", MALFORMED_CELLS, ids=[repr(c) for c, _ in MALFORMED_CELLS])
+def test_weighting_from_cells_refuses_malformed_records(cell, field):
+    """dim is a nonnegative int and not a bool; base is an object id, a
+    string or a finite number, as in a category document.  Objects named
+    "True", "None" and "1.5" are there, so no malformed record can be
+    counted at one of them by its str."""
+    cat = poset_category(["1", "True", "None", "nan", "['1']", "1.5"], [])
+    with pytest.raises(ValueError, match=f"cell {field}.*" + re.escape(repr(cell))):
+        weighting_from_cells(cat, {"cells": [{"dim": 0, "base": "1"}, cell]})
+
+
+def test_weighting_from_cells_reads_well_formed_records():
+    """Each id a category document may give its objects names them: an int
+    or a float as its str, a string as itself; dim 0 and large dims."""
+    cat = poset_category(["1", "1.5", "x"], [])
+    cells = [{"dim": 0, "base": 1}, {"dim": 3, "base": 1.5}, {"dim": 2, "base": "x"},
+             {"dim": 10 ** 20 + 1, "base": "x"}, (0, "1.5"), (0, "1.5")]
+    assert weighting_from_cells(cat, {"cells": cells}) == ([1, 1, 0], False)
+
+
 def test_cells_accumulate_per_object():
     # two 0-cells and one 1-cell at the same base add up to k = 1
     k, ok = weighting_from_cells(
@@ -228,9 +265,9 @@ def test_triangular_weighting_matches_the_general_solver(monkeypatch):
     recurred = []
     inner = moebius._back_substitute
 
-    def recorded(cat):
-        recurred.append(cat)
-        return inner(cat)
+    def recorded(poset):
+        recurred.append(poset)
+        return inner(poset)
 
     monkeypatch.setattr(moebius, "_back_substitute", recorded)
     expected = [_oracle(cat) for cat in cases]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrank import corpus
+from catrank import corpus, leinster
 from catrank.cli import main
 from catrank.exactq import rat_str
 from catrank.fincat import (
@@ -48,6 +48,7 @@ from dense import QMatrix
 from json_oracle import emitted
 from rref_oracle import mat_invert
 from test_fincat import retract_pair, indiscrete_pair, divisor_poset
+from test_grouptheory import ORACLE_GROUPS
 
 
 def span_category() -> FiniteCategory:
@@ -141,7 +142,7 @@ class TestIsoOrder:
         cat = span_category()
         poset = iso_order(cat)
         assert poset.labels == ("0", "1", "2")
-        assert poset.lengths == (0, 1, 1)
+        assert class_table_oracle.lengths(poset) == (0, 1, 1)
         leq = class_relation(cat, poset)
         assert leq[0][1] and leq[0][2]
         assert not leq[1][2] and not leq[2][1]
@@ -154,7 +155,7 @@ class TestIsoOrder:
     def test_length_orders_levels(self):
         poset = iso_order(divisor_poset(12))
         assert poset.labels == ("1", "2", "3", "4", "6", "12")
-        assert poset.lengths == (0, 1, 1, 2, 2, 3)
+        assert class_table_oracle.lengths(poset) == (0, 1, 1, 2, 2, 3)
 
     def test_chain_enumeration(self):
         cat = divisor_poset(12)
@@ -217,16 +218,17 @@ TABLE_CASES = _table_cases()
 @pytest.mark.parametrize("name,cat", TABLE_CASES, ids=[name for name, _ in TABLE_CASES])
 def test_class_table_counts_the_hom_sets(name, cat):
     """homs[i][j] is |hom(rep i, rep j)| as an int, zero below the diagonal
-    of the iso order; auts[i] is aut(rep i), identity first."""
+    of the iso order, with |aut(rep i)| on the diagonal; acts[i] has an
+    entry for each class above i, one per automorphism of rep i."""
     poset = iso_order(cat)
     reps = poset.reps
     for i, x in enumerate(reps):
         assert [type(h) for h in poset.homs[i]] == [int] * poset.size
         assert list(poset.homs[i]) == [len(cat.hom(x, y)) for y in reps]
         assert not any(poset.homs[i][:i])
-        assert poset.auts[i][0] == cat.identity[x]
-        assert len(poset.auts[i]) == len(cat.aut(x))
-        assert set(poset.auts[i]) == set(cat.aut(x))
+        assert poset.homs[i][i] == len(cat.aut(x))
+        assert sorted(poset.acts[i]) == [t for t in range(i + 1, poset.size) if poset.homs[i][t]]
+        assert all(len(cs) == poset.homs[i][i] for cs in poset.acts[i].values())
 
 
 def _sparse_route_cases():
@@ -246,11 +248,39 @@ def _sparse_route_cases():
 SPARSE_ROUTE_CASES = _sparse_route_cases()
 
 
-@pytest.mark.parametrize("name,cat", SPARSE_ROUTE_CASES, ids=[name for name, _ in SPARSE_ROUTE_CASES])
+def _action_cases():
+    """Or(G)^op for ORACLE_GROUPS, whose Weyl groups fix morphisms, and
+    seeded non-free biset draws, every other one inflated and some others
+    multiplied by a small poset, with their opposites."""
+    cases = [(f"ORACLE_GROUPS Or({name})^op", opposite(orbit_category(g)))
+             for name, g in ORACLE_GROUPS]
+    rng = random.Random(34)
+    draws = []
+    while len(draws) < 12:
+        g, h, left, right, _ = genrandom.random_biset(rng)
+        cat = biset_category(g, h, left, right)
+        if classify(cat).is_free:
+            continue
+        if len(draws) % 2:
+            cat = genrandom.random_inflation(rng, cat)[0]
+        elif len(draws) % 3 == 0 and cat.n_morphisms <= 40:
+            cat = product(cat, genrandom.random_poset_category(rng, max_nodes=3))
+        draws.append(cat)
+    for i, cat in enumerate(draws):
+        cases += [(f"non-free draw {i}", cat), (f"non-free draw {i}^op", opposite(cat))]
+    return cases
+
+
+ACTION_CASES = _action_cases()
+
+
+@pytest.mark.parametrize("name,cat", SPARSE_ROUTE_CASES + ACTION_CASES,
+                         ids=[name for name, _ in SPARSE_ROUTE_CASES + ACTION_CASES])
 def test_class_table_matches_the_dense_route(name, cat):
-    """iso_order reads only the morphisms out of the representatives; the
-    dense oracle counts every pair of classes.  A category that is not EI
-    is refused with the same message on both routes."""
+    """iso_order reads only the morphisms out of the representatives and
+    the one orbit walk; the dense oracle counts every pair of classes and
+    composes every automorphism with every morphism.  A category that is
+    not EI is refused with the same message on both routes."""
     try:
         expected = class_table_oracle.iso_order(cat)
     except ValueError as e:
@@ -266,9 +296,49 @@ def test_sparse_route_cases_cover_non_ei():
 
 def test_table_cases_cover_inflations_and_automorphisms():
     assert any(len(members) > 1 for _, cat in TABLE_CASES for members in iso_order(cat).members)
-    assert any(len(a) > 2 for _, cat in TABLE_CASES for a in iso_order(cat).auts)
+    assert any(h[i] > 2 for _, cat in TABLE_CASES for i, h in enumerate(iso_order(cat).homs))
     assert any(min(cat.aut(x)) != cat.identity[x]
                for _, cat in TABLE_CASES for x in range(cat.n_objects))
+
+
+def test_action_cases_are_not_free():
+    """Only the orbit categories of the trivial group are free."""
+    free = [name for name, cat in ACTION_CASES if classify(cat).is_free]
+    assert free == ["ORACLE_GROUPS Or(cyclic:1)^op", "ORACLE_GROUPS Or(sym:1)^op"]
+    assert any(len(c) > 1 for _, cat in ACTION_CASES for act in iso_order(cat).acts
+               for cs in act.values() for fixed in cs for c in fixed)
+
+
+class _TableOnly:
+    """No category at all: a memo that holds a class table and nothing else,
+    so reading any attribute of a category, or building any other table of
+    one, raises."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, poset):
+        self._memo = {"iso_order": poset}
+
+
+def test_engine_reads_the_class_table_alone():
+    """Build the class table, drop the category: euler_characteristics,
+    omega_bar2 and the weightings' triangular solve give the same numbers
+    from the table alone."""
+    for name, cat in TABLE_CASES + ACTION_CASES:
+        rep, om = euler_characteristics(cat), dense.matrix(omega_bar2(cat))
+        w, cw = weighting(cat), coweighting(cat)
+        poset = iso_order(cat)
+        table = _TableOnly(poset)
+        got = euler_characteristics(table)
+        assert (got.labels, got.orbits, got.fixed, got.rows, got.sizes) == \
+            (rep.labels, rep.orbits, rep.fixed, rep.rows, rep.sizes), name
+        assert (got.chi, got.chi2) == (rep.chi, rep.chi2)
+        assert dense.matrix(omega_bar2(table)) == om, name
+        for columns, report in ((False, w), (True, cw)):
+            x, q = leinster._ei(poset, columns)
+            assert x == [report.solution[r] for r in poset.reps], name
+            assert q == [report.dens[r] for r in poset.reps], name
+        assert list(table._memo) == ["iso_order"]
 
 
 def test_invariants_do_not_depend_on_morphism_ids():
@@ -577,7 +647,8 @@ class _DescendingChain:
     """Just what iso_order reads of a category: n objects and one morphism
     i -> j exactly when i >= j, the identities being the only isomorphisms,
     so object 0 is the top of a chain of n classes and the others lie below
-    it in index order."""
+    it in index order.  Its composition rows are ranges: i -> j sits at
+    place j among the morphisms out of i, and (j -> p) o (i -> j) = i -> p."""
 
     def __init__(self, n):
         self.objects = list(range(n))
@@ -587,6 +658,8 @@ class _DescendingChain:
         self.dom = [i for i, _ in pairs]
         self.cod = [j for _, j in pairs]
         self.identity = [i * (i + 1) // 2 + i for i in range(n)]
+        self.at = self.cod
+        self.rows = [range(i * (i + 1) // 2, i * (i + 1) // 2 + j + 1) for i, j in pairs]
         self._memo = {}
 
     def is_iso(self, m):
@@ -614,7 +687,7 @@ def test_iso_order_is_not_recursive():
         poset = iso_order(_DescendingChain(2 * limit))
     finally:
         sys.setrecursionlimit(old)
-    assert poset.lengths == tuple(range(2 * limit))
+    assert class_table_oracle.lengths(poset) == tuple(range(2 * limit))
     assert poset.reps == tuple(reversed(range(2 * limit)))
 
 
@@ -669,7 +742,7 @@ def test_longest_chain_decides_the_cut():
     the class poset, the test ``catrank euler`` makes instead of summing."""
     cuts = set()
     for name, cat in _oracle_cases():
-        longest = max(iso_order(cat).lengths, default=0)
+        longest = max(class_table_oracle.lengths(iso_order(cat)), default=0)
         for length in (0, 1, 2, 3):
             truncated = walk_sums(cat, length)[3]
             assert (longest > length) == truncated, (name, length)
