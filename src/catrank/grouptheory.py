@@ -15,16 +15,17 @@ subgroups of M24, or how to compute the table of marks of a finite group):
   with a cyclic subgroup <x> closes over H's generators plus x.
 - Only class representatives are joined with the cyclic subgroups, and each
   representative H with one cyclic subgroup per N_G(H)-orbit. A new
-  subgroup's normalizer is found by conjugating its generators, and the
-  subgroup is conjugated once per left coset of the normalizer, which gives
-  its conjugates and the generators of the representative.
+  subgroup's normalizer is found by conjugating its generators, and
+  ``_conjugacy_class`` conjugates the subgroup once per left coset of the
+  normalizer, by the coset's name from ``_least``, which gives its
+  conjugates and the generators of the representative.
 - Each mark is |(G/K)^H| = |N_G(H)| * #{H' ~ H : H' inside K} / |K|.
 - ``_maps`` lists, for the orbit category, the cosets xK with x^-1 H x
   inside K, that is with H inside x K x^-1: K is conjugated once per coset.
-  Each coset is named by its least element, and one table per class gives
-  the name of the coset of every element.  The omega relation counts the
-  maps, and ``fincat.orbit_category``, which reaches them through
-  ``FiniteGroup._coset_maps``, composes them through that table.
+  ``_least``, the one coset walk, names every coset by its least element
+  in one ascending scan; ``fincat.orbit_category``, which reaches the maps
+  through ``FiniteGroup._coset_maps``, composes them through its table per
+  class, and the omega relation counts them.
 
 Permutation groups get their Cayley table from one right-multiplication map
 per generator, not from all |G|^2 permutation products.
@@ -463,11 +464,11 @@ def _conjugacy_class(g: FiniteGroup, j: frozenset[int], gens: tuple[int, ...]) -
 
     y normalises J iff y s y^-1 is in J for each generator s, since
     conjugation is injective.  y J y^-1 depends only on the left coset
-    y N_G(J), so J is conjugated once per coset, by the coset's least
-    element, the least y giving that conjugate; the least conjugate takes
-    over J's normaliser and generators, conjugated by its y."""
+    y N_G(J), so J is conjugated once per coset, by the y that ``_least``
+    names it by, the least y giving that conjugate; the least conjugate
+    takes over J's normaliser and generators, conjugated by its y."""
     norm = frozenset(y for y in range(g.order) if all(g.conj(y, s) in j for s in gens))
-    first = {conjugate_subgroup(g, j, y): y for y in map(min, left_cosets(g, norm))}
+    first = {conjugate_subgroup(g, j, y): y for y, lo in enumerate(_least(g, norm)) if y == lo}
     conjugates = tuple(sorted(first, key=_subgroup_key))
     y = first[conjugates[0]]
     return SubgroupClass(conjugates, tuple(g.conj(y, x) for x in gens),
@@ -516,17 +517,15 @@ def subgroup_classes(g: FiniteGroup) -> tuple[SubgroupClass, ...]:
     return tuple(sorted(classes, key=lambda c: (len(c.representative), c.label)))
 
 
-def left_cosets(g: FiniteGroup, h: frozenset[int]) -> list[frozenset[int]]:
-    """Left cosets xh, sorted by least element."""
-    seen: set[int] = set()
-    cosets = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        coset = frozenset(g.table[x][e] for e in h)
-        seen |= coset
-        cosets.append(coset)
-    return sorted(cosets, key=min)
+def _least(g: FiniteGroup, k: frozenset[int]) -> list[int]:
+    """Entry x: the least element of the left coset x*k, which names that
+    coset.  x ascending meets each coset first at its least element."""
+    row = [-1] * g.order
+    for x, tx in enumerate(g.table):
+        if row[x] < 0:
+            for e in k:
+                row[tx[e]] = x
+    return row
 
 
 @_once
@@ -543,15 +542,7 @@ def _maps(g: FiniteGroup) -> tuple[list[list[int]], list[list[list[int]]]]:
     count the conjugates of H inside K; these lists, the conjugates of K
     over H: the omega relation compares the two."""
     reps = [c.representative for c in subgroup_classes(g)]
-    least = []
-    for k in reps:
-        # x ascending meets each coset first at its least element
-        row = [-1] * g.order
-        for x, tx in enumerate(g.table):
-            if row[x] < 0:
-                for e in k:
-                    row[tx[e]] = x
-        least.append(row)
+    least = [_least(g, k) for k in reps]
     maps: list[list[list[int]]] = [[[] for _ in reps] for _ in reps]
     for j, k in enumerate(reps):
         conj = {x: conjugate_subgroup(g, k, x) for x, lo in enumerate(least[j]) if x == lo}

@@ -107,12 +107,20 @@ def chi_L(cat: FiniteCategory):
 
 def _iter_cells(cells):
     """(dim, object id) of each cell record; a record is refused, by name,
-    unless its dim is a nonnegative int (not a bool), as ``GCWComplex``
-    asks, and its base an object id as ``from_json`` reads one."""
-    if isinstance(cells, dict):
+    unless it is a dict or a (dim, base) pair, its dim a nonnegative int
+    (not a bool), as ``GCWComplex`` asks, and its base an object id as
+    ``from_json`` reads one.  The census is a list (or tuple) of records or
+    a dict document holding their list under "cells"."""
+    if isinstance(cells, dict) and isinstance(cells.get("cells"), list):
         cells = cells["cells"]
+    elif isinstance(cells, dict) or not isinstance(cells, (list, tuple)):
+        raise ValueError("cell census must be a list of records or a dict with "
+                         f'their list under "cells": {cells!r}')
     for cell in cells:
-        dim, base = (cell.get("dim"), cell.get("base")) if isinstance(cell, dict) else cell
+        pair = (cell.get("dim"), cell.get("base")) if isinstance(cell, dict) else cell
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"cell record must be a dict or a (dim, base) pair: {cell!r}")
+        dim, base = pair
         if type(dim) is not int or dim < 0:
             raise ValueError(f"cell dimension must be a nonnegative integer: {cell!r}")
         if (name := _name(base)) is None:

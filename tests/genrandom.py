@@ -21,12 +21,11 @@ from catrank.grouptheory import (
     build_group,
     cyclic_group,
     dihedral_group,
-    left_cosets,
     symmetric_group,
     product_group,
 )
 from assembly_oracle import from_table, table_of
-from subgroup_helpers import subgroups, weyl_group_with_cosets
+from subgroup_helpers import left_cosets, subgroups, weyl_group_with_cosets
 
 
 # ---------------------------------------------------------------- groupoids

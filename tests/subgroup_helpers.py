@@ -3,16 +3,30 @@
 The library keeps the subgroup lattice up to conjugacy and only the orders of
 the Weyl groups; the tests also need every subgroup and N_G(H)/H as a group.
 They are built here from ``subgroup_classes``, ``conjugate_subgroup`` and
-``left_cosets``.
+``left_cosets``.  The library walks cosets once, by ``grouptheory._least``,
+which names each coset by its least element and keeps no coset as a set;
+``left_cosets`` keeps them as frozensets, for the fixtures and as the oracle
+of that walk.
 """
 
 from catrank.grouptheory import (
     FiniteGroup,
     closure,
     conjugate_subgroup,
-    left_cosets,
     subgroup_classes,
 )
+
+
+def left_cosets(g: FiniteGroup, h) -> list[frozenset[int]]:
+    """Left cosets xh as frozensets, sorted by least element."""
+    seen: set[int] = set()
+    cosets = []
+    for x in range(g.order):
+        if x not in seen:
+            coset = frozenset(g.table[x][e] for e in h)
+            seen |= coset
+            cosets.append(coset)
+    return sorted(cosets, key=min)
 
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:

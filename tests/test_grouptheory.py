@@ -24,7 +24,6 @@ from catrank.grouptheory import (
     closure,
     subgroup_classes,
     conjugate_subgroup,
-    left_cosets,
     table_of_marks,
     burnside_congruences,
     nu_matrix,
@@ -32,7 +31,7 @@ from catrank.grouptheory import (
 from catrank.moebius import euler_characteristics
 from catrank.orbitcat import GCWComplex
 from rref_oracle import reorder
-from subgroup_helpers import normalizer, subgroups, weyl_group
+from subgroup_helpers import left_cosets, normalizer, subgroups, weyl_group
 
 
 # primitive subgroup oracle: every subset closed under the operation
@@ -356,13 +355,6 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             weyl_group(symmetric_group(3), (0, 3))
 
-    def test_left_cosets(self):
-        g = symmetric_group(3)
-        cs = left_cosets(g, (0, 1))
-        assert len(cs) == 3
-        assert cs[0] == frozenset({0, 1})
-        assert sorted(x for c in cs for x in c) == list(range(6))
-
 
 class TestMarks:
     def test_fixed_points_trivial_acting(self):
@@ -611,6 +603,22 @@ LARGER_GROUPS = [("S5", S5), ("A5", A5), ("F20", F20), ("S6", S6)]
 
 def test_larger_groups_have_their_orders():
     assert [g.order for _, g in LARGER_GROUPS] == [120, 60, 20, 720]
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GROUPS] + [S5],
+                         ids=[name for name, _ in ORACLE_GROUPS] + ["S5"])
+def test_least_names_each_coset_by_its_minimum(g):
+    """``_least``, the one coset walk of the library, against the frozenset
+    cosets of the tests: for every class representative K and its
+    normaliser, it is constant on each left coset xK and equals its least
+    element; the cosets partition G, K first."""
+    for cls in subgroup_classes(g):
+        for k in (cls.representative, cls.normalizer):
+            cosets = left_cosets(g, k)
+            assert cosets[0] == k and len(cosets) * len(k) == g.order
+            assert sorted(x for c in cosets for x in c) == list(range(g.order))
+            least = grouptheory._least(g, k)
+            assert all({least[x] for x in c} == {min(c)} for c in cosets)
 
 
 @pytest.mark.parametrize(

@@ -173,7 +173,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
         work.append((g, xi, x))
         burnside_check(g, xi)
         verify_omega_relation(x)
-    calls = {"_rref": 0, "mark": 0, "_build": 0, "left_cosets": 0}
+    calls = {"_rref": 0, "mark": 0, "_build": 0, "_least": 0}
 
     def counting(module, name):
         orig = getattr(module, name)
@@ -187,7 +187,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
     counting(exactq, "_rref")
     counting(grouptheory, "mark")
     counting(fincat, "_build")
-    counting(grouptheory, "left_cosets")
+    counting(grouptheory, "_least")
     for _ in range(3):
         for g, xi, x in work:
             burnside_check(g, xi)
@@ -195,7 +195,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
             verify_omega_relation(x)
             table_of_marks(g)
             fixed_point_euler(x, 0)
-    assert calls == {"_rref": 0, "mark": 0, "_build": 0, "left_cosets": 0}
+    assert calls == {"_rref": 0, "mark": 0, "_build": 0, "_least": 0}
     # the wrappers see a cold enumeration: a new group, equal to the first,
     # starts with an empty memo
     g = FiniteGroup(work[0][0].table, work[0][0].names)
@@ -204,7 +204,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
     # nu is a back-substitution on the integer marks: nothing is eliminated;
     # the omega relation counts the enumerated maps and composes none
     assert calls["_rref"] == 0 and calls["mark"] > 0
-    assert calls["_build"] == 0 and calls["left_cosets"] > 0
+    assert calls["_build"] == 0 and calls["_least"] > 0
 
 
 class _Six:

@@ -205,27 +205,50 @@ MALFORMED_CELLS = [
     ({"base": "1"}, "dimension"),
     ((1.5, "1"), "dimension"),
     ((0, None), "base"),
+    ([5], "record"),
+    ((0,), "record"),
+    ((0, "1", 1), "record"),
+    ("1", "record"),
+    ("01", "record"),
+    (5, "record"),
+    (None, "record"),
 ]
 
 
 @pytest.mark.parametrize("cell,field", MALFORMED_CELLS, ids=[repr(c) for c, _ in MALFORMED_CELLS])
 def test_weighting_from_cells_refuses_malformed_records(cell, field):
-    """dim is a nonnegative int and not a bool; base is an object id, a
-    string or a finite number, as in a category document.  Objects named
-    "True", "None" and "1.5" are there, so no malformed record can be
-    counted at one of them by its str."""
+    """A record is a dict or a (dim, base) pair; dim is a nonnegative int
+    and not a bool; base is an object id, a string or a finite number, as
+    in a category document.  Objects named "True", "None" and "1.5" are
+    there, so no malformed record can be counted at one of them by its str."""
     cat = poset_category(["1", "True", "None", "nan", "['1']", "1.5"], [])
     with pytest.raises(ValueError, match=f"cell {field}.*" + re.escape(repr(cell))):
         weighting_from_cells(cat, {"cells": [{"dim": 0, "base": "1"}, cell]})
 
 
+MALFORMED_CENSUSES = [{}, {"cell": []}, {"cells": None}, {"cells": "01"},
+                      {"cells": {"dim": 0, "base": "1"}}, {"cells": ({"dim": 0, "base": "1"},)},
+                      None, 5, "01"]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CENSUSES, ids=repr)
+def test_weighting_from_cells_refuses_a_document_without_a_cell_list(doc):
+    """The census is a list or tuple of records, or a dict document that
+    holds their list under "cells"."""
+    cat = poset_category(["1"], [])
+    with pytest.raises(ValueError, match='cell census.*"cells".*' + re.escape(repr(doc))):
+        weighting_from_cells(cat, doc)
+
+
 def test_weighting_from_cells_reads_well_formed_records():
     """Each id a category document may give its objects names them: an int
-    or a float as its str, a string as itself; dim 0 and large dims."""
+    or a float as its str, a string as itself; dim 0 and large dims; a pair
+    as a tuple or, as a JSON document gives it, a list."""
     cat = poset_category(["1", "1.5", "x"], [])
     cells = [{"dim": 0, "base": 1}, {"dim": 3, "base": 1.5}, {"dim": 2, "base": "x"},
              {"dim": 10 ** 20 + 1, "base": "x"}, (0, "1.5"), (0, "1.5")]
     assert weighting_from_cells(cat, {"cells": cells}) == ([1, 1, 0], False)
+    assert weighting_from_cells(cat, {"cells": cells + [[0, "x"]]}) == ([1, 1, 1], True)
 
 
 def test_cells_accumulate_per_object():
