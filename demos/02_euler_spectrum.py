@@ -4,19 +4,20 @@ chi_nerve counts simplices of the nerve and only converges when no
 nonidentity endomorphism exists.  chi (functorial) and chi2 (rank-level)
 need an EI category.  chi_L (weighting-based) asks only for a weighting
 and a coweighting.  On their common domain they agree; each strictly
-extends the previous one.
+extends the previous one.  chi and chi2 are read off the class table that
+``iso_order`` builds from an EI category.
 """
 
 from catrank import corpus
 from catrank.exactq import rat_str
-from catrank.fincat import classify, opposite
+from catrank.fincat import classify, iso_order, opposite
 from catrank.leinster import chi_L
 from catrank.moebius import euler_characteristics
 
 
 def spectrum(name, cat):
     rep = classify(cat)
-    e = euler_characteristics(cat) if rep.is_ei else None
+    e = euler_characteristics(iso_order(cat)) if rep.is_ei else None
     if rep.has_trivial_endomorphisms and rep.is_skeletal:
         # no cycle of nonidentity morphisms: the nerve count is chi
         cols = [f"chi_nerve={rat_str(e.chi)}"]
@@ -45,7 +46,7 @@ print()
 
 # chi2 is not invariant under taking opposites; chi_L is
 cat = corpus.build("biset-point-c2")
-e, eo = euler_characteristics(cat), euler_characteristics(opposite(cat))
+e, eo = euler_characteristics(iso_order(cat)), euler_characteristics(iso_order(opposite(cat)))
 print("one-point biset over C2:   chi2 =", rat_str(e.chi2),
       "  chi2 of the opposite =", rat_str(eo.chi2))
 print("chi_L of both:            ", rat_str(chi_L(cat)), "and",

@@ -9,7 +9,7 @@ orders) is the classical table of marks.
 from fractions import Fraction
 
 from catrank import ratio
-from catrank.fincat import classify, orbit_category
+from catrank.fincat import classify, iso_order, orbit_category
 from catrank.grouptheory import build_group, nu_matrix, subgroup_classes, table_of_marks
 from catrank.moebius import euler_characteristics, omega_bar2
 
@@ -27,9 +27,11 @@ for c in classes:
     print(f"   {c.label!s:14s} |H| = {len(c.representative)}   |W(H)| = {c.weyl_order}")
 print()
 
-# each matrix is integer rows, row i over the denominator dens[i]
-om = omega_bar2(cat)
-mu = euler_characteristics(cat).mu_bar2
+# the engine reads the class table alone; each matrix is integer rows, row
+# i over the denominator dens[i]
+table = iso_order(cat)
+om = omega_bar2(table)
+mu = euler_characteristics(table).mu_bar2
 n = len(om.rows)
 
 

@@ -14,6 +14,7 @@ from catrank.fincat import (
     fiber_category,
     is_covering,
     is_isofibration,
+    iso_order,
     validate_functor,
 )
 from catrank.grouptheory import build_group
@@ -21,7 +22,8 @@ from catrank.moebius import euler_characteristics
 
 
 def chi2(cat):
-    return euler_characteristics(cat).chi2
+    """chi2 of an EI category, read off its class table."""
+    return euler_characteristics(iso_order(cat)).chi2
 
 
 # 1. the indiscrete pair double-covers the delooping of Z/2: both objects

@@ -5,15 +5,17 @@ Moebius inversion matrices over the iso-class poset, orbit categories, tables of
 marks and Burnside congruences. All arithmetic is exact rational.
 
 The package body holds what every command needs whatever layer it runs: the
-group order cap, the one matrix type, the one writer with its one entry
-formatter (``ratio``), the one memo decorator (``_once``), and ``_lazy``,
-which binds a module whose body runs only when it is first read, so each
-command compiles only the layers it calls.
+group order cap, the one matrix type, the class table of an EI category
+(``IsoPoset``, built by ``fincat.iso_order`` and read by ``moebius``), the
+one writer with its one entry formatter (``ratio``), the one memo decorator
+(``_once``), and ``_lazy``, which binds a module whose body runs only when
+it is first read, so each command compiles only the layers it calls.
 """
 
 import importlib.util
 import math
 import sys
+from collections import namedtuple
 from functools import wraps
 from itertools import islice
 from typing import IO, Iterable
@@ -45,6 +47,26 @@ class Rows:
 
     def __repr__(self) -> str:
         return f"Rows({len(self.rows)}x{len(self.rows)})"
+
+
+class IsoPoset(namedtuple("IsoPoset", "labels members reps homs acts")):
+    """The class table of an EI category, which every class-level invariant
+    reads: the iso classes in canonical order, ascending by (longest chain
+    strictly below, representative = least-index object), homs[i][j] =
+    |hom(rep i, rep j)|, nonzero exactly when class i lies at or below
+    class j, and acts[i][t][b]: for t above i and b in A_i = aut(rep i)
+    (of order homs[i][i], identity first), the nonempty C(x, b) = {a in
+    A_t : a o x = x o b} as positions in A_t, over the first elements x
+    (in id order) of the A_t-orbits on hom(rep i, rep t)."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    def __repr__(self) -> str:
+        return f"IsoPoset({self.size} classes)"
 
 
 def ratio(p: int, q: int = 1) -> str:

@@ -230,13 +230,14 @@ def cmd_euler(args) -> int:
     if rep.is_ei:
         # omega_bar2 and mu_bar2 as integer rows over |aut rep i|, the
         # diagonal of the class table: no fraction is formed
-        er = moebius.euler_characteristics(cat)
+        table = fincat.iso_order(cat)
+        er = moebius.euler_characteristics(table)
         names = [_fmt_label(l) for l in er.labels]
         invariants["chi_f"] = {"labels": names, "entries": [str(n) for n in er.orbits]}
         invariants["chi"] = str(er.chi)
         invariants["chi_f2"] = _vec(names, er.fixed, er.sizes)
         invariants["chi2"] = exactq.rat_str(er.chi2)
-        invariants["omega_bar2"] = _matrix(moebius.omega_bar2(cat))
+        invariants["omega_bar2"] = _matrix(moebius.omega_bar2(table))
         invariants["mu_bar2"] = _matrix(er.mu_bar2)
     else:
         for name in ("chi_f", "chi", "chi_f2", "chi2", "omega_bar2", "mu_bar2"):

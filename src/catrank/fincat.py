@@ -1,8 +1,9 @@
 """Finite categories as explicit tables: validation, classification predicates
 (``is_free`` read off ``aut_orbits``, the one walk of the aut(y)-orbits on the
-hom sets, which ``moebius`` reads too), constructions (opposite, product,
-coproduct, delooping, poset, biset, orbit category, full subcategory,
-skeleton), functor data, coverings and isofibrations.
+hom sets, which ``iso_order`` reads too), the class table of an EI category
+(``iso_order``, the ``catrank.IsoPoset`` that ``moebius`` reads), constructions
+(opposite, product, coproduct, delooping, poset, biset, orbit category, full
+subcategory, skeleton), functor data, coverings and isofibrations.
 
 A category is stored as: a tuple of object ids (strings by convention, so JSON
 round-trips), per-morphism dom/cod object indices, an identity morphism per
@@ -41,7 +42,7 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from . import _once, _write
+from . import IsoPoset, _once, _write
 
 if TYPE_CHECKING:  # the group layer is read through the groups passed in
     from .grouptheory import FiniteGroup
@@ -425,8 +426,9 @@ def classify(cat: FiniteCategory) -> PredicateReport:
     is_free = holds("is_free", [free_witness(cat)])
     is_skeletal = holds("is_skeletal", ((m,) for m in ms if dom[m] != cod[m] and cat.is_iso(m)))
     is_groupoid = holds("is_groupoid", ((m,) for m in ms if not cat.is_iso(m)))
+    # a connected category is inhabited: the empty one is refused by ()
     is_cg = holds("is_connected_groupoid",
-                  [wit["is_groupoid"]] if not is_groupoid else
+                  [wit["is_groupoid"]] if not is_groupoid else [()] if not objs else
                   ((cat.objects[i], cat.objects[j]) for i in objs for j in objs
                    if not cat.hom(i, j)))
     triv = holds("has_trivial_endomorphisms",
@@ -467,6 +469,64 @@ def iso_classes(cat: FiniteCategory) -> list[list]:
     for i in range(cat.n_objects):
         groups.setdefault(find(i), []).append(i)
     return [[cat.objects[i] for i in groups[r]] for r in sorted(groups)]
+
+
+@_once
+def iso_order(cat: FiniteCategory) -> IsoPoset:
+    """The class table of an EI category, once per category; a ValueError
+    naming a non-invertible endomorphism on any other category."""
+    m = ei_witness(cat)
+    if m is not None:
+        raise ValueError("iso class order needs an EI category; "
+                         f"morphism {m} is a non-invertible endomorphism")
+    classes = iso_classes(cat)
+    reps = [cat.obj_index(c[0]) for c in classes]
+    k = len(classes)
+    # the nonzero entries only: per class i, {j: |hom(rep i, rep j)|}, read
+    # off the nonempty hom sets
+    class_of = dict(zip(reps, range(k)))
+    counts: list[dict[int, int]] = [{} for _ in range(k)]
+    for (x, y), hom in _hom_sets(cat).items():
+        if x in class_of and y in class_of:
+            counts[class_of[x]][class_of[y]] = len(hom)
+    below: list[list[int]] = [[] for _ in range(k)]
+    for i, row in enumerate(counts):
+        for j in row:
+            if j != i:
+                assert i not in counts[j], "EI forces antisymmetry"
+                below[j].append(i)
+
+    # j < i implies down(j) is strictly inside down(i), so visiting classes by
+    # the size of their down-set fills every class after all classes below it
+    lengths = [0] * k
+    for i in sorted(range(k), key=lambda i: len(below[i])):
+        lengths[i] = 1 + max(lengths[j] for j in below[i]) if below[i] else 0
+    order = sorted(range(k), key=lambda i: (lengths[i], reps[i]))
+    place = sorted(range(k), key=order.__getitem__)  # class i is row place[i]
+    # C(x, b) is what aut_orbits records at x o b, if x o b is in x's orbit
+    firsts, fibre = aut_orbits(cat)
+    rows, at = cat.rows, cat.at
+    homs = [[0] * k for _ in range(k)]
+    acts: list[dict[int, tuple]] = [{} for _ in range(k)]
+    for i, above in enumerate(counts):
+        after = [rows[b] for b in cat.aut(reps[i])]
+        for j, n in above.items():
+            homs[place[i]][place[j]] = n
+            if j == i:
+                continue
+            xs = firsts[reps[i], reps[j]]
+            cs = []
+            for row in after:
+                fixed = []
+                for x in xs:
+                    y, c = fibre[row[at[x]]]
+                    if y == x:
+                        fixed.append(c)
+                cs.append(tuple(fixed))
+            acts[place[i]][place[j]] = tuple(cs)
+    return IsoPoset(tuple(cat.objects[reps[i]] for i in order),
+                    tuple(tuple(classes[i]) for i in order), tuple(reps[i] for i in order),
+                    tuple(map(tuple, homs)), tuple(acts))
 
 
 class FunctorData:

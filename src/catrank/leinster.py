@@ -4,23 +4,23 @@ A weighting solves zeta k = 1 and a coweighting solves its transpose, zeta
 the hom-count matrix (Leinster 2008, The Euler characteristic of a
 category).  Two routes:
 
-  - EI: zeta on the class representatives, in iso order, is triangular
-    with diagonal |aut x|, so one back-substitution solves it, from the top
-    class down for the weighting and from the bottom class up for the
-    coweighting.  Members of a class have equal rows and columns, so the
-    report is the one ``exactq.solve_linear`` would give, written down;
+  - EI: zeta on the class representatives is the class table's ``homs``
+    (``fincat.iso_order``), triangular with diagonal |aut x|, so one
+    back-substitution solves it (``moebius._ei``), from the top class down
+    for the weighting and from the bottom class up for the coweighting.
+    Members of a class have equal rows and columns, so the report is the
+    one ``exactq.solve_linear`` would give, written down;
   - any other category: ``exactq.solve_linear`` on zeta or its transpose.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 
 from . import Rows, _once
 from .exactq import SolutionReport, solve_linear, sum_ratios
-from .fincat import FiniteCategory, _name, ei_witness
-from .moebius import IsoPoset, iso_order
+from .fincat import FiniteCategory, _name, ei_witness, iso_order
+from .moebius import _ei
 
 
 def zeta_matrix(cat: FiniteCategory) -> Rows:
@@ -29,26 +29,6 @@ def zeta_matrix(cat: FiniteCategory) -> Rows:
     n = cat.n_objects
     rows = [tuple(len(cat.hom(i, j)) for j in range(n)) for i in range(n)]
     return Rows([str(o) for o in cat.objects], rows, [1] * n)
-
-
-def _ei(poset: IsoPoset, columns: bool) -> tuple[list[int], list[int]]:
-    """The solution w[i] / q[i], in lowest terms, of zeta k = 1 (or of its
-    transpose) on the class representatives: the class table's ``homs``,
-    upper triangular with diagonal |aut i|, by its rows from the top class
-    down or its columns from the bottom class up, each value the rest
-    1 - sum h w_t over the lcm of the w_t's denominators, over |aut i|."""
-    k, homs = poset.size, poset.homs
-    table = list(zip(*homs)) if columns else homs
-    w, q = [0] * k, [1] * k  # w[i] / q[i]
-    for i in (range(k) if columns else reversed(range(k))):
-        # every t related to i is solved before it; w[i] itself is still 0
-        related = [(t, h) for t, h in enumerate(table[i]) if h]
-        den = math.lcm(*(q[t] for t, _ in related))
-        rest = den - sum(h * w[t] * (den // q[t]) for t, h in related)
-        den *= homs[i][i]
-        d = math.gcd(rest, den)
-        w[i], q[i] = rest // d, den // d
-    return w, q
 
 
 def _solve(cat: FiniteCategory, columns: bool) -> SolutionReport:

@@ -24,101 +24,19 @@ those actions:
     the values at 1 of the rows are needed; when every endomorphism is an
     identity the rows are the classical Moebius function of the class poset
     (Rota 1964).  The report keeps these integers, and mu_bar2 is its rows
-    over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built,
-    and all of them read only the class table, which ``iso_order`` builds.
+    over |A_i|, a ``catrank.Rows``; no rational vector or matrix is built.
+  - _ei: the weighting and the coweighting on the class representatives.
+
+Each reads only the class table, a ``catrank.IsoPoset``, which
+``iso_order`` builds in the category layer; nothing of that layer is imported.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import math
 
-from . import Rows, _once, ratio
+from . import IsoPoset, Rows, ratio
 from .exactq import sum_ratios
-from .fincat import FiniteCategory, _hom_sets, aut_orbits, ei_witness, iso_classes
-
-
-class IsoPoset(namedtuple("IsoPoset", "labels members reps homs acts")):
-    """The class table of an EI category, which every class-level invariant
-    reads: the iso classes in canonical order, ascending by (longest chain
-    strictly below, representative = least-index object), homs[i][j] =
-    |hom(rep i, rep j)|, nonzero exactly when class i lies at or below
-    class j, and acts[i][t][b]: for t above i and b in A_i = aut(rep i)
-    (of order homs[i][i], identity first), the nonempty C(x, b) = {a in
-    A_t : a o x = x o b} as positions in A_t, over the first elements x
-    (in id order) of the A_t-orbits on hom(rep i, rep t)."""
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def __repr__(self) -> str:
-        return f"IsoPoset({self.size} classes)"
-
-
-@_once
-def iso_order(cat: FiniteCategory) -> IsoPoset:
-    m = ei_witness(cat)
-    if m is not None:
-        raise ValueError(
-            "iso class order needs an EI category; "
-            f"morphism {m} is a non-invertible endomorphism"
-        )
-    classes = iso_classes(cat)
-    reps = [cat.obj_index(c[0]) for c in classes]
-    k = len(classes)
-    # the nonzero entries only: per class i, {j: |hom(rep i, rep j)|}, read
-    # off the nonempty hom sets
-    class_of = dict(zip(reps, range(k)))
-    counts: list[dict[int, int]] = [{} for _ in range(k)]
-    for (x, y), hom in _hom_sets(cat).items():
-        if x in class_of and y in class_of:
-            counts[class_of[x]][class_of[y]] = len(hom)
-    below: list[list[int]] = [[] for _ in range(k)]
-    for i, row in enumerate(counts):
-        for j in row:
-            if j != i:
-                assert i not in counts[j], "EI forces antisymmetry"
-                below[j].append(i)
-
-    # j < i implies down(j) is strictly inside down(i), so visiting classes by
-    # the size of their down-set fills every class after all classes below it
-    lengths = [0] * k
-    for i in sorted(range(k), key=lambda i: len(below[i])):
-        lengths[i] = 1 + max(lengths[j] for j in below[i]) if below[i] else 0
-    order = sorted(range(k), key=lambda i: (lengths[i], reps[i]))
-    place = [0] * k
-    for p, i in enumerate(order):
-        place[i] = p
-    # C(x, b) is what aut_orbits records at x o b, if x o b is in x's orbit
-    firsts, fibre = aut_orbits(cat)
-    rows, at = cat.rows, cat.at
-    homs = [[0] * k for _ in range(k)]
-    acts: list[dict[int, tuple]] = [{} for _ in range(k)]
-    for i, above in enumerate(counts):
-        after = [rows[b] for b in cat.aut(reps[i])]
-        for j, n in above.items():
-            homs[place[i]][place[j]] = n
-            if j == i:
-                continue
-            xs = firsts[reps[i], reps[j]]
-            cs = []
-            for row in after:
-                fixed = []
-                for x in xs:
-                    y, c = fibre[row[at[x]]]
-                    if y == x:
-                        fixed.append(c)
-                cs.append(tuple(fixed))
-            acts[place[i]][place[j]] = tuple(cs)
-    return IsoPoset(
-        tuple(cat.objects[reps[i]] for i in order),
-        tuple(tuple(classes[i]) for i in order),
-        tuple(reps[i] for i in order),
-        tuple(map(tuple, homs)),
-        tuple(acts),
-    )
 
 
 def _average(rows: dict[int, dict[int, int]], c: tuple[int, ...], label) -> dict[int, int]:
@@ -193,14 +111,33 @@ def _back_substitute(poset: IsoPoset) -> tuple[list[list[int]], list[dict[int, i
     return f, [hi[0] for hi in h]
 
 
+def _ei(poset: IsoPoset, columns: bool) -> tuple[list[int], list[int]]:
+    """The solution w[i] / q[i], in lowest terms, of zeta k = 1 (or of its
+    transpose) on the class representatives: the class table's ``homs``,
+    upper triangular with diagonal |aut i|, by its rows from the top class
+    down or its columns from the bottom class up, each value the rest
+    1 - sum h w_t over the lcm of the w_t's denominators, over |aut i|."""
+    k, homs = poset.size, poset.homs
+    table = list(zip(*homs)) if columns else homs
+    w, q = [0] * k, [1] * k  # w[i] / q[i]
+    for i in (range(k) if columns else reversed(range(k))):
+        # every t related to i is solved before it; w[i] itself is still 0
+        related = [(t, h) for t, h in enumerate(table[i]) if h]
+        den = math.lcm(*(q[t] for t, _ in related))
+        rest = den - sum(h * w[t] * (den // q[t]) for t, h in related)
+        den *= homs[i][i]
+        d = math.gcd(rest, den)
+        w[i], q[i] = rest // d, den // d
+    return w, q
+
+
 # ------------------------------------------------------------------ matrices
 
 
-def omega_bar2(cat: FiniteCategory) -> Rows:
+def omega_bar2(poset: IsoPoset) -> Rows:
     """Entry at (row y-class, column x-class): |mor(y, x)| / |aut y|, the
     class table's rows over its diagonal (|aut y| = |hom(y, y)| in an EI
     category)."""
-    poset = iso_order(cat)
     homs = poset.homs
     return Rows(poset.labels, homs, [row[i] for i, row in enumerate(homs)])
 
@@ -236,14 +173,14 @@ class EulerReport:
         return f"EulerReport(chi={self.chi}, chi2={self.chi2})"
 
 
-def euler_characteristics(cat: FiniteCategory) -> EulerReport:
+def euler_characteristics(poset: IsoPoset) -> EulerReport:
     """Functorial and rank-weighted Euler characteristics of a finite EI
-    category, and mu_bar2, read off (f, rows) of ``_back_substitute``:
+    category, and mu_bar2, from its class table: read off (f, rows) of
+    ``_back_substitute``:
     chi_f[i] = sum over b of f_i(b) / |A_i| (Burnside's lemma),
     chi_f2[i] = f_i(1) / |A_i| and mu_bar2[i][j] = h_i(1)[j] / |A_i|.  One
     integer back-substitution from the top class down, free or not; no
     chain is visited, and no rational vector or matrix is built."""
-    poset = iso_order(cat)
     f, rows = _back_substitute(poset)
     orbits = []
     for i, fi in enumerate(f):

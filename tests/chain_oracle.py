@@ -26,8 +26,8 @@ import itertools
 import operator
 from fractions import Fraction
 
-from catrank.fincat import classify
-from catrank.moebius import IsoPoset, iso_order
+from catrank import IsoPoset
+from catrank.fincat import classify, iso_order
 
 from assembly_oracle import table_of
 from dense import QVector

@@ -827,6 +827,47 @@ def test_each_subcommand_runs_only_its_layer(layer_paths, argv):
     assert set(executed) == {f"catrank.{name}" for name in LAYERS[argv] | {"cli"}}
 
 
+# module -> the catrank modules whose bodies run when it alone is imported:
+# the engine (moebius) runs without the category layer, and every layer
+# besides those listed is left to the first read of one of its names
+IMPORT_CLOSURES = {
+    "exactq": {"exactq"},
+    "fincat": {"fincat"},
+    "grouptheory": {"grouptheory"},
+    "moebius": {"exactq", "moebius"},
+    "leinster": {"exactq", "fincat", "leinster", "moebius"},
+    "orbitcat": {"grouptheory", "orbitcat"},
+    "corpus": {"corpus"},
+    "cli": {"cli"},
+}
+
+IMPORTED = """\
+import sys, types
+import catrank.{module}
+present = [name for name in sys.modules if name.startswith("catrank.")]
+print(*sorted(name for name in present if type(sys.modules[name]) is types.ModuleType))
+print(*sorted(present))
+"""
+
+
+@pytest.mark.parametrize("module", IMPORT_CLOSURES)
+def test_each_module_runs_only_its_import_closure(module):
+    """``python -S -c "import catrank.<module>"``, site-packages off: the
+    modules that ran are the table's row, and only cli and corpus, which
+    bind deferred modules, leave any other catrank module in sys.modules."""
+    src = os.path.dirname(os.path.dirname(catrank.__file__))
+    layers = {name[:-3] for name in os.listdir(os.path.join(src, "catrank"))
+              if name.endswith(".py")} - {"__init__", "__main__"}
+    assert set(IMPORT_CLOSURES) == layers
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORTED.format(module=module)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    executed, present = (set(line.split()) for line in proc.stdout.splitlines())
+    assert executed == {f"catrank.{name}" for name in IMPORT_CLOSURES[module]}
+    assert present == executed or module in ("cli", "corpus")
+
+
 ONE_OBJECT = """\
 import sys
 {before}
@@ -838,7 +879,7 @@ imported = {{"fincat": fincat, "grouptheory": grouptheory}}
 for name in ("exactq", "fincat", "grouptheory", "leinster", "moebius"):
     module = sys.modules["catrank." + name]
     assert getattr(cli, name) is module is getattr(catrank, name) is imported.get(name, module), name
-assert cli.moebius.FiniteCategory is cli.fincat.FiniteCategory
+assert cli.leinster.iso_order is cli.fincat.iso_order
 assert cli.orbitcat.FiniteGroup is cli.grouptheory.FiniteGroup
 sys.exit(code)
 """

@@ -265,7 +265,11 @@ class TestClassify:
     def test_empty_category(self):
         cat = FiniteCategory([], [], [], [], [])
         rep = classify(cat)
-        assert all(rep.flags().values())
+        flags = rep.flags()
+        # a connected category is inhabited; every other flag holds vacuously
+        assert flags.pop("is_connected_groupoid") is False
+        assert rep.witnesses == {"is_connected_groupoid": ()}
+        assert all(flags.values())
         assert validate(cat) == []
         assert iso_classes(cat) == []
 
@@ -474,6 +478,13 @@ class TestCoverings:
                             {m: m for m in range(cat.n_morphisms)})
         with pytest.raises(ValueError, match="groupoid"):
             is_covering(ident)
+
+    def test_rejects_empty_groupoid(self):
+        """The empty category is no connected groupoid, so the guard refuses
+        it before any sheet is counted."""
+        e = FiniteCategory([], [], [], [], [])
+        with pytest.raises(ValueError, match="connected finite groupoids"):
+            is_covering(FunctorData(e, e, {}, {}))
 
     def test_identity_covering(self):
         c = delooping(build_group("q8"))

@@ -11,7 +11,7 @@ import dense
 import genrandom
 import lattice_oracle
 from catrank import fincat, grouptheory, moebius
-from catrank.fincat import orbit_category
+from catrank.fincat import iso_order, orbit_category
 from catrank.grouptheory import (
     CapExceeded,
     FiniteGroup,
@@ -503,7 +503,7 @@ def nu_via_orbit_category(g):
     from the chain walk on Or(G), reordered from object to class order."""
     cat = orbit_category(g)
     order = list(cat.objects)
-    mu = reorder(dense.mu_bar2(euler_characteristics(cat)), order, order)
+    mu = reorder(dense.mu_bar2(euler_characteristics(iso_order(cat))), order, order)
     weyl = [c.weyl_order for c in subgroup_classes(g)]
     n = len(weyl)
     labels = [c.label for c in subgroup_classes(g)]

@@ -17,7 +17,7 @@ from catrank.grouptheory import (
     subgroup_classes,
     table_of_marks,
 )
-from catrank.fincat import orbit_category
+from catrank.fincat import iso_order, orbit_category
 from catrank.moebius import omega_bar2
 from catrank.orbitcat import (
     GCWComplex,
@@ -76,7 +76,7 @@ def omega_lhs_oracle(x):
     """omega_bar2 of Or(G) as a Fraction matrix in iso order, applied to
     chi_G through the translation between class order and object order."""
     cat = orbit_category(x.group)
-    om = dense.matrix(omega_bar2(cat))
+    om = dense.matrix(omega_bar2(iso_order(cat)))
     v = chi_G(x)
     obj_order = list(cat.objects)
     v_iso = QVector([v[obj_order.index(lbl)] for lbl in om.col_labels], labels=om.col_labels)

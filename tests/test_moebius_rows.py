@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from catrank import corpus, leinster, moebius
+from catrank import corpus, leinster
 from catrank.exactq import solve_linear
-from catrank.fincat import biset_category, classify, delooping, opposite, orbit_category, product
+from catrank.fincat import (biset_category, classify, delooping, iso_order, opposite,
+                            orbit_category, product)
 from catrank.grouptheory import build_group
 from catrank.leinster import coweighting, weighting, zeta_matrix
 from catrank.moebius import euler_characteristics, omega_bar2
@@ -61,13 +62,13 @@ def test_cases_cover_both_weighting_routes():
 @pytest.mark.parametrize("name,cat", CASES, ids=[name for name, _ in CASES])
 def test_route_matches_oracles(name, cat):
     assert _trivial_endos(cat)
-    rep = euler_characteristics(cat)
+    rep = euler_characteristics(iso_order(cat))
     chi_f, chi_f2, mu_rows, truncated = chain_sums(cat)
     assert rep.orbits == chi_f
     assert list(dense.chi_f2(rep)) == chi_f2
     assert dense.mu_bar2(rep).to_lists() == mu_rows
     assert not truncated
-    assert dense.mu_bar2(rep) == mat_invert(dense.matrix(omega_bar2(cat)))
+    assert dense.mu_bar2(rep) == mat_invert(dense.matrix(omega_bar2(iso_order(cat))))
     assert rep.chi == sum(chi_f) and rep.chi2 == sum(chi_f2)
 
     n = cat.n_objects
@@ -104,8 +105,8 @@ def test_untruncated_posets_skip_the_chain_walk():
     walk oracle then gives the library's report, and below it the walk
     cuts, which is when ``catrank euler`` omits the chain invariants."""
     cat = corpus.build("subsets-q", q=5)
-    assert max(class_table_oracle.lengths(moebius.iso_order(cat))) == 5
-    full = euler_characteristics(cat)
+    assert max(class_table_oracle.lengths(iso_order(cat))) == 5
+    full = euler_characteristics(iso_order(cat))
     for length in (5, 50):
         chi_f, chi_f2, mu_rows, truncated = walk_sums(cat, length)
         assert not truncated
@@ -123,9 +124,9 @@ def test_nontrivial_automorphisms_take_the_same_route():
             product(delooping(build_group("cyclic:2")), divisor_poset(4))]
     for cat in free:
         assert not _trivial_endos(cat) and classify(cat).is_free
-        longest = max(class_table_oracle.lengths(moebius.iso_order(cat)))
+        longest = max(class_table_oracle.lengths(iso_order(cat)))
         assert longest >= 2
-        rep = euler_characteristics(cat)
+        rep = euler_characteristics(iso_order(cat))
         _, _, mu_rows, truncated = walk_sums(cat, longest)
         assert mu_rows == _rows(dense.mu_bar2(rep)) and not truncated
         assert walk_sums(cat, longest - 1)[3]
@@ -135,7 +136,7 @@ def test_nontrivial_automorphisms_take_the_same_route():
     non_free = [cat for cat in non_free if not classify(cat).is_free]
     assert len(non_free) > 4
     for cat in non_free:
-        rep = euler_characteristics(cat)
+        rep = euler_characteristics(iso_order(cat))
         chi_f, chi_f2, mu_rows, _ = walk_sums(cat)
         assert (chi_f, chi_f2, mu_rows) == (rep.orbits, list(dense.chi_f2(rep)),
                                             _rows(dense.mu_bar2(rep)))
@@ -161,9 +162,9 @@ def test_class_table_is_built_once_per_category():
     memo = recording_memo(cat)
     weighting(cat)
     coweighting(cat)
-    euler_characteristics(cat)
-    omega_bar2(cat)
-    euler_characteristics(cat)
+    euler_characteristics(iso_order(cat))
+    omega_bar2(iso_order(cat))
+    euler_characteristics(iso_order(cat))
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits", "iso_order",
                            "weighting", "coweighting"]
 
@@ -177,8 +178,8 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
     classify(cat)
     weighting(cat)
     coweighting(cat)
-    moebius.iso_order(cat)
-    euler_characteristics(cat)
+    iso_order(cat)
+    euler_characteristics(iso_order(cat))
     assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits",
                            "iso_order", "weighting", "coweighting"]
     monkeypatch.setattr(leinster, "solve_linear", _refuse("solve_linear"))
@@ -190,7 +191,7 @@ def test_ei_verdict_is_scanned_once_per_category(monkeypatch):
             with pytest.raises(RuntimeError, match="solve_linear"):
                 solve(other)
         with pytest.raises(ValueError) as err:
-            moebius.iso_order(other)
+            iso_order(other)
         assert str(err.value) == ("iso class order needs an EI category; "
                                   "morphism 4 is a non-invertible endomorphism")
         assert memo.builds == ["_hom_sets", "_inverses", "ei_witness", "aut_orbits"]
