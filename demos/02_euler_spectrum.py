@@ -17,8 +17,8 @@ from catrank.moebius import euler_characteristics
 
 def spectrum(name, cat):
     rep = classify(cat)
-    e = euler_characteristics(iso_order(cat)) if rep.is_ei else None
-    if rep.has_trivial_endomorphisms and rep.is_skeletal:
+    e = euler_characteristics(iso_order(cat)) if rep["is_ei"] else None
+    if rep["has_trivial_endomorphisms"] and rep["is_skeletal"]:
         # no cycle of nonidentity morphisms: the nerve count is chi
         cols = [f"chi_nerve={rat_str(e.chi)}"]
     else:

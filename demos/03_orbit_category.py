@@ -19,7 +19,7 @@ classes = subgroup_classes(g)  # object G/i is class i
 
 print("Or(S3):", cat.n_objects, "objects,", cat.n_morphisms, "morphisms")
 rep = classify(cat)
-print("predicates:", ", ".join(k for k, v in rep.flags().items() if v))
+print("predicates:", ", ".join(k for k, v in rep.items() if v))
 print()
 
 print("subgroup classes (representative elements / Weyl order):")

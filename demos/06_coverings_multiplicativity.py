@@ -50,7 +50,7 @@ print("delooping(Z/4) -> delooping(Z/2): covering =", is_covering(p)[0],
       " isofibration =", is_isofibration(p))
 fib = fiber_category(p, "*")
 print("   fiber over the object: connected groupoid =",
-      classify(fib).is_connected_groupoid,
+      classify(fib)["is_connected_groupoid"],
       " with", fib.n_morphisms, "morphisms")
 print("   chi2(total) =", rat_str(chi2(e)),
       "  chi2(base) * chi2(fiber) =",

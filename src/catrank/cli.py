@@ -227,7 +227,7 @@ def cmd_euler(args) -> int:
     chi = leinster.chi_L(cat)
     invariants["chi_L"] = exactq.rat_str(chi) if chi != "undefined" else "undefined"
 
-    if rep.is_ei:
+    if rep["is_ei"]:
         # omega_bar2 and mu_bar2 as integer rows over |aut rep i|, the
         # diagonal of the class table: no fraction is formed
         table = fincat.iso_order(cat)
@@ -247,15 +247,15 @@ def cmd_euler(args) -> int:
     # morphisms is a pair of inverse isomorphisms between distinct objects.
     # Without one, the classes are single objects and the class chains that
     # chi sums are the nondegenerate simplices of the nerve.
-    if not rep.has_trivial_endomorphisms:
+    if not rep["has_trivial_endomorphisms"]:
         warnings.append("chi_nerve omitted: nontrivial endomorphism")
-    elif rep.is_skeletal:
+    elif rep["is_skeletal"]:
         invariants["chi_nerve"] = invariants["chi"]
     else:
         warnings.append("chi_nerve omitted: nonidentity morphisms form a cycle")
 
     doc = dict(stub)
-    doc["predicates"] = rep.flags()
+    doc["predicates"] = rep
     doc["invariants"] = invariants
     doc["warnings"] = warnings
     _emit(doc, indent=args.indent)
@@ -393,7 +393,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="indent the JSON output")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest group order accepted by every group subcommand, "
-                        "symmetric:n included; catrank's only limit "
+                        "symmetric:n included; the only limit on group orders "
                         f"(default {DEFAULT_CAP})")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized subcommands")
@@ -434,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
     esub.add_parser("list", help="names of all bundled examples").set_defaults(fn=cmd_examples)
     em = esub.add_parser("emit", help="print one example as category JSON")
     em.add_argument("name")
-    em.add_argument("--q", type=int, default=1, help="size parameter for subsets-q")
+    em.add_argument("--q", type=int, default=1, help="size parameter for subsets-q, 0..8")
     em.set_defaults(fn=cmd_examples)
 
     return p

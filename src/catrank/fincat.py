@@ -1,9 +1,10 @@
 """Finite categories as explicit tables: validation, classification predicates
-(``is_free`` read off ``aut_orbits``, the one walk of the aut(y)-orbits on the
-hom sets, which ``iso_order`` reads too), the class table of an EI category
-(``iso_order``, the ``catrank.IsoPoset`` that ``moebius`` reads), constructions
-(opposite, product, coproduct, delooping, poset, biset, orbit category, full
-subcategory, skeleton), functor data, coverings and isofibrations.
+(``classify``'s dict of eight flags; ``is_free`` read off ``aut_orbits``, the
+one walk of the aut(y)-orbits on the hom sets, which ``iso_order`` reads too),
+the class table of an EI category (``iso_order``, the ``catrank.IsoPoset``
+that ``moebius`` reads), constructions (opposite, product, coproduct,
+delooping, poset, biset, orbit category, full subcategory, skeleton), functor
+data, coverings and isofibrations.
 
 A category is stored as: a tuple of object ids (strings by convention, so JSON
 round-trips), per-morphism dom/cod object indices, an identity morphism per
@@ -326,31 +327,6 @@ def _associativity_violations(cat: FiniteCategory) -> list[dict]:
 # ---------------------------------------------------------------- predicates
 
 
-class PredicateReport:
-    __slots__ = (
-        "is_ei",
-        "is_directly_finite",
-        "is_cauchy_complete",
-        "is_free",
-        "is_skeletal",
-        "is_groupoid",
-        "is_connected_groupoid",
-        "has_trivial_endomorphisms",
-        "witnesses",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-    def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in self.__slots__ if name != "witnesses"}
-
-    def __repr__(self) -> str:
-        on = [k for k, v in self.flags().items() if v]
-        return f"PredicateReport({', '.join(on) or 'none'})"
-
-
 @_once
 def ei_witness(cat: FiniteCategory) -> int | None:
     """The first endomorphism in id order that is not invertible; None when
@@ -397,54 +373,37 @@ def free_witness(cat: FiniteCategory) -> tuple[int, int] | None:
                  for f in xs if len(fibre[f][1]) > 1), None)
 
 
-def classify(cat: FiniteCategory) -> PredicateReport:
-    """Exhaustive predicate checks; witnesses record a counterexample per
-    failed flag, the first found in index order."""
-    wit: dict[str, tuple] = {}
+def classify(cat: FiniteCategory) -> dict[str, bool]:
+    """The eight predicates, in the order ``euler`` prints them, each by an
+    exhaustive scan for a counterexample."""
 
-    def holds(name: str, counterexamples) -> bool:
-        found = next(iter(counterexamples), None)
-        if found is not None:
-            wit[name] = found
-        return found is None
+    def none(found: Iterator) -> bool:
+        return next(found, None) is None
 
     rows, at, ident, dom, cod = cat.rows, cat.at, cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
-    not_ei = ei_witness(cat)
-    is_ei = holds("is_ei", [] if not_ei is None else [(not_ei,)])
-    # g o f is rows[f][at[g]]
-    is_df = holds("is_directly_finite",
-                  ((u, v) for u in ms for v in cat.hom(cod[u], dom[u])
-                   if rows[u][at[v]] == ident[dom[u]] and rows[v][at[u]] != ident[cod[u]]))
-    # an idempotent p on x splits when p = i r with r i = 1 for some z; an
-    # identity splits through its own object (i = r = p), so it is not searched
-    is_cc = holds("is_cauchy_complete",
-                  ((p,) for p in ms if p != ident[dom[p]] and dom[p] == cod[p] and rows[p][at[p]] == p
-                   and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
-                               for z in objs for i in cat.hom(z, dom[p])
-                               for r in cat.hom(dom[p], z))))
-    is_free = holds("is_free", [free_witness(cat)])
-    is_skeletal = holds("is_skeletal", ((m,) for m in ms if dom[m] != cod[m] and cat.is_iso(m)))
-    is_groupoid = holds("is_groupoid", ((m,) for m in ms if not cat.is_iso(m)))
-    # a connected category is inhabited: the empty one is refused by ()
-    is_cg = holds("is_connected_groupoid",
-                  [wit["is_groupoid"]] if not is_groupoid else [()] if not objs else
-                  ((cat.objects[i], cat.objects[j]) for i in objs for j in objs
-                   if not cat.hom(i, j)))
-    triv = holds("has_trivial_endomorphisms",
-                 ((next(m for m in cat.hom(x, x) if m != ident[x]),) for x in objs
-                  if len(cat.hom(x, x)) != 1))
-    return PredicateReport(
-        is_ei=is_ei,
-        is_directly_finite=is_df,
-        is_cauchy_complete=is_cc,
-        is_free=is_free,
-        is_skeletal=is_skeletal,
-        is_groupoid=is_groupoid,
-        is_connected_groupoid=is_cg,
-        has_trivial_endomorphisms=triv,
-        witnesses=wit,
-    )
+    is_groupoid = none(m for m in ms if not cat.is_iso(m))
+    return {
+        "is_ei": ei_witness(cat) is None,
+        # g o f is rows[f][at[g]]
+        "is_directly_finite": none(
+            u for u in ms for v in cat.hom(cod[u], dom[u])
+            if rows[u][at[v]] == ident[dom[u]] and rows[v][at[u]] != ident[cod[u]]),
+        # an idempotent p on x splits when p = i r with r i = 1 for some z; an
+        # identity splits through its own object (i = r = p), so it is not searched
+        "is_cauchy_complete": none(
+            p for p in ms if p != ident[dom[p]] and dom[p] == cod[p] and rows[p][at[p]] == p
+            and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
+                        for z in objs for i in cat.hom(z, dom[p])
+                        for r in cat.hom(dom[p], z))),
+        "is_free": free_witness(cat) is None,
+        "is_skeletal": none(m for m in ms if dom[m] != cod[m] and cat.is_iso(m)),
+        "is_groupoid": is_groupoid,
+        # a connected category is inhabited, so the empty one is not
+        "is_connected_groupoid": is_groupoid and bool(objs) and none(
+            i for i in objs for j in objs if not cat.hom(i, j)),
+        "has_trivial_endomorphisms": none(x for x in objs if len(cat.hom(x, x)) != 1),
+    }
 
 
 # -------------------------------------------------------------- iso classes
@@ -822,8 +781,7 @@ def orbit_category(g: FiniteGroup) -> FiniteCategory:
 
 
 def _require_connected_finite_groupoid(cat: FiniteCategory, who: str) -> None:
-    rep = classify(cat)
-    if not rep.is_groupoid or not rep.is_connected_groupoid:
+    if not classify(cat)["is_connected_groupoid"]:
         raise ValueError(f"{who} requires connected finite groupoids")
 
 

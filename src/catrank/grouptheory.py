@@ -1,10 +1,10 @@
 """Finite groups as Cayley tables: subgroup lattice, conjugacy classes of
 subgroups, Weyl group orders, table of marks, nu matrix and Burnside congruences.
 
-Elements are integers 0..n-1 with 0 the identity. Subgroups are frozensets of
-element indices. The canonical order on subgroup classes is ascending |H| with
-ties broken by the lexicographically least sorted conjugate; that order makes
-the marks matrix upper-triangular.
+Elements are integers 0..n-1 with 0 the identity, and a group keeps no names
+for them. Subgroups are frozensets of element indices. The canonical order on
+subgroup classes is ascending |H| with ties broken by the lexicographically
+least sorted conjugate; that order makes the marks matrix upper-triangular.
 
 The lattice is built up to conjugacy, one class at a time (Pfeiffer 1997, The
 subgroups of M24, or how to compute the table of marks of a finite group):
@@ -36,7 +36,7 @@ marks M, so no orbit category is built for it.
 The package's ``_once`` builds each table derived from a group once and
 keeps it on the group; strings that parse alike share one group per cap.
 
-Group orders are capped, and the cap is the only limit: ``build_group``
+Group orders are capped, and the cap is their only limit: ``build_group``
 raises ``CapExceeded`` (a ValueError) above its ``cap``, before any lattice
 work and, where the order is known from the spec (``symmetric:n`` for any
 n >= 1 among them), before any table is built.
@@ -62,30 +62,24 @@ class FiniteGroup:
     """A group given by its Cayley table; the constructor checks every group
     axiom and raises ValueError on the first that fails."""
 
-    __slots__ = ("order", "table", "names", "inv", "_memo")
+    __slots__ = ("order", "table", "inv", "_memo")
 
-    def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
-        self._fill(table, names)
+    def __init__(self, table: Sequence[Sequence[int]]):
+        self._fill(table)
         _check_associative(self)
 
     @classmethod
-    def _associative(cls, table: Sequence[Sequence[int]],
-                     names: Sequence[str] | None = None) -> "FiniteGroup":
+    def _associative(cls, table: Sequence[Sequence[int]]) -> "FiniteGroup":
         """For the builders, whose tables are associative by construction
         (permutation composition, integers mod n, products and quotients of
         groups): every check but associativity."""
         g = cls.__new__(cls)
-        g._fill(table, names)
+        g._fill(table)
         return g
 
-    def _fill(self, table: Sequence[Sequence[int]], names: Sequence[str] | None) -> None:
+    def _fill(self, table: Sequence[Sequence[int]]) -> None:
         self.order = len(table)
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
-        if names is None:
-            names = [str(i) for i in range(self.order)]
-        self.names: tuple[str, ...] = tuple(names)
-        if len(self.names) != self.order:
-            raise ValueError("names length does not match order")
         _check_latin_with_identity(self.table)
         # a Latin row holds the identity once, at the inverse
         self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
@@ -179,14 +173,13 @@ def dihedral_group(n: int) -> FiniteGroup:
         return s * n + i
 
     table = [[0] * (2 * n) for _ in range(2 * n)]
-    names = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
     for i1 in range(n):
         for s1 in range(2):
             for i2 in range(n):
                 for s2 in range(2):
                     i = (i1 + (i2 if s1 == 0 else -i2)) % n
                     table[idx(i1, s1)][idx(i2, s2)] = idx(i, s1 ^ s2)
-    return FiniteGroup._associative(table, names)
+    return FiniteGroup._associative(table)
 
 
 def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -230,8 +223,7 @@ def _group_from_perms(elems: list[tuple[int, ...]],
                     columns[k] = list(map(r.__getitem__, column))
                     nxt.append(k)
         frontier = nxt
-    names = ["".join(map(str, p)) for p in elems]
-    return FiniteGroup._associative(list(zip(*columns)), names)
+    return FiniteGroup._associative(list(zip(*columns)))
 
 
 def perm_group(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -272,8 +264,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
             for a2 in range(n1):
                 for b2 in range(n2):
                     table[idx(a1, b1)][idx(a2, b2)] = idx(g1.table[a1][a2], g2.table[b1][b2])
-    names = [f"{g1.names[a]}|{g2.names[b]}" for a in range(n1) for b in range(n2)]
-    return FiniteGroup._associative(table, names)
+    return FiniteGroup._associative(table)
 
 
 _ALIASES = {
@@ -344,11 +335,14 @@ def _from_spec(spec, cap: int) -> FiniteGroup:
     elif kind == "table":
         table = _int_rows(spec.get("table"), "table")
         _check_cap(len(table), cap)
+        # element names are checked, not kept: nothing reads them
         names = spec.get("names")
         if names is not None and not (isinstance(names, list)
                                       and all(isinstance(x, str) for x in names)):
             raise ValueError("names must be a list of strings")
-        g = FiniteGroup(table, names)
+        if names is not None and len(names) != len(table):
+            raise ValueError("names length does not match order")
+        g = FiniteGroup(table)
     elif kind == "perm":
         g = perm_group(_int_rows(spec.get("generators"), "generators"), cap)
     else:

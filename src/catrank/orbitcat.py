@@ -93,11 +93,15 @@ def fixed_point_euler(x: GCWComplex, h) -> int:
     """Euler characteristic of the H-fixed subcomplex, for h a subgroup class,
     a class index or a subgroup: each cell with stabilizer class (K)
     contributes (-1)^dim |(G/K)^H|, read off the group's table of marks
-    against the census's signed counts."""
+    against the census's signed counts.  A bool, or an index outside
+    0..k-1 for k classes, is refused with a ValueError."""
     if isinstance(h, SubgroupClass):
         h = h.representative
-    i = h if isinstance(h, int) else x._class_index(h)
-    return _marks_times_counts(x, [marks(x.group)[i]])[0]
+    if not isinstance(h, int):
+        h = x._class_index(h)
+    elif not _is_int(h) or not 0 <= h < len(x.classes):
+        raise ValueError(f"class index must be an integer in 0..{len(x.classes) - 1}: {h!r}")
+    return _marks_times_counts(x, [marks(x.group)[h]])[0]
 
 
 def verify_omega_relation(x: GCWComplex):

@@ -26,4 +26,4 @@ def aut_group(cat: FiniteCategory, obj) -> CayleyGroupRef:
     index = {m: k for k, m in enumerate(ids)}
     comp = table_of(cat)
     table = [[index[comp[(a, b)]] for b in ids] for a in ids]
-    return CayleyGroupRef(FiniteGroup(table, [str(m) for m in ids]), tuple(ids), obj)
+    return CayleyGroupRef(FiniteGroup(table), tuple(ids), obj)

@@ -292,9 +292,9 @@ def chi_f2_via_eta(cat) -> QVector:
     1/|aut|, with mu_bar2 from ``chain_sums``; agrees with chi_f2 for free EI
     categories."""
     rep = classify(cat)
-    if not rep.is_ei:
+    if not rep["is_ei"]:
         raise ValueError("requires an EI category")
-    if not rep.is_free:
+    if not rep["is_free"]:
         raise ValueError("requires a free EI category")
     poset = iso_order(cat)
     eta = [Fraction(1, len(cat.aut(r))) for r in poset.reps]
@@ -309,7 +309,7 @@ def integral_moebius(cat):
     alternating count of paths of nonidentity morphisms; as nested lists of
     ints in the poset's class order, with the class labels."""
     rep = classify(cat)
-    if not (rep.is_skeletal and rep.has_trivial_endomorphisms):
+    if not (rep["is_skeletal"] and rep["has_trivial_endomorphisms"]):
         raise ValueError("needs a skeletal category with trivial endomorphisms")
     poset = iso_order(cat)
     k, reps = poset.size, poset.reps

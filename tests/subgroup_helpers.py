@@ -50,7 +50,7 @@ def weyl_group_with_cosets(g: FiniteGroup, h) -> tuple[FiniteGroup, list[frozens
     lookup = {e: i for i, c in enumerate(cosets) for e in c}
     table = [[lookup[g.table[min(ci)][min(cj)]] for cj in cosets] for ci in cosets]
     assert cosets[0] == frozenset(h)
-    return FiniteGroup(table, [str(min(c)) for c in cosets]), cosets
+    return FiniteGroup(table), cosets
 
 
 def weyl_group(g: FiniteGroup, h) -> FiniteGroup:

@@ -56,6 +56,14 @@ def test_emit_unknown_name(capsys):
     assert code == 2 and "unknown example" in err
 
 
+@pytest.mark.parametrize("q", ["9", "-1"])
+def test_emit_subsets_q_outside_its_range(capsys, q):
+    """--q, the size of subsets-q, is limited to 0..8 apart from --cap."""
+    code, out, err = run(capsys, "examples", "emit", "subsets-q", "--q", q)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "q must be between 0 and 8"}
+
+
 def test_emit_load_reemit_byte_identical(capsys):
     code, out, _ = run(capsys, "examples", "list")
     for name in json.loads(out)["examples"]:
@@ -156,7 +164,7 @@ def test_euler_on_a_nonfree_orbit_category(tmp_path, capsys):
     chi_f2 and mu_bar2 are the walk oracle's."""
     spec = "product:cyclic:2+cyclic:2+cyclic:2+cyclic:4"
     cat = opposite(orbit_category(build_group(spec)))
-    assert not classify(cat).is_free
+    assert not classify(cat)["is_free"]
     path = tmp_path / "or-op.json"
     path.write_text(emitted(cat))
     code, out, err = run(capsys, "euler", str(path))

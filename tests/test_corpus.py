@@ -44,7 +44,7 @@ def test_span_shape():
     cat = corpus.build("span")
     assert cat.n_objects == 3 and cat.n_morphisms == 5
     rep = classify(cat)
-    assert rep.is_ei and rep.has_trivial_endomorphisms and rep.is_skeletal
+    assert rep["is_ei"] and rep["has_trivial_endomorphisms"] and rep["is_skeletal"]
 
 
 def test_parallel_pair_shape():
@@ -81,7 +81,7 @@ def test_section8_matches_hand_built_table():
     ours = corpus.build("section8")
     assert emitted(ours) == emitted(from_json(RETRACT_PAIR_DOC))
     rep = classify(ours)
-    assert rep.is_directly_finite and not rep.is_cauchy_complete and not rep.is_ei
+    assert rep["is_directly_finite"] and not rep["is_cauchy_complete"] and not rep["is_ei"]
 
 
 def test_leinster_A_shape_and_predicates():
@@ -90,24 +90,24 @@ def test_leinster_A_shape_and_predicates():
     sizes = [[len(cat.hom(i, j)) for j in range(4)] for i in range(4)]
     assert sizes == [[2, 2, 1, 1], [2, 2, 1, 2], [1, 1, 1, 1], [0, 0, 0, 1]]
     rep = classify(cat)
-    assert rep.is_cauchy_complete
-    assert not rep.is_directly_finite
-    assert not rep.is_ei
+    assert rep["is_cauchy_complete"]
+    assert not rep["is_directly_finite"]
+    assert not rep["is_ei"]
 
 
 def test_indiscrete_2_shape():
     cat = corpus.build("indiscrete-2")
     rep = classify(cat)
-    assert rep.is_connected_groupoid and not rep.is_skeletal
+    assert rep["is_connected_groupoid"] and not rep["is_skeletal"]
     sk, _ = skeleton(cat)
     assert sk.n_objects == 1 and sk.n_morphisms == 1
 
 
 def test_biset_presets():
     free = classify(corpus.build("biset-regular-c2"))
-    assert free.is_ei and free.is_free
+    assert free["is_ei"] and free["is_free"]
     nonfree = classify(corpus.build("biset-trivial-c2-c2"))
-    assert nonfree.is_ei and not nonfree.is_free
+    assert nonfree["is_ei"] and not nonfree["is_free"]
     pt = corpus.build("biset-point-c3")
     assert pt.n_morphisms == 1 + 3 + 1
 
@@ -116,4 +116,4 @@ def test_delooping_presets():
     for name, order in (("delooping-c2", 2), ("delooping-c3", 3), ("delooping-s3", 6)):
         cat = corpus.build(name)
         assert cat.n_objects == 1 and cat.n_morphisms == order
-        assert classify(cat).is_groupoid
+        assert classify(cat)["is_groupoid"]

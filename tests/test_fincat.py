@@ -15,7 +15,9 @@ from catrank.fincat import (
     classify,
     coproduct,
     delooping,
+    ei_witness,
     fiber_category,
+    free_witness,
     from_json,
     full_subcategory,
     is_covering,
@@ -235,40 +237,38 @@ class TestJson:
 class TestClassify:
     def test_retract_pair(self):
         rep = classify(retract_pair())
-        assert not rep.is_ei
-        assert rep.is_directly_finite
-        assert not rep.is_cauchy_complete
-        assert rep.is_free  # only trivial automorphisms
-        assert rep.is_skeletal
-        assert not rep.is_groupoid
-        assert rep.witnesses["is_ei"] in ((4,), (5,))
+        assert not rep["is_ei"]
+        assert rep["is_directly_finite"]
+        assert not rep["is_cauchy_complete"]
+        assert rep["is_free"]  # only trivial automorphisms
+        assert rep["is_skeletal"]
+        assert not rep["is_groupoid"]
+        assert ei_witness(retract_pair()) in (4, 5)
 
     def test_poset(self):
         rep = classify(divisor_poset(12))
-        assert rep.is_ei and rep.is_directly_finite and rep.is_cauchy_complete
-        assert rep.is_free and rep.is_skeletal
-        assert rep.has_trivial_endomorphisms
-        assert not rep.is_groupoid
+        assert rep["is_ei"] and rep["is_directly_finite"] and rep["is_cauchy_complete"]
+        assert rep["is_free"] and rep["is_skeletal"]
+        assert rep["has_trivial_endomorphisms"]
+        assert not rep["is_groupoid"]
 
     def test_group_delooping(self):
         rep = classify(delooping(symmetric_group(3)))
-        assert rep.is_ei and rep.is_groupoid and rep.is_connected_groupoid
-        assert rep.is_free and rep.is_skeletal
-        assert not rep.has_trivial_endomorphisms
+        assert rep["is_ei"] and rep["is_groupoid"] and rep["is_connected_groupoid"]
+        assert rep["is_free"] and rep["is_skeletal"]
+        assert not rep["has_trivial_endomorphisms"]
 
     def test_indiscrete(self):
         rep = classify(indiscrete_pair())
-        assert rep.is_groupoid and rep.is_connected_groupoid
-        assert not rep.is_skeletal
-        assert rep.has_trivial_endomorphisms
+        assert rep["is_groupoid"] and rep["is_connected_groupoid"]
+        assert not rep["is_skeletal"]
+        assert rep["has_trivial_endomorphisms"]
 
     def test_empty_category(self):
         cat = FiniteCategory([], [], [], [], [])
-        rep = classify(cat)
-        flags = rep.flags()
+        flags = classify(cat)
         # a connected category is inhabited; every other flag holds vacuously
         assert flags.pop("is_connected_groupoid") is False
-        assert rep.witnesses == {"is_connected_groupoid": ()}
         assert all(flags.values())
         assert validate(cat) == []
         assert iso_classes(cat) == []
@@ -287,8 +287,8 @@ class TestClassify:
         for cat in cats:
             rep = classify(cat)
             no_idem = not has_nonidentity_idempotent(cat)
-            assert rep.is_ei == no_idem
-            assert rep.is_ei == (rep.is_directly_finite and rep.is_cauchy_complete)
+            assert rep["is_ei"] == no_idem
+            assert rep["is_ei"] == (rep["is_directly_finite"] and rep["is_cauchy_complete"])
 
 
 class TestConstructions:
@@ -324,7 +324,7 @@ class TestConstructions:
         cat = product(divisor_poset(4), divisor_poset(4))
         assert validate(cat) == []
         assert cat.n_objects == 9 and cat.n_morphisms == 36
-        assert classify(cat).is_ei
+        assert classify(cat)["is_ei"]
 
     def test_coproduct(self):
         cat = coproduct(retract_pair(), delooping(cyclic_group(2)))
@@ -403,7 +403,7 @@ class TestBiset:
         assert validate(cat) == []
         assert cat.n_objects == 2 and cat.n_morphisms == 6
         rep = classify(cat)
-        assert rep.is_ei and rep.is_free and rep.is_skeletal
+        assert rep["is_ei"] and rep["is_free"] and rep["is_skeletal"]
 
     def test_generated_bisets_are_categories(self):
         rng = random.Random(11)
@@ -412,7 +412,7 @@ class TestBiset:
             cat = biset_category(g, h, left, right)
             assert validate(cat) == []
             assert cat.n_morphisms == g.order + h.order + stats["size"]
-            assert classify(cat).is_ei
+            assert classify(cat)["is_ei"]
 
     def test_noncommuting_rejected(self):
         g = cyclic_group(2)
@@ -513,7 +513,7 @@ class TestIsofibrations:
         q = genrandom.quotient_delooping_functor(g, (0, 2, 4))
         fib = fiber_category(q, "*")
         assert fib.n_objects == 1 and fib.n_morphisms == 3
-        assert classify(fib).is_connected_groupoid
+        assert classify(fib)["is_connected_groupoid"]
 
     def test_covering_fibers_are_discrete(self):
         cat, p = genrandom.action_groupoid(cyclic_group(4), (0, 2))
@@ -550,14 +550,14 @@ def test_random_categories_are_lawful(seed):
     assert validate(cat) == []
     assert opposite(opposite(cat)) == cat
     rep = classify(cat)
-    assert rep.is_ei == (rep.is_directly_finite and rep.is_cauchy_complete)
+    assert rep["is_ei"] == (rep["is_directly_finite"] and rep["is_cauchy_complete"])
     doc = json.loads(emitted(cat))
     assert from_json(doc) == cat
 
 
 def _first_counterexamples(cat) -> dict:
     """Each predicate's first counterexample in index order, by brute force
-    over the composition table (is_free's comes from the library's search)."""
+    over the composition table (is_free's is left to ``free_witness``)."""
     comp, ident, dom, cod = table_of(cat), cat.identity, cat.dom, cat.cod
     ms, objs = range(cat.n_morphisms), range(cat.n_objects)
 
@@ -601,26 +601,26 @@ def test_witnesses_are_first_counterexamples(seed):
     ])(rng)
     rep = classify(cat)
     expected = _first_counterexamples(cat)
-    free = rep.witnesses.pop("is_free", None)
-    assert rep.is_free == (free is None)
+    free = free_witness(cat)
+    assert rep["is_free"] == (free is None)
     if free is not None:
         a, f = free
         assert a in cat.aut(cat.cod[f]) and a != cat.identity[cat.cod[f]]
         assert cat.compose(a, f) == f
-    assert rep.witnesses == expected
-    assert {k for k, v in rep.flags().items() if not v} == set(expected) | (
+    assert ei_witness(cat) == expected.get("is_ei", (None,))[0]
+    assert {k for k, v in rep.items() if not v} == set(expected) | (
         {"is_free"} if free else set())
 
 
-def _cauchy_by_full_scan(cat):
-    """classify's is_cauchy_complete flag and witness with every idempotent
-    searched for a splitting, identities included."""
+def _cauchy_by_full_scan(cat) -> bool:
+    """classify's is_cauchy_complete flag with every idempotent searched for
+    a splitting, identities included."""
     rows, at, ident, dom, cod = cat.rows, cat.at, cat.identity, cat.dom, cat.cod
-    found = next(((p,) for p in range(cat.n_morphisms) if dom[p] == cod[p] and rows[p][at[p]] == p
-                  and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
-                              for z in range(cat.n_objects) for i in cat.hom(z, dom[p])
-                              for r in cat.hom(dom[p], z))), None)
-    return found is None, found
+    return not any(dom[p] == cod[p] and rows[p][at[p]] == p
+                   and not any(rows[i][at[r]] == ident[z] and rows[r][at[i]] == p
+                               for z in range(cat.n_objects) for i in cat.hom(z, dom[p])
+                               for r in cat.hom(dom[p], z))
+                   for p in range(cat.n_morphisms))
 
 
 def _cauchy_cases():
@@ -643,10 +643,8 @@ def test_cauchy_scan_skips_identities_without_changing_the_verdict():
     seen = set()
     for name, cat in _cauchy_cases():
         for c in (cat, opposite(cat)):
-            rep = classify(c)
-            flag, witness = _cauchy_by_full_scan(c)
-            assert rep.is_cauchy_complete == flag, name
-            assert rep.witnesses.get("is_cauchy_complete") == witness, name
+            flag = _cauchy_by_full_scan(c)
+            assert classify(c)["is_cauchy_complete"] == flag, name
             seen.add(flag)
     assert seen == {True, False}
 
@@ -670,7 +668,7 @@ def _scan(cat):
 
 def assert_orbit_walk(cat):
     """classify's is_free is the scan's verdict over every object pair,
-    automorphism and morphism, its witness is one, and each entry of
+    automorphism and morphism, ``free_witness`` names one, and each entry of
     ``aut_orbits`` partitions its hom set into aut(y)-orbits, each listed
     from its least element, with orbit size x stabiliser size = |aut(y)|
     and the positions of every a o x within ``cat.aut(y)``."""
@@ -678,9 +676,9 @@ def assert_orbit_walk(cat):
     free = all(cat.compose(a, f) != f for (_, y), hom in homs.items() for f in hom
                for a in auts[y] if a != cat.identity[y])
     rep = classify(cat)
-    assert rep.is_free == free
+    assert rep["is_free"] == free
     if not free:
-        a, f = rep.witnesses["is_free"]
+        a, f = free_witness(cat)
         y = cat.cod[f]
         assert a in auts[y] and a != cat.identity[y] and cat.compose(a, f) == f
     firsts, fibre = aut_orbits(cat)
@@ -740,5 +738,5 @@ def test_orbit_walk_matches_the_scan_on_random_categories():
         for c in (cat, opposite(cat)):
             assert_orbit_walk(c)
             rep = classify(c)
-            seen["non-EI" if not rep.is_ei else "free" if rep.is_free else "non-free EI"] += 1
+            seen["non-EI" if not rep["is_ei"] else "free" if rep["is_free"] else "non-free EI"] += 1
     assert min(seen.values()) >= 20, seen

@@ -56,7 +56,7 @@ def _cases():
     cases = []
     for name in corpus.names():
         cat = corpus.build(name)
-        if classify(cat).is_ei:
+        if classify(cat)["is_ei"]:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     for spec in ORBIT_SPECS:
         cases.append((f"Or({spec})", orbit_category(build_group(spec, 120))))
@@ -108,14 +108,14 @@ def test_cases_cover_both_routes_and_nontrivial_groups():
     automorphism groups larger than C2, and enough of them under the brute
     force."""
     assert len(CASES) >= 172
-    free = [classify(cat).is_free for _, cat in CASES]
+    free = [classify(cat)["is_free"] for _, cat in CASES]
     assert sum(free) > 80 and len(free) - sum(free) > 70
-    skeletal = [classify(cat).is_skeletal for _, cat in CASES]
+    skeletal = [classify(cat)["is_skeletal"] for _, cat in CASES]
     assert any(skeletal) and not all(skeletal)
     assert sum(1 for _, cat in CASES
                if any(len(cat.aut(x)) > 2 for x in range(cat.n_objects))) > 10
     brute = [cat for _, cat in CASES if cat.n_morphisms <= BRUTE_FORCE_MORPHISMS]
-    assert sum(1 for cat in brute if not classify(cat).is_free) > 60
+    assert sum(1 for cat in brute if not classify(cat)["is_free"]) > 60
 
 
 @pytest.mark.parametrize("name,cat", CASES, ids=[name for name, _ in CASES])
@@ -133,7 +133,7 @@ def test_nonfree_orbits_stay_on_the_route():
     """A biset with stabilisers has orbits shorter than |aut t|: the route
     averages over cosets of size 2 and gives the walk's numbers."""
     cat = corpus.build("biset-trivial-c2-c2")
-    assert not classify(cat).is_free
+    assert not classify(cat)["is_free"]
     poset = iso_order(cat)
     (i, t), = [(i, t) for i in range(poset.size) for t in range(poset.size)
                if i != t and cat.hom(poset.reps[i], poset.reps[t])]
@@ -200,7 +200,7 @@ def _identity_cases():
     cases = []
     for name in corpus.names():
         cat = corpus.build(name)
-        if classify(cat).is_ei:
+        if classify(cat)["is_ei"]:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     for spec in ("symmetric:4", "dihedral:4", "q8", "a4", "symmetric:5"):
         cat = orbit_category(build_group(spec, 120))
@@ -211,7 +211,7 @@ def _identity_cases():
     bisets = []
     while len(bisets) < 4:
         biset = biset_category(*genrandom.random_biset(rng)[:4])
-        if not classify(biset).is_free:
+        if not classify(biset)["is_free"]:
             bisets.append(biset)
     return cases + [(f"{VARYING[1]} {i}", biset) for i, biset in enumerate(bisets)]
 
@@ -283,24 +283,41 @@ def _top(cat):
         for x in objs)), None)
 
 
+def adjoin_terminal(cat):
+    """cat with a terminal object T adjoined after its objects: the identity
+    of T, then one morphism t_x from each object x to T, with
+    t_x o f = t_(dom f)."""
+    m, n = cat.n_morphisms, cat.n_objects
+    top = m  # the identity of T; t_x is m + 1 + x
+    table = table_of(cat) | {(m + 1 + cat.cod[f], f): m + 1 + cat.dom[f] for f in range(m)}
+    table |= {(top, m + 1 + x): m + 1 + x for x in range(n)} | {(top, top): top}
+    name = "T"
+    while name in cat.objects:
+        name += "'"
+    out = from_table(list(cat.objects) + [name], list(cat.dom) + [n] + list(range(n)),
+                     list(cat.cod) + [n] * (n + 1), list(cat.identity) + [top], table)
+    assert validate(out) == []
+    return out
+
+
 def _cone(g):
     """BG with a terminal object T adjoined: one morphism t from * to T,
     with t o a = t for every a in G."""
-    bg = delooping(g)
-    ident, t = bg.n_morphisms, bg.n_morphisms + 1
-    table = table_of(bg) | {(t, a): t for a in range(ident)}
-    table |= {(ident, t): t, (ident, ident): ident}
-    cone = from_table(["*", "T"], list(bg.dom) + [1, 0], list(bg.cod) + [1, 1],
-                      [bg.identity[0], ident], table)
-    assert validate(cone) == []
-    return cone
+    return adjoin_terminal(delooping(g))
+
+
+TOP_DRAWS = (genrandom.random_dag_category, genrandom.random_poset_category,
+             genrandom.poset_of_groups, genrandom.random_free_ei_category,
+             genrandom.random_orbit_subcategory)
 
 
 def _top_cases():
     """Or(G) (a terminal object, G/G) and Or(G)^op (a transitive top, G/1,
     with aut = G) for every group of ORACLE_GROUPS and for S5; each EI
     corpus entry and its opposite that has a top; the cone over BG for C2,
-    S3 and Q8."""
+    S3 and Q8; four products of these, whose top is the pair of tops; and
+    seeded EI draws and their opposites, each with a terminal object
+    adjoined."""
     groups = ORACLE_GROUPS + [("symmetric:5", build_group("symmetric:5", 120))]
     cases = []
     for name, g in groups:
@@ -308,11 +325,24 @@ def _top_cases():
         cases += [(f"Or({name})", cat), (f"Or({name})^op", opposite(cat))]
     for name in corpus.names():
         cat = corpus.build(name)
-        if classify(cat).is_ei:
+        if classify(cat)["is_ei"]:
             cases += [(n, c) for n, c in ((name, cat), (f"{name}^op", opposite(cat)))
                       if _top(c) is not None]
-    return cases + [(f"cone over B{spec}", _cone(build_group(spec)))
-                    for spec in ("cyclic:2", "symmetric:3", "q8")]
+    cases += [(f"cone over B{spec}", _cone(build_group(spec)))
+              for spec in ("cyclic:2", "symmetric:3", "q8")]
+    s3, c2 = (orbit_category(build_group(s)) for s in ("symmetric:3", "cyclic:2"))
+    cases += [("Or(S3) x Or(C2)", product(s3, c2)),
+              ("Or(S3)^op x Or(C2)^op", product(opposite(s3), opposite(c2))),
+              ("cone over BC2 x Or(S3)", product(_cone(build_group("cyclic:2")), s3)),
+              ("cone over BQ8 x Or(C2)^op", product(_cone(build_group("q8")), opposite(c2)))]
+    rng = random.Random(7)
+    for k in range(8):
+        for make in TOP_DRAWS:
+            cat = make(rng)
+            assert classify(cat)["is_ei"], make.__name__
+            cases += [(f"{make.__name__}-{k} + T", adjoin_terminal(cat)),
+                      (f"{make.__name__}-{k}^op + T", adjoin_terminal(opposite(cat)))]
+    return cases
 
 
 TOP_CASES = _top_cases()
@@ -320,11 +350,12 @@ TOP_CASES = _top_cases()
 
 def test_top_cases_cover_both_theorems():
     """Terminal objects and transitive tops with aut(u) > 1, skeletal
-    categories and not, on 60 orbit categories, corpus entries and cones."""
+    categories and not, on 60 orbit categories, corpus entries, cones,
+    products and 80 seeded draws with a terminal object adjoined."""
     sizes = [len(cat.aut(_top(cat))) for _, cat in TOP_CASES]
-    assert len(TOP_CASES) >= 60 + 3 + 10
+    assert len(TOP_CASES) >= 60 + 3 + 10 + 4 + 80
     assert sizes.count(1) > 30 and sum(n > 1 for n in sizes) > 30
-    assert not all(classify(cat).is_skeletal for _, cat in TOP_CASES)
+    assert not all(classify(cat)["is_skeletal"] for _, cat in TOP_CASES)
 
 
 @pytest.mark.parametrize("name,cat", TOP_CASES, ids=[name for name, _ in TOP_CASES])

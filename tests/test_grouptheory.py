@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -242,7 +243,7 @@ class TestBuilders:
                   product_group(cyclic_group(2), symmetric_group(3))]
         groups += [weyl_group(s4, c.representative) for c in subgroup_classes(s4)]
         for g in groups:
-            assert FiniteGroup(g.table, g.names) == g
+            assert FiniteGroup(g.table) == g
             assert first_associativity_failure(g.table) is None
 
     def test_inverse_and_conj(self):
@@ -434,20 +435,25 @@ ORACLE_GROUPS = (
 )
 
 
-def random_perm_groups(seed=1, draws=16, max_order=24):
-    """Groups generated by one or two random permutations of 4, 5 or 6
-    points. Draws above max_order are dropped: the oracle closes every join
-    over all pairs of elements, which takes seconds per group from order 60."""
+def random_perm_draws(seed=1, draws=16, max_order=24):
+    """(generators, group) for groups generated by one or two random
+    permutations of 4, 5 or 6 points. Draws above max_order are dropped: the
+    oracle closes every join over all pairs of elements, which takes seconds
+    per group from order 60."""
     rng = random.Random(seed)
     groups = []
     for _ in range(draws):
         deg = rng.choice((4, 5, 6))
         gens = [rng.sample(range(deg), deg) for _ in range(rng.choice((1, 2)))]
         try:
-            groups.append(perm_group(gens, cap=max_order))
+            groups.append((gens, perm_group(gens, cap=max_order)))
         except CapExceeded:
             pass
     return groups
+
+
+def random_perm_groups():
+    return [g for _, g in random_perm_draws()]
 
 
 def test_random_perm_groups_vary():
@@ -529,9 +535,9 @@ def test_nu_needs_no_orbit_category(monkeypatch):
     for spec in ("symmetric:4", "dihedral:8", "q8"):
         g = build_group(spec)
         # new groups, equal to g, start with empty memos
-        nu = [list(row) for row in nu_matrix(FiniteGroup(g.table, g.names)).rows]
+        nu = [list(row) for row in nu_matrix(FiniteGroup(g.table)).rows]
         assert nu == lattice_oracle.nu_matrix_via_chains(g).to_lists()
-        ones = burnside_congruences(FiniteGroup(g.table, g.names), [1] * len(nu))[0]
+        ones = burnside_congruences(FiniteGroup(g.table), [1] * len(nu))[0]
         assert ones == [sum(row) for row in nu]
 
 
@@ -564,7 +570,7 @@ def test_repeated_calls_write_each_memo_key_once():
 def test_a_group_from_a_table_keeps_its_own_memo():
     g = build_group("dihedral:4")
     table_of_marks(g)
-    h = FiniteGroup(g.table, g.names)
+    h = FiniteGroup(g.table)
     assert h == g and h._memo == {}
     assert table_of_marks(h) is not table_of_marks(g)
     assert table_of_marks(h).matrix.rows == table_of_marks(g).matrix.rows
@@ -596,8 +602,10 @@ def test_s5_lattice():
 
 S5 = build_group("symmetric:5", cap=120)
 S6 = build_group("symmetric:6", cap=720)
-A5 = build_group("perm:[[1,2,0,3,4],[0,1,3,4,2]]", cap=120)
-F20 = build_group("perm:[[1,2,3,4,0],[0,2,4,1,3]]", cap=120)
+A5_SPEC = "perm:[[1,2,0,3,4],[0,1,3,4,2]]"
+F20_SPEC = "perm:[[1,2,3,4,0],[0,2,4,1,3]]"
+A5 = build_group(A5_SPEC, cap=120)
+F20 = build_group(F20_SPEC, cap=120)
 LARGER_GROUPS = [("S5", S5), ("A5", A5), ("F20", F20), ("S6", S6)]
 
 
@@ -643,22 +651,35 @@ def test_lattice_matches_the_cyclic_join_route(g):
         lattice_oracle.marks_by_formula(g, expected)
 
 
-def _perms(g):
-    """The permutations of a group built from permutations of at most ten
-    points, read back from their names."""
-    return [tuple(map(int, name)) for name in g.names]
+def _generated(gens):
+    """The permutations that gens generate, sorted: the elements of a group
+    built from permutations, in index order."""
+    elems = {tuple(range(len(gens[0])))}
+    frontier = elems
+    while frontier:
+        frontier = {tuple(p[i] for i in s) for p in frontier for s in gens} - elems
+        elems |= frontier
+    return sorted(elems)
+
+
+def _spec_perms(spec):
+    return _generated(grouptheory._parse_group_string(spec)["generators"])
 
 
 @pytest.mark.parametrize(
-    "g", [symmetric_group(n) for n in range(1, 6)] + random_perm_groups()
-    + [A5, F20, S6, build_group("q8"), build_group("a4")],
+    "g,perms",
+    [(symmetric_group(n), sorted(itertools.permutations(range(n)))) for n in range(1, 6)]
+    + [(g, _generated(gens)) for gens, g in random_perm_draws()]
+    + [(A5, _spec_perms(A5_SPEC)), (F20, _spec_perms(F20_SPEC)),
+       (S6, sorted(itertools.permutations(range(6)))),
+       (build_group("q8"), _spec_perms("q8")), (build_group("a4"), _spec_perms("a4"))],
     ids=[f"sym:{n}" for n in range(1, 6)]
         + [f"perm{i}" for i in range(len(random_perm_groups()))]
         + ["A5", "F20", "S6", "q8", "a4"],
 )
-def test_table_matches_all_pairs(g):
-    perms = _perms(g)
-    assert perms == sorted(perms) and perms[0] == tuple(range(len(perms[0])))
+def test_table_matches_all_pairs(g, perms):
+    """Element i of a group built from permutations is the i-th of its
+    sorted permutations, and the table multiplies them."""
     assert [list(row) for row in g.table] == lattice_oracle.table_by_all_pairs(perms)
 
 
@@ -720,13 +741,12 @@ def test_symmetric_cap_before_the_table(monkeypatch):
 
 
 def test_symmetric_6_is_the_permutation_spec():
-    """At cap 720 symmetric:6 builds, and its table and names are those of
-    S6 generated by a transposition and a 6-cycle: both sort the 720
-    permutations."""
+    """At cap 720 symmetric:6 builds, and its table is that of S6 generated
+    by a transposition and a 6-cycle: both sort the 720 permutations."""
     sym = build_group("symmetric:6", cap=720)
     perm = build_group("perm:[[1,0,2,3,4,5],[1,2,3,4,5,0]]", cap=720)
     assert sym.order == 720
-    assert (sym.table, sym.names) == (perm.table, perm.names)
+    assert sym.table == perm.table
 
 
 @pytest.mark.parametrize("spec", [
@@ -745,3 +765,24 @@ def test_build_group_rejects_malformed_spec(spec):
     with pytest.raises(ValueError) as exc:
         build_group(spec)
     assert not isinstance(exc.value, CapExceeded)
+
+
+@pytest.mark.parametrize("spec,cap,message", [
+    ({"table": [[0, 1], [1, 0]], "names": "ea"}, 64, "names must be a list of strings"),
+    ({"table": [[0, 1], [1, 0]], "names": ["e", 1]}, 64, "names must be a list of strings"),
+    ({"table": [[0, 1], [1, 0]], "names": ["e"]}, 64, "names length does not match order"),
+    ({"table": [[0, 1], [1, 0]], "names": ["e", "a", "b"]}, 64,
+     "names length does not match order"),
+    # after the rows are read and the cap is checked, before the Latin checks
+    ({"table": [[0, 1], [0, 1]], "names": ["e"]}, 64, "names length does not match order"),
+    ({"table": [], "names": ["e"]}, 64, "names length does not match order"),
+    ({"table": [[0, 1], [1, 0]], "names": ["e"]}, 1, "group order 2 exceeds cap 1"),
+    ({"table": [[0, "x"], [1, 0]], "names": 3}, 64, "table must be"),
+])
+def test_table_spec_names_are_checked_not_kept(spec, cap, message):
+    """A table spec's element names are checked, in a fixed place among the
+    spec's checks, and the group keeps only its table."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_group({"kind": "table", **spec}, cap)
+    g = build_group({"kind": "table", "table": [[0, 1], [1, 0]], "names": ["e", "a"]})
+    assert g == FiniteGroup([[0, 1], [1, 0]]) and not hasattr(g, "names")

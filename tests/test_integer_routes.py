@@ -198,7 +198,7 @@ def test_repeated_calls_rebuild_nothing(monkeypatch):
     assert calls == {"_rref": 0, "mark": 0, "_build": 0, "_least": 0}
     # the wrappers see a cold enumeration: a new group, equal to the first,
     # starts with an empty memo
-    g = FiniteGroup(work[0][0].table, work[0][0].names)
+    g = FiniteGroup(work[0][0].table)
     burnside_check(g, work[0][1])
     verify_omega_relation(GCWComplex(g, _census(g, random.Random(specs[0]), 20)))
     # nu is a back-substitution on the integer marks: nothing is eliminated;

@@ -11,6 +11,7 @@ from catrank.cli import _parser
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "catrank").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -30,7 +31,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SRC + TESTS + DEMOS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

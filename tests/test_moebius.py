@@ -19,7 +19,6 @@ from catrank.fincat import (
     classify,
     coproduct,
     delooping,
-    from_json,
     iso_order,
     opposite,
     orbit_category,
@@ -193,7 +192,7 @@ def _table_cases():
     cases = []
     for name in corpus.names():
         cat = corpus.build(name)
-        if classify(cat).is_ei:
+        if classify(cat)["is_ei"]:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     cases += [(f"subsets-q {q}", corpus.build("subsets-q", q=q)) for q in range(6)]
     for spec in ("symmetric:3", "dihedral:4", "q8"):
@@ -238,7 +237,7 @@ def _sparse_route_cases():
         cases += [(f"Or({spec})", cat), (f"Or({spec})^op", opposite(cat))]
     for name in corpus.names():
         cat = corpus.build(name)
-        if not classify(cat).is_ei:
+        if not classify(cat)["is_ei"]:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     return cases
 
@@ -257,7 +256,7 @@ def _action_cases():
     while len(draws) < 12:
         g, h, left, right, _ = genrandom.random_biset(rng)
         cat = biset_category(g, h, left, right)
-        if classify(cat).is_free:
+        if classify(cat)["is_free"]:
             continue
         if len(draws) % 2:
             cat = genrandom.random_inflation(rng, cat)[0]
@@ -289,7 +288,7 @@ def test_class_table_matches_the_dense_route(name, cat):
 
 
 def test_sparse_route_cases_cover_non_ei():
-    assert sum(not classify(cat).is_ei for _, cat in SPARSE_ROUTE_CASES) >= 2
+    assert sum(not classify(cat)["is_ei"] for _, cat in SPARSE_ROUTE_CASES) >= 2
 
 
 def test_table_cases_cover_inflations_and_automorphisms():
@@ -301,7 +300,7 @@ def test_table_cases_cover_inflations_and_automorphisms():
 
 def test_action_cases_are_not_free():
     """Only the orbit categories of the trivial group are free."""
-    free = [name for name, cat in ACTION_CASES if classify(cat).is_free]
+    free = [name for name, cat in ACTION_CASES if classify(cat)["is_free"]]
     assert free == ["ORACLE_GROUPS Or(cyclic:1)^op", "ORACLE_GROUPS Or(sym:1)^op"]
     assert any(len(c) > 1 for _, cat in ACTION_CASES for act in iso_order(cat).acts
                for cs in act.values() for fixed in cs for c in fixed)
@@ -412,7 +411,7 @@ class TestMatrices:
             coproduct(delooping(cyclic_group(3)), span_category()),
         ] + [genrandom.poset_of_groups(rng) for _ in range(6)]
         for cat in cats:
-            assert classify(cat).is_free
+            assert classify(cat)["is_free"]
             om = dense.matrix(omega_bar2(iso_order(cat)))
             mu = dense.mu_bar2(euler_characteristics(iso_order(cat)))
             assert om.mul(mu).is_identity()
@@ -422,7 +421,7 @@ class TestMatrices:
     def test_mu_differs_from_inverse_when_not_free(self):
         cat = collapsed_action_category()
         rep = classify(cat)
-        assert rep.is_ei and not rep.is_free
+        assert rep["is_ei"] and not rep["is_free"]
         mu = dense.mu_bar2(euler_characteristics(iso_order(cat)))
         inv = mat_invert(dense.matrix(omega_bar2(iso_order(cat))))
         assert mu != inv
@@ -615,14 +614,14 @@ def test_nerve_matches_listed_chains(tmp_path, capsys):
         assert main(["euler", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         rep = classify(cat)
-        if not rep.has_trivial_endomorphisms:
+        if not rep["has_trivial_endomorphisms"]:
             assert "chi_nerve omitted: nontrivial endomorphism" in doc["warnings"]
             assert "chi_nerve" not in doc["invariants"]
             seen["endomorphism"] += 1
             continue
         expected = sum(walk_sums(cat)[0]) if cat is slow else nerve_by_listing_chains(cat)
         cycle = "chi_nerve omitted: nonidentity morphisms form a cycle" in doc["warnings"]
-        assert cycle == (expected is None) == (not rep.is_skeletal)
+        assert cycle == (expected is None) == (not rep["is_skeletal"])
         if expected is None:
             assert "chi_nerve" not in doc["invariants"]
             seen["cycle"] += 1
@@ -696,7 +695,7 @@ def _oracle_cases():
     cases = []
     for name in corpus.names():
         cat = corpus.build(name)
-        if classify(cat).is_ei:
+        if classify(cat)["is_ei"]:
             cases += [(name, cat), (f"{name}^op", opposite(cat))]
     for spec in ("symmetric:3", "dihedral:4", "q8"):
         cases.append((f"Or({spec})", orbit_category(build_group(spec))))
@@ -720,7 +719,7 @@ def _oracle_cases():
 
 def test_chain_walk_matches_brute_force_oracle():
     cases = _oracle_cases()
-    assert any(not classify(cat).is_free for _, cat in cases)
+    assert any(not classify(cat)["is_free"] for _, cat in cases)
     for name, cat in cases:
         for length in (None, 0, 1, 2):
             assert walk_sums(cat, length) == chain_sums(cat, length), (name, length)

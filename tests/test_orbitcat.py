@@ -27,7 +27,6 @@ from catrank.orbitcat import (
 )
 
 import dense
-from aut_groups import aut_group
 from chain_oracle import chi_f2_via_eta
 from lattice_oracle import coset_maps, fixed_point_count, nu_matrix_via_chains
 from rref_oracle import reorder
@@ -51,7 +50,7 @@ def test_orbit_category_of_trivial_group():
 def test_orbit_category_is_free_ei():
     for spec in ("cyclic:4", "klein", "symmetric:3", "dihedral:4"):
         rep = classify(orbit_category(build_group(spec)))
-        assert rep.is_ei and rep.is_free and rep.is_skeletal
+        assert rep["is_ei"] and rep["is_free"] and rep["is_skeletal"]
 
 
 def test_orbit_category_s3_shape():
@@ -216,6 +215,18 @@ def test_gcw_bad_input():
         gcw_from_json({"cells": []})
     with pytest.raises(ValueError, match="malformed cell"):
         gcw_from_json({"group": "cyclic:2", "cells": [{"dim": 0}]})
+
+
+def test_fixed_point_euler_refuses_a_bool_or_an_index_out_of_range():
+    """A class index is an integer in 0..k-1: -1 is not the last class, True
+    is not class 1, and 99 is named, not a bare IndexError."""
+    g = build_group("symmetric:3")
+    c2 = next(c for c in subgroup_classes(g) if len(c.representative) == 2)
+    x = GCWComplex(g, [(0, [0]), (1, c2.representative)])
+    assert [fixed_point_euler(x, i) for i in range(4)] == [3, -1, 0, 0]
+    for h in (-1, 4, 99, True, False):
+        with pytest.raises(ValueError, match=re.escape(f"in 0..3: {h!r}")):
+            fixed_point_euler(x, h)
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:4", "dihedral:8", "q8",
