@@ -22,16 +22,13 @@ def parallel_pair() -> fincat.FiniteCategory:
     """Two objects joined by two parallel arrows u, v: x -> y."""
     morphs = [(0, 0, "id"), (1, 1, "id"), (0, 1, "u"), (0, 1, "v")]
 
-    def identity_of(o):
-        return (o, o, "id")
-
     def compose(gd, fd):
         if fd[2] == "id":
             return gd
         assert gd[2] == "id"
         return fd
 
-    return fincat._build(["x", "y"], morphs, identity_of, compose)[0]
+    return fincat._build(["x", "y"], morphs, morphs[:2], compose)[0]
 
 
 def subsets(q: int = 1) -> fincat.FiniteCategory:
@@ -64,16 +61,13 @@ def retract_pair() -> fincat.FiniteCategory:
     ends = {"": (0, 0), "!": (1, 1), "u": (0, 1), "v": (1, 0), "vu": (0, 0), "uv": (1, 1)}
     morphs = [(ends[w][0], ends[w][1], w) for w in words]
 
-    def identity_of(o):
-        return (0, 0, "") if o == 0 else (1, 1, "!")
-
     def compose(gd, fd):
         w = reduce_word((gd[2] + fd[2]).replace("!", ""))
         if w == "":
             w = "" if fd[0] == 0 else "!"
         return (fd[0], gd[1], w)
 
-    return fincat._build(["x", "y"], morphs, identity_of, compose)[0]
+    return fincat._build(["x", "y"], morphs, morphs[:2], compose)[0]
 
 
 def no_weighting() -> fincat.FiniteCategory:
@@ -90,9 +84,6 @@ def no_weighting() -> fincat.FiniteCategory:
     for (i, j), names in hom_names.items():
         morphs += [(i - 1, j - 1, nm) for nm in names]
 
-    def identity_of(o):
-        return (o, o, "id")
-
     def compose(gd, fd):
         if fd[2] == "id":
             return gd
@@ -104,7 +95,7 @@ def no_weighting() -> fincat.FiniteCategory:
             return (i, i, "id")
         return (i, k, f"f{i + 1}{k + 1}")
 
-    return fincat._build(objs, morphs, identity_of, compose)[0]
+    return fincat._build(objs, morphs, morphs[:4], compose)[0]
 
 
 def indiscrete_pair() -> fincat.FiniteCategory:
@@ -112,13 +103,10 @@ def indiscrete_pair() -> fincat.FiniteCategory:
     groupoid with trivial automorphism groups."""
     morphs = [(0, 0, "id"), (1, 1, "id"), (0, 1, "s"), (1, 0, "t")]
 
-    def identity_of(o):
-        return (o, o, "id")
-
     def compose(gd, fd):
         return (fd[0], gd[1], "id" if fd[0] == gd[1] else ("s" if fd[0] == 0 else "t"))
 
-    return fincat._build(["0", "1"], morphs, identity_of, compose)[0]
+    return fincat._build(["0", "1"], morphs, morphs[:2], compose)[0]
 
 
 def _biset_regular_c2() -> fincat.FiniteCategory:

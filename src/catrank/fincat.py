@@ -1,8 +1,10 @@
 """Finite categories as explicit tables: validation, classification predicates
 (``classify``'s dict of eight flags; ``is_free`` read off ``aut_orbits``, the
 one walk of the aut(y)-orbits on the hom sets, which ``iso_order`` reads too),
-the class table of an EI category (``iso_order``, the ``catrank.IsoPoset``
-that ``moebius`` reads), constructions (opposite, product, coproduct,
+the iso classes (``iso_classes``: each object's class is named by the least
+domain of an isomorphism into it, in one pass over the morphisms), the class
+table of an EI category (``iso_order``, the ``catrank.IsoPoset`` that
+``moebius`` reads), constructions (opposite, product, coproduct,
 delooping, poset, biset, orbit category, full subcategory, skeleton), functor
 data, coverings and isofibrations.
 
@@ -18,9 +20,11 @@ is the one way a category is built: one pass fills the rows from
 [g, f, g o f] records and checks their type, range and uniqueness; records
 whose endpoints do not meet are kept aside for ``validate``.  ``from_json``
 feeds it the document's records, and ``_build`` the composable pairs of
-every constructed category: it buckets the morphisms by codomain once and
-composes only those pairs.  Full subcategories and fibers are restrictions
-through it: (new dom, new cod, old id) descriptors composed in the parent.
+every constructed category, given as data: the morphism descriptors, the
+identities' descriptors as a list in object order, and a compose callable.
+It buckets the morphisms by codomain once and composes only those pairs.
+Full subcategories and fibers are restrictions through it: (new dom, new
+cod, old id) descriptors composed in the parent.
 ``opposite`` feeds it the pairs reversed, and ``canonical_json`` streams the
 rows out in (g, f) order as the JSON document.  ``compose(g, f)`` reads a
 single composite.
@@ -410,24 +414,22 @@ def classify(cat: FiniteCategory) -> dict[str, bool]:
 
 
 def iso_classes(cat: FiniteCategory) -> list[list]:
-    """Partition of objects by isomorphism; classes ordered by least member."""
-    parent = list(range(cat.n_objects))
+    """Partition of objects by isomorphism, each class in index order and
+    the classes in order of their least member.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    Isomorphisms compose, so in a category the least domain of an
+    isomorphism into y is the least object isomorphic to y, and one pass
+    over dom, cod and ``is_iso`` names every class.  The classes are exact
+    on any category ``validate`` accepts, and a partition on any other."""
+    least = list(range(cat.n_objects))
+    dom, cod = cat.dom, cat.cod
     for m in range(cat.n_morphisms):
-        if cat.is_iso(m):
-            ra, rb = find(cat.dom[m]), find(cat.cod[m])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i in range(cat.n_objects):
-        groups.setdefault(find(i), []).append(i)
-    return [[cat.objects[i] for i in groups[r]] for r in sorted(groups)]
+        if dom[m] < least[cod[m]] and cat.is_iso(m):
+            least[cod[m]] = dom[m]
+    classes: dict[int, list] = {}
+    for o, x in zip(cat.objects, least):
+        classes.setdefault(x, []).append(o)
+    return list(classes.values())
 
 
 @_once
@@ -536,20 +538,20 @@ def validate_functor(p: FunctorData) -> list[dict]:
 # ------------------------------------------------------------- constructions
 
 
-def _build(objects, morphs, identity_of, compose):
+def _build(objects, morphs, identities, compose):
     """Assemble a category from morphism descriptors, identities first; the
     one place a composition table is built.
 
     morphs: list of hashable descriptors whose first two entries are
-    (dom_idx, cod_idx); identity_of: descriptor for each object index;
-    compose: callable on a composable (g, f) descriptor pair. Returns the
-    category and its descriptors in morphism id order. Morphisms are bucketed
-    by codomain once, so compose runs only on composable pairs, visited in
-    (g, f) id order; a composite that is no descriptor raises ValueError.
+    (dom_idx, cod_idx); identities: the descriptor of each object's
+    identity, in object order; compose: callable on a composable (g, f)
+    descriptor pair. Returns the category and its descriptors in morphism id
+    order. Morphisms are bucketed by codomain once, so compose runs only on
+    composable pairs, visited in (g, f) id order; a composite that is no
+    descriptor raises ValueError.
     """
-    ids = [identity_of(i) for i in range(len(objects))]
-    id_set = set(ids)
-    ordered = ids + [d for d in morphs if d not in id_set]
+    id_set = set(identities)
+    ordered = list(identities) + [d for d in morphs if d not in id_set]
     index = {d: i for i, d in enumerate(ordered)}
     into: dict[int, list[tuple[int, Any]]] = {}
     for fi, fd in enumerate(ordered):
@@ -558,7 +560,7 @@ def _build(objects, morphs, identity_of, compose):
                for gi, gd in enumerate(ordered) for fi, fd in into.get(gd[0], ()))
     try:
         cat = FiniteCategory(objects, [d[0] for d in ordered], [d[1] for d in ordered],
-                             [index[d] for d in ids], records)
+                             [index[d] for d in identities], records)
     except KeyError as key:
         raise ValueError(f"not closed: the composite {key.args[0]!r} is not a morphism") from None
     return cat, ordered
@@ -574,16 +576,13 @@ def _restrict(cat: FiniteCategory, objs: Sequence[int], keep: Callable[[int], bo
         for m in range(cat.n_morphisms)
         if cat.dom[m] in new_obj and cat.cod[m] in new_obj and keep(m)
     ]
-
-    def identity_of(k):
-        return (k, k, cat.identity[objs[k]])
-
+    identities = [(k, k, cat.identity[i]) for k, i in enumerate(objs)]
     rows, at = cat.rows, cat.at
 
     def compose(gd, fd):
         return (fd[0], gd[1], rows[fd[2]][at[gd[2]]])
 
-    return _build([cat.objects[i] for i in objs], morphs, identity_of, compose)
+    return _build([cat.objects[i] for i in objs], morphs, identities, compose)
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:
@@ -602,9 +601,7 @@ def full_subcategory(cat: FiniteCategory, objs: Sequence) -> tuple[FiniteCategor
 
 def skeleton(cat: FiniteCategory) -> tuple[FiniteCategory, FunctorData]:
     """Full subcategory on the least-id representative of each iso class."""
-    reps = [cls[0] for cls in iso_classes(cat)]
-    reps.sort(key=cat.obj_index)
-    return full_subcategory(cat, reps)
+    return full_subcategory(cat, [cls[0] for cls in iso_classes(cat)])
 
 
 def product(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
@@ -618,18 +615,14 @@ def product(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         for m1 in range(c1.n_morphisms)
         for m2 in range(c2.n_morphisms)
     ]
-
-    def identity_of(o):
-        i1, i2 = divmod(o, c2.n_objects)
-        m1, m2 = c1.identity[i1], c2.identity[i2]
-        return (oidx(c1.dom[m1], c2.dom[m2]), oidx(c1.cod[m1], c2.cod[m2]), m1, m2)
+    identities = [pairs[m1 * c2.n_morphisms + m2] for m1 in c1.identity for m2 in c2.identity]
 
     def compose(gd, fd):
         m1 = c1.rows[fd[2]][c1.at[gd[2]]]
         m2 = c2.rows[fd[3]][c2.at[gd[3]]]
         return (fd[0], gd[1], m1, m2)
 
-    return _build(objects, pairs, identity_of, compose)[0]
+    return _build(objects, pairs, identities, compose)[0]
 
 
 def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
@@ -643,9 +636,7 @@ def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         return (n1 + c2.dom[m], n1 + c2.cod[m], 1, m)
 
     morphs = [left(m) for m in range(c1.n_morphisms)] + [right(m) for m in range(c2.n_morphisms)]
-
-    def identity_of(o):
-        return left(c1.identity[o]) if o < n1 else right(c2.identity[o - n1])
+    identities = [left(e) for e in c1.identity] + [right(e) for e in c2.identity]
 
     def compose(gd, fd):
         assert gd[2] == fd[2]
@@ -653,7 +644,7 @@ def coproduct(c1: FiniteCategory, c2: FiniteCategory) -> FiniteCategory:
         m = side.rows[fd[3]][side.at[gd[3]]]
         return left(m) if gd[2] == 0 else right(m)
 
-    return _build(objects, morphs, identity_of, compose)[0]
+    return _build(objects, morphs, identities, compose)[0]
 
 
 def delooping(g: FiniteGroup) -> FiniteCategory:
@@ -662,7 +653,7 @@ def delooping(g: FiniteGroup) -> FiniteCategory:
         return (0, 0, g.table[gd[2]][fd[2]])
 
     morphs = [(0, 0, a) for a in range(g.order)]
-    return _build(["*"], morphs, lambda o: (0, 0, 0), compose)[0]
+    return _build(["*"], morphs, morphs[:1], compose)[0]
 
 
 def poset_category(elements: Sequence, leq: Iterable[tuple]) -> FiniteCategory:
@@ -683,16 +674,13 @@ def poset_category(elements: Sequence, leq: Iterable[tuple]) -> FiniteCategory:
 
     morphs = sorted(rel, key=lambda p: (p[0] != p[1], p))
 
-    def identity_of(i):
-        return (i, i)
-
     def compose(gd, fd):
         if (fd[0], gd[1]) not in rel:
             raise ValueError(f"relation is not transitive at {elems[fd[0]]}, {elems[fd[1]]}, "
                              f"{elems[gd[1]]}")
         return (fd[0], gd[1])
 
-    return _build(elems, morphs, identity_of, compose)[0]
+    return _build(elems, morphs, morphs[:n], compose)[0]
 
 
 def biset_category(
@@ -714,7 +702,8 @@ def biset_category(
         raise ValueError("left action table must be |G| x |S|")
     if any(len(row) != h.order for row in right):
         raise ValueError("right action table must be |S| x |H|")
-    if any(not 0 <= s < size for table in (left, right) for row in table for s in row):
+    if any(type(s) is not int or not 0 <= s < size
+           for table in (left, right) for row in table for s in row):
         raise ValueError("action table entries must lie in 0..|S|-1")
 
     # morphism descriptors: ('h', b) endo of x, ('g', a) endo of y, ('s', s) x -> y
@@ -724,9 +713,6 @@ def biset_category(
         + [(1, 1, "g", a) for a in range(g.order)]
         + [(0, 1, "s", s) for s in range(size)]
     )
-
-    def identity_of(o):
-        return (0, 0, "h", 0) if o == 0 else (1, 1, "g", 0)
 
     def compose(gd, fd):
         if gd[2] == "h" and fd[2] == "h":
@@ -739,7 +725,7 @@ def biset_category(
             return (0, 1, "s", left[gd[3]][fd[3]])
         raise AssertionError("non-composable descriptor pair")
 
-    cat = _build(objects, morphs, identity_of, compose)[0]
+    cat = _build(objects, morphs, [(0, 0, "h", 0), (1, 1, "g", 0)], compose)[0]
     # rank each violation by the law it breaks: identity 0; a failing triple
     # h g f holds one element of S (the groups are associative), which as f
     # breaks the G-action 1, as h the H-action 2, and as g commuting 3
@@ -767,14 +753,11 @@ def orbit_category(g: FiniteGroup) -> FiniteCategory:
     objects = [f"G/{i}" for i in range(len(maps))]
     morphs = [(i, j, lo) for i, row in enumerate(maps) for j, los in enumerate(row) for lo in los]
 
-    def identity_of(i):
-        return (i, i, 0)
-
     def compose(gd, fd):
         # fd: G/H0 -> G/H1 as g1*H1, gd: G/H1 -> G/H2 as g2*H2; result g1*g2*H2
         return (fd[0], gd[1], least[gd[1]][g.table[fd[2]][gd[2]]])
 
-    return _build(objects, morphs, identity_of, compose)[0]
+    return _build(objects, morphs, [(i, i, 0) for i in range(len(maps))], compose)[0]
 
 
 # ------------------------------------------------------ coverings and fibers

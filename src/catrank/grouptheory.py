@@ -59,12 +59,16 @@ class CapExceeded(ValueError):
 
 
 class FiniteGroup:
-    """A group given by its Cayley table; the constructor checks every group
-    axiom and raises ValueError on the first that fails."""
+    """A group given by its Cayley table; the constructor checks that every
+    entry is an integer (a bool is not) and every group axiom, and raises
+    ValueError on the first that fails."""
 
     __slots__ = ("order", "table", "inv", "_memo")
 
     def __init__(self, table: Sequence[Sequence[int]]):
+        bad = [v for row in table for v in row if not _is_int(v)]
+        if bad:
+            raise ValueError(f"table entries must be integers: {bad[0]!r}")
         self._fill(table)
         _check_associative(self)
 

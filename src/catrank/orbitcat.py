@@ -48,9 +48,15 @@ class GCWComplex:
         self.counts: tuple[int, ...] = tuple(counts)
 
     def _class_index(self, stab) -> int:
-        i = _class_of(self.group).get(frozenset(stab))
+        """The class of the subgroup stab, a collection of element indices;
+        a bool, a float or a non-iterable is refused, since False, 0.0 and 0
+        hash alike."""
+        elems = list(stab) if hasattr(stab, "__iter__") else None
+        if elems is None or not all(map(_is_int, elems)):
+            raise ValueError(f"stabilizer must be a collection of element indices: {stab!r}")
+        i = _class_of(self.group).get(frozenset(elems))
         if i is None:
-            raise ValueError(f"stabilizer is not a subgroup: {sorted(stab)!r}")
+            raise ValueError(f"stabilizer is not a subgroup: {sorted(elems)!r}")
         return i
 
     def __repr__(self) -> str:

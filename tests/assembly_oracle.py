@@ -1,17 +1,18 @@
-"""All-pairs assembly and the dict-keyed loader, kept as test oracles for
-``fincat``.
+"""All-pairs assembly, the dict-keyed loader and the union-find iso
+classes, kept as test oracles for ``fincat``.
 
 These are the earlier, independent routes: every composition table here is
 filled by testing all m^2 morphism pairs, ``from_json`` reads the records
-into a dict keyed by (g, f), and ``validate`` scans that dict, building its
-composable set the same way.  ``biset_law`` and ``poset_law`` check the
+into a dict keyed by (g, f), ``validate`` scans that dict, building its
+composable set the same way, and ``iso_classes`` merges the two ends of
+every isomorphism in a union-find.  ``biset_law`` and ``poset_law`` check the
 inputs of ``fincat.biset_category`` and ``fincat.poset_category`` with loops
 of their own, where the library builds the category and lets ``_build`` and
 ``validate`` decide.  They share no code with ``fincat._build``, with the
 row loader or with ``fincat.validate``.
 """
 
-from catrank.fincat import FiniteCategory, FunctorData, _pairs, iso_classes
+from catrank.fincat import FiniteCategory, FunctorData, _pairs
 
 
 def from_table(objects, dom, cod, identity, table):
@@ -49,10 +50,10 @@ class DictCategory(FiniteCategory):
         self.table = dict(table)
 
 
-def build(objects, morphs, identity_of, compose):
+def build(objects, morphs, identities, compose):
     """``fincat._build``'s contract, (category, descriptors in id order), by
     testing every descriptor pair for composability."""
-    ids = [identity_of(i) for i in range(len(objects))]
+    ids = list(identities)
     rest = [d for d in morphs if d not in ids]
     ordered = ids + rest
     index = {d: i for i, d in enumerate(ordered)}
@@ -91,6 +92,28 @@ def full_subcategory(cat, objs):
     inc = FunctorData(sub, cat, {cat.objects[i]: cat.objects[i] for i in keep},
                       {new: old for old, new in new_of_old.items()})
     return sub, inc
+
+
+def iso_classes(cat) -> list[list]:
+    """Partition of objects by isomorphism, by union-find over every
+    isomorphism; classes ordered by least member."""
+    parent = list(range(cat.n_objects))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for m in range(cat.n_morphisms):
+        if cat.is_iso(m):
+            ra, rb = find(cat.dom[m]), find(cat.cod[m])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for i in range(cat.n_objects):
+        groups.setdefault(find(i), []).append(i)
+    return [[cat.objects[i] for i in groups[r]] for r in sorted(groups)]
 
 
 def skeleton(cat):

@@ -1,12 +1,14 @@
 """The class table by the dense route, the reference for
-catrank.fincat.iso_order: one ``len(cat.hom(rep i, rep j))`` per pair of
+catrank.fincat.iso_order: the iso classes from the union-find of
+``assembly_oracle.iso_classes``, one ``len(cat.hom(rep i, rep j))`` per pair of
 classes, the down-sets and the antisymmetry check read off the full k x k
 table, and the actions by brute force: for every b in A_i and every x in
 hom(rep i, rep t), the a in A_t with a o x = x o b, each composite taken
 through ``cat.compose``, with no orbit walk."""
 
+from assembly_oracle import iso_classes
 from catrank import IsoPoset
-from catrank.fincat import ei_witness, iso_classes
+from catrank.fincat import ei_witness
 
 
 def lengths(poset: IsoPoset) -> tuple[int, ...]:

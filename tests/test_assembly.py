@@ -3,7 +3,9 @@
 Every category built through ``fincat._build`` (constructions, the corpus,
 orbit categories, full subcategories, skeletons and fibers) must equal the
 oracle's, down to morphism numbering; ``validate`` on the rows must report
-the same violations as the oracle's scan of the composition dict.
+the same violations as the oracle's scan of the composition dict; and the
+iso classes read off the isomorphisms must be the oracle's union-find
+classes.
 """
 
 import random
@@ -14,8 +16,10 @@ import assembly_oracle as oracle
 import genrandom
 from catrank import corpus, fincat
 from catrank.fincat import (FiniteCategory, biset_category, fiber_category, full_subcategory,
+                            iso_classes, opposite, orbit_category, product,
                             poset_category, skeleton, validate)
 from catrank.grouptheory import build_group, cyclic_group, subgroup_classes
+from test_grouptheory import ORACLE_GROUPS
 
 
 def assert_same(cat: FiniteCategory, ref: FiniteCategory):
@@ -68,6 +72,61 @@ def test_full_subcategory_and_skeleton_match_oracle():
         ref, ref_inc = oracle.skeleton(cat)
         assert_same(sk, ref)
         assert sk_inc.morphism_map == ref_inc.morphism_map
+
+
+def shuffled_objects(rng: random.Random, cat: FiniteCategory) -> FiniteCategory:
+    """cat with its objects listed in a random order, morphism ids kept, so
+    that an iso class need not be a run of consecutive objects."""
+    order = rng.sample(range(cat.n_objects), cat.n_objects)
+    new = {old: k for k, old in enumerate(order)}
+    return oracle.from_table([cat.objects[i] for i in order], [new[x] for x in cat.dom],
+                             [new[y] for y in cat.cod], [cat.identity[i] for i in order],
+                             oracle.table_of(cat))
+
+
+def iso_class_cases():
+    """The corpus and its opposites, Or(G) and Or(G)^op for ORACLE_GROUPS,
+    a product whose classes interleave, and seeded draws (inflations among
+    them) with their objects shuffled."""
+    entries = corpus_entries()
+    cases = entries + [(f"{name}^op", opposite(cat)) for name, cat in entries]
+    for name, g in ORACLE_GROUPS:
+        cases += [(f"Or({name})", orbit_category(g)), (f"Or({name})^op", opposite(orbit_category(g)))]
+    cases.append(("indiscrete-2 x Or(S3)",
+                  product(corpus.build("indiscrete-2"), orbit_category(build_group("symmetric:3")))))
+    rng = random.Random(409)
+    for i, cat in enumerate(random_categories(rng, 10)):
+        cases += [(f"draw {i}", cat), (f"draw {i} shuffled", shuffled_objects(rng, cat))]
+    return cases
+
+
+def test_iso_classes_match_the_union_find():
+    cases = iso_class_cases()
+    for name, cat in cases:
+        assert validate(cat) == [], name
+        assert iso_classes(cat) == oracle.iso_classes(cat), name
+    # the product and the shuffled draws have classes that are not runs of
+    # consecutive objects
+    assert any(cat.obj_index(cls[-1]) - cat.obj_index(cls[0]) >= len(cls)
+               for _, cat in cases for cls in iso_classes(cat))
+
+
+def test_iso_classes_partition_invalid_categories():
+    rng = random.Random(410)
+    for cat in random_categories(rng, 10):
+        for _ in range(4):
+            bad = mutate(rng, cat)
+            classes = iso_classes(bad)
+            assert sorted(o for cls in classes for o in cls) == sorted(bad.objects)
+            assert [cls[0] for cls in classes] == sorted((cls[0] for cls in classes),
+                                                         key=bad.obj_index)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_build_refuses_identities_of_the_wrong_length(k):
+    morphs = [(0, 0, "id"), (1, 1, "id"), (0, 1, "u")]
+    with pytest.raises(ValueError, match="identity map must cover every object"):
+        fincat._build(["x", "y"], morphs, morphs[:k], lambda gd, fd: gd if fd[2] == "id" else fd)
 
 
 def fiber_fixtures():

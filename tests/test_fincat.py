@@ -433,6 +433,13 @@ class TestBiset:
             with pytest.raises(ValueError, match=r"entries must lie in 0\.\.\|S\|-1"):
                 biset_category(g, h, left, right)
 
+    def test_entries_that_are_not_integers_rejected(self):
+        g, h = cyclic_group(2), build_group("trivial")
+        for left, right in (([[0, 1], [1, 0]], [[0], [True]]), ([[0, 1], [1, 0]], [[False], [1]]),
+                            ([[0, 1], [1.0, 0]], [[0], [1]])):
+            with pytest.raises(ValueError, match=r"entries must lie in 0\.\.\|S\|-1"):
+                biset_category(g, h, left, right)
+
 
 class TestFunctors:
     def test_validate_functor_catches_breakage(self):

@@ -182,6 +182,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_group({"kind": "table", "table": [[0, 1], [0, 1]]})  # not Latin
 
+    @pytest.mark.parametrize("table", [[[0, True], [True, 0]], [[False, 1], [1, 0]],
+                                       [[0, 1.0], [1.0, 0]]])
+    def test_table_entries_must_be_integers(self, table):
+        """A bool is not read as 0 or 1, and a float is refused with a
+        ValueError, not a TypeError from the lattice."""
+        with pytest.raises(ValueError, match="table entries must be integers"):
+            FiniteGroup(table)
+
     def test_group_axioms_rejected(self):
         # associativity failure: a Latin square that is not a group table
         bad = [

@@ -229,6 +229,23 @@ def test_fixed_point_euler_refuses_a_bool_or_an_index_out_of_range():
             fixed_point_euler(x, h)
 
 
+@pytest.mark.parametrize("stab", [[False], [0.0], [True, False], [0, 1.0], 5, None, "01"])
+def test_gcw_refuses_a_stabilizer_that_is_not_element_indices(stab):
+    """False, 0.0 and 0 hash alike, so a stabilizer of bools or floats is
+    refused, not read as element indices; a non-iterable is named, not a
+    bare TypeError."""
+    g = build_group("cyclic:2")
+    with pytest.raises(ValueError, match=re.escape(f"element indices: {stab!r}")):
+        GCWComplex(g, [(0, stab)])
+
+
+@pytest.mark.parametrize("h", [[False], [False, True], [0.0], 1.0, "0"])
+def test_fixed_point_euler_refuses_a_subgroup_that_is_not_element_indices(h):
+    x = GCWComplex(build_group("cyclic:2"), [(0, [0])])
+    with pytest.raises(ValueError, match=re.escape(f"element indices: {h!r}")):
+        fixed_point_euler(x, h)
+
+
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:4", "dihedral:8", "q8",
                                   "product:cyclic:2+cyclic:2+cyclic:2+cyclic:2",
                                   "product:cyclic:2+symmetric:3"])
